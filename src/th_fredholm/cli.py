@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -251,8 +249,7 @@ def cmd_defects(job: Job, ns) -> tuple[dict, int]:
     gated = _gate(fredholm_conditions(job.pair, job.p), "defects")
     if gated:
         return gated
-    kwargs = {} if job.truncation is None else {"factor_order": job.truncation}
-    report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance, **kwargs)
+    report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
     return _defect_doc("defects", report, job.p), 0
 
 
@@ -264,7 +261,7 @@ def cmd_factor(job: Job, ns) -> tuple[dict, int]:
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     sides = {}
     for key, rep in (("c", rep_c), ("d", rep_d)):
-        factor = build_plus_factor(rep, order)
+        factor = build_plus_factor(rep)
         sides[key] = {
             "n": rep.n,
             "constant": _cnum(factor.constant),
@@ -317,6 +314,9 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
     if tag == GENERAL:
         doc["note"] = "no structured fast path; use check/index/defects"
         return doc, 0
+    gated = _gate(fredholm_conditions(job.pair, job.p), "special")
+    if gated:
+        return gated
     if tag == ID_PLUS_HANKEL:
         report = hankel_identity_report(invert(job.pair.b), job.p)
         doc.update(
@@ -422,11 +422,7 @@ def _sweep_row(pair: SymbolPair, p: Fraction) -> dict:
 
 
 def cmd_sweep(job: Job, ns) -> tuple[dict, int]:
-    values = _sweep_values(ns)
-    threads = os.environ.get("TH_FREDHOLM_THREADS")
-    workers = max(1, int(threads)) if threads else min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda p: _sweep_row(job.pair, p), values))
+    rows = [_sweep_row(job.pair, p) for p in _sweep_values(ns)]
     doc = {"command": "sweep", "version": __version__, "rows": rows}
     return doc, 0
 
@@ -557,10 +553,10 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (NotFredholm, CurveThroughOrigin) as e:
-        return _emit_error(ns, str(e), 1)
     except BoundaryCase as e:
         return _emit_error(ns, str(e), 2)
+    except (NotFredholm, CurveThroughOrigin) as e:
+        return _emit_error(ns, str(e), 1)
     except _CONFIDENCE_ERRORS as e:
         return _emit_error(ns, str(e), 4, kind="numerical-confidence")
 

@@ -110,15 +110,18 @@ def defect_matrix(rho: RhoSeries, n: int, m: int) -> DefectMatrix:
         raise InsufficientCoefficients(
             f"need rho up to |k| = {n + m - 2}, kept only {rho.N_keep}"
         )
-    out = np.empty((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = rho.get(i - j) + rho.get(i + j)
+    i = np.arange(n)[:, None]
+    j = np.arange(m)[None, :]
+    out = rho.coeffs[i - j + rho.N_keep] + rho.coeffs[i + j + rho.N_keep]
     return DefectMatrix(n=n, m=m, matrix=out, rho=rho)
 
 
 def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
-    """Numerical rank with the singular-value gap around the threshold."""
+    """Numerical rank with the singular-value gap around the threshold.
+
+    Warns with IllConditionedRankWarning when the gap ratio at the rank cut
+    is below 10.
+    """
     a = np.asarray(matrix, dtype=complex)
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -135,6 +138,8 @@ def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
         gap = float(sv[rank - 1] / sv[rank])
     else:
         gap = np.inf
+    if gap < 10:
+        warnings.warn(f"singular-value gap ratio {gap:.2f} at the rank cut", IllConditionedRankWarning)
     return RankDecision(
         rank=rank,
         kernel_dim=a.shape[1] - rank,
@@ -142,17 +147,6 @@ def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
         gap_ratio=gap,
         threshold=threshold,
     )
-
-
-def numerical_kernel_dim(matrix: np.ndarray, tol_rel: float = 1e-8) -> int:
-    """Columns minus numerical rank; warns when the deciding gap is thin."""
-    decision = rank_decision(matrix, tol_rel)
-    if decision.gap_ratio < 10:
-        warnings.warn(
-            f"singular-value gap ratio {decision.gap_ratio:.2f} at the rank cut",
-            IllConditionedRankWarning,
-        )
-    return decision.kernel_dim
 
 
 def _audit_rank(decision: RankDecision, dm: DefectMatrix) -> None:
@@ -179,7 +173,6 @@ def defect_numbers(
     tol_rel: float = 1e-8,
     bounds_only: bool = False,
     N_keep: int | None = None,
-    factor_order: int = 2048,
     **rho_options,
 ) -> DefectReport:
     """Full defect report at p per the four-case dispatch.
@@ -225,18 +218,13 @@ def defect_numbers(
         return DefectReport(dim_ker=m - n, dim_coker=0, **common)
 
     keep = N_keep if N_keep is not None else max(n + m, 16)
-    c_plus = build_plus_factor(rep_c, factor_order)
-    d_plus = build_plus_factor(rep_d, factor_order)
-    rho = rho_coefficients(c_plus, d_plus, pair.b, n, m, keep, **rho_options)
+    rho = rho_coefficients(
+        build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, keep, **rho_options
+    )
     dm = defect_matrix(rho, n, m)
     decision = rank_decision(dm.matrix, tol_rel)
     if fredholm:
         _audit_rank(decision, dm)
-    if decision.gap_ratio < 10:
-        warnings.warn(
-            f"singular-value gap ratio {decision.gap_ratio:.2f} at the rank cut",
-            IllConditionedRankWarning,
-        )
     r = decision.rank
     return DefectReport(
         dim_ker=m - r,

@@ -266,7 +266,7 @@ def hankel_identity_report(phi: CanonicalSymbol, p) -> FamilyReport:
         n_minus=n_minus,
         pair_signs=tuple(pair_signs),
         v_exponents=tuple(v_exponents),
-        c_plus=build_plus_factor(rep_c, 16),
+        c_plus=build_plus_factor(rep_c),
     )
     return FamilyReport(
         tag=ID_PLUS_HANKEL,

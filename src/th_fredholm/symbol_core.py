@@ -417,8 +417,3 @@ def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> 
         raise ConditionViolated(f"a*a~ != b*b~ on the circle (max deviation {dev:.3e})", deviation=dev)
     b_inv = invert(b)
     return SymbolPair(a=a, b=b, c=multiply(a, b_inv), d=multiply(tilde(a), b_inv))
-
-
-def aux_functions(pair: SymbolPair) -> tuple[CanonicalSymbol, CanonicalSymbol]:
-    """The stored auxiliary functions (c, d); both satisfy c*c~ = d*d~ = 1."""
-    return pair.c, pair.d

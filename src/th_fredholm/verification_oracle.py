@@ -292,7 +292,7 @@ def kernel_residual_check(
         raise ValueError("kernel construction needs a Fredholm report")
     n, m = report.n, report.m
     order = max(2 * N, 512)
-    c_plus = build_plus_factor(report.rep_c, order)
+    c_plus = build_plus_factor(report.rep_c)
     vectors: list[np.ndarray] = []
     tags: list[str] = []
 
@@ -310,7 +310,7 @@ def kernel_residual_check(
         keep = N + abs(n) + m + 4
         rho = report.rho
         if rho is None or rho.N_keep < keep:
-            d_plus = build_plus_factor(report.rep_d, order)
+            d_plus = build_plus_factor(report.rep_d)
             rho = rho_coefficients(c_plus, d_plus, pair.b, n, m, keep)
         col = fftconvolve(
             np.array([1.0, 1.0], dtype=complex), c_plus.realize(order).coeffs

@@ -160,9 +160,9 @@ def smooth_minus_factor(log_smooth: FourierLogPoly, N: int) -> OneSidedSeries:
 class PlusFactor:
     """Structured analytic factor c_+ of the antisymmetric factorization.
 
-    c_+ = constant * exp(analytic log) * prod eta(point, exponent); the
-    realized series and its reciprocal are carried at order N alongside the
-    structure so they can be rebuilt at any other order.
+    c_+ = constant * exp(analytic log) * prod eta(point, exponent).  realize(N)
+    builds the coefficients of c_+ (or of 1/c_+ when inverted) at the order the
+    caller reads, and eval_at gives closed-form values on the circle.
     """
 
     side: str
@@ -170,14 +170,9 @@ class PlusFactor:
     constant: complex
     analytic_log: FourierLogPoly
     eta_exponents: tuple[tuple[UnitPoint, Exponent], ...]
-    series: OneSidedSeries
-    reciprocal: OneSidedSeries
-
-    @property
-    def N(self) -> int:
-        return self.series.N
 
     def realize(self, N: int, inverted: bool = False) -> OneSidedSeries:
+        """Coefficients of c_+, or of 1/c_+ when inverted, up to t^N."""
         sign = -1 if inverted else 1
         log = FourierLogPoly.of({k: sign * v for k, v in self.analytic_log.coeffs})
         series = smooth_plus_factor(log, N)
@@ -204,19 +199,14 @@ class PlusFactor:
         return self.eval_at(1.0 / np.asarray(z, dtype=complex))
 
 
-def build_plus_factor(rep: NormalizedRep, N: int = 4096, tol: float | None = None) -> PlusFactor:
-    """Realize the plus factor of a normalized representation at order N.
+def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
+    """The structured plus factor of a normalized representation.
 
     The eta exponents are 2*gamma at the endpoints and gamma at both members
     of every conjugate jump pair.  The residual scale (within 1e-9 of 1) is
     threaded through a principal square root so downstream products stay
-    faithful to the input constants.
-
-    Raises
-    ------
-    TruncationInsufficient
-        Only when tol is given and the realized series convolved with its
-        realized reciprocal misses the unit series by more than tol.
+    faithful to the input constants.  Nothing is realized here; callers use
+    PlusFactor.realize at the order they need.
     """
     exponents = []
     if not rep.gamma_plus.is_zero:
@@ -228,43 +218,13 @@ def build_plus_factor(rep: NormalizedRep, N: int = 4096, tol: float | None = Non
         exponents.append((pt.conjugate(), g))
     log_dict = rep.smooth_log.as_dict()
     gamma0 = log_dict.get(0, 0j)
-    analytic_log = FourierLogPoly.of({k: v for k, v in log_dict.items() if k >= 1})
-    constant = cmath.sqrt(rep.smooth_scale) * cmath.exp(gamma0 / 2)
-
-    shell = PlusFactor(
+    return PlusFactor(
         side=rep.side,
         n=rep.n,
-        constant=constant,
-        analytic_log=analytic_log,
+        constant=cmath.sqrt(rep.smooth_scale) * cmath.exp(gamma0 / 2),
+        analytic_log=FourierLogPoly.of({k: v for k, v in log_dict.items() if k >= 1}),
         eta_exponents=tuple(exponents),
-        series=OneSidedSeries("analytic", np.array([1.0 + 0j])),
-        reciprocal=OneSidedSeries("analytic", np.array([1.0 + 0j])),
     )
-    series = shell.realize(N)
-    reciprocal = shell.realize(N, inverted=True)
-    factor = PlusFactor(
-        side=shell.side,
-        n=shell.n,
-        constant=constant,
-        analytic_log=analytic_log,
-        eta_exponents=shell.eta_exponents,
-        series=series,
-        reciprocal=reciprocal,
-    )
-    if tol is not None:
-        unit_defect = _unit_defect(series, reciprocal)
-        if unit_defect > tol:
-            raise TruncationInsufficient(
-                f"series times reciprocal misses the unit by {unit_defect:.3e} at N={N}"
-            )
-    return factor
-
-
-def _unit_defect(series: OneSidedSeries, reciprocal: OneSidedSeries) -> float:
-    prod = series.conv(reciprocal).coeffs
-    prod = prod.copy()
-    prod[0] -= 1.0
-    return float(np.max(np.abs(prod)))
 
 
 def factor_reconstruction_defect(rep: NormalizedRep, factor: PlusFactor, angles: np.ndarray) -> float:
@@ -428,16 +388,10 @@ def rho_coefficients(
     )
 
 
-def rho_for_pair(
-    pair,
-    p,
-    N_keep: int,
-    factor_order: int = 2048,
-    **rho_kwargs,
-) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:
-    """Normalize both sides, realize the plus factors, and compute rho."""
+def rho_for_pair(pair, p, N_keep: int, **rho_kwargs) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:
+    """Normalize both sides, build the plus factors, and compute rho."""
     rep_c, rep_d = normalized_pair(pair, p)
-    c_plus = build_plus_factor(rep_c, factor_order)
-    d_plus = build_plus_factor(rep_d, factor_order)
+    c_plus = build_plus_factor(rep_c)
+    d_plus = build_plus_factor(rep_d)
     rho = rho_coefficients(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep, **rho_kwargs)
     return rep_c, rep_d, rho

@@ -54,7 +54,7 @@ from th_fredholm.wiener_hopf import (
     rho_for_pair,
 )
 
-SMALL_ORDERS = dict(start_order=512, max_order=8192, factor_order=512)
+SMALL_ORDERS = dict(start_order=512, max_order=8192)
 
 
 def four_jump_symbol():
@@ -227,7 +227,7 @@ def test_criterion_6_invariant_properties():
         rep_c, rep_d, rho = rho_for_pair(pair, p, N_keep=8, **SMALL_ORDERS)
         assert rho.evenness_defect() <= max(1e-8, 10.0 * rho.tail_bound)
         for rep in (rep_c, rep_d):
-            factor = build_plus_factor(rep, 512)
+            factor = build_plus_factor(rep)
             angles = np.linspace(0.0, 2.0 * np.pi, 257)[:-1] + 0.013
             assert factor_reconstruction_defect(rep, factor, angles) <= 1e-6
         try:

@@ -2,10 +2,14 @@
 
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from th_fredholm import cli
 from th_fredholm.cli import main
+from th_fredholm.fredholm_engine import BoundaryCase
 
 EX_CURVE_SYMBOL = {
     "jumps": [
@@ -150,6 +154,97 @@ def test_special_identity_plus_hankel(tmp_path, capsys):
     assert doc["dimKer"] == 0 and doc["dimCoker"] == 0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            "a": {},
+            "b": {"kappa": -4, "jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.5 - 1e-12, 0.0]}]},
+            "p": 2,
+        },
+        {
+            "a": {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.25 + 1e-12, 0.0]}]},
+            "b": {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.25 + 1e-12, 0.0]}]},
+            "p": 2,
+        },
+    ],
+)
+def test_special_gated_on_boundary(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, doc)
+    for command in ("check", "index", "defects", "special"):
+        code, out, _ = run(capsys, [command, path])
+        assert code == 2
+        report = json.loads(out)
+        assert report["command"] == command and report["overall"] == "boundary"
+
+
+def test_boundary_raised_inside_command_exits_two(tmp_path, capsys, monkeypatch):
+    def raises(job, ns):
+        raise BoundaryCase("on the boundary")
+
+    monkeypatch.setitem(cli._COMMANDS, "index", raises)
+    path = write_doc(tmp_path, {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2})
+    code, out, _ = run(capsys, ["index", path])
+    assert code == 2
+    assert json.loads(out)["error"] == "on the boundary"
+
+
+FAMILY_B = {
+    "APlusHA": (0, 1.0),
+    "AMinusHA": (0, -1.0),
+    "AMinusHtInvA": (-1, -1.0),
+    "APlusHtA": (1, 1.0),
+}
+
+
+def family_document(rng: random.Random, boundary: bool) -> dict:
+    """A single-symbol family pair, with one exponent nudged onto a window edge if asked.
+
+    The windows of Re beta at 1 and -1 start at the family's lower ends below,
+    and the sum over the conjugate pair at 1/3, 2/3 has its window at -1/q.
+    """
+    tag = rng.choice(sorted(FAMILY_B))
+    p = rng.choice([Fraction(2), Fraction(3, 2), Fraction(3), Fraction(4, 3)])
+    h = (1 - 1 / p) / 2
+    lows = {
+        "APlusHA": (-Fraction(1, 2) - h, -h),
+        "AMinusHA": (-h, -Fraction(1, 2) - h),
+        "AMinusHtInvA": (-h, -h),
+        "APlusHtA": (-Fraction(1, 2) - h, -Fraction(1, 2) - h),
+    }[tag]
+    betas = [Fraction(rng.randint(-12, 12), 16) for _ in range(2)]
+    betas += [Fraction(rng.randint(-6, 6), 16) for _ in range(2)]
+    nudges = [0.0] * 4
+    if boundary:
+        site = rng.randrange(3)
+        edge = (lows + (-2 * h,))[site] + rng.randint(-1, 1)
+        betas[site] = edge - betas[3] if site == 2 else edge
+        nudges[site] = rng.choice([1e-12, -1e-12])
+    points = [(0, 1), (1, 2), (1, 3), (2, 3)]
+    jumps = [
+        {"theta_num": num, "theta_den": den, "beta": [float(beta) + nudge, 0.0]}
+        for (num, den), beta, nudge in zip(points, betas, nudges)
+    ]
+    kappa = rng.randint(-2, 2)
+    shift, scale = FAMILY_B[tag]
+    return {
+        "a": {"kappa": kappa, "jumps": jumps},
+        "b": {"kappa": kappa + shift, "scale": [scale, 0.0], "jumps": jumps},
+        "p": f"{p.numerator}/{p.denominator}",
+    }
+
+
+def test_exit_codes_agree_on_family_documents(tmp_path, capsys):
+    rng = random.Random(2026)
+    seen = set()
+    for i in range(48):
+        path = write_doc(tmp_path, family_document(rng, boundary=i % 2 == 0))
+        codes = {cmd: run(capsys, [cmd, path])[0] for cmd in ("check", "index", "defects", "special")}
+        assert len(set(codes.values())) == 1, codes
+        seen.add(codes["check"])
+    assert seen == {0, 1, 2}
+
+
 def test_verify_reports_oracles(tmp_path, capsys):
     doc = {
         "a": {"kappa": -1, "log_smooth": [{"k": 1, "re": 0.2}, {"k": -1, "re": -0.2}]},
@@ -191,8 +286,7 @@ def test_factor_series_order(tmp_path, capsys):
         assert series[0] != [0.0, 0.0]
 
 
-def test_sweep_rows_ordered(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TH_FREDHOLM_THREADS", "2")
+def test_sweep_rows_ordered(tmp_path, capsys):
     path = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}})
     code, out, _ = run(
         capsys, ["sweep", path, "--p-from", "1.05", "--p-to", "2", "--steps", "5"]

@@ -18,7 +18,6 @@ from th_fredholm.defect_solver import (
     defect_matrix,
     defect_numbers,
     invertibility,
-    numerical_kernel_dim,
     rank_decision,
 )
 from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, fredholm_index
@@ -56,6 +55,19 @@ def test_defect_matrix_transpose_identity():
     assert np.allclose(a32, a23.T, atol=1e-12)
 
 
+def test_defect_matrix_matches_loop_formula():
+    _, _, rho = rho_for_pair(trivial_pair(), 2, N_keep=8)
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=rho.coeffs.size) + 1j * rng.normal(size=rho.coeffs.size)
+    rho = dataclasses.replace(rho, coeffs=coeffs)
+    n, m = 3, 5
+    expected = np.empty((n, m), dtype=complex)
+    for i in range(n):
+        for j in range(m):
+            expected[i, j] = rho.get(i - j) + rho.get(i + j)
+    assert np.array_equal(defect_matrix(rho, n, m).matrix, expected)
+
+
 def test_defect_matrix_needs_enough_coefficients():
     _, _, rho = rho_for_pair(trivial_pair(), 2, N_keep=2)
     defect_matrix(rho, 2, 1)
@@ -68,17 +80,16 @@ def test_defect_matrix_needs_enough_coefficients():
 def test_rank_decision_zero_matrix():
     d = rank_decision(np.zeros((2, 2)))
     assert d.rank == 0 and d.kernel_dim == 2
-    assert numerical_kernel_dim(np.zeros((2, 2))) == 2
 
 
-def test_numerical_kernel_dim_nonsingular_scalar():
-    assert numerical_kernel_dim(np.array([[4.0]])) == 0
+def test_rank_decision_nonsingular_scalar():
+    assert rank_decision(np.array([[4.0]])).kernel_dim == 0
 
 
 def test_gap_warning_fires_on_thin_cut():
     m = np.diag([1.0, 2e-8, 5e-9])
     with pytest.warns(IllConditionedRankWarning):
-        dim = numerical_kernel_dim(m, tol_rel=1e-8)
+        dim = rank_decision(m, tol_rel=1e-8).kernel_dim
     assert dim == 1
 
 
@@ -180,7 +191,7 @@ def test_index_identity_on_random_instances():
         for _ in range(6):
             pair = random_fredholm_pair(rng, p)
             rep = defect_numbers(
-                pair, p, start_order=512, max_order=8192, factor_order=512
+                pair, p, start_order=512, max_order=8192
             )
             assert rep.dim_ker - rep.dim_coker == rep.m - rep.n
             assert rep.index == fredholm_index(pair, p)
@@ -194,11 +205,11 @@ def test_transpose_duality_swaps_defect_numbers():
         for _ in range(4):
             pair = random_fredholm_pair(rng, p)
             rep = defect_numbers(
-                pair, p, start_order=512, max_order=8192, factor_order=512
+                pair, p, start_order=512, max_order=8192
             )
             dual = validate_pair(tilde(pair.a), pair.b)
             rep_t = defect_numbers(
-                dual, q, start_order=512, max_order=8192, factor_order=512
+                dual, q, start_order=512, max_order=8192
             )
             assert (rep_t.n, rep_t.m) == (rep.m, rep.n)
             assert (rep_t.dim_ker, rep_t.dim_coker) == (rep.dim_coker, rep.dim_ker)

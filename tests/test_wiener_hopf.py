@@ -118,7 +118,7 @@ def test_smooth_factor_splits_odd_log():
 
 def test_plus_factor_structure_for_example():
     rep = normalize(example_c(), 2)
-    factor = build_plus_factor(rep, N=128)
+    factor = build_plus_factor(rep)
     got = {(pt, e.re) for pt, e in factor.eta_exponents}
     assert got == {
         (ONE, Fraction(-1, 4)),
@@ -134,10 +134,10 @@ def test_plus_factor_structure_for_example():
 def test_plus_factor_minus_t_case():
     # u(1,1) = -t factors through eta(1,1) = 1 - t with n = 0
     rep = normalize(jump_unit(0, 1, 1), 2)
-    factor = build_plus_factor(rep, N=16)
+    factor = build_plus_factor(rep)
     assert rep.n == 0
     assert factor.eta_exponents == ((ONE, Exponent(Fraction(1))),)
-    assert np.max(np.abs(factor.series.coeffs[:2] - np.array([1.0, -1.0]))) < 1e-14
+    assert np.max(np.abs(factor.realize(16).coeffs[:2] - np.array([1.0, -1.0]))) < 1e-14
     z = np.exp(1j * (2 * math.pi * (np.arange(20) + 0.4) / 20))
     recon = factor.eval_at(z) / factor.eval_tilde_at(z)
     assert np.max(np.abs(recon + z)) < 1e-12
@@ -145,9 +145,9 @@ def test_plus_factor_minus_t_case():
 
 def test_plus_factor_series_matches_closed_form_when_smooth():
     rep = plain_rep(smooth_log=FourierLogPoly.of({1: 0.2 - 0.1j, 2: 0.05j}))
-    factor = build_plus_factor(rep, N=96)
+    factor = build_plus_factor(rep)
     z = np.exp(1j * (2 * math.pi * (np.arange(60) + 0.25) / 60))
-    assert np.max(np.abs(factor.series.eval_at(z) - factor.eval_at(z))) < 1e-12
+    assert np.max(np.abs(factor.realize(96).eval_at(z) - factor.eval_at(z))) < 1e-12
 
 
 def test_reciprocal_identity_random_reps():
@@ -160,8 +160,8 @@ def test_reciprocal_identity_random_reps():
                     (UnitPoint(3, 4), Exponent(Fraction(int(rng.integers(-4, 5)), 16)))),
             smooth_log=FourierLogPoly.of({1: 0.1 * rng.normal()}),
         )
-        factor = build_plus_factor(rep, N=256)
-        prod = factor.series.conv(factor.reciprocal).coeffs
+        factor = build_plus_factor(rep)
+        prod = factor.realize(256).conv(factor.realize(256, inverted=True)).coeffs
         prod[0] -= 1.0
         assert np.max(np.abs(prod)) < 1e-11
 
@@ -171,7 +171,7 @@ def test_truncation_demand_can_fail():
     # cross convolution really does move between doublings; a 1e-13 demand at
     # a tiny cap must then fail
     rep = plain_rep(gamma_plus=Exponent(Fraction(-1, 8)))
-    factor = build_plus_factor(rep, N=64)
+    factor = build_plus_factor(rep)
     b = jump_unit(0, 1, Fraction(1, 4))
     with pytest.raises(TruncationInsufficient):
         rho_coefficients(
@@ -253,7 +253,7 @@ def test_rho_closed_form_matches_coefficients_for_smooth_pair():
 
 def test_not_in_l1_warning():
     rep = plain_rep(gamma_minus=Exponent(Fraction(-1)))
-    factor = build_plus_factor(rep, N=32)
+    factor = build_plus_factor(rep)
     with pytest.warns(NotInL1Warning):
         rho_coefficients(
             factor, factor, CanonicalSymbol.one(), 0, 0, 4,
