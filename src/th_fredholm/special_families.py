@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .defect_solver import DefectReport, defect_numbers
 from .fredholm_engine import (
@@ -295,6 +294,8 @@ class JacobiData:
 
 
 def _leading_coefficient_sq(n: int, alpha: complex, beta: complex) -> complex:
+    from scipy.special import gamma as gamma_fn  # complex arguments: math.gamma cannot serve
+
     s = alpha + beta
     if n == 0:
         binom = 1.0 + 0j

@@ -346,18 +346,6 @@ def invert(s: CanonicalSymbol) -> CanonicalSymbol:
     )
 
 
-def rotate_half(s: CanonicalSymbol) -> CanonicalSymbol:
-    """The symbol s(-t): jumps rotate by half a turn, odd log coefficients flip sign."""
-    return CanonicalSymbol(
-        kappa=s.kappa,
-        scale=s.scale * (-1.0) ** (s.kappa % 2),
-        log_smooth=FourierLogPoly.of({k: v * (-1.0) ** (k % 2) for k, v in s.log_smooth.coeffs}),
-        jumps=tuple(
-            JumpFactor(UnitPoint(j.point.num * 2 + j.point.den, 2 * j.point.den), j.beta) for j in s.jumps
-        ),
-    )
-
-
 def symbols_equal(s1: CanonicalSymbol, s2: CanonicalSymbol, tol: float = 1e-12) -> bool:
     """Representation equality: exact on integers and rational data, tol on floats."""
     if s1.kappa != s2.kappa or abs(s1.scale - s2.scale) > tol * max(1.0, abs(s1.scale)):

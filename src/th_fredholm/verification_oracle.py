@@ -24,13 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import hankel, solve_toeplitz, toeplitz
-from scipy.signal import fftconvolve
 
 from .defect_solver import DefectReport, defect_numbers
 from .symbol_core import CanonicalSymbol, SymbolPair, eval_many
 from .wiener_hopf import (
     RhoSeries,
+    convolve,
     eta_series,
     rho_coefficients,
     smooth_minus_factor,
@@ -132,7 +131,7 @@ def _series_route(s: CanonicalSymbol, N: int, inner: int | None) -> np.ndarray:
         factors.append(eta_series(j.point, j.beta, L))
         factors.append(xi_series(j.point, -j.beta.value, L))
     for f in factors:
-        base = fftconvolve(base, _embed(f, L))[L : 3 * L + 1]
+        base = convolve(base, _embed(f, L))[L : 3 * L + 1]
     return base[L - N : L + N + 1]
 
 
@@ -231,18 +230,18 @@ def toeplitz_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
     """Section (a_{j-k}) of size N; needs coefficients to |k| = N-1."""
     if series.N < N - 1:
         raise ValueError(f"need coefficients to {N - 1}, have {series.N}")
-    col = np.array([series.get(j) for j in range(N)])
-    row = np.array([series.get(-j) for j in range(N)])
-    return toeplitz(col, row)
+    i = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    return series.coeffs[series.N + i - j]
 
 
 def hankel_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
     """Section (b_{j+k+1}) of size N; needs coefficients to 2N-1."""
     if series.N < 2 * N - 1:
         raise ValueError(f"need coefficients to {2 * N - 1}, have {series.N}")
-    col = np.array([series.get(j) for j in range(1, N + 1)])
-    row = np.array([series.get(j) for j in range(N, 2 * N)])
-    return hankel(col, row)
+    i = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    return series.coeffs[series.N + 1 + i + j]
 
 
 def finite_section(
@@ -286,6 +285,8 @@ def kernel_residual_check(
         When any candidate's residual exceeds tol or the truncated vectors
         are not linearly independent.
     """
+    from scipy.linalg import solve_toeplitz
+
     if report is None:
         report = defect_numbers(pair, p)
     if report.bounds_only:
@@ -298,12 +299,12 @@ def kernel_residual_check(
 
     if n < 0:
         inv = c_plus.realize(order, inverted=True).coeffs
-        base = fftconvolve(np.array([1.0, -1.0], dtype=complex), inv)[:N]
+        base = convolve(np.array([1.0, -1.0], dtype=complex), inv)[:N]
         for j in range(-n):
             q2 = np.zeros(-2 * n - 1, dtype=complex)
             q2[j] += 1.0
             q2[-2 * n - 2 - j] += 1.0
-            vectors.append(fftconvolve(base, q2)[:N])
+            vectors.append(convolve(base, q2)[:N])
             tags.append(f"homogeneous[{j}]")
 
     if m > 0:
@@ -312,9 +313,7 @@ def kernel_residual_check(
         if rho is None or rho.N_keep < keep:
             d_plus = build_plus_factor(report.rep_d)
             rho = rho_coefficients(c_plus, d_plus, pair.b, n, m, keep)
-        col = fftconvolve(
-            np.array([1.0, 1.0], dtype=complex), c_plus.realize(order).coeffs
-        )[:N]
+        col = convolve(np.array([1.0, 1.0], dtype=complex), c_plus.realize(order).coeffs)[:N]
         row = np.zeros(N, dtype=complex)
         row[0] = col[0]
         if n <= 0:

@@ -19,6 +19,7 @@ more importantly, reported.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .fredholm_engine import NormalizedRep, normalized_pair
 from .symbol_core import (
@@ -66,6 +66,44 @@ def binomial_coefficients(beta: complex, N: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, the padded length of convolve.
+
+    This is the length scipy.fft.next_fast_len(n, real=False) gives.  A power
+    of two is always a candidate, so only the odd 11-smooth numbers below it
+    need doubling up to n.
+    """
+    best = 1 << (n - 1).bit_length()
+    odd = [1]
+    for f in (3, 5, 7, 11):
+        grown = []
+        for x in odd:
+            while x < best:
+                grown.append(x)
+                x *= f
+        odd = grown
+    # x << k with k = bit_length((n-1)//x) is the least x*2^k >= n
+    return min([best] + [x << ((n - 1) // x).bit_length() for x in odd])
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex128 arrays through numpy.fft.
+
+    Padding to fft_length makes the result bit-identical to
+    scipy.signal.fftconvolve, which runs the same pocketfft transforms at
+    that length; the product and inverse are taken in place.  A length-one
+    input is a plain product, as fftconvolve skips the transform there too.
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    L = fft_length(n)
+    spec = np.fft.fft(a, L)
+    spec *= np.fft.fft(b, L)
+    return np.fft.ifft(spec, out=spec)[:n]
+
+
 @dataclass(frozen=True, eq=False)
 class OneSidedSeries:
     """Truncated series supported on one half axis.
@@ -89,7 +127,7 @@ class OneSidedSeries:
         if other.orientation != self.orientation:
             raise ValueError("cannot convolve series of opposite orientation")
         n = max(self.N, other.N)
-        full = fftconvolve(self.coeffs, other.coeffs)[: n + 1]
+        full = convolve(self.coeffs, other.coeffs)[: n + 1]
         return OneSidedSeries(self.orientation, full)
 
     def mirror(self) -> "OneSidedSeries":
@@ -336,7 +374,7 @@ def rho_coefficients(
             anti = anti.conv(xi_series(j.point, j.beta.value, order))
         anti = anti.conv(c_plus.realize(order).mirror())
         anti = anti.conv(d_plus.realize(order).mirror())
-        cross = fftconvolve(analytic.coeffs, anti.coeffs[::-1])
+        cross = convolve(analytic.coeffs, anti.coeffs[::-1])
         # cross index r corresponds to coefficient r - order of the unshifted product
         out = np.empty(2 * N_keep + 1, dtype=complex)
         for k in range(-N_keep, N_keep + 1):

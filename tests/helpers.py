@@ -10,6 +10,7 @@ from th_fredholm.fredholm_engine import fredholm_conditions
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
     Exponent,
+    FourierLogPoly,
     JumpFactor,
     MINUS_ONE,
     ONE,
@@ -21,6 +22,18 @@ from th_fredholm.symbol_core import (
 )
 
 UPPER_ANGLES = [(1, 8), (1, 4), (3, 8), (1, 3), (1, 6), (2, 5)]
+
+
+def rotate_half(s: CanonicalSymbol) -> CanonicalSymbol:
+    """The symbol s(-t): jumps rotate by half a turn, odd log coefficients flip sign."""
+    return CanonicalSymbol(
+        kappa=s.kappa,
+        scale=s.scale * (-1.0) ** (s.kappa % 2),
+        log_smooth=FourierLogPoly.of({k: v * (-1.0) ** (k % 2) for k, v in s.log_smooth.coeffs}),
+        jumps=tuple(
+            JumpFactor(UnitPoint(j.point.num * 2 + j.point.den, 2 * j.point.den), j.beta) for j in s.jumps
+        ),
+    )
 
 
 def random_exponent(rng: np.random.Generator, denom: int = 64, imag_odds: float = 0.3) -> Exponent:

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +378,52 @@ def test_usage_error_exits_three(capsys):
     code, _, err = run(capsys, ["sweep", "-", "--steps", "3"])
     assert code == 3
     assert "error:" in err
+
+
+# The Jacobi case alpha = beta = 0, kappa = 1 of acceptance criterion 4: n = m = 1.
+JACOBI_FMATRIX = {
+    "a": {},
+    "b": {
+        "kappa": -2,
+        "jumps": [
+            {"theta_num": 0, "theta_den": 1, "beta": [-0.5, 0.0]},
+            {"theta_num": 1, "theta_den": 2, "beta": [0.5, 0.0]},
+        ],
+    },
+    "p": 2,
+}
+
+COLD_START_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+from th_fredholm import cli
+
+seen = {"import": scipy_modules()}
+for command in ("check", "defects"):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main([command, sys.argv[1]])
+    seen[command] = [code, json.loads(out.getvalue()).get("caseTag"), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_commands_do_not_import_scipy(tmp_path):
+    path = write_doc(tmp_path, JACOBI_FMATRIX)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE, path],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    seen = json.loads(result.stdout)
+    assert seen["import"] == []
+    assert seen["check"] == [0, None, []]
+    assert seen["defects"] == [0, "F-matrix", []]

@@ -32,12 +32,11 @@ from th_fredholm.symbol_core import (
     invert,
     jump_unit,
     multiply,
-    rotate_half,
     validate_pair,
 )
 from th_fredholm.wiener_hopf import rho_for_pair
 
-from helpers import unimodular_symbol
+from helpers import rotate_half, unimodular_symbol
 
 A_DRIVEN = (A_PLUS_HA, A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HT_A)
 

@@ -19,11 +19,12 @@ from th_fredholm.symbol_core import (
     jump_unit,
     multiply,
     one_sided_limits,
-    rotate_half,
     symbols_equal,
     tilde,
     validate_pair,
 )
+
+from helpers import rotate_half
 
 
 def example_c():

@@ -106,6 +106,18 @@ def _random_banded(rng, M, band):
     return TwoSidedSeries(coeffs, "series-convolution")
 
 
+@pytest.mark.parametrize("N", [5, 1])
+def test_sections_match_scipy_toeplitz_hankel(N):
+    from scipy.linalg import hankel, toeplitz
+
+    series = _random_banded(np.random.default_rng(N), 2 * N, 2 * N)
+    a = [series.get(k) for k in range(-2 * N, 2 * N + 1)]
+    col, row = a[2 * N : 3 * N], a[2 * N : N : -1]
+    assert np.array_equal(toeplitz_matrix(series, N), toeplitz(col, row))
+    col, row = a[2 * N + 1 : 3 * N + 1], a[3 * N : 4 * N]
+    assert np.array_equal(hankel_matrix(series, N), hankel(col, row))
+
+
 def test_toeplitz_hankel_product_identities():
     rng = np.random.default_rng(71)
     N = 64

@@ -24,8 +24,10 @@ from th_fredholm.wiener_hopf import (
     TruncationInsufficient,
     binomial_coefficients,
     build_plus_factor,
+    convolve,
     eta_series,
     factor_reconstruction_defect,
+    fft_length,
     rho_coefficients,
     rho_for_pair,
     smooth_minus_factor,
@@ -268,3 +270,23 @@ def test_one_sided_series_guards():
         a.conv(b)
     with pytest.raises(ValueError):
         OneSidedSeries("sideways", np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 5000), (4097, 4097), (65537, 65537), (1, 1), (1, 7), (5, 1), (2, 2), (3, 8)]
+)
+def test_convolve_bit_identical_to_fftconvolve(sizes):
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(sum(sizes))
+    a, b = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in sizes)
+    out = convolve(a, b)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, fftconvolve(a, b))
+
+
+def test_fft_length_matches_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    lengths = list(range(1, 20000)) + [2 * 2**k + 1 for k in range(12, 18)]
+    assert [fft_length(n) for n in lengths] == [next_fast_len(n, real=False) for n in lengths]
