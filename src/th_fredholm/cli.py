@@ -3,7 +3,8 @@
 Documents are JSON.  Reports are byte-deterministic: keys sorted, indent 2,
 no timestamps, a fixed version string.  Curves and sweeps can also be
 emitted as CSV.  Exit codes: 0 success, 1 not Fredholm or not invertible,
-2 boundary case, 3 input error, 4 a numerical confidence audit failed.
+2 boundary case, 3 input error, 4 a numerical confidence audit failed or
+two internal routes disagreed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .fredholm_engine import (
 from .special_families import (
     GENERAL,
     ID_PLUS_HANKEL,
+    InternalDisagreement,
     classify_family,
     family_fredholm,
     hankel_identity_report,
@@ -559,6 +561,8 @@ def main(argv=None) -> int:
         return _emit_error(ns, str(e), 1)
     except _CONFIDENCE_ERRORS as e:
         return _emit_error(ns, str(e), 4, kind="numerical-confidence")
+    except InternalDisagreement as e:
+        return _emit_error(ns, str(e), 4, kind="internal-disagreement")
 
 
 if __name__ == "__main__":

@@ -40,6 +40,11 @@ from .symbol_core import (
 )
 from .wiener_hopf import PlusFactor, build_plus_factor
 
+
+class InternalDisagreement(RuntimeError):
+    """Two exact routes inside the program disagree: a defect, not a verdict."""
+
+
 A_PLUS_HA = "APlusHA"
 A_MINUS_HA = "AMinusHA"
 A_MINUS_HTINV_A = "AMinusHtInvA"
@@ -207,7 +212,7 @@ def family_fredholm(a: CanonicalSymbol, tag: str, p) -> FamilyReport:
 
     rep_c, rep_d = normalized_pair(validate_pair(a, family_b(a, tag)), p)
     if kappa_hat != rep_c.n - rep_d.n:
-        raise RuntimeError(
+        raise InternalDisagreement(
             f"family winding {kappa_hat} disagrees with the general "
             f"normalization n - m = {rep_c.n - rep_d.n}"
         )
@@ -227,7 +232,7 @@ def family_fredholm(a: CanonicalSymbol, tag: str, p) -> FamilyReport:
 def _integer_difference(g: Exponent, d: Exponent, what: str) -> int:
     diff = g.re - d.re
     if diff.denominator != 1 or abs(g.im - d.im) > 1e-12:
-        raise RuntimeError(f"{what}: gamma - delta = {diff} is not an integer")
+        raise InternalDisagreement(f"{what}: gamma - delta = {diff} is not an integer")
     return int(diff)
 
 

@@ -16,10 +16,12 @@ from th_fredholm.symbol_core import (
     ONE,
     SymbolPair,
     UnitPoint,
+    eval_many,
     jump_unit,
     multiply,
     validate_pair,
 )
+from th_fredholm.verification_oracle import TwoSidedSeries
 
 UPPER_ANGLES = [(1, 8), (1, 4), (3, 8), (1, 3), (1, 6), (2, 5)]
 
@@ -34,6 +36,28 @@ def rotate_half(s: CanonicalSymbol) -> CanonicalSymbol:
             JumpFactor(UnitPoint(j.point.num * 2 + j.point.den, 2 * j.point.den), j.beta) for j in s.jumps
         ),
     )
+
+
+def sampled_fft_coeffs(s: CanonicalSymbol, N: int, oversample: int = 8) -> TwoSidedSeries:
+    """Coefficients by plain FFT on a shifted uniform grid.
+
+    Aliasing decays only like 1/M for symbols with jumps, so this sampler is
+    an oracle for smooth symbols and a smoke test otherwise.
+    """
+    M = 1
+    while M < oversample * (2 * N + 1):
+        M *= 2
+    xs = (np.arange(M) + 0.5) * (2 * np.pi / M)
+    vals = eval_many(s, xs)
+    spectrum = np.fft.fft(vals) / M
+    # undo the half-step shift and reorder to |k| <= N
+    ks = np.arange(M)
+    ks[ks > M // 2] -= M
+    spectrum *= np.exp(-1j * ks * (np.pi / M))
+    out = np.empty(2 * N + 1, dtype=complex)
+    for k in range(-N, N + 1):
+        out[k + N] = spectrum[k % M]
+    return TwoSidedSeries(out)
 
 
 def random_exponent(rng: np.random.Generator, denom: int = 64, imag_odds: float = 0.3) -> Exponent:

@@ -1,5 +1,6 @@
 """Exit codes, document schemas, and determinism of the command line."""
 
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from th_fredholm import cli
+from th_fredholm import cli, special_families
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 
@@ -276,6 +277,29 @@ def test_verify_confidence_failure_exits_four(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", path])
     assert code == 4
     assert json.loads(out)["errorKind"] == "numerical-confidence"
+
+
+def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
+    path = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2})
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == 0
+    deviation = json.loads(out)["fourierDeviation"]
+    assert deviation["a"] < 1e-12 and deviation["b"] < 1e-12
+
+
+def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):
+    real = special_families.normalized_pair
+
+    def shifted(pair, p):
+        rep_c, rep_d = real(pair, p)
+        return dataclasses.replace(rep_c, n=rep_c.n + 1), rep_d
+
+    monkeypatch.setattr(special_families, "normalized_pair", shifted)
+    jumps = [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]
+    doc = {"a": {"kappa": -1, "jumps": jumps}, "b": {"kappa": -1, "jumps": jumps}, "p": 2}
+    code, out, _ = run(capsys, ["special", write_doc(tmp_path, doc)])
+    assert code == 4
+    assert json.loads(out)["errorKind"] == "internal-disagreement"
 
 
 def test_factor_series_order(tmp_path, capsys):

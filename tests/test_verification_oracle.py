@@ -1,4 +1,4 @@
-"""Dual-route coefficients, finite sections, and explicit kernel elements."""
+"""Quadrature coefficients, finite sections, and explicit kernel elements."""
 
 import math
 from fractions import Fraction
@@ -18,15 +18,18 @@ from th_fredholm.verification_oracle import (
     MethodDisagreement,
     ResidualTooLarge,
     TwoSidedSeries,
+    _arc_rule,
+    _fourier_integrals,
     finite_section,
     fourier_coeffs,
     hankel_matrix,
     kernel_residual_check,
     rho_crosscheck,
-    sampled_fft_coeffs,
     toeplitz_matrix,
 )
 from th_fredholm.wiener_hopf import rho_for_pair
+
+from helpers import sampled_fft_coeffs
 
 
 def smooth(kappa=0, scale=1.0, log=None):
@@ -57,6 +60,29 @@ def test_single_jump_against_integral_closed_form():
     for k in range(-16, 17):
         want = math.sin(math.pi * beta) / (math.pi * (beta - k))
         assert abs(series.get(k) - want) < 2e-6
+
+
+def test_single_jump_closed_form_to_order_512():
+    beta = 0.3
+    series = fourier_coeffs(jump_unit(0, 1, beta), 512)
+    ks = np.arange(-512, 513)
+    want = np.sin(np.pi * beta) / (np.pi * (beta - ks))
+    assert np.max(np.abs(series.as_array() - want)) < 1e-12
+    assert series.cross_deviation < 1e-12
+
+
+def test_high_winding_enters_panel_count():
+    # t^300 has no coefficient at |k| <= 8, but its integrand oscillates 308 times
+    series = fourier_coeffs(CanonicalSymbol.monomial(300), 8)
+    assert np.max(np.abs(series.as_array())) < 1e-12
+
+
+def test_power_recurrence_matches_dense_kernel():
+    xs, ws = _arc_rule(jump_unit(1, 3, 0.2), 512, 16)
+    vals = np.exp(1j * np.sin(3 * xs)) * (1 + 0.5 * np.cos(xs))
+    ks = np.arange(-512, 513)
+    dense = (ws * vals) @ np.exp(-1j * np.outer(xs, ks)) / (2 * np.pi)
+    assert np.max(np.abs(_fourier_integrals(xs, ws, vals, 512) - dense)) < 1e-13
 
 
 def test_series_matches_fft_for_smooth_symbol():
@@ -103,7 +129,7 @@ def _random_banded(rng, M, band):
     coeffs = np.zeros(2 * M + 1, dtype=complex)
     idx = np.arange(-band, band + 1)
     coeffs[idx + M] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
-    return TwoSidedSeries(coeffs, "series-convolution")
+    return TwoSidedSeries(coeffs)
 
 
 @pytest.mark.parametrize("N", [5, 1])
@@ -127,9 +153,7 @@ def test_toeplitz_hankel_product_identities():
     for _ in range(5):
         a = _random_banded(rng, M, N // 4)
         b = _random_banded(rng, M, N // 4)
-        ab = TwoSidedSeries(
-            fftconvolve(a.as_array(), b.as_array())[M : 3 * M + 1], "series-convolution"
-        )
+        ab = TwoSidedSeries(fftconvolve(a.as_array(), b.as_array())[M : 3 * M + 1])
         ta, tb = toeplitz_matrix(a, N), toeplitz_matrix(b, N)
         ha, hb = hankel_matrix(a, N), hankel_matrix(b, N)
         tbt = toeplitz_matrix(b.tilde(), N)
