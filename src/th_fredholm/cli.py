@@ -48,20 +48,16 @@ from .symbol_core import (
     validate_pair,
 )
 from .verification_oracle import (
+    SETTLE_TOL,
     MethodDisagreement,
     ResidualTooLarge,
     fourier_coeffs,
     kernel_residual_check,
-    rho_crosscheck,
+    rho_series,
 )
-from .wiener_hopf import TruncationInsufficient, build_plus_factor, rho_for_pair
+from .wiener_hopf import build_plus_factor, rho_for_pair
 
-_CONFIDENCE_ERRORS = (
-    RankUndecidable,
-    MethodDisagreement,
-    ResidualTooLarge,
-    TruncationInsufficient,
-)
+_CONFIDENCE_ERRORS = (RankUndecidable, MethodDisagreement, ResidualTooLarge)
 
 
 class InputError(ValueError):
@@ -153,7 +149,9 @@ class Job:
         self.truncation = options.get("truncation")
         if self.truncation is not None:
             self.truncation = _as_int(self.truncation, "options.truncation")
+            _require(self.truncation >= 0, "options.truncation must be at least 0")
         self.section_size = _as_int(options.get("section_size", 256), "options.section_size")
+        _require(self.section_size >= 1, "options.section_size must be at least 1")
         self.curve_samples = _as_int(options.get("curve_samples", 2048), "options.curve_samples")
         self.tolerance = _as_real(options.get("tolerance", 1e-6), "options.tolerance")
         self.rank_tolerance = _as_real(
@@ -364,17 +362,18 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     series_a = fourier_coeffs(job.pair.a, order, tol=job.tolerance)
     series_b = fourier_coeffs(job.pair.b, order, tol=job.tolerance)
     report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
-    if report.rho is not None:
-        rho = report.rho
-    else:
-        _, _, rho = rho_for_pair(job.pair, job.p, 16)
+    rho = report.rho if report.rho is not None else rho_for_pair(job.pair, job.p, 16)[2]
     evenness = rho.evenness_defect()
     even_gate = max(1e-8, 10.0 * rho.tail_bound)
     if evenness > even_gate:
         raise MethodDisagreement(
-            f"rho evenness defect {evenness:.3e} exceeds the tail gate {even_gate:.3e}"
+            f"rho evenness defect {evenness:.3e} exceeds the estimate gate {even_gate:.3e}"
         )
-    quad_dev = rho_crosscheck(rho, job.pair)
+    series = rho_series(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
+    series_dev = max(abs(rho.get(k) - series.get(k)) for k in range(-16, 17))
+    series_gate = max(1e-8, 10.0 * (series.tail_bound + rho.tail_bound))
+    if series.tail_bound < SETTLE_TOL and series_dev > series_gate:
+        raise MethodDisagreement(f"rho quadrature and series differ by {series_dev:.3e} > {series_gate:.3e}")
     basis = kernel_residual_check(
         job.pair, job.p, report, N=job.section_size, tol=job.tolerance
     )
@@ -389,8 +388,8 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         },
         "rho": {
             "evenness": evenness,
-            "tailBound": _finite(rho.tail_bound),
-            "quadratureDeviation": quad_dev,
+            "estimate": _finite(rho.tail_bound),
+            "seriesDeviation": series_dev,
         },
         "kernel": {
             "count": len(basis.vectors),

@@ -2,11 +2,12 @@
 
 Three of the four sign cases are pure arithmetic.  Only n > 0, m > 0 needs
 numerics: the n x m matrix with entries rho_{i-j} + rho_{i+j}, whose kernel
-dimension feeds both defect numbers.  Since the matrix is assembled from a
-truncated series, the rank decision is audited: a singular-value gap report
-accompanies every kernel dimension, and when the rho tail bound is large
-enough to move singular values across the rank threshold the solver refuses
-to answer instead of guessing.
+dimension feeds both defect numbers.  Since the matrix is assembled from
+coefficients computed by quadrature, the rank decision is audited: a
+singular-value gap report accompanies every kernel dimension, and when rho's
+error estimate is large enough to move singular values across the rank
+threshold the solver refuses to answer instead of guessing.  The estimate is
+not a bound, so neither is the audit.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ class InsufficientCoefficients(ValueError):
 
 
 class RankUndecidable(RuntimeError):
-    """The rho tail bound could flip the rank decision.
+    """rho's error estimate could flip the rank decision.
 
     Attributes
     ----------
     tail_bound : float
-        Coefficient uncertainty propagated to the matrix.
+        rho's error estimate (RhoSeries.tail_bound), the coefficient
+        uncertainty propagated to the matrix.
     critical_sv : float
         Distance from the nearest singular value to the rank threshold.
     """
@@ -150,17 +152,18 @@ def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
 
 
 def _audit_rank(decision: RankDecision, dm: DefectMatrix) -> None:
+    """Refuse when rho's error estimate, taken as if it held, could move the rank."""
     tail = dm.rho.tail_bound
     if not np.isfinite(tail):
-        raise RankUndecidable("rho carries no finite tail bound", tail, 0.0)
-    # every entry moves by at most 2*tail, so the spectral norm by at most this
+        raise RankUndecidable("rho carries no finite error estimate", tail, 0.0)
+    # entries off by up to 2*tail move the spectral norm by at most this
     perturbation = 2.0 * tail * np.sqrt(dm.n * dm.m)
     sv = decision.singular_values
     distances = np.abs(sv - decision.threshold)
     critical = float(distances.min()) if sv.size else np.inf
     if perturbation >= max(critical, 1e-300):
         raise RankUndecidable(
-            f"rho tail bound {tail:.3e} perturbs singular values by up to "
+            f"rho error estimate {tail:.3e} perturbs singular values by up to "
             f"{perturbation:.3e}, within {critical:.3e} of the rank threshold",
             tail,
             critical,
@@ -173,7 +176,6 @@ def defect_numbers(
     tol_rel: float = 1e-8,
     bounds_only: bool = False,
     N_keep: int | None = None,
-    **rho_options,
 ) -> DefectReport:
     """Full defect report at p per the four-case dispatch.
 
@@ -218,9 +220,7 @@ def defect_numbers(
         return DefectReport(dim_ker=m - n, dim_coker=0, **common)
 
     keep = N_keep if N_keep is not None else max(n + m, 16)
-    rho = rho_coefficients(
-        build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, keep, **rho_options
-    )
+    rho = rho_coefficients(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, keep)
     dm = defect_matrix(rho, n, m)
     decision = rank_decision(dm.matrix, tol_rel)
     if fredholm:

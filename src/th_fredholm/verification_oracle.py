@@ -3,33 +3,48 @@
 Fourier coefficients of a symbol come from one route, composite
 Gauss-Legendre quadrature of the defining integral over the arcs between
 jump points, with a self-check that reruns it at 3/2 the node count; finite
-sections of the operator matrix are assembled from those coefficients;
-kernel candidates are built explicitly from the factorization and pushed
-through the finite section to measure residuals.
+sections of the operator matrix are assembled from those coefficients; rho
+comes from its factor series; kernel candidates are built explicitly from
+the factorization and pushed through the finite section to measure
+residuals.
 
 Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
 every open arc between its jump points, so plain composite Gauss-Legendre
-per arc converges spectrally and no grading is needed.  The function rho is
-different: it can blow up like |x - x0|^{-alpha} at jump sites, so its
-quadrature grades panels geometrically into each endpoint and drops the
-final sliver.  The dropped mass scales like width^{1-alpha}, which keeps
-1e-6 accuracy only for alpha below roughly 1/2; steeper exponents need a
-tolerance matched to that bound.
+per arc converges spectrally and no grading is needed.  rho, which can blow
+up at its sites, is computed in production by graded quadrature
+(wiener_hopf.rho_coefficients); the second route kept here, rho_series,
+convolves the factor series instead and doubles their order until the
+coefficients settle.  It is independent of the quadrature, and `verify`
+compares the two.
 """
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .defect_solver import DefectReport, defect_numbers
-from .symbol_core import CanonicalSymbol, SymbolPair, eval_many
-from .wiener_hopf import RhoSeries, build_plus_factor, convolve, rho_coefficients
+from .symbol_core import MINUS_ONE, CanonicalSymbol, FourierLogPoly, SymbolPair, eval_many
+from .wiener_hopf import (
+    PlusFactor,
+    RhoSeries,
+    TruncationInsufficient,
+    _fourier_integrals,
+    _gauss_panels,
+    build_plus_factor,
+    convolve,
+    eta_series,
+    rho_sites,
+    smooth_minus_factor,
+    smooth_plus_factor,
+    xi_series,
+)
+
+# the movement below which rho_series counts as settled
+SETTLE_TOL = 1e-9
 
 
 class MethodDisagreement(RuntimeError):
@@ -93,10 +108,6 @@ class KernelBasis:
     gram_rank: int
 
 
-# about 0.4 ms per uncached call; the same few node counts repeat on every call
-_leggauss = functools.lru_cache(maxsize=8)(leggauss)
-
-
 def _arc_rule(s: CanonicalSymbol, freq: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on equal panels over the arcs of s.
 
@@ -106,36 +117,7 @@ def _arc_rule(s: CanonicalSymbol, freq: int, nodes: int) -> tuple[np.ndarray, np
     """
     angles = sorted(p.angle for p in s.jump_points)
     breaks = np.array(angles + [angles[0] + 2 * math.pi] if angles else [0.0, 2 * math.pi])
-    widths = np.diff(breaks)
-    counts = np.maximum(12, np.ceil(widths * freq / 10)).astype(int)
-    panel = np.repeat(widths / counts, counts)
-    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    mid = np.repeat(breaks[:-1], counts) + panel * (index + 0.5)
-    x_nodes, w_nodes = _leggauss(nodes)
-    xs = mid[:, None] + (panel / 2)[:, None] * x_nodes
-    ws = (panel / 2)[:, None] * w_nodes
-    return xs.ravel(), ws.ravel()
-
-
-def _fourier_integrals(xs, ws, vals, k_max: int) -> np.ndarray:
-    """(1/2pi) sum_x w f(x) e^{-ikx} for |k| <= k_max, as one blocked product.
-
-    With z = e^{-ix}, rows[b] holds w f z^{-k_max + b*block} and powers[j]
-    holds z^j, so (rows @ powers.T)[b, j] is the coefficient
-    k = -k_max + b*block + j.
-    """
-    block = 32  # 16 and 64 were slower at 5,000 nodes and k_max = 512
-    z = np.exp(-1j * xs)
-    powers = np.empty((block, xs.size), dtype=complex)
-    powers[0] = 1.0
-    for j in range(1, block):
-        np.multiply(powers[j - 1], z, out=powers[j])
-    rows = np.empty((-(-(2 * k_max + 1) // block), xs.size), dtype=complex)
-    rows[0] = ws * vals * np.exp(1j * k_max * xs)
-    step = np.exp(-1j * block * xs)
-    for b in range(1, rows.shape[0]):
-        np.multiply(rows[b - 1], step, out=rows[b])
-    return (rows @ powers.T).ravel()[: 2 * k_max + 1] / (2 * np.pi)
+    return _gauss_panels(breaks[:-1], breaks[1:], freq, nodes, 12)
 
 
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
@@ -243,10 +225,7 @@ def kernel_residual_check(
 
     if m > 0:
         keep = N + abs(n) + m + 4
-        rho = report.rho
-        if rho is None or rho.N_keep < keep:
-            d_plus = build_plus_factor(report.rep_d)
-            rho = rho_coefficients(c_plus, d_plus, pair.b, n, m, keep)
+        rho = rho_series(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, keep)
         col = convolve(np.array([1.0, 1.0], dtype=complex), c_plus.realize(order).coeffs)[:N]
         row = np.zeros(N, dtype=complex)
         row[0] = col[0]
@@ -292,63 +271,54 @@ def kernel_residual_check(
     return KernelBasis(tuple(vectors), tuple(tags), residuals, gram_rank)
 
 
-def _graded_breaks(lo: float, hi: float, k_max: int, floor: float = 1e-12):
-    """Panel breaks geometrically refined into both endpoints.
+def rho_series(
+    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int,
+    start_order: int = 4096, max_order: int = 2**16, settle_tol: float = SETTLE_TOL, tol: float | None = None,
+) -> RhoSeries:
+    """rho_k, |k| <= N_keep, by convolving the factor series: the second route.
 
-    The slivers [lo, lo + w*2^-G] and the mirror at hi are not covered;
-    their mass is width^{1-alpha} for an endpoint exponent alpha.
+    All same-orientation products are exact to the inner order; the lone
+    analytic-against-anti convolution is refined by doubling the inner order
+    until the kept coefficients move by less than settle_tol or the order
+    reaches max_order.  tail_bound is the last movement, an estimate (inf
+    when no doubling ran), and the series settled when it is below
+    settle_tol.  Only an explicit tol demand turns an unmet tolerance into
+    TruncationInsufficient.
     """
-    w = hi - lo
-    depth = max(4, math.ceil(math.log2(w / floor)))
-    left = [lo + w * 0.5 ** j for j in range(depth, 0, -1)]
-    right = [hi - w * 0.5 ** j for j in range(1, depth + 1)]
-    breaks = left + right[1:]
-    refined = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        extra = math.ceil((b - a) * k_max / 10)
-        for i in range(1, extra):
-            refined.append(a + (b - a) * i / extra)
-        refined.append(b)
-    return refined
+    b_log = b.log_smooth.as_dict()
+    shift = -m - n - b.kappa
+    constant = (1.0 / b.scale) * cmath.exp(-b_log.get(0, 0j))
 
+    def compute(order: int) -> np.ndarray:
+        analytic = smooth_plus_factor(FourierLogPoly.of({k: -v for k, v in b_log.items() if k >= 1}), order)
+        analytic = analytic.conv(eta_series(MINUS_ONE, 1.0, order))  # (1+t)
+        for j in b.jumps:
+            analytic = analytic.conv(eta_series(j.point, -j.beta.value, order))
+        anti = smooth_minus_factor(FourierLogPoly.of({k: -v for k, v in b_log.items() if k <= -1}), order)
+        anti = anti.conv(xi_series(MINUS_ONE, 1.0, order))  # (1 + 1/t)
+        for j in b.jumps:
+            anti = anti.conv(xi_series(j.point, j.beta.value, order))
+        anti = anti.conv(c_plus.realize(order).mirror())
+        anti = anti.conv(d_plus.realize(order).mirror())
+        cross = convolve(analytic.coeffs, anti.coeffs[::-1])
+        # cross index r corresponds to coefficient r - order of the unshifted product
+        out = np.empty(2 * N_keep + 1, dtype=complex)
+        for k in range(-N_keep, N_keep + 1):
+            out[k + N_keep] = constant * cross[(k - shift) + order]
+        return out
 
-def rho_crosscheck(
-    rho: RhoSeries,
-    pair: SymbolPair,
-    N: int | None = None,
-    nodes: int = 16,
-    tol: float | None = None,
-) -> float:
-    """Max deviation between rho's series and quadrature of its closed form.
-
-    N is the comparison order (default 64, capped by the kept range).  See
-    the module docstring for the accuracy limit when rho has endpoint
-    exponents steeper than about -1/2.
-    """
-    k_max = min(N if N is not None else 64, rho.N_keep)
-    turns = {pt.turns for pt, _ in rho.c_plus.eta_exponents}
-    turns |= {pt.turns for pt, _ in rho.d_plus.eta_exponents}
-    turns |= {pt.turns for pt in pair.b.jump_points}
-    turns |= {Fraction(0), Fraction(1, 2)}  # the (1+t)(1+1/t) sites at +-1
-    angles = sorted(float(u) * 2 * math.pi for u in turns)
-    breaks_all = angles + [angles[0] + 2 * math.pi]
-    xs_list, ws_list = [], []
-    x_nodes, w_nodes = _leggauss(nodes)
-    for lo, hi in zip(breaks_all[:-1], breaks_all[1:]):
-        if hi - lo < 1e-9:
-            continue
-        graded = _graded_breaks(lo, hi, k_max)
-        for a, b in zip(graded[:-1], graded[1:]):
-            xs_list.append((a + b) / 2 + (b - a) / 2 * x_nodes)
-            ws_list.append((b - a) / 2 * w_nodes)
-    xs = np.concatenate(xs_list)
-    ws = np.concatenate(ws_list)
-    vals = rho.eval_at(xs)
-    quad = _fourier_integrals(xs, ws, vals, k_max)
-    series = np.array([rho.get(k) for k in range(-k_max, k_max + 1)])
-    deviation = float(np.max(np.abs(quad - series)))
-    if tol is not None and deviation > tol:
-        raise MethodDisagreement(
-            f"rho series and quadrature differ by {deviation:.3e} on |k| <= {k_max}"
+    order = start_order
+    while order < 2 * (N_keep + abs(shift)):
+        order *= 2
+    cur, move = compute(order), math.inf
+    while order < max_order:
+        order *= 2
+        prev, cur = cur, compute(order)
+        move = float(np.max(np.abs(cur - prev)))
+        if move < settle_tol:
+            break
+    if tol is not None and move > tol:
+        raise TruncationInsufficient(
+            f"rho coefficients settled only to {move:.3e} at the cap (demanded {tol:.3e})"
         )
-    return deviation
+    return RhoSeries(cur, N_keep, order, move, shift, n, m, c_plus, d_plus, b, rho_sites(c_plus, d_plus, b))

@@ -1,4 +1,4 @@
-"""Antisymmetric factorization c = c_+ t^{2n} c_+(1/t)^{-1} and the rho series.
+"""Antisymmetric factorization c = c_+ t^{2n} c_+(1/t)^{-1} and the coefficients of rho.
 
 The plus factor is kept in structured form: a constant, the analytic half of
 the smooth log, and a list of (point, exponent) pairs describing eta factors
@@ -6,14 +6,14 @@ eta(tau, beta)(t) = (1 - t/tau)^beta with eta(0) = 1.  Series realizations at
 any truncation order follow from that structure by convolution, and pointwise
 values come from closed-form principal powers.  Partial sums of the series
 converge too slowly near the jump points to be usable for pointwise work, so
-the closed forms are authoritative on the circle and the series feed only the
-coefficient-level convolutions.
+the closed forms are authoritative on the circle.
 
-rho multiplies one-sided pieces of both orientations.  Products within one
-orientation are exact to the truncation order; the single cross convolution
-between the analytic and anti-analytic totals carries all truncation error,
-which an adaptive doubling loop with one extrapolation step keeps small and,
-more importantly, reported.
+rho is analytic between its sites and behaves like |x - x_s|^{beta_s} at a
+site, with beta_s exact from the structure.  The few coefficients the defect
+matrix reads come from Gauss-Legendre quadrature of the closed form, graded
+geometrically into the sites (Schwab, Computing 1994), with a coarser rule
+beside it for the error estimate.  The series route, which convolves factor
+series of doubling order, survives only as verification_oracle.rho_series.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .fredholm_engine import NormalizedRep, normalized_pair
 from .symbol_core import (
@@ -39,7 +39,10 @@ from .symbol_core import (
     eval_many,
 )
 
-BetaLike = Union[Exponent, complex, float, Fraction, int]
+# Gauss-Legendre nodes per panel and sliver width in rad of the rho rule that
+# is returned and of the coarse rule it is checked against
+FINE_RULE = (24, 1e-12)
+COARSE_RULE = (16, 1e-10)
 
 
 class TruncationInsufficient(RuntimeError):
@@ -48,12 +51,6 @@ class TruncationInsufficient(RuntimeError):
 
 class NotInL1Warning(UserWarning):
     """The net exponents imply rho is not integrable; results are formal."""
-
-
-def _beta_value(beta: BetaLike) -> complex:
-    if isinstance(beta, Exponent):
-        return beta.value
-    return complex(beta)
 
 
 def binomial_coefficients(beta: complex, N: int) -> np.ndarray:
@@ -104,6 +101,46 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec, out=spec)[:n]
 
 
+# about 0.4 ms per uncached call; the same few node counts repeat on every call
+_leggauss = functools.lru_cache(maxsize=8)(leggauss)
+
+
+def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the intervals [lo_i, hi_i].
+
+    Interval i is cut into ceil(width * freq / 10) equal panels, at least
+    `least`, for an integrand whose highest frequency is freq.
+    """
+    widths = hi - lo
+    counts = np.maximum(least, np.ceil(widths * freq / 10)).astype(int)
+    panel = np.repeat(widths / counts, counts)
+    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    mid = np.repeat(lo, counts) + panel * (index + 0.5)
+    x_nodes, w_nodes = _leggauss(nodes)
+    return (mid[:, None] + (panel / 2)[:, None] * x_nodes).ravel(), ((panel / 2)[:, None] * w_nodes).ravel()
+
+
+def _fourier_integrals(xs, ws, vals, k_max: int) -> np.ndarray:
+    """(1/2pi) sum_x w f(x) e^{-ikx} for |k| <= k_max, as one blocked product.
+
+    With z = e^{-ix}, rows[b] holds w f z^{-k_max + b*block} and powers[j]
+    holds z^j, so (rows @ powers.T)[b, j] is the coefficient
+    k = -k_max + b*block + j.
+    """
+    block = 32  # 16 and 64 were slower at 5,000 nodes and k_max = 512
+    z = np.exp(-1j * xs)
+    powers = np.empty((block, xs.size), dtype=complex)
+    powers[0] = 1.0
+    for j in range(1, block):
+        np.multiply(powers[j - 1], z, out=powers[j])
+    rows = np.empty((-(-(2 * k_max + 1) // block), xs.size), dtype=complex)
+    rows[0] = ws * vals * np.exp(1j * k_max * xs)
+    step = np.exp(-1j * block * xs)
+    for b in range(1, rows.shape[0]):
+        np.multiply(rows[b - 1], step, out=rows[b])
+    return (rows @ powers.T).ravel()[: 2 * k_max + 1] / (2 * np.pi)
+
+
 @dataclass(frozen=True, eq=False)
 class OneSidedSeries:
     """Truncated series supported on one half axis.
@@ -142,18 +179,18 @@ class OneSidedSeries:
         return np.polyval(self.coeffs[::-1], zz)
 
 
-def eta_series(point: UnitPoint, beta: BetaLike, N: int) -> OneSidedSeries:
+def eta_series(point: UnitPoint, beta: complex, N: int) -> OneSidedSeries:
     """(1 - t/tau)^beta as an analytic series: [eta]_k = C(beta,k)(-1)^k tau^{-k}."""
-    b = _beta_value(beta)
+    b = complex(beta)
     k = np.arange(N + 1)
     tau_pow = np.exp(-1j * point.angle * k)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     return OneSidedSeries("analytic", binomial_coefficients(b, N) * signs * tau_pow)
 
 
-def xi_series(point: UnitPoint, beta: BetaLike, N: int) -> OneSidedSeries:
+def xi_series(point: UnitPoint, beta: complex, N: int) -> OneSidedSeries:
     """(1 - tau/t)^beta as an anti-analytic series: [xi]_{-k} = C(beta,k)(-1)^k tau^{k}."""
-    b = _beta_value(beta)
+    b = complex(beta)
     k = np.arange(N + 1)
     tau_pow = np.exp(1j * point.angle * k)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
@@ -277,10 +314,12 @@ def factor_reconstruction_defect(rep: NormalizedRep, factor: PlusFactor, angles:
 
 @dataclass(frozen=True, eq=False)
 class RhoSeries:
-    """Two-sided coefficients of rho with truncation metadata and provenance.
+    """Two-sided coefficients of rho with their error estimate and provenance.
 
-    coeffs[k + N_keep] holds rho_k.  The structured factors are retained so
-    pointwise closed-form values remain available for cross-checking.
+    coeffs[k + N_keep] holds rho_k.  tail_bound is an error estimate, not a
+    bound: max |fine - coarse| of the quadrature, or the oracle series' last
+    movement.  inner_N is the fine rule's node count, or the series order.
+    sites (rho_sites) and the structured factors give closed-form values.
     """
 
     coeffs: np.ndarray
@@ -288,12 +327,12 @@ class RhoSeries:
     inner_N: int
     tail_bound: float
     shift: int
-    constant: complex
     n: int
     m: int
     c_plus: PlusFactor
     d_plus: PlusFactor
     b_symbol: CanonicalSymbol
+    sites: dict[Fraction, Exponent]
 
     def get(self, k: int) -> complex:
         if abs(k) > self.N_keep:
@@ -307,129 +346,118 @@ class RhoSeries:
         return float(np.max(np.abs(self.coeffs - self.coeffs[::-1])))
 
     def eval_at(self, angles: np.ndarray) -> np.ndarray:
-        """Closed-form rho on a jump-avoiding grid of angles.
-
-        Uses the literal t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b(t); the
-        shift and constant fields belong to the coefficient route only, where
-        the winding power and constants of b are handled separately.
-        """
+        """Closed-form rho on a jump-avoiding grid of angles."""
         xs = np.asarray(angles, dtype=float)
-        z = np.exp(1j * xs)
-        return (
-            z ** (-self.m - self.n)
-            * (1.0 + z)
-            * (1.0 + 1.0 / z)
-            * self.c_plus.eval_tilde_at(z)
-            * self.d_plus.eval_tilde_at(z)
-            / eval_many(self.b_symbol, xs)
-        )
+        parts = (self.c_plus, self.d_plus, self.b_symbol, self.m + self.n, self.sites)
+        return _rho_values(*parts, np.zeros(xs.shape, dtype=int), xs)
 
 
-def _site_exponent_audit(c_plus: PlusFactor, d_plus: PlusFactor) -> None:
-    totals: dict[UnitPoint, Fraction] = {MINUS_ONE: Fraction(2)}
+def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dict[Fraction, Exponent]:
+    """Turn of every site of rho -> rho's exponent beta_s there.
+
+    c_+(1/t) and d_+(1/t) are singular at the conjugates of their eta points,
+    (1+t)(1+1/t) adds 2 at -1, and +1 and the jump points of b are sites with
+    whatever exponent the factors leave there.  Warns with NotInL1Warning
+    where Re beta_s <= -1.
+    """
+    zero = Exponent(Fraction(0))
+    sites = {Fraction(0): zero, Fraction(1, 2): Exponent(Fraction(2))}
+    for point in b.jump_points:
+        sites.setdefault(point.turns, zero)
     for factor in (c_plus, d_plus):
         for point, e in factor.eta_exponents:
-            totals[point] = totals.get(point, Fraction(0)) + e.re
-    for point, total in totals.items():
-        if total <= -1:
-            warnings.warn(
-                f"net exponent {total} at {point} makes rho non-integrable", NotInL1Warning
-            )
+            turn = point.conjugate().turns
+            sites[turn] = sites.get(turn, zero) + e
+    for turn, e in sites.items():
+        if e.re <= -1:
+            warnings.warn(f"net exponent {e.re} at turn {turn} makes rho non-integrable", NotInL1Warning)
+    return sites
+
+
+def _rho_values(c_plus, d_plus, b, nm: int, sites: dict, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """rho at the angles 2 pi turns[index] + offsets, with turns = sorted(sites).
+
+    Each eta factor (1 - e^{-id})^beta, and (1+t)(1+1/t) = 4 sin^2(d/2) at
+    -1, is computed from the offset d of the angle to its site, as
+    2|sin(d/2)| and the one-sided argument (sign(d) pi - d)/2.  Near a site
+    d is exact, where e^{ix} would have lost it to the rounding of x.
+    """
+    turns = sorted(sites)
+    x = 2 * np.pi * np.array([float(t) for t in turns])[index] + offsets
+    z = np.exp(1j * x)
+    log = sum(v * z ** (-k) for f in (c_plus, d_plus) for k, v in f.analytic_log.coeffs)
+    vals = c_plus.constant * d_plus.constant * z ** (-nm) * np.exp(log) / eval_many(b, x)
+    half = Fraction(1, 2)
+    for turn, e in sites.items():
+        base = 2 * np.pi * np.array([float((t - turn + half) % 1 - half) for t in turns])
+        d = np.fmod(base[index] + offsets, 2 * np.pi)
+        eta = e.value - (2 if turn == half else 0)
+        if eta:
+            vals *= np.exp(eta * (np.log(2 * np.abs(np.sin(d / 2))) + 0.5j * (np.sign(d) * np.pi - d)))
+        if turn == half:
+            vals *= 4 * np.sin(d / 2) ** 2
+    return vals
+
+
+def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
+    """Anchor indices, offsets and weights of the graded arc rule for rho.
+
+    Each arc between consecutive sites is split at its midpoint, and each
+    half is laid out in offsets from its end site, its anchor.  A half is
+    graded geometrically (ratio at most 4) from the midpoint down to
+    `sliver`, at exponent 0 too, so a singular site just past the anchor
+    meets small panels; graded panels are cut to at most 10/freq rad.  The
+    sliver becomes nodes at `sliver` and `sliver`/2 that integrate C u^beta
+    (1 + c u) exactly, as a formal finite part when Re beta <= -1.
+    """
+
+    def part(a):  # finite part of the integral of u^a over (0, sliver)
+        return math.log(sliver) if a == -1 else sliver ** (a + 1) / (a + 1)
+
+    turns = sorted(sites)
+    parts = []
+    for i, turn in enumerate(turns):
+        half = math.pi * float((turns[(i + 1) % len(turns)] - turn) % 1)
+        levels = math.ceil(math.log(half / sliver, 4))
+        breaks = half * (sliver / half) ** (np.arange(levels + 1) / levels)
+        d, w = _gauss_panels(breaks[1:], breaks[:-1], freq, nodes, 1)
+        for anchor, sign in ((i, 1.0), ((i + 1) % len(turns), -1.0)):
+            beta = sites[turns[anchor]].value
+            j0, j1 = part(beta), part(beta + 1) / sliver
+            caps = [sliver**-beta * (2 * j1 - j0), (sliver / 2) ** -beta * 2 * (j0 - j1)]
+            parts.append((np.full(d.size + 2, anchor), sign * np.append(d, [sliver, sliver / 2]), np.append(w, caps)))
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def rho_coefficients(
-    c_plus: PlusFactor,
-    d_plus: PlusFactor,
-    b: CanonicalSymbol,
-    n: int,
-    m: int,
-    N_keep: int,
-    start_order: int = 4096,
-    max_order: int = 2**16,
-    settle_tol: float = 1e-9,
-    tol: float | None = None,
+    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int
 ) -> RhoSeries:
     """Two-sided Fourier coefficients of rho = t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b.
 
-    All same-orientation products are exact to the inner order; the lone
-    analytic-against-anti convolution is refined by doubling the inner order
-    until the kept coefficients settle below settle_tol, with one power-law
-    extrapolation step if the cap is reached first.  Hitting the cap is not an
-    error: the tail estimate in the result carries the uncertainty, and only
-    an explicit tol demand turns an unmet tolerance into a failure.
+    rho_k = (1/2pi) int rho(e^{ix}) e^{-ikx} dx for |k| <= N_keep by the graded
+    rule of _rho_rule between the sites of rho_sites, sized for the top
+    frequency N_keep + |m + n + kappa_b| + the top log degree of b, c_+, d_+.
+    The result is the FINE_RULE value; tail_bound holds max |fine - coarse|
+    against COARSE_RULE, an estimate that sees node and sliver error both.
     """
-    _site_exponent_audit(c_plus, d_plus)
-    b_log = b.log_smooth.as_dict()
     shift = -m - n - b.kappa
-    constant = (1.0 / b.scale) * cmath.exp(-b_log.get(0, 0j))
+    logs = (b.log_smooth, c_plus.analytic_log, d_plus.analytic_log)
+    freq = N_keep + abs(shift) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
+    sites = rho_sites(c_plus, d_plus, b)
+    turns = np.array([float(t) for t in sorted(sites)])
 
-    def compute(order: int) -> np.ndarray:
-        analytic = smooth_plus_factor(FourierLogPoly.of({k: -v for k, v in b_log.items() if k >= 1}), order)
-        analytic = analytic.conv(eta_series(MINUS_ONE, 1.0, order))  # (1+t)
-        for j in b.jumps:
-            analytic = analytic.conv(eta_series(j.point, -j.beta.value, order))
-        anti = smooth_minus_factor(FourierLogPoly.of({k: -v for k, v in b_log.items() if k <= -1}), order)
-        anti = anti.conv(xi_series(MINUS_ONE, 1.0, order))  # (1 + 1/t)
-        for j in b.jumps:
-            anti = anti.conv(xi_series(j.point, j.beta.value, order))
-        anti = anti.conv(c_plus.realize(order).mirror())
-        anti = anti.conv(d_plus.realize(order).mirror())
-        cross = convolve(analytic.coeffs, anti.coeffs[::-1])
-        # cross index r corresponds to coefficient r - order of the unshifted product
-        out = np.empty(2 * N_keep + 1, dtype=complex)
-        for k in range(-N_keep, N_keep + 1):
-            out[k + N_keep] = constant * cross[(k - shift) + order]
-        return out
+    def quadrature(nodes: int, sliver: float) -> tuple[np.ndarray, int]:
+        index, offsets, weights = _rho_rule(sites, freq, nodes, sliver)
+        vals = _rho_values(c_plus, d_plus, b, m + n, sites, index, offsets)
+        return _fourier_integrals(2 * np.pi * turns[index] + offsets, weights, vals, N_keep), index.size
 
-    order = start_order
-    while order < 2 * (N_keep + abs(shift)):
-        order *= 2
-    prev = None
-    moves: list[float] = []
-    cur = compute(order)
-    tail = math.inf
-    while True:
-        if order >= max_order:
-            break
-        order *= 2
-        prev, cur = cur, compute(order)
-        moves.append(float(np.max(np.abs(cur - prev))))
-        if moves[-1] < settle_tol:
-            tail = moves[-1]
-            break
-    if not math.isfinite(tail):
-        # power-law tail: coefficients settle like order^{-s}; estimate s from
-        # the last two movements and extrapolate once if the estimate is sane
-        tail = moves[-1] if moves else math.inf
-        if len(moves) >= 2 and moves[-1] > 0:
-            s_est = math.log2(moves[-2] / moves[-1]) if moves[-2] > 0 else 0.0
-            if 0.2 < s_est < 8.0:
-                correction = (cur - prev) / (2.0**s_est - 1.0)
-                cur = cur + correction
-                tail = float(np.max(np.abs(correction)))
-    if tol is not None and tail > tol:
-        raise TruncationInsufficient(
-            f"rho coefficients settled only to {tail:.3e} at the cap (demanded {tol:.3e})"
-        )
-    return RhoSeries(
-        coeffs=cur,
-        N_keep=N_keep,
-        inner_N=order,
-        tail_bound=tail,
-        shift=shift,
-        constant=constant,
-        n=n,
-        m=m,
-        c_plus=c_plus,
-        d_plus=d_plus,
-        b_symbol=b,
-    )
+    (fine, count), (coarse, _) = quadrature(*FINE_RULE), quadrature(*COARSE_RULE)
+    estimate = float(np.max(np.abs(fine - coarse)))
+    return RhoSeries(fine, N_keep, count, estimate, shift, n, m, c_plus, d_plus, b, sites)
 
 
-def rho_for_pair(pair, p, N_keep: int, **rho_kwargs) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:
+def rho_for_pair(pair, p, N_keep: int) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:
     """Normalize both sides, build the plus factors, and compute rho."""
     rep_c, rep_d = normalized_pair(pair, p)
-    c_plus = build_plus_factor(rep_c)
-    d_plus = build_plus_factor(rep_d)
-    rho = rho_coefficients(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep, **rho_kwargs)
-    return rep_c, rep_d, rho
+    c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
+    return rep_c, rep_d, rho_coefficients(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep)

@@ -264,6 +264,8 @@ def test_verify_reports_oracles(tmp_path, capsys):
     assert report["kernel"]["count"] == report["kernel"]["dimKer"] == 1
     assert report["kernel"]["maxResidual"] < 1e-6
     assert report["rho"]["evenness"] < 1e-9
+    assert report["rho"]["estimate"] < 1e-12
+    assert report["rho"]["seriesDeviation"] < 1e-8
 
 
 def test_verify_confidence_failure_exits_four(tmp_path, capsys):
@@ -373,6 +375,8 @@ def test_stdin_document(capsys, monkeypatch):
         {"a": {"kappa": 1}, "b": {"jumps": [{"theta_num": 1, "theta_den": 3, "beta": [0.2, 0.0]}]}, "p": 2},
         {"a": {"winding": 1}, "b": {}, "p": 2},
         {"a": {"scale": [0.0, 0.0]}, "b": {}, "p": 2},
+        {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2, "options": {"truncation": -1}},
+        {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2, "options": {"section_size": 0}},
     ],
 )
 def test_input_errors_exit_three(tmp_path, capsys, doc):

@@ -20,9 +20,12 @@ from th_fredholm.defect_solver import (
     invertibility,
     rank_decision,
 )
+from th_fredholm import wiener_hopf
 from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, fredholm_index
+from th_fredholm.special_families import jacobi_determinant, jacobi_symbol
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
+    invert,
     jump_unit,
     multiply,
     tilde,
@@ -190,9 +193,7 @@ def test_index_identity_on_random_instances():
     for p in (2, Fraction(3, 2), 3):
         for _ in range(6):
             pair = random_fredholm_pair(rng, p)
-            rep = defect_numbers(
-                pair, p, start_order=512, max_order=8192
-            )
+            rep = defect_numbers(pair, p)
             assert rep.dim_ker - rep.dim_coker == rep.m - rep.n
             assert rep.index == fredholm_index(pair, p)
             assert rep.dim_ker >= 0 and rep.dim_coker >= 0
@@ -204,12 +205,23 @@ def test_transpose_duality_swaps_defect_numbers():
         q = 1 / (1 - 1 / Fraction(p))
         for _ in range(4):
             pair = random_fredholm_pair(rng, p)
-            rep = defect_numbers(
-                pair, p, start_order=512, max_order=8192
-            )
+            rep = defect_numbers(pair, p)
             dual = validate_pair(tilde(pair.a), pair.b)
-            rep_t = defect_numbers(
-                dual, q, start_order=512, max_order=8192
-            )
+            rep_t = defect_numbers(dual, q)
             assert (rep_t.n, rep_t.m) == (rep.m, rep.n)
             assert (rep_t.dim_ker, rep_t.dim_coker) == (rep.dim_coker, rep.dim_ker)
+
+
+def test_matrix_case_runs_on_quadrature_alone(monkeypatch):
+    # the production rho never convolves a factor series, so it still
+    # answers with the series route's only convolution disabled
+    def refuse(a, b):
+        raise AssertionError("defect_numbers reached the series route")
+
+    monkeypatch.setattr(wiener_hopf, "convolve", refuse)
+    alpha, beta = Fraction(-2, 5), Fraction(7, 10)
+    pair = validate_pair(CanonicalSymbol.one(), invert(jacobi_symbol(alpha, beta, 3)))
+    report = defect_numbers(pair, 2)
+    assert (report.n, report.m, report.case_tag) == (3, 3, "F-matrix")
+    closed = jacobi_determinant(float(alpha), float(beta), 3).determinant
+    assert abs(np.linalg.det(report.matrix.matrix) - closed) <= 1e-12 * abs(closed)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_fredholm_pair
+from th_fredholm import wiener_hopf
 from th_fredholm.fredholm_engine import NormalizedRep, normalize, normalized_pair
 from th_fredholm.symbol_core import (
     MINUS_ONE,
@@ -34,6 +35,7 @@ from th_fredholm.wiener_hopf import (
     smooth_plus_factor,
     xi_series,
 )
+from th_fredholm.verification_oracle import SETTLE_TOL, rho_series
 
 
 def example_c():
@@ -45,6 +47,13 @@ def example_c():
             JumpFactor(UnitPoint(3, 4), Exponent(Fraction(-1, 8))),
         )
     )
+
+
+def series_for_pair(pair, p, N_keep, **orders):
+    """rho of a pair by the oracle's series route."""
+    rep_c, rep_d = normalized_pair(pair, p)
+    c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
+    return rep_c, rep_d, rho_series(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep, **orders)
 
 
 def plain_rep(**overrides) -> NormalizedRep:
@@ -176,7 +185,7 @@ def test_truncation_demand_can_fail():
     factor = build_plus_factor(rep)
     b = jump_unit(0, 1, Fraction(1, 4))
     with pytest.raises(TruncationInsufficient):
-        rho_coefficients(
+        rho_series(
             factor, factor, b, 0, 0, 8,
             start_order=64, max_order=256, settle_tol=0.0, tol=1e-13,
         )
@@ -184,7 +193,7 @@ def test_truncation_demand_can_fail():
 
 def test_rho_trivial_pair():
     pair = validate_pair(CanonicalSymbol.one(), CanonicalSymbol.one())
-    _, _, rho = rho_for_pair(pair, 2, N_keep=8, start_order=64)
+    _, _, rho = series_for_pair(pair, 2, N_keep=8, start_order=64)
     assert rho.get(0) == pytest.approx(2.0, abs=1e-12)
     assert rho.get(1) == pytest.approx(1.0, abs=1e-12)
     assert rho.get(-1) == pytest.approx(1.0, abs=1e-12)
@@ -196,7 +205,7 @@ def test_rho_trivial_pair():
 def test_rho_monomial_pair_matches_trivial():
     t_inv = CanonicalSymbol.monomial(-1)
     pair = validate_pair(t_inv, t_inv)
-    rep_c, rep_d, rho = rho_for_pair(pair, 2, N_keep=6, start_order=64)
+    rep_c, rep_d, rho = series_for_pair(pair, 2, N_keep=6, start_order=64)
     assert (rep_c.n, rep_d.n) == (0, 1)
     assert rho.shift == 0
     assert rho.get(0) == pytest.approx(2.0, abs=1e-12)
@@ -209,7 +218,7 @@ def test_rho_smooth_pair_against_fft_oracle():
     # an FFT of the closed form resolves to spectral accuracy
     b = CanonicalSymbol(log_smooth={1: 0.3, -1: -0.3})
     pair = validate_pair(b, b)
-    _, _, rho = rho_for_pair(pair, 2, N_keep=12, start_order=256)
+    _, _, rho = series_for_pair(pair, 2, N_keep=12, start_order=256)
     M = 512
     xs = 2 * math.pi * np.arange(M) / M
     vals = (2 + 2 * np.cos(xs)) * np.exp(-0.6 * np.cos(xs))
@@ -225,7 +234,7 @@ def test_rho_evenness_randomized():
     for i in range(8):
         p = [2, Fraction(3, 2), 3][i % 3]
         pair = random_fredholm_pair(rng, p)
-        _, _, rho = rho_for_pair(
+        _, _, rho = series_for_pair(
             pair, p, N_keep=16, start_order=512, max_order=4096, settle_tol=1e-10
         )
         slack = max(10 * rho.tail_bound, 1e-9)
@@ -245,7 +254,7 @@ def test_rho_closed_form_matches_coefficients_for_smooth_pair():
         ),
         b,
     )
-    _, _, rho = rho_for_pair(pair, 2, N_keep=10, start_order=512)
+    _, _, rho = series_for_pair(pair, 2, N_keep=10, start_order=512)
     M = 1024
     xs = 2 * math.pi * np.arange(M) / M
     fft = np.fft.fft(rho.eval_at(xs)) / M
@@ -257,10 +266,45 @@ def test_not_in_l1_warning():
     rep = plain_rep(gamma_minus=Exponent(Fraction(-1)))
     factor = build_plus_factor(rep)
     with pytest.warns(NotInL1Warning):
-        rho_coefficients(
-            factor, factor, CanonicalSymbol.one(), 0, 0, 4,
-            start_order=32, max_order=64, settle_tol=1.0,
-        )
+        rho = rho_coefficients(factor, factor, CanonicalSymbol.one(), 0, 0, 4)
+    assert np.all(np.isfinite(rho.coeffs))
+
+
+def test_quadrature_agrees_with_series_where_it_settles():
+    rng = np.random.default_rng(31)
+    settled = 0
+    for i in range(18):
+        p = [2, Fraction(3, 2), 3][i % 3]
+        pair = random_fredholm_pair(rng, p)
+        _, _, rho = rho_for_pair(pair, p, N_keep=16)
+        _, _, series = series_for_pair(pair, p, N_keep=16, start_order=512, max_order=8192)
+        assert rho.tail_bound < 1e-11
+        if series.tail_bound < SETTLE_TOL:
+            settled += 1
+            assert np.max(np.abs(rho.coeffs - series.coeffs)) < 1e-9
+    assert settled >= 5
+
+
+def steep_pair():
+    """The first seeded pair whose rho has Re beta <= -0.65 at a site other than +-1."""
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        p = [2, Fraction(3, 2), 3][i % 3]
+        pair = random_fredholm_pair(rng, p)
+        _, _, rho = rho_for_pair(pair, p, N_keep=16)
+        if any(t not in (0, Fraction(1, 2)) and e.re <= Fraction(-65, 100) for t, e in rho.sites.items()):
+            return pair, p, rho
+    raise AssertionError("no steep interior site among the seeded pairs")
+
+
+def test_steep_site_insensitive_to_sliver_width(monkeypatch):
+    # every site factor is evaluated from the node's exact offset to its site
+    # and the sliver is integrated from its leading terms, so widening the
+    # sliver 10^4-fold moves nothing beyond rounding
+    pair, p, rho = steep_pair()
+    monkeypatch.setattr(wiener_hopf, "FINE_RULE", (24, 1e-8))
+    _, _, wide = rho_for_pair(pair, p, N_keep=16)
+    assert np.max(np.abs(wide.coeffs - rho.coeffs)) < 1e-10
 
 
 def test_one_sided_series_guards():
