@@ -44,7 +44,6 @@ from .symbol_core import (
     SymbolPair,
     UnitPoint,
     as_fraction,
-    invert,
     validate_pair,
 )
 from .verification_oracle import (
@@ -55,7 +54,7 @@ from .verification_oracle import (
     kernel_residual_check,
     rho_series,
 )
-from .wiener_hopf import build_plus_factor, rho_for_pair
+from .wiener_hopf import build_plus_factor, rho_coefficients
 
 _CONFIDENCE_ERRORS = (RankUndecidable, MethodDisagreement, ResidualTooLarge)
 
@@ -78,6 +77,8 @@ def _as_real(x, what: str) -> float:
     _require(
         isinstance(x, (int, float)) and not isinstance(x, bool), f"{what} must be a number"
     )
+    # NaN fails this comparison too; JSON readers accept NaN and Infinity
+    _require(abs(x) <= sys.float_info.max, f"{what} must be finite")
     return float(x)
 
 
@@ -154,9 +155,11 @@ class Job:
         _require(self.section_size >= 1, "options.section_size must be at least 1")
         self.curve_samples = _as_int(options.get("curve_samples", 2048), "options.curve_samples")
         self.tolerance = _as_real(options.get("tolerance", 1e-6), "options.tolerance")
+        _require(self.tolerance > 0, "options.tolerance must be positive")
         self.rank_tolerance = _as_real(
             options.get("rank_tolerance", 1e-8), "options.rank_tolerance"
         )
+        _require(0 < self.rank_tolerance < 1, "options.rank_tolerance must lie in (0, 1)")
 
 
 def _frac(f: Fraction) -> list[int]:
@@ -215,14 +218,6 @@ def _exponent_doc(e: Exponent) -> dict:
     return {"re": _frac(e.re), "im": e.im}
 
 
-def _gate(report: ConditionReport, command: str):
-    """Condition-report document and exit code when not Fredholm, else None."""
-    if report.overall == "pass":
-        return None
-    code = 2 if report.overall == "boundary" else 1
-    return _condition_doc(command, report), code
-
-
 def cmd_check(job: Job, ns) -> tuple[dict, int]:
     report = fredholm_conditions(job.pair, job.p)
     codes = {"pass": 0, "boundary": 2, "fail": 1}
@@ -230,9 +225,6 @@ def cmd_check(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_index(job: Job, ns) -> tuple[dict, int]:
-    gated = _gate(fredholm_conditions(job.pair, job.p), "index")
-    if gated:
-        return gated
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     doc = {
         "command": "index",
@@ -246,17 +238,11 @@ def cmd_index(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_defects(job: Job, ns) -> tuple[dict, int]:
-    gated = _gate(fredholm_conditions(job.pair, job.p), "defects")
-    if gated:
-        return gated
     report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
     return _defect_doc("defects", report, job.p), 0
 
 
 def cmd_factor(job: Job, ns) -> tuple[dict, int]:
-    gated = _gate(fredholm_conditions(job.pair, job.p), "factor")
-    if gated:
-        return gated
     order = job.truncation if job.truncation is not None else 64
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     sides = {}
@@ -314,11 +300,8 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
     if tag == GENERAL:
         doc["note"] = "no structured fast path; use check/index/defects"
         return doc, 0
-    gated = _gate(fredholm_conditions(job.pair, job.p), "special")
-    if gated:
-        return gated
     if tag == ID_PLUS_HANKEL:
-        report = hankel_identity_report(invert(job.pair.b), job.p)
+        report = hankel_identity_report(job.pair, job.p)
         doc.update(
             n=report.defect.n,
             m=report.defect.m,
@@ -334,7 +317,13 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
             ],
         )
         return doc, 0
+    rep_c, rep_d = normalized_pair(job.pair, job.p)
     report = family_fredholm(job.pair.a, tag, job.p)
+    if report.kappa != rep_c.n - rep_d.n:
+        raise InternalDisagreement(
+            f"family winding {report.kappa} disagrees with the general "
+            f"normalization n - m = {rep_c.n - rep_d.n}"
+        )
     doc.update(
         kappa=report.kappa,
         index=report.index,
@@ -355,14 +344,14 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_verify(job: Job, ns) -> tuple[dict, int]:
-    gated = _gate(fredholm_conditions(job.pair, job.p), "verify")
-    if gated:
-        return gated
+    report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
     order = job.truncation if job.truncation is not None else 64
     series_a = fourier_coeffs(job.pair.a, order, tol=job.tolerance)
     series_b = fourier_coeffs(job.pair.b, order, tol=job.tolerance)
-    report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
-    rho = report.rho if report.rho is not None else rho_for_pair(job.pair, job.p, 16)[2]
+    rho = report.rho
+    if rho is None:
+        c_plus, d_plus = build_plus_factor(report.rep_c), build_plus_factor(report.rep_d)
+        rho = rho_coefficients(c_plus, d_plus, job.pair.b, report.n, report.m, 16)
     evenness = rho.evenness_defect()
     even_gate = max(1e-8, 10.0 * rho.tail_bound)
     if evenness > even_gate:
@@ -414,11 +403,13 @@ def _sweep_values(ns) -> list[Fraction]:
 
 
 def _sweep_row(pair: SymbolPair, p: Fraction) -> dict:
-    report = fredholm_conditions(pair, p)
-    row = {"p": float(p), "overall": report.overall, "n": None, "m": None, "index": None}
-    if report.overall == "pass":
+    row = {"p": float(p), "overall": "pass", "n": None, "m": None, "index": None}
+    try:
         rep_c, rep_d = normalized_pair(pair, p)
-        row.update(n=rep_c.n, m=rep_d.n, index=rep_d.n - rep_c.n)
+    except NotFredholm as e:
+        row["overall"] = e.report.overall
+        return row
+    row.update(n=rep_c.n, m=rep_d.n, index=rep_d.n - rep_c.n)
     return row
 
 
@@ -548,7 +539,14 @@ def main(argv=None) -> int:
     try:
         doc = _read_document(ns.input)
         job = Job(doc, need_p=ns.command != "sweep")
-        result, code = _COMMANDS[ns.command](job, ns)
+        try:
+            result, code = _COMMANDS[ns.command](job, ns)
+        except NotFredholm as e:
+            if e.report is None:
+                raise
+            # the gate in normalized_pair refused: report it as check does
+            result = _condition_doc(ns.command, e.report)
+            code = 2 if isinstance(e, BoundaryCase) else 1
         _write(ns, _render(ns, result))
         return code
     except InputError as e:

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fredholm_engine import (
-    BoundaryCase,
-    NotFredholm,
-    fredholm_conditions,
-    normalize,
-)
+from .fredholm_engine import NotFredholm, normalized_pair
 from .symbol_core import SymbolPair
 from .wiener_hopf import RhoSeries, build_plus_factor, rho_coefficients
 
@@ -74,7 +69,6 @@ class RankDecision:
 
 @dataclass(frozen=True, eq=False)
 class DefectReport:
-    fredholm: bool
     n: int
     m: int
     dim_ker: int
@@ -83,7 +77,6 @@ class DefectReport:
     matrix: DefectMatrix | None = None
     kernel_tolerance: float | None = None
     gap_ratio: float | None = None
-    bounds_only: bool = False
     rho: RhoSeries | None = None
     rep_c: object = None
     rep_d: object = None
@@ -170,45 +163,28 @@ def _audit_rank(decision: RankDecision, dm: DefectMatrix) -> None:
         )
 
 
-def defect_numbers(
-    pair: SymbolPair,
-    p,
-    tol_rel: float = 1e-8,
-    bounds_only: bool = False,
-    N_keep: int | None = None,
-) -> DefectReport:
+def defect_numbers(pair: SymbolPair, p, tol_rel: float = 1e-8) -> DefectReport:
     """Full defect report at p per the four-case dispatch.
 
-    With bounds_only the interval placements become half-open so boundary
-    hits stop being errors; the reported dimensions are then only upper
-    bounds and the report says so.
+    (n, m) come from normalized_pair, the one Fredholm gate, so the report
+    exists only for a Fredholm operator.
 
     Raises
     ------
     NotFredholm
-        When the conditions fail (or sit within eps of failing) and
-        bounds_only is False.
+        When the conditions fail; BoundaryCase when they sit within eps of
+        failing.  Both carry the ConditionReport as ``report``.
     RankUndecidable
         When the matrix path cannot commit to a rank at the requested
         confidence.
     """
-    report = fredholm_conditions(pair, p)
-    fredholm = report.overall == "pass"
-    if not fredholm and not bounds_only:
-        bad = report.failures()[0]
-        err = BoundaryCase if report.overall == "boundary" else NotFredholm
-        raise err(f"not Fredholm at p={report.p}: side {bad.side}, site {bad.point}")
-    half_open = not fredholm
-    rep_c = normalize(pair.c, p, side="c", half_open=half_open)
-    rep_d = normalize(pair.d, p, side="d", half_open=half_open)
+    rep_c, rep_d = normalized_pair(pair, p)
     n, m = rep_c.n, rep_d.n
     tag = case_tag(n, m)
     common = dict(
-        fredholm=fredholm,
         n=n,
         m=m,
         case_tag=tag,
-        bounds_only=not fredholm,
         rep_c=rep_c,
         rep_d=rep_d,
     )
@@ -219,12 +195,11 @@ def defect_numbers(
     if tag == "F-count":
         return DefectReport(dim_ker=m - n, dim_coker=0, **common)
 
-    keep = N_keep if N_keep is not None else max(n + m, 16)
+    keep = max(n + m, 16)
     rho = rho_coefficients(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, keep)
     dm = defect_matrix(rho, n, m)
     decision = rank_decision(dm.matrix, tol_rel)
-    if fredholm:
-        _audit_rank(decision, dm)
+    _audit_rank(decision, dm)
     r = decision.rank
     return DefectReport(
         dim_ker=m - r,

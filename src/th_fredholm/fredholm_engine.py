@@ -39,7 +39,15 @@ PLike = Union[int, float, str, Fraction]
 
 
 class NotFredholm(ValueError):
-    """The operator is not Fredholm at the requested p."""
+    """The operator is not Fredholm at the requested p.
+
+    ``report`` is the ConditionReport behind the verdict when the gate in
+    normalized_pair raised, and None otherwise.
+    """
+
+    def __init__(self, message: str, report: "ConditionReport | None" = None):
+        super().__init__(message)
+        self.report = report
 
 
 class NotFredholmOnSide(NotFredholm):
@@ -230,30 +238,24 @@ def _window_lows(big_p: Fraction, big_q: Fraction) -> tuple[Fraction, Fraction, 
     return -1 / (2 * big_q), Fraction(-1, 2) - 1 / (2 * big_q), -1 / big_q
 
 
-def _place(
-    base: Exponent, lo: Fraction, side: str, point: UnitPoint, half_open: bool = False
-) -> tuple[Exponent, int]:
+def _place(base: Exponent, lo: Fraction, side: str, point: UnitPoint) -> tuple[Exponent, int]:
     f = base.re - lo
-    if f.denominator == 1 and not half_open:
+    if f.denominator == 1:
         raise NotFredholmOnSide(side, point, base.re)
     s = math.floor(f)
     return base.shift(-s), s
 
 
-def normalize(
-    s: CanonicalSymbol, p: PLike, side: str = "c", half_open: bool = False
-) -> NormalizedRep:
+def normalize(s: CanonicalSymbol, p: PLike, side: str = "c") -> NormalizedRep:
     """Normalize a structural symbol on one side, extracting the winding integer.
 
     The scale sign is absorbed into the exponents at 1 and -1, an odd power of
     t moves to the exponent at -1, and each exponent is then shifted by the
     unique integer that lands its real part in the open window of width one
     for this side.  Every unit shift transfers t^{+-2} into the t^{2n} front
-    factor, so n collects the half winding plus all shifts.
-
-    With half_open an exponent sitting exactly on the window edge is kept at
-    the low edge instead of raising.  That placement has no Fredholm meaning;
-    it exists so upper-bound estimates can proceed past a failed condition.
+    factor, so n collects the half winding plus all shifts.  An exponent
+    exactly on a window edge raises NotFredholmOnSide; this is the placement
+    alone, and callers that need the verdict go through normalized_pair.
     """
     ensure_unimodular(s)
     pf, qf = exponent_pair(p)
@@ -275,14 +277,14 @@ def normalize(
         kappa -= 1
     n = kappa // 2
 
-    gamma_plus, sh = _place(beta_plus.half(), lo_plus, side, ONE, half_open)
+    gamma_plus, sh = _place(beta_plus.half(), lo_plus, side, ONE)
     n += sh
-    gamma_minus, sh = _place(beta_minus.half(), lo_minus, side, MINUS_ONE, half_open)
+    gamma_minus, sh = _place(beta_minus.half(), lo_minus, side, MINUS_ONE)
     n += sh
     gammas = []
     for j in s.jumps:
         if j.point.in_upper_half:
-            g, sh = _place(j.beta, lo_pair, side, j.point, half_open)
+            g, sh = _place(j.beta, lo_pair, side, j.point)
             n += sh
             gammas.append((j.point, g))
     return NormalizedRep(
@@ -297,21 +299,21 @@ def normalize(
 
 
 def normalized_pair(pair: SymbolPair, p: PLike) -> tuple[NormalizedRep, NormalizedRep]:
-    """Normalize c at p and d at q; raises NotFredholmOnSide on failure."""
+    """The Fredholm gate: c normalized at p and d at q, once the conditions pass.
+
+    Runs fredholm_conditions once.  A failed or boundary verdict raises
+    NotFredholm or BoundaryCase carrying the ConditionReport as ``report``.
+    """
+    report = fredholm_conditions(pair, p)
+    if report.overall != "pass":
+        bad = report.failures()[0]
+        err = BoundaryCase if report.overall == "boundary" else NotFredholm
+        raise err(f"not Fredholm at p={report.p}: side {bad.side}, site {bad.point}", report)
     return normalize(pair.c, p, side="c"), normalize(pair.d, p, side="d")
 
 
 def fredholm_index(pair: SymbolPair, p: PLike) -> int:
     """Index m - n of the operator at p; raises if not Fredholm or on a boundary."""
-    report = fredholm_conditions(pair, p)
-    if report.overall == "fail":
-        bad = report.failures()[0]
-        raise NotFredholm(f"not Fredholm at p={report.p}: side {bad.side}, site {bad.point}")
-    if report.overall == "boundary":
-        bad = report.failures()[0]
-        raise BoundaryCase(
-            f"within eps of the forbidden set at p={report.p}: side {bad.side}, site {bad.point}"
-        )
     rep_c, rep_d = normalized_pair(pair, p)
     return rep_d.n - rep_c.n
 

@@ -5,8 +5,11 @@ T(a)-H(t^{-1}a), and T(a)+H(ta).  Each normalizes the jump exponents of a
 into family-specific open unit intervals, accumulating the winding integer
 kappa whose sign alone decides both defect numbers.  The fifth family is
 I+H(phi~), handled through the general pipeline with c = d = phi, plus the
-symmetric split rho = rho0 * rho1 and the Jacobi determinant closed form
-for its invertibility example.
+sign data of the symmetric split rho = rho0 * rho1 and the Jacobi
+determinant closed form for its invertibility example.  The interval
+placement does not gate: `special` gates through
+fredholm_engine.normalized_pair, as every command does, and compares the
+family winding with the n - m of that normalization.
 """
 
 from __future__ import annotations
@@ -16,15 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .defect_solver import DefectReport, defect_numbers
-from .fredholm_engine import (
-    NormalizedRep,
-    NotFredholm,
-    exponent_pair,
-    normalized_pair,
-)
+from .fredholm_engine import NotFredholm, exponent_pair
 from .symbol_core import (
     MINUS_ONE,
     ONE,
@@ -32,13 +28,10 @@ from .symbol_core import (
     Exponent,
     SymbolPair,
     UnitPoint,
-    invert,
     jump_unit,
     multiply,
     symbols_equal,
-    validate_pair,
 )
-from .wiener_hopf import PlusFactor, build_plus_factor
 
 
 class InternalDisagreement(RuntimeError):
@@ -66,43 +59,16 @@ _A_DRIVEN = (A_PLUS_HA, A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HT_A)
 
 @dataclass(frozen=True, eq=False)
 class HankelSplit:
-    """The even/odd split rho = rho0 * rho1 of the I+H defect kernel.
+    """Sign data of the even/odd split rho = rho0 * rho1 of the I+H defect kernel.
 
-    rho0 collects the zero-or-pole factors (2-2cos(theta-theta_r))^alpha and
-    the smooth plus-factor pair; rho1 is the sign function (-1)^{n+} times a
-    product of symmetric square waves, one per jump pair with gamma_r and
-    delta_r differing by one.
+    rho1 is the sign function (-1)^{n+} times a product of symmetric square
+    waves, one per jump pair whose difference gamma_r - delta_r is odd;
+    pair_signs holds those differences.
     """
 
     n_plus: int
     n_minus: int
     pair_signs: tuple[tuple[UnitPoint, int], ...]
-    v_exponents: tuple[tuple[UnitPoint, complex], ...]
-    c_plus: PlusFactor
-
-    def _smooth_sq(self, x: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * np.asarray(x, dtype=float))
-        acc = np.full(z.shape, self.c_plus.constant**2, dtype=complex)
-        for k, v in self.c_plus.analytic_log.coeffs:
-            acc = acc * np.exp(v * (z**k + z ** (-k)))
-        return acc
-
-    def rho0_at(self, x: np.ndarray) -> np.ndarray:
-        out = self._smooth_sq(x)
-        for pt, alpha in self.v_exponents:
-            base = 2.0 - 2.0 * np.cos(np.asarray(x, dtype=float) - pt.angle)
-            out = out * np.exp(alpha * np.log(base))
-        return out
-
-    def rho1_at(self, x: np.ndarray) -> np.ndarray:
-        xs = np.mod(np.asarray(x, dtype=float), 2 * math.pi)
-        out = np.full(xs.shape, (-1.0) ** self.n_plus)
-        for pt, n_r in self.pair_signs:
-            if n_r % 2:
-                theta = pt.angle
-                inside = (xs < theta) | (xs > 2 * math.pi - theta)
-                out = out * np.where(inside, 1.0, -1.0)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +82,6 @@ class FamilyReport:
     fredholm: bool
     dim_ker: int
     dim_coker: int
-    rep_gamma: NormalizedRep | None = None
-    rep_delta: NormalizedRep | None = None
     split: HankelSplit | None = None
     defect: DefectReport | None = None
 
@@ -168,8 +132,8 @@ def family_fredholm(a: CanonicalSymbol, tag: str, p) -> FamilyReport:
 
     Every unit added to an exponent moves a factor -t/tau (or t at -1 style
     identities) out of the jump and into the front, so kappa drops by the
-    total shift.  The result is cross-checked against the general two-sided
-    normalization: kappa must equal n - m.
+    total shift.  No gate runs here: the caller gates through normalized_pair
+    and checks kappa against its n - m.
 
     Raises
     ------
@@ -209,13 +173,6 @@ def family_fredholm(a: CanonicalSymbol, tag: str, p) -> FamilyReport:
         pairs.append((pt, up.shift(s_r), down))
         total += s_r
     kappa_hat = a.kappa - total
-
-    rep_c, rep_d = normalized_pair(validate_pair(a, family_b(a, tag)), p)
-    if kappa_hat != rep_c.n - rep_d.n:
-        raise InternalDisagreement(
-            f"family winding {kappa_hat} disagrees with the general "
-            f"normalization n - m = {rep_c.n - rep_d.n}"
-        )
     return FamilyReport(
         tag=tag,
         p=pf,
@@ -236,41 +193,30 @@ def _integer_difference(g: Exponent, d: Exponent, what: str) -> int:
     return int(diff)
 
 
-def hankel_identity_report(phi: CanonicalSymbol, p) -> FamilyReport:
-    """Both canonical representations of I+H(phi~) plus the rho split.
+def hankel_identity_report(pair: SymbolPair, p) -> FamilyReport:
+    """Both canonical representations of I+H(phi~) and the sign data of the rho split.
 
-    The operator corresponds to a = 1, b = phi^{-1}, for which both
-    auxiliary functions equal phi; the gamma-side normalization carries n
-    and the delta-side carries m.  Defect numbers come from the general
-    four-case dispatch, and the split factors rho0, rho1 are attached for
-    pointwise checks.
+    The operator is the pair a = 1, b = phi^{-1}, for which both auxiliary
+    functions equal phi; the gamma-side normalization carries n and the
+    delta-side carries m.  Defect numbers come from the general four-case
+    dispatch, which also gates.
     """
-    pair = validate_pair(CanonicalSymbol.one(), invert(phi))
     report = defect_numbers(pair, p)
     rep_c, rep_d = report.rep_c, report.rep_d
     n_plus = _integer_difference(rep_c.gamma_plus, rep_d.gamma_plus, "endpoint 1")
     n_minus = _integer_difference(rep_c.gamma_minus, rep_d.gamma_minus, "endpoint -1")
     deltas = dict(rep_d.gammas)
     pair_signs = []
-    v_exponents = [
-        (ONE, (rep_c.gamma_plus + rep_d.gamma_plus).value),
-        (MINUS_ONE, (rep_c.gamma_minus + rep_d.gamma_minus).value + 1.0),
-    ]
     pairs = []
     for pt, g in rep_c.gammas:
         d = deltas[pt]
         n_r = _integer_difference(g, d, f"pair at {pt.value():.4g}")
         pair_signs.append((pt, n_r))
-        half = (g + d).half().value
-        v_exponents.append((pt, half))
-        v_exponents.append((pt.conjugate(), half))
         pairs.append((pt, g, d))
     split = HankelSplit(
         n_plus=n_plus,
         n_minus=n_minus,
         pair_signs=tuple(pair_signs),
-        v_exponents=tuple(v_exponents),
-        c_plus=build_plus_factor(rep_c),
     )
     return FamilyReport(
         tag=ID_PLUS_HANKEL,
@@ -282,8 +228,6 @@ def hankel_identity_report(phi: CanonicalSymbol, p) -> FamilyReport:
         fredholm=True,
         dim_ker=report.dim_ker,
         dim_coker=report.dim_coker,
-        rep_gamma=rep_c,
-        rep_delta=rep_d,
         split=split,
         defect=report,
     )

@@ -205,8 +205,6 @@ def kernel_residual_check(
 
     if report is None:
         report = defect_numbers(pair, p)
-    if report.bounds_only:
-        raise ValueError("kernel construction needs a Fredholm report")
     n, m = report.n, report.m
     order = max(2 * N, 512)
     c_plus = build_plus_factor(report.rep_c)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from th_fredholm.symbol_core import (
     validate_pair,
 )
 from th_fredholm.verification_oracle import TwoSidedSeries
+from th_fredholm.wiener_hopf import build_plus_factor
 
 UPPER_ANGLES = [(1, 8), (1, 4), (3, 8), (1, 3), (1, 6), (2, 5)]
 
@@ -214,3 +216,43 @@ def golden_kernel_instances() -> list[tuple[str, SymbolPair, object]]:
     for i, (sym, p) in enumerate(jump_syms):
         out.append((f"jump-{i}", validate_pair(sym, sym), p))
     return out
+
+
+def hankel_split_factors(report):
+    """rho0 and rho1 of the I+H split rho = rho0 * rho1, from a hankel_identity_report.
+
+    rho0 collects the zero-or-pole factors (2-2cos(x-theta_r))^alpha and the
+    squared smooth part of the plus factor c_+; rho1 is (-1)^{n+} times a
+    symmetric square wave for each jump pair whose gamma_r - delta_r is odd.
+    """
+    rep_c, rep_d = report.defect.rep_c, report.defect.rep_d
+    c_plus = build_plus_factor(rep_c)
+    v_exponents = [
+        (ONE, (rep_c.gamma_plus + rep_d.gamma_plus).value),
+        (MINUS_ONE, (rep_c.gamma_minus + rep_d.gamma_minus).value + 1.0),
+    ]
+    deltas = dict(rep_d.gammas)
+    for pt, g in rep_c.gammas:
+        half = (g + deltas[pt]).half().value
+        v_exponents += [(pt, half), (pt.conjugate(), half)]
+
+    def rho0(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        z = np.exp(1j * x)
+        out = np.full(z.shape, c_plus.constant**2, dtype=complex)
+        for k, v in c_plus.analytic_log.coeffs:
+            out = out * np.exp(v * (z**k + z ** (-k)))
+        for pt, alpha in v_exponents:
+            out = out * np.exp(alpha * np.log(2.0 - 2.0 * np.cos(x - pt.angle)))
+        return out
+
+    def rho1(x: np.ndarray) -> np.ndarray:
+        xs = np.mod(np.asarray(x, dtype=float), 2 * math.pi)
+        out = np.full(xs.shape, (-1.0) ** report.split.n_plus)
+        for pt, n_r in report.split.pair_signs:
+            if n_r % 2:
+                inside = (xs < pt.angle) | (xs > 2 * math.pi - pt.angle)
+                out = out * np.where(inside, 1.0, -1.0)
+        return out
+
+    return rho0, rho1

@@ -10,11 +10,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from th_fredholm import cli, special_families
+from th_fredholm import cli, fredholm_engine
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
+from th_fredholm.symbol_core import CanonicalSymbol
+
+from helpers import pair_from_c_and_b, random_generic_b, random_structural_c
 
 EX_CURVE_SYMBOL = {
     "jumps": [
@@ -239,15 +243,97 @@ def family_document(rng: random.Random, boundary: bool) -> dict:
     }
 
 
+def symbol_node(s: CanonicalSymbol) -> dict:
+    """The JSON form of a symbol whose exponents are dyadic, so floats are exact."""
+    return {
+        "kappa": s.kappa,
+        "scale": [s.scale.real, s.scale.imag],
+        "log_smooth": [{"k": k, "re": v.real, "im": v.imag} for k, v in s.log_smooth.coeffs],
+        "jumps": [
+            {"theta_num": j.point.num, "theta_den": j.point.den, "beta": [float(j.beta.re), j.beta.im]}
+            for j in s.jumps
+        ],
+    }
+
+
+def gated_like_check(capsys, path, commands) -> int:
+    """check's exit code; every command in commands must agree with it.
+
+    A document that fails or sits on the boundary must get check's exit
+    code and its overall verdict and sites from each command.  On a passing
+    document every command exits 0, except that verify may refuse with 4.
+    """
+    code, out, _ = run(capsys, ["check", path])
+    check = json.loads(out)
+    for command in commands:
+        got, out, _ = run(capsys, [command, path])
+        if code == 0:
+            assert got in ((0, 4) if command == "verify" else (0,)), (command, got)
+            continue
+        assert got == code, (command, got, code)
+        doc = json.loads(out)
+        assert doc["command"] == command
+        assert (doc["overall"], doc["sites"]) == (check["overall"], check["sites"])
+    return code
+
+
 def test_exit_codes_agree_on_family_documents(tmp_path, capsys):
     rng = random.Random(2026)
     seen = set()
     for i in range(48):
         path = write_doc(tmp_path, family_document(rng, boundary=i % 2 == 0))
-        codes = {cmd: run(capsys, [cmd, path])[0] for cmd in ("check", "index", "defects", "special")}
-        assert len(set(codes.values())) == 1, codes
-        seen.add(codes["check"])
+        seen.add(gated_like_check(capsys, path, ("index", "defects", "factor", "special", "verify")))
     assert seen == {0, 1, 2}
+
+
+def test_exit_codes_agree_on_general_documents(tmp_path, capsys):
+    # denominator-8 exponents put some sites exactly on the forbidden set
+    rng = np.random.default_rng(2027)
+    seen = []
+    for i in range(24):
+        pair = pair_from_c_and_b(random_structural_c(rng, denom=8), random_generic_b(rng, denom=8))
+        doc = {"a": symbol_node(pair.a), "b": symbol_node(pair.b), "p": ("2", "4/3")[i % 2]}
+        seen.append(gated_like_check(capsys, write_doc(tmp_path, doc), ("index", "defects", "factor", "verify")))
+    assert {0, 1} <= set(seen)
+
+
+def test_one_gate_per_command(tmp_path, capsys, monkeypatch):
+    real = fredholm_engine.fredholm_conditions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("th_fredholm") and getattr(module, "fredholm_conditions", None) is real:
+            monkeypatch.setattr(module, "fredholm_conditions", counted)
+    passing = {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2}
+    failing = {"a": EX_CURVE_SYMBOL, "b": {}, "p": "4/3"}
+    smooth = {"kappa": -1, "log_smooth": [{"k": 1, "re": 0.2}, {"k": -1, "re": -0.2}]}
+    cases = [
+        ("index", passing, 0),
+        ("index", failing, 1),
+        ("defects", passing, 0),
+        ("defects", failing, 1),
+        ("defects", JACOBI_FMATRIX, 0),
+        ("factor", passing, 0),
+        ("factor", failing, 1),
+        ("special", README_DOC, 0),
+        ("special", JACOBI_FMATRIX, 0),
+        ("verify", {"a": smooth, "b": {}, "p": 2, "options": {"section_size": 128}}, 0),
+        ("verify", failing, 1),
+    ]
+    for command, doc, want in cases:
+        calls.clear()
+        code, out, _ = run(capsys, [command, write_doc(tmp_path, doc)])
+        assert (code, len(calls)) == (want, 1), (command, doc, code, len(calls))
+    calls.clear()
+    sweep = ["sweep", write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}}), "--p-from", "8/7", "--p-to", "2"]
+    code, out, _ = run(capsys, sweep + ["--steps", "7"])
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(calls) == len(rows) == 7
+    assert rows[0]["overall"] == "fail" and rows[-1]["overall"] == "pass"
 
 
 def test_verify_reports_oracles(tmp_path, capsys):
@@ -290,13 +376,13 @@ def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
 
 
 def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):
-    real = special_families.normalized_pair
+    real = cli.normalized_pair
 
     def shifted(pair, p):
         rep_c, rep_d = real(pair, p)
         return dataclasses.replace(rep_c, n=rep_c.n + 1), rep_d
 
-    monkeypatch.setattr(special_families, "normalized_pair", shifted)
+    monkeypatch.setattr(cli, "normalized_pair", shifted)
     jumps = [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]
     doc = {"a": {"kappa": -1, "jumps": jumps}, "b": {"kappa": -1, "jumps": jumps}, "p": 2}
     code, out, _ = run(capsys, ["special", write_doc(tmp_path, doc)])
@@ -366,6 +452,22 @@ def test_stdin_document(capsys, monkeypatch):
     assert json.loads(out)["index"] == 1
 
 
+README_JUMP = {"kappa": -1, "jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]}
+README_DOC = {"a": README_JUMP, "b": README_JUMP, "p": 2}
+# a = 1, b = t^-4 u(i,1/4) u(-i,1/4): F-matrix, dim ker 0 at p = 2
+TWO_JUMP_DOC = {
+    "a": {},
+    "b": {
+        "kappa": -4,
+        "jumps": [
+            {"theta_num": 1, "theta_den": 4, "beta": [0.25, 0.0]},
+            {"theta_num": 3, "theta_den": 4, "beta": [0.25, 0.0]},
+        ],
+    },
+    "p": 2,
+}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -377,6 +479,14 @@ def test_stdin_document(capsys, monkeypatch):
         {"a": {"scale": [0.0, 0.0]}, "b": {}, "p": 2},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2, "options": {"truncation": -1}},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2, "options": {"section_size": 0}},
+        {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": float("nan")},
+        {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": float("inf")},
+        {"a": {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [float("nan"), 0.0]}]}, "b": {}, "p": 2},
+        {**README_DOC, "options": {"tolerance": float("nan")}},
+        {**README_DOC, "options": {"tolerance": 0.0}},
+        {**TWO_JUMP_DOC, "options": {"rank_tolerance": float("nan")}},
+        {**TWO_JUMP_DOC, "options": {"rank_tolerance": 2.0}},
+        {**TWO_JUMP_DOC, "options": {"rank_tolerance": 0.0}},
     ],
 )
 def test_input_errors_exit_three(tmp_path, capsys, doc):

@@ -176,18 +176,6 @@ def test_not_fredholm_verdict_and_error():
         defect_numbers(pair, Fraction(4, 3) + 1e-12)
 
 
-def test_bounds_only_survives_failed_condition():
-    c = multiply(
-        multiply(jump_unit(0, 1, Fraction(-1, 4)), jump_unit(1, 2, 0, kappa=1)),
-        multiply(jump_unit(1, 4, Fraction(-1, 8)), jump_unit(3, 4, Fraction(-1, 8))),
-    )
-    pair = pair_from_c_and_b(c, CanonicalSymbol.one())
-    rep = defect_numbers(pair, Fraction(4, 3), bounds_only=True)
-    assert rep.bounds_only and not rep.fredholm
-    assert rep.dim_ker - rep.dim_coker == rep.m - rep.n
-    assert rep.dim_ker >= 0 and rep.dim_coker >= 0
-
-
 def test_index_identity_on_random_instances():
     rng = np.random.default_rng(412)
     for p in (2, Fraction(3, 2), 3):

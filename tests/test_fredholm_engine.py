@@ -288,7 +288,8 @@ def test_conditions_equivalent_to_normalization():
         p = Fraction(2) if rng.random() < 0.5 else Fraction(4, 3)
         report = fredholm_conditions(pair, p)
         try:
-            normalized_pair(pair, p)
+            normalize(pair.c, p, side="c")
+            normalize(pair.d, p, side="d")
             ok = True
         except NotFredholmOnSide:
             ok = False

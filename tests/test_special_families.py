@@ -36,7 +36,7 @@ from th_fredholm.symbol_core import (
 )
 from th_fredholm.wiener_hopf import rho_for_pair
 
-from helpers import rotate_half, unimodular_symbol
+from helpers import hankel_split_factors, rotate_half, unimodular_symbol
 
 A_DRIVEN = (A_PLUS_HA, A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HT_A)
 
@@ -123,8 +123,8 @@ def test_minus_family_matches_rotated_plus_family():
 
 
 def test_family_tables_agree_with_general_pipeline():
-    # family_fredholm asserts kappa == n - m internally; sweeping it over
-    # betas, windings, tags, and exponents exercises that cross-check
+    # the family winding must equal n - m of the general normalization, over
+    # betas, windings, tags, and exponents
     rng = np.random.default_rng(2024)
     p_values = (Fraction(3, 2), 2, 3)
     for _ in range(40):
@@ -142,20 +142,24 @@ def test_family_tables_agree_with_general_pipeline():
         tag = A_DRIVEN[int(rng.integers(0, 4))]
         p = p_values[int(rng.integers(0, 3))]
         report = family_fredholm(a, tag, p)
+        rep_c, rep_d = normalized_pair(validate_pair(a, family_b(a, tag)), p)
+        assert report.kappa == rep_c.n - rep_d.n
         assert report.dim_ker == max(0, -report.kappa)
         assert report.dim_coker == max(0, report.kappa)
 
 
 def test_hankel_identity_trivial_symbol():
-    report = hankel_identity_report(CanonicalSymbol.one(), 2)
+    one = CanonicalSymbol.one()
+    report = hankel_identity_report(validate_pair(one, one), 2)
     assert report.tag == ID_PLUS_HANKEL
     assert (report.dim_ker, report.dim_coker) == (0, 0)
     assert report.defect.n == 0 and report.defect.m == 0
     # rho for the trivial pair is (1+t)(1+1/t); the split keeps all of it
     # in rho0 through the v factor at -1 with exponent gamma+delta+1 = 1
     x = np.linspace(0.3, 5.9, 7)
-    assert np.allclose(report.split.rho0_at(x), 2 + 2 * np.cos(x), atol=1e-12)
-    assert np.allclose(report.split.rho1_at(x), 1.0, atol=1e-12)
+    rho0, rho1 = hankel_split_factors(report)
+    assert np.allclose(rho0(x), 2 + 2 * np.cos(x), atol=1e-12)
+    assert np.allclose(rho1(x), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [3, Fraction(3, 2), 2])
@@ -168,11 +172,11 @@ def test_hankel_split_reconstructs_rho(p):
         log_smooth={1: 0.2, -1: -0.2},
         jumps=(JumpFactor(pt, beta), JumpFactor(pt.conjugate(), beta)),
     )
-    report = hankel_identity_report(phi, p)
     pair = validate_pair(CanonicalSymbol.one(), invert(phi))
+    rho0, rho1 = hankel_split_factors(hankel_identity_report(pair, p))
     _, _, rho = rho_for_pair(pair, p, 24)
     x = np.linspace(0.05, 2 * np.pi - 0.05, 100)
-    split = report.split.rho0_at(x) * report.split.rho1_at(x)
+    split = rho0(x) * rho1(x)
     assert np.max(np.abs(split - rho.eval_at(x))) < 1e-8
 
 
@@ -185,7 +189,8 @@ def test_hankel_split_sign_counts():
         log_smooth={1: 0.2, -1: -0.2},
         jumps=(JumpFactor(pt, beta), JumpFactor(pt.conjugate(), beta)),
     )
-    by_p = {p: hankel_identity_report(phi, p).split.pair_signs[0][1] for p in (3, Fraction(3, 2), 2)}
+    pair = validate_pair(CanonicalSymbol.one(), invert(phi))
+    by_p = {p: hankel_identity_report(pair, p).split.pair_signs[0][1] for p in (3, Fraction(3, 2), 2)}
     assert by_p == {3: -1, Fraction(3, 2): 1, 2: 0}
 
 
