@@ -154,6 +154,7 @@ class Job:
         self.section_size = _as_int(options.get("section_size", 256), "options.section_size")
         _require(self.section_size >= 1, "options.section_size must be at least 1")
         self.curve_samples = _as_int(options.get("curve_samples", 2048), "options.curve_samples")
+        _require(self.curve_samples >= 1, "options.curve_samples must be at least 1")
         self.tolerance = _as_real(options.get("tolerance", 1e-6), "options.tolerance")
         _require(self.tolerance > 0, "options.tolerance must be positive")
         self.rank_tolerance = _as_real(
@@ -276,6 +277,7 @@ def cmd_curve(job: Job, ns) -> tuple[dict, int]:
     pf, qf = exponent_pair(job.p)
     big_p = pf if ns.side == "c" else qf
     samples = ns.samples if ns.samples is not None else job.curve_samples
+    _require(samples >= 1, "--samples must be at least 1")
     curve = build_hash_curve(symbol, big_p, samples, max(64, samples // 8))
     try:
         winding = winding_from_curve(curve)
@@ -317,13 +319,7 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
             ],
         )
         return doc, 0
-    rep_c, rep_d = normalized_pair(job.pair, job.p)
-    report = family_fredholm(job.pair.a, tag, job.p)
-    if report.kappa != rep_c.n - rep_d.n:
-        raise InternalDisagreement(
-            f"family winding {report.kappa} disagrees with the general "
-            f"normalization n - m = {rep_c.n - rep_d.n}"
-        )
+    report = family_fredholm(job.pair, tag, job.p)
     doc.update(
         kappa=report.kappa,
         index=report.index,

@@ -2,12 +2,14 @@
 
 Two independent routes to the same integers live here.  The symbolic route
 tests exact coset conditions on the jump data of the auxiliary functions c and
-d and normalizes their product representations, producing (n, m) and the index
-m - n.  The geometric route traces the closed curve obtained from the image of
-the upper half circle by joining the one-sided limits at 1, -1, and every
-interior jump with circular arcs whose inscribed-angle parameter depends on p,
-then counts the winding about the origin.  Agreement of the two routes is a
-standing invariant of the test suite.
+d, and reads the normalized product representations, and with them (n, m) and
+the index m - n, off the same condition sites: each exponent is moved into
+the unit window just below its site's forbidden offset.  The geometric route
+traces the closed curve obtained from the image of the upper half circle by
+joining the one-sided limits at 1, -1, and every interior jump with circular
+arcs whose inscribed-angle parameter depends on p, then counts the winding
+about the origin.  Agreement of the two routes is a standing invariant of the
+test suite.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class NotFredholm(ValueError):
 
 
 class NotFredholmOnSide(NotFredholm):
-    """A normalization interval placement hit a boundary on one side.
+    """An exponent to be normalized sits on a window edge on one side.
 
     Attributes
     ----------
@@ -60,7 +62,7 @@ class NotFredholmOnSide(NotFredholm):
     point : UnitPoint
         The jump point whose exponent could not be placed.
     tested : Fraction
-        The real part whose placement failed.
+        The site's tested value, which lies on the forbidden set.
     """
 
     def __init__(self, side: str, point: UnitPoint, tested: Fraction):
@@ -122,10 +124,6 @@ class SiteCondition:
     forbidden_offset: Fraction
     distance: Fraction
     verdict: str  # "pass" | "fail" | "boundary"
-
-    @property
-    def margin(self) -> float:
-        return float(self.distance)
 
 
 @dataclass(frozen=True)
@@ -233,83 +231,63 @@ class NormalizedRep:
         return out
 
 
-def _window_lows(big_p: Fraction, big_q: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    # open unit windows (lo, lo+1) for the endpoint and pair exponents
-    return -1 / (2 * big_q), Fraction(-1, 2) - 1 / (2 * big_q), -1 / big_q
+def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition], side: str) -> NormalizedRep:
+    """Place each exponent of s in the open window (offset - 1, offset) of its site.
 
-
-def _place(base: Exponent, lo: Fraction, side: str, point: UnitPoint) -> tuple[Exponent, int]:
-    f = base.re - lo
-    if f.denominator == 1:
-        raise NotFredholmOnSide(side, point, base.re)
-    s = math.floor(f)
-    return base.shift(-s), s
+    A site's tested value moves down by k = floor(tested - offset) + 1, the
+    unique integer that lands it in the window, and every unit moved carries
+    t^2 into the t^{2n} front factor: n is the sum of the k less one when the
+    scale is -1.  The imaginary parts come from the jump data, halved at 1
+    and -1.  A tested value exactly on an edge raises NotFredholmOnSide.
+    """
+    sign = structural_sign(s.scale)
+    n = -sign
+    placed = {}
+    for site in sites:
+        if site.distance == 0:
+            raise NotFredholmOnSide(side, site.point, site.tested)
+        k = math.floor(site.tested - site.forbidden_offset) + 1
+        n += k
+        placed[site.point] = site.tested - k
+    return NormalizedRep(
+        side=side,
+        n=n,
+        gamma_plus=Exponent(placed.pop(ONE), s.beta_at(ONE).im / 2.0),
+        gamma_minus=Exponent(placed.pop(MINUS_ONE), s.beta_at(MINUS_ONE).im / 2.0),
+        gammas=tuple((pt, Exponent(re, s.beta_at(pt).im)) for pt, re in placed.items()),
+        smooth_scale=-s.scale if sign else s.scale,
+        smooth_log=s.log_smooth,
+    )
 
 
 def normalize(s: CanonicalSymbol, p: PLike, side: str = "c") -> NormalizedRep:
     """Normalize a structural symbol on one side, extracting the winding integer.
 
-    The scale sign is absorbed into the exponents at 1 and -1, an odd power of
-    t moves to the exponent at -1, and each exponent is then shifted by the
-    unique integer that lands its real part in the open window of width one
-    for this side.  Every unit shift transfers t^{+-2} into the t^{2n} front
-    factor, so n collects the half winding plus all shifts.  An exponent
-    exactly on a window edge raises NotFredholmOnSide; this is the placement
-    alone, and callers that need the verdict go through normalized_pair.
+    The windows are the unit intervals below the forbidden offsets of
+    side_condition_sites, so an exponent on a window edge is exactly a failed
+    site; this is the placement alone, and callers that need the verdict go
+    through normalized_pair.
     """
-    ensure_unimodular(s)
     pf, qf = exponent_pair(p)
-    big_p, big_q = (pf, qf) if side == "c" else (qf, pf)
-    lo_plus, lo_minus, lo_pair = _window_lows(big_p, big_q)
-
-    kappa = s.kappa
-    scale = s.scale
-    beta_plus = s.beta_at(ONE)
-    beta_minus = s.beta_at(MINUS_ONE)
-    if structural_sign(scale) == 1:
-        # u(1,1) * u(-1,-1) = -1 exactly
-        beta_plus = beta_plus.shift(1)
-        beta_minus = beta_minus.shift(-1)
-        scale = -scale
-    if kappa % 2:
-        # u(-1,1) = t, with no extra sign
-        beta_minus = beta_minus.shift(1)
-        kappa -= 1
-    n = kappa // 2
-
-    gamma_plus, sh = _place(beta_plus.half(), lo_plus, side, ONE)
-    n += sh
-    gamma_minus, sh = _place(beta_minus.half(), lo_minus, side, MINUS_ONE)
-    n += sh
-    gammas = []
-    for j in s.jumps:
-        if j.point.in_upper_half:
-            g, sh = _place(j.beta, lo_pair, side, j.point)
-            n += sh
-            gammas.append((j.point, g))
-    return NormalizedRep(
-        side=side,
-        n=n,
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-        gammas=tuple(gammas),
-        smooth_scale=scale,
-        smooth_log=s.log_smooth,
-    )
+    return _from_sites(s, side_condition_sites(s, pf if side == "c" else qf, side), side)
 
 
 def normalized_pair(pair: SymbolPair, p: PLike) -> tuple[NormalizedRep, NormalizedRep]:
     """The Fredholm gate: c normalized at p and d at q, once the conditions pass.
 
     Runs fredholm_conditions once.  A failed or boundary verdict raises
-    NotFredholm or BoundaryCase carrying the ConditionReport as ``report``.
+    NotFredholm or BoundaryCase carrying the ConditionReport as ``report``;
+    a passing report's sites place both sides.
     """
     report = fredholm_conditions(pair, p)
     if report.overall != "pass":
         bad = report.failures()[0]
         err = BoundaryCase if report.overall == "boundary" else NotFredholm
         raise err(f"not Fredholm at p={report.p}: side {bad.side}, site {bad.point}", report)
-    return normalize(pair.c, p, side="c"), normalize(pair.d, p, side="d")
+    return tuple(
+        _from_sites(s, [site for site in report.sites if site.side == side], side)
+        for s, side in ((pair.c, "c"), (pair.d, "d"))
+    )
 
 
 def fredholm_index(pair: SymbolPair, p: PLike) -> int:

@@ -1,15 +1,14 @@
 """Closed-form criteria for the structured operator families.
 
 Four families are driven by a single symbol a: T(a)+H(a), T(a)-H(a),
-T(a)-H(t^{-1}a), and T(a)+H(ta).  Each normalizes the jump exponents of a
-into family-specific open unit intervals, accumulating the winding integer
-kappa whose sign alone decides both defect numbers.  The fifth family is
-I+H(phi~), handled through the general pipeline with c = d = phi, plus the
-sign data of the symmetric split rho = rho0 * rho1 and the Jacobi
-determinant closed form for its invertibility example.  The interval
-placement does not gate: `special` gates through
-fredholm_engine.normalized_pair, as every command does, and compares the
-family winding with the n - m of that normalization.
+T(a)-H(t^{-1}a), and T(a)+H(ta), each b = sign * t^power * a.  Then c is a
+monomial and d carries every jump of a, so the one normalization that
+fredholm_engine.normalized_pair returns after its gate also places a's
+exponents in their family windows and gives the winding kappa = n - m, whose
+sign alone decides both defect numbers.  The fifth family is I+H(phi~),
+handled through the general pipeline with c = d = phi, plus the sign data of
+the symmetric split rho = rho0 * rho1 and the Jacobi determinant closed form
+for its invertibility example.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .defect_solver import DefectReport, defect_numbers
-from .fredholm_engine import NotFredholm, exponent_pair
+from .fredholm_engine import exponent_pair, normalized_pair
 from .symbol_core import (
     MINUS_ONE,
     ONE,
@@ -54,9 +53,6 @@ FAMILY_TAGS = (
     GENERAL,
 )
 
-_A_DRIVEN = (A_PLUS_HA, A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HT_A)
-
-
 @dataclass(frozen=True, eq=False)
 class HankelSplit:
     """Sign data of the even/odd split rho = rho0 * rho1 of the I+H defect kernel.
@@ -79,7 +75,6 @@ class FamilyReport:
     beta_plus: Exponent
     beta_minus: Exponent
     pairs: tuple[tuple[UnitPoint, Exponent, Exponent], ...]
-    fredholm: bool
     dim_ker: int
     dim_coker: int
     split: HankelSplit | None = None
@@ -90,99 +85,81 @@ class FamilyReport:
         return self.dim_ker - self.dim_coker
 
 
+# b = sign * t^power * a for each single-symbol family
+_FAMILY_SHAPES = {
+    A_PLUS_HA: (1, 0),
+    A_MINUS_HA: (-1, 0),
+    A_MINUS_HTINV_A: (-1, -1),
+    A_PLUS_HT_A: (1, 1),
+}
+
+
 def classify_family(pair: SymbolPair) -> str:
     """Exact canonical-form dispatch; General when nothing matches."""
-    a, b = pair.a, pair.b
-    if symbols_equal(a, CanonicalSymbol.one()):
+    if symbols_equal(pair.a, CanonicalSymbol.one()):
         return ID_PLUS_HANKEL
-    if symbols_equal(b, a):
-        return A_PLUS_HA
-    negated = dataclasses.replace(a, scale=-a.scale)
-    if symbols_equal(b, negated):
-        return A_MINUS_HA
-    if symbols_equal(b, multiply(CanonicalSymbol.monomial(-1), negated)):
-        return A_MINUS_HTINV_A
-    if symbols_equal(b, multiply(CanonicalSymbol.monomial(1), a)):
-        return A_PLUS_HT_A
+    for tag in _FAMILY_SHAPES:
+        if symbols_equal(pair.b, family_b(pair.a, tag)):
+            return tag
     return GENERAL
 
 
 def family_b(a: CanonicalSymbol, tag: str) -> CanonicalSymbol:
     """The Hankel symbol the family tag pairs with a."""
-    if tag == A_PLUS_HA:
-        return a
-    if tag == A_MINUS_HA:
-        return dataclasses.replace(a, scale=-a.scale)
-    if tag == A_MINUS_HTINV_A:
-        return multiply(CanonicalSymbol.monomial(-1), dataclasses.replace(a, scale=-a.scale))
-    if tag == A_PLUS_HT_A:
-        return multiply(CanonicalSymbol.monomial(1), a)
-    raise ValueError(f"no single-symbol pairing for tag {tag!r}")
+    if tag not in _FAMILY_SHAPES:
+        raise ValueError(
+            f"no single-symbol pairing for tag {tag!r}; "
+            "hankel_identity_report handles the identity-plus-Hankel case"
+        )
+    sign, power = _FAMILY_SHAPES[tag]
+    b = a if sign == 1 else dataclasses.replace(a, scale=-a.scale)
+    return multiply(CanonicalSymbol.monomial(power), b) if power else b
 
 
-def _family_place(value: Fraction, lo: Fraction, what: str) -> int:
-    offset = value - lo
-    if offset.denominator == 1:
-        raise NotFredholm(f"Re {what} = {value} sits on the boundary of ({lo}, {lo + 1})")
-    return -math.floor(offset)
+def family_fredholm(pair: SymbolPair, tag: str, p) -> FamilyReport:
+    """Gate the family pair and read its exponents and winding off the d side.
 
-
-def family_fredholm(a: CanonicalSymbol, tag: str, p) -> FamilyReport:
-    """Interval placement and sign-of-kappa defect table for one family.
-
-    Every unit added to an exponent moves a factor -t/tau (or t at -1 style
-    identities) out of the jump and into the front, so kappa drops by the
-    total shift.  No gate runs here: the caller gates through normalized_pair
-    and checks kappa against its n - m.
+    With b = sign * t^power * a, c is a monomial and d carries every jump of
+    a, so the normalization of d places a's exponents: beta+ lands on
+    (1 - sign)/4 - Re gamma+, beta- on -(1 - sign)/4 - power/2 - Re gamma-,
+    and the upper exponent of each pair on -Re gamma(tau) - Re lower, with
+    gamma(tau) = 0 where d has no jump.  Each is a's exponent moved by an
+    integer, with its imaginary part unchanged.  kappa = n - m, and its sign
+    alone decides both defect numbers.
 
     Raises
     ------
+    ValueError
+        For a tag that is not a-driven, or when pair.b is not family_b(pair.a, tag).
     NotFredholm
-        When some exponent sits exactly on its interval boundary.
+        From the gate in normalized_pair.
     """
-    if tag not in _A_DRIVEN:
-        raise ValueError(
-            f"family_fredholm handles {_A_DRIVEN}; "
-            "use hankel_identity_report for the identity-plus-Hankel case"
-        )
-    pf, qf = exponent_pair(p)
-    half_q = 1 / (2 * qf)
-    low_pair = -1 / qf
-    lows = {
-        A_PLUS_HA: (Fraction(-1, 2) - half_q, -half_q),
-        A_MINUS_HA: (-half_q, Fraction(-1, 2) - half_q),
-        A_MINUS_HTINV_A: (-half_q, -half_q),
-        A_PLUS_HT_A: (Fraction(-1, 2) - half_q, Fraction(-1, 2) - half_q),
-    }
-    lo_plus, lo_minus = lows[tag]
-
-    beta_plus = a.beta_at(ONE)
-    beta_minus = a.beta_at(MINUS_ONE)
-    s_plus = _family_place(beta_plus.re, lo_plus, "beta+ at 1")
-    s_minus = _family_place(beta_minus.re, lo_minus, "beta- at -1")
-    total = s_plus + s_minus
+    a = pair.a
+    if not symbols_equal(pair.b, family_b(a, tag)):
+        raise ValueError(f"b is not the {tag} partner of a")
+    rep_c, rep_d = normalized_pair(pair, p)
+    sign, power = _FAMILY_SHAPES[tag]
+    lift = Fraction(1 - sign, 4)
+    gammas = dict(rep_d.gammas)
     pairs = []
     uppers = sorted(
         {pt if pt.in_upper_half else pt.conjugate() for pt in a.jump_points if not pt.is_one and not pt.is_minus_one},
         key=lambda pt: pt.turns,
     )
     for pt in uppers:
-        up = a.beta_at(pt)
-        down = a.beta_at(pt.conjugate())
-        s_r = _family_place(up.re + down.re, low_pair, f"beta sum at {pt.value():.4g}")
-        pairs.append((pt, up.shift(s_r), down))
-        total += s_r
-    kappa_hat = a.kappa - total
+        up, down = a.beta_at(pt), a.beta_at(pt.conjugate())
+        gamma = gammas[pt].re if pt in gammas else 0
+        pairs.append((pt, Exponent(-gamma - down.re, up.im), down))
+    kappa = rep_c.n - rep_d.n
     return FamilyReport(
         tag=tag,
-        p=pf,
-        kappa=kappa_hat,
-        beta_plus=beta_plus.shift(s_plus),
-        beta_minus=beta_minus.shift(s_minus),
+        p=exponent_pair(p)[0],
+        kappa=kappa,
+        beta_plus=Exponent(lift - rep_d.gamma_plus.re, a.beta_at(ONE).im),
+        beta_minus=Exponent(-lift - Fraction(power, 2) - rep_d.gamma_minus.re, a.beta_at(MINUS_ONE).im),
         pairs=tuple(pairs),
-        fredholm=True,
-        dim_ker=max(0, -kappa_hat),
-        dim_coker=max(0, kappa_hat),
+        dim_ker=max(0, -kappa),
+        dim_coker=max(0, kappa),
     )
 
 
@@ -225,7 +202,6 @@ def hankel_identity_report(pair: SymbolPair, p) -> FamilyReport:
         beta_plus=rep_c.gamma_plus + rep_c.gamma_plus,
         beta_minus=rep_c.gamma_minus + rep_c.gamma_minus,
         pairs=tuple(pairs),
-        fredholm=True,
         dim_ker=report.dim_ker,
         dim_coker=report.dim_coker,
         split=split,

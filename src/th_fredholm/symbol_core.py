@@ -93,9 +93,6 @@ class Exponent:
     def half(self) -> "Exponent":
         return Exponent(self.re / 2, self.im / 2.0)
 
-    def shift(self, n: int) -> "Exponent":
-        return Exponent(self.re + n, self.im)
-
 
 @dataclass(frozen=True, order=True)
 class UnitPoint:

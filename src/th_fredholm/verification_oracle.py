@@ -3,10 +3,9 @@
 Fourier coefficients of a symbol come from one route, composite
 Gauss-Legendre quadrature of the defining integral over the arcs between
 jump points, with a self-check that reruns it at 3/2 the node count; finite
-sections of the operator matrix are assembled from those coefficients; rho
-comes from its factor series; kernel candidates are built explicitly from
-the factorization and pushed through the finite section to measure
-residuals.
+sections of the operator matrix are assembled from those coefficients;
+kernel candidates are built explicitly from the factorization and the
+production rho and pushed through the finite section to measure residuals.
 
 Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
 every open arc between its jump points, so plain composite Gauss-Legendre
@@ -15,7 +14,7 @@ up at its sites, is computed in production by graded quadrature
 (wiener_hopf.rho_coefficients); the second route kept here, rho_series,
 convolves the factor series instead and doubles their order until the
 coefficients settle.  It is independent of the quadrature, and `verify`
-compares the two.
+compares the two on |k| <= 16.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ from .symbol_core import MINUS_ONE, CanonicalSymbol, FourierLogPoly, SymbolPair,
 from .wiener_hopf import (
     PlusFactor,
     RhoSeries,
-    TruncationInsufficient,
     _fourier_integrals,
     _gauss_panels,
     build_plus_factor,
     convolve,
     eta_series,
+    rho_coefficients,
     rho_sites,
     smooth_minus_factor,
     smooth_plus_factor,
@@ -193,7 +192,8 @@ def kernel_residual_check(
     is obtained by solving the triangular system (1+t) c_+ f = g, where g is
     read off the coefficients of -rho (t^k + t^{-k}).  For n > 0 the same
     solve runs over the null vectors of the defect matrix, so the basis count
-    always equals the reported kernel dimension.
+    always equals the reported kernel dimension.  rho comes from
+    wiener_hopf.rho_coefficients, the route the defect matrix is built from.
 
     Raises
     ------
@@ -223,7 +223,7 @@ def kernel_residual_check(
 
     if m > 0:
         keep = N + abs(n) + m + 4
-        rho = rho_series(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, keep)
+        rho = rho_coefficients(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, keep)
         col = convolve(np.array([1.0, 1.0], dtype=complex), c_plus.realize(order).coeffs)[:N]
         row = np.zeros(N, dtype=complex)
         row[0] = col[0]
@@ -271,7 +271,7 @@ def kernel_residual_check(
 
 def rho_series(
     c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int,
-    start_order: int = 4096, max_order: int = 2**16, settle_tol: float = SETTLE_TOL, tol: float | None = None,
+    start_order: int = 4096, max_order: int = 2**16, settle_tol: float = SETTLE_TOL,
 ) -> RhoSeries:
     """rho_k, |k| <= N_keep, by convolving the factor series: the second route.
 
@@ -280,8 +280,7 @@ def rho_series(
     until the kept coefficients move by less than settle_tol or the order
     reaches max_order.  tail_bound is the last movement, an estimate (inf
     when no doubling ran), and the series settled when it is below
-    settle_tol.  Only an explicit tol demand turns an unmet tolerance into
-    TruncationInsufficient.
+    settle_tol.
     """
     b_log = b.log_smooth.as_dict()
     shift = -m - n - b.kappa
@@ -315,8 +314,4 @@ def rho_series(
         move = float(np.max(np.abs(cur - prev)))
         if move < settle_tol:
             break
-    if tol is not None and move > tol:
-        raise TruncationInsufficient(
-            f"rho coefficients settled only to {move:.3e} at the cap (demanded {tol:.3e})"
-        )
     return RhoSeries(cur, N_keep, order, move, shift, n, m, c_plus, d_plus, b, rho_sites(c_plus, d_plus, b))

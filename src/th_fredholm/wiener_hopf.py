@@ -45,10 +45,6 @@ FINE_RULE = (24, 1e-12)
 COARSE_RULE = (16, 1e-10)
 
 
-class TruncationInsufficient(RuntimeError):
-    """The requested tolerance was not reached at the truncation cap."""
-
-
 class NotInL1Warning(UserWarning):
     """The net exponents imply rho is not integrable; results are formal."""
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from th_fredholm.fredholm_engine import fredholm_conditions
+from th_fredholm.special_families import A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HA, A_PLUS_HT_A
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
     Exponent,
@@ -38,6 +39,18 @@ def rotate_half(s: CanonicalSymbol) -> CanonicalSymbol:
             JumpFactor(UnitPoint(j.point.num * 2 + j.point.den, 2 * j.point.den), j.beta) for j in s.jumps
         ),
     )
+
+
+def family_lows(tag: str, p: Fraction) -> tuple[Fraction, Fraction]:
+    """Lower ends of the family windows for Re beta at 1 and at -1; each has length one."""
+    hq = (p - 1) / (2 * p)
+    deep = Fraction(-1, 2) - hq
+    return {
+        A_PLUS_HA: (deep, -hq),
+        A_MINUS_HA: (-hq, deep),
+        A_MINUS_HTINV_A: (-hq, -hq),
+        A_PLUS_HT_A: (deep, deep),
+    }[tag]
 
 
 def sampled_fft_coeffs(s: CanonicalSymbol, N: int, oversample: int = 8) -> TwoSidedSeries:

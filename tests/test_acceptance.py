@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import golden_kernel_instances, random_fredholm_pair, unimodular_symbol
+from helpers import family_lows, golden_kernel_instances, random_fredholm_pair, unimodular_symbol
 from th_fredholm.defect_solver import InsufficientCoefficients, RankUndecidable, defect_numbers
 from th_fredholm.fredholm_engine import (
     CurveThroughOrigin,
@@ -111,24 +111,12 @@ def test_criterion_2_exact_representations():
     print("\n[PASS] normalized representations exact-rational at p=2, 3/2, 6/5, 11/10")
 
 
-def _family_lows(tag, p: Fraction) -> tuple[Fraction, Fraction]:
-    # interval lower endpoints per family; every window has length one
-    hq = (p - 1) / (2 * p)
-    deep = Fraction(-1, 2) - hq
-    return {
-        A_PLUS_HA: (deep, -hq),
-        A_MINUS_HA: (-hq, deep),
-        A_MINUS_HTINV_A: (-hq, -hq),
-        A_PLUS_HT_A: (deep, deep),
-    }[tag]
-
-
 def test_criterion_3_family_interval_tables():
     p = Fraction(2)
     grid = [Fraction(k, 20) for k in (-14, -6, 1, 9, 18)]
     checked = 0
     for tag in (A_PLUS_HA, A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HT_A):
-        lo_p, lo_m = _family_lows(tag, p)
+        lo_p, lo_m = family_lows(tag, p)
         for kappa in range(-2, 3):
             for bp in grid:
                 for bm in grid:
@@ -140,11 +128,10 @@ def test_criterion_3_family_interval_tables():
                         ),
                     )
                     want = kappa + math.floor(bp - lo_p) + math.floor(bm - lo_m)
-                    report = family_fredholm(a, tag, p)
-                    assert report.fredholm
+                    pair = validate_pair(a, family_b(a, tag))
+                    report = family_fredholm(pair, tag, p)
                     assert report.kappa == want
                     assert (report.dim_ker, report.dim_coker) == (max(0, -want), max(0, want))
-                    pair = validate_pair(a, family_b(a, tag))
                     rep_c, rep_d = normalized_pair(pair, p)
                     assert rep_c.n - rep_d.n == want
                     checked += 1
@@ -164,8 +151,9 @@ def test_criterion_3_family_interval_tables():
                 JumpFactor(UnitPoint(1, 2), Exponent(bm)),
             ),
         )
-        closed = family_fredholm(a, tag, p)
-        general = defect_numbers(validate_pair(a, family_b(a, tag)), p)
+        pair = validate_pair(a, family_b(a, tag))
+        closed = family_fredholm(pair, tag, p)
+        general = defect_numbers(pair, p)
         assert (general.dim_ker, general.dim_coker) == (closed.dim_ker, closed.dim_coker)
     print(f"\n[PASS] family interval tables over {checked} grid cases match the general pipeline")
 

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from th_fredholm import cli, fredholm_engine
+from th_fredholm import cli, fredholm_engine, special_families
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 from th_fredholm.symbol_core import CanonicalSymbol
 
-from helpers import pair_from_c_and_b, random_generic_b, random_structural_c
+from helpers import family_lows, pair_from_c_and_b, random_generic_b, random_structural_c
 
 EX_CURVE_SYMBOL = {
     "jumps": [
@@ -297,6 +298,62 @@ def test_exit_codes_agree_on_general_documents(tmp_path, capsys):
     assert {0, 1} <= set(seen)
 
 
+def placed(value: Fraction, lo: Fraction) -> Fraction | None:
+    """value moved by an integer into (lo, lo + 1); None on an edge."""
+    offset = value - lo
+    return None if offset.denominator == 1 else value - math.floor(offset)
+
+
+def test_special_prints_placed_exponents(tmp_path, capsys):
+    # the printed exponents against a placement done here: the criterion-3
+    # windows at 1 and -1 and (-1/q, 1/p) for the sum over the pair at 1/3
+    rng = random.Random(909)
+    covered = set()
+    for i in range(192):
+        tag = sorted(FAMILY_B)[i % 4]
+        p = (Fraction(3, 2), Fraction(2), Fraction(3))[i // 4 % 3]
+        scale = (1.0, -1.0)[i // 12 % 2]
+        kappa = 2 * rng.randint(-1, 1) + i // 24 % 2
+        shift, sign = FAMILY_B[tag]
+        ones = [(Fraction(rng.randint(-24, 24), 16), rng.choice([0.0, rng.uniform(-0.3, 0.3)])) for _ in range(2)]
+        up = (Fraction(rng.randint(-12, 12), 16), rng.uniform(-0.3, 0.3))
+        down = (up[0] + Fraction(rng.randint(1, 8), 16), rng.uniform(-0.3, 0.3))
+        points = [(0, 1), (1, 2), (1, 3), (2, 3)]
+        jumps = [
+            {"theta_num": num, "theta_den": den, "beta": [float(re), im]}
+            for (num, den), (re, im) in zip(points, ones + [up, down])
+        ]
+        doc = {
+            "a": {"kappa": kappa, "scale": [scale, 0.0], "jumps": jumps},
+            "b": {"kappa": kappa + shift, "scale": [sign * scale, 0.0], "jumps": jumps},
+            "p": f"{p.numerator}/{p.denominator}",
+        }
+        lo_plus, lo_minus = family_lows(tag, p)
+        beta_plus, beta_minus = placed(ones[0][0], lo_plus), placed(ones[1][0], lo_minus)
+        pair_sum = placed(up[0] + down[0], 1 / p - 1)  # -1/q = 1/p - 1
+        code, out, _ = run(capsys, ["special", write_doc(tmp_path, doc)])
+        if None in (beta_plus, beta_minus, pair_sum):
+            assert code == 1, (doc, code)
+            continue
+        assert code == 0, (doc, code)
+        report = json.loads(out)
+        moved = (beta_plus - ones[0][0]) + (beta_minus - ones[1][0]) + (pair_sum - up[0] - down[0])
+        assert report["family"] == tag
+        assert report["kappa"] == kappa - moved
+        assert report["betaPlus"] == {"re": [beta_plus.numerator, beta_plus.denominator], "im": ones[0][1]}
+        assert report["betaMinus"] == {"re": [beta_minus.numerator, beta_minus.denominator], "im": ones[1][1]}
+        upper = pair_sum - down[0]
+        assert report["pairs"] == [
+            {
+                "point": [1, 3],
+                "upper": {"re": [upper.numerator, upper.denominator], "im": up[1]},
+                "lower": {"re": [down[0].numerator, down[0].denominator], "im": down[1]},
+            }
+        ]
+        covered.add((tag, p, scale, kappa % 2))
+    assert len(covered) == 4 * 3 * 2 * 2
+
+
 def test_one_gate_per_command(tmp_path, capsys, monkeypatch):
     real = fredholm_engine.fredholm_conditions
     calls = []
@@ -376,16 +433,17 @@ def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
 
 
 def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):
-    real = cli.normalized_pair
+    # skew the delta side by half a unit, so the Hankel split's gamma - delta
+    # at 1 is not an integer
+    real = special_families.defect_numbers
 
-    def shifted(pair, p):
-        rep_c, rep_d = real(pair, p)
-        return dataclasses.replace(rep_c, n=rep_c.n + 1), rep_d
+    def skewed(pair, p):
+        report = real(pair, p)
+        rep_d = dataclasses.replace(report.rep_d, gamma_plus=report.rep_d.gamma_plus + Fraction(1, 2))
+        return dataclasses.replace(report, rep_d=rep_d)
 
-    monkeypatch.setattr(cli, "normalized_pair", shifted)
-    jumps = [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]
-    doc = {"a": {"kappa": -1, "jumps": jumps}, "b": {"kappa": -1, "jumps": jumps}, "p": 2}
-    code, out, _ = run(capsys, ["special", write_doc(tmp_path, doc)])
+    monkeypatch.setattr(special_families, "defect_numbers", skewed)
+    code, out, _ = run(capsys, ["special", write_doc(tmp_path, JACOBI_FMATRIX)])
     assert code == 4
     assert json.loads(out)["errorKind"] == "internal-disagreement"
 
@@ -468,9 +526,9 @@ TWO_JUMP_DOC = {
 }
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
+INPUT_ERRORS = [
+    (doc, ["check"])
+    for doc in [
         {"a": {"kappa": -1}, "b": {"kappa": -1}},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 0.5},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": "nonsense"},
@@ -487,11 +545,17 @@ TWO_JUMP_DOC = {
         {**TWO_JUMP_DOC, "options": {"rank_tolerance": float("nan")}},
         {**TWO_JUMP_DOC, "options": {"rank_tolerance": 2.0}},
         {**TWO_JUMP_DOC, "options": {"rank_tolerance": 0.0}},
-    ],
+        {**README_DOC, "options": {"curve_samples": 0}},
+    ]
+] + [(README_DOC, ["curve", "--samples", "0"])]
+
+
+@pytest.mark.parametrize(
+    "doc,command", INPUT_ERRORS, ids=[f"doc{i}" for i in range(len(INPUT_ERRORS))]
 )
-def test_input_errors_exit_three(tmp_path, capsys, doc):
+def test_input_errors_exit_three(tmp_path, capsys, doc, command):
     path = write_doc(tmp_path, doc)
-    code, out, err = run(capsys, ["check", path])
+    code, out, err = run(capsys, [command[0], path, *command[1:]])
     assert code == 3
     assert out == ""
     assert "error:" in err

@@ -1,5 +1,6 @@
 """Structured families: classification, interval tables, the I+H split."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -36,9 +37,13 @@ from th_fredholm.symbol_core import (
 )
 from th_fredholm.wiener_hopf import rho_for_pair
 
-from helpers import hankel_split_factors, rotate_half, unimodular_symbol
+from helpers import family_lows, hankel_split_factors, rotate_half, unimodular_symbol
 
 A_DRIVEN = (A_PLUS_HA, A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HT_A)
+
+
+def family_pair(a, tag):
+    return validate_pair(a, family_b(a, tag))
 
 
 def mixed_symbol():
@@ -69,12 +74,17 @@ def test_classify_precedence():
 def test_family_b_rejects_hankel_tag():
     with pytest.raises(ValueError):
         family_b(CanonicalSymbol.one(), ID_PLUS_HANKEL)
+    one = CanonicalSymbol.one()
     with pytest.raises(ValueError):
-        family_fredholm(CanonicalSymbol.one(), ID_PLUS_HANKEL, 2)
+        family_fredholm(validate_pair(one, one), ID_PLUS_HANKEL, 2)
+    a = mixed_symbol()
+    with pytest.raises(ValueError):
+        family_fredholm(validate_pair(a, family_b(a, A_MINUS_HA)), A_PLUS_HA, 2)
 
 
 def test_monomial_kernel_dimension():
-    report = family_fredholm(CanonicalSymbol.monomial(-1), A_PLUS_HA, 2)
+    a = CanonicalSymbol.monomial(-1)
+    report = family_fredholm(validate_pair(a, a), A_PLUS_HA, 2)
     assert report.kappa == -1
     assert (report.dim_ker, report.dim_coker) == (1, 0)
     assert report.index == 1
@@ -84,29 +94,34 @@ def test_interval_contrast_between_families():
     # same symbol, same p: the beta+ windows (-3/4, 1/4) and (-1/4, 3/4)
     # land in different translates, so the winding differs by one
     a = jump_unit(0, 1, Fraction(1, 2))
-    plus = family_fredholm(a, A_PLUS_HA, 2)
+    plus = family_fredholm(family_pair(a, A_PLUS_HA), A_PLUS_HA, 2)
     assert plus.kappa == 1
     assert plus.beta_plus == Exponent(Fraction(-1, 2))
     assert (plus.dim_ker, plus.dim_coker) == (0, 1)
-    mixed = family_fredholm(a, A_MINUS_HTINV_A, 2)
+    mixed = family_fredholm(family_pair(a, A_MINUS_HTINV_A), A_MINUS_HTINV_A, 2)
     assert mixed.kappa == 0
     assert mixed.beta_plus == Exponent(Fraction(1, 2))
     assert (mixed.dim_ker, mixed.dim_coker) == (0, 0)
 
 
 def test_boundary_tie_is_an_error():
+    # an exponent on its window edge is an exact failure of the gate
     a = jump_unit(0, 1, Fraction(1, 4))
-    with pytest.raises(NotFredholm, match="boundary"):
-        family_fredholm(a, A_PLUS_HA, 2)
+    with pytest.raises(NotFredholm) as err:
+        family_fredholm(family_pair(a, A_PLUS_HA), A_PLUS_HA, 2)
+    assert err.value.report.overall == "fail"
+    assert [s.point for s in err.value.report.failures()] == [ONE]
     flat = jump_unit(1, 6, Fraction(3, 10))
     tied = multiply(flat, jump_unit(5, 6, Fraction(1, 5)))
-    with pytest.raises(NotFredholm, match="boundary"):
-        family_fredholm(tied, A_PLUS_HA, 2)
+    with pytest.raises(NotFredholm) as err:
+        family_fredholm(family_pair(tied, A_PLUS_HA), A_PLUS_HA, 2)
+    assert err.value.report.overall == "fail"
+    assert [s.point for s in err.value.report.failures()] == [UnitPoint(1, 6)]
 
 
 def test_pair_sum_drives_placement():
     a = multiply(jump_unit(1, 6, Fraction(2, 5)), jump_unit(5, 6, Fraction(3, 10)))
-    report = family_fredholm(a, A_PLUS_HA, 2)
+    report = family_fredholm(family_pair(a, A_PLUS_HA), A_PLUS_HA, 2)
     assert report.kappa == 1
     pt, up, down = report.pairs[0]
     assert pt == UnitPoint(1, 6)
@@ -116,15 +131,17 @@ def test_pair_sum_drives_placement():
 
 def test_minus_family_matches_rotated_plus_family():
     a = mixed_symbol()
-    minus = family_fredholm(a, A_MINUS_HA, Fraction(3, 2))
-    plus = family_fredholm(rotate_half(a), A_PLUS_HA, Fraction(3, 2))
+    minus = family_fredholm(family_pair(a, A_MINUS_HA), A_MINUS_HA, Fraction(3, 2))
+    rotated = rotate_half(a)
+    plus = family_fredholm(family_pair(rotated, A_PLUS_HA), A_PLUS_HA, Fraction(3, 2))
     assert minus.kappa == plus.kappa
     assert (minus.dim_ker, minus.dim_coker) == (plus.dim_ker, plus.dim_coker)
 
 
 def test_family_tables_agree_with_general_pipeline():
-    # the family winding must equal n - m of the general normalization, over
-    # betas, windings, tags, and exponents
+    # the family winding must equal n - m of the general normalization and
+    # the winding of a placement done here, over betas, windings, tags, and
+    # exponents; denominator 101 keeps every exponent off the window edges
     rng = np.random.default_rng(2024)
     p_values = (Fraction(3, 2), 2, 3)
     for _ in range(40):
@@ -141,9 +158,18 @@ def test_family_tables_agree_with_general_pipeline():
         )
         tag = A_DRIVEN[int(rng.integers(0, 4))]
         p = p_values[int(rng.integers(0, 3))]
-        report = family_fredholm(a, tag, p)
-        rep_c, rep_d = normalized_pair(validate_pair(a, family_b(a, tag)), p)
+        pair = family_pair(a, tag)
+        report = family_fredholm(pair, tag, p)
+        rep_c, rep_d = normalized_pair(pair, p)
         assert report.kappa == rep_c.n - rep_d.n
+        lo_plus, lo_minus = family_lows(tag, Fraction(p))
+        pair_sum = a.beta_at(UnitPoint(1, 7)).re + a.beta_at(UnitPoint(6, 7)).re
+        moved = (
+            math.floor(a.beta_at(ONE).re - lo_plus)
+            + math.floor(a.beta_at(MINUS_ONE).re - lo_minus)
+            + math.floor(pair_sum - (1 / Fraction(p) - 1))
+        )
+        assert report.kappa == a.kappa + moved
         assert report.dim_ker == max(0, -report.kappa)
         assert report.dim_coker == max(0, report.kappa)
 

@@ -238,7 +238,6 @@ def test_exponent_arithmetic_is_exact():
     assert (e1 - e2).re == Fraction(1, 6)
     assert (-e1).re == Fraction(-1, 3)
     assert e1.half().re == Fraction(1, 6)
-    assert e1.shift(2).re == Fraction(7, 3)
     assert Exponent.of("3/8").re == Fraction(3, 8)
     assert Exponent.of(0.25 + 1.5j) == Exponent(Fraction(1, 4), 1.5)
 

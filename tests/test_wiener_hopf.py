@@ -22,7 +22,6 @@ from th_fredholm.symbol_core import (
 from th_fredholm.wiener_hopf import (
     NotInL1Warning,
     OneSidedSeries,
-    TruncationInsufficient,
     binomial_coefficients,
     build_plus_factor,
     convolve,
@@ -175,20 +174,6 @@ def test_reciprocal_identity_random_reps():
         prod = factor.realize(256).conv(factor.realize(256, inverted=True)).coeffs
         prod[0] -= 1.0
         assert np.max(np.abs(prod)) < 1e-11
-
-
-def test_truncation_demand_can_fail():
-    # a jump on b puts an algebraic tail on the analytic side as well, so the
-    # cross convolution really does move between doublings; a 1e-13 demand at
-    # a tiny cap must then fail
-    rep = plain_rep(gamma_plus=Exponent(Fraction(-1, 8)))
-    factor = build_plus_factor(rep)
-    b = jump_unit(0, 1, Fraction(1, 4))
-    with pytest.raises(TruncationInsufficient):
-        rho_series(
-            factor, factor, b, 0, 0, 8,
-            start_order=64, max_order=256, settle_tol=0.0, tol=1e-13,
-        )
 
 
 def test_rho_trivial_pair():
