@@ -18,14 +18,17 @@ from fractions import Fraction
 from . import __version__
 from .defect_solver import DefectReport, RankUndecidable, defect_numbers
 from .fredholm_engine import (
+    EPS_BOUNDARY,
     BoundaryCase,
     ConditionReport,
     CurveThroughOrigin,
     NotFredholm,
+    PMap,
     build_hash_curve,
     exponent_pair,
     fredholm_conditions,
     normalized_pair,
+    p_map,
     winding_from_curve,
 )
 from .special_families import (
@@ -398,20 +401,43 @@ def _sweep_values(ns) -> list[Fraction]:
     return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
 
-def _sweep_row(pair: SymbolPair, p: Fraction) -> dict:
-    row = {"p": float(p), "overall": "pass", "n": None, "m": None, "index": None}
+def _verdict_entry(pmap: PMap, p: Fraction, entry: dict) -> dict:
+    """entry plus the gate's verdict at p and, on a pass, n, m and the index."""
+    entry.update(overall="pass", n=None, m=None, index=None)
     try:
-        rep_c, rep_d = normalized_pair(pair, p)
+        n, m = pmap.windings(p)
     except NotFredholm as e:
-        row["overall"] = e.report.overall
-        return row
-    row.update(n=rep_c.n, m=rep_d.n, index=rep_d.n - rep_c.n)
-    return row
+        entry["overall"] = e.report.overall
+    else:
+        entry.update(n=n, m=m, index=m - n)
+    return entry
 
 
 def cmd_sweep(job: Job, ns) -> tuple[dict, int]:
-    rows = [_sweep_row(job.pair, p) for p in _sweep_values(ns)]
+    pmap = p_map(job.pair)
+    rows = [_verdict_entry(pmap, p, {"p": float(p)}) for p in _sweep_values(ns)]
     doc = {"command": "sweep", "version": __version__, "rows": rows}
+    return doc, 0
+
+
+def cmd_pmap(job: Job, ns) -> tuple[dict, int]:
+    pmap = p_map(job.pair)
+    excluded, ends = [], []
+    for b in reversed(pmap.breakpoints):
+        entry = {
+            "sites": [{"side": side, "point": _frac(pt.turns)} for side, pt in b.sites],
+            "bandHalfWidth": float(Fraction(EPS_BOUNDARY) / b.slope),
+        }
+        if 0 < b.u < 1:
+            excluded.append({"p": _frac(1 / b.u), **entry})
+        else:
+            ends.append({"u": _frac(b.u), **entry})
+    # each interval's pair is read at its midpoint in u
+    intervals = [
+        _verdict_entry(pmap, 2 / (lo + hi), {"pFrom": _frac(1 / hi), "pTo": _frac(1 / lo) if lo else None})
+        for lo, hi in reversed(list(zip(pmap.edges[:-1], pmap.edges[1:])))
+    ]
+    doc = {"command": "pmap", "version": __version__, "excluded": excluded, "ends": ends, "intervals": intervals}
     return doc, 0
 
 
@@ -442,6 +468,7 @@ _COMMANDS = {
     "special": cmd_special,
     "verify": cmd_verify,
     "sweep": cmd_sweep,
+    "pmap": cmd_pmap,
 }
 
 
@@ -468,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "special": "structured-family fast path",
         "verify": "independent oracle suite for one instance",
         "sweep": "tabulate verdicts over a range of p",
+        "pmap": "exact excluded points of p and the (n, m) between them",
     }
     parsers = {}
     for name, help_text in specs.items():
@@ -534,7 +562,7 @@ def main(argv=None) -> int:
         return 3
     try:
         doc = _read_document(ns.input)
-        job = Job(doc, need_p=ns.command != "sweep")
+        job = Job(doc, need_p=ns.command not in ("sweep", "pmap"))
         try:
             result, code = _COMMANDS[ns.command](job, ns)
         except NotFredholm as e:

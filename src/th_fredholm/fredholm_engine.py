@@ -14,6 +14,7 @@ test suite.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -38,6 +39,8 @@ from .symbol_core import (
 )
 
 PLike = Union[int, float, str, Fraction]
+# a tested value this close to its forbidden set is a boundary case
+EPS_BOUNDARY = 1e-9
 
 
 class NotFredholm(ValueError):
@@ -157,10 +160,18 @@ def _site(side: str, point: UnitPoint, tested: Fraction, offset: Fraction, eps: 
     return SiteCondition(side=side, point=point, tested=tested, forbidden_offset=offset, distance=dist, verdict=verdict)
 
 
-def side_condition_sites(
-    s: CanonicalSymbol, big_p: Fraction, side: str, eps_boundary: float = 1e-9
-) -> list[SiteCondition]:
-    """Coset conditions for one side; big_p is p on the c side and q on the d side.
+# The forbidden offset at each kind of site is a + w/P, with P = p on the c
+# side and q on the d side: 1/2 + 1/(2P) at 1, 1/(2P) at -1, 1/P at an
+# interior jump.
+_AT_ONE, _AT_MINUS_ONE, _INTERIOR = range(3)
+_OFFSETS = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1)))
+# The same offsets as base + slope*u with u = 1/p: 1/P is u on the c side
+# and 1/q = 1 - u on the d side, so a + w/q is (a + w) - w*u.
+_LINES = {"c": _OFFSETS, "d": tuple((a + w, -w) for a, w in _OFFSETS)}
+
+
+def _site_values(s: CanonicalSymbol) -> list[tuple[UnitPoint, Fraction, int]]:
+    """(point, tested value, kind of site) for every site of s.
 
     The tested values come from the exact jump data: at 1 the half exponent
     plus the sign of the scale, at -1 additionally half the winding power,
@@ -169,23 +180,25 @@ def side_condition_sites(
     """
     ensure_unimodular(s)
     sigma = Fraction(structural_sign(s.scale), 2)
-    kappa_half = Fraction(s.kappa, 2)
-    sites = [
-        _site(side, ONE, sigma + s.beta_at(ONE).re / 2, Fraction(1, 2) + 1 / (2 * big_p), eps_boundary),
-        _site(side, MINUS_ONE, kappa_half + sigma + s.beta_at(MINUS_ONE).re / 2, 1 / (2 * big_p), eps_boundary),
-    ]
-    for j in s.jumps:
-        if j.point.in_upper_half:
-            sites.append(_site(side, j.point, j.beta.re, 1 / big_p, eps_boundary))
-    return sites
+    return [
+        (ONE, sigma + s.beta_at(ONE).re / 2, _AT_ONE),
+        (MINUS_ONE, Fraction(s.kappa, 2) + sigma + s.beta_at(MINUS_ONE).re / 2, _AT_MINUS_ONE),
+    ] + [(j.point, j.beta.re, _INTERIOR) for j in s.jumps if j.point.in_upper_half]
 
 
-def fredholm_conditions(pair: SymbolPair, p: PLike, eps_boundary: float = 1e-9) -> ConditionReport:
+def side_condition_sites(
+    s: CanonicalSymbol, u: Fraction, side: str, eps_boundary: float = EPS_BOUNDARY
+) -> list[SiteCondition]:
+    """Coset conditions for one side at u = 1/p."""
+    offsets = [base + slope * u for base, slope in _LINES[side]]
+    return [_site(side, pt, x, offsets[kind], eps_boundary) for pt, x, kind in _site_values(s)]
+
+
+def fredholm_conditions(pair: SymbolPair, p: PLike, eps_boundary: float = EPS_BOUNDARY) -> ConditionReport:
     """Tri-state coset conditions at every site of c (with p) and d (with q)."""
     pf, qf = exponent_pair(p)
-    sites = side_condition_sites(pair.c, pf, "c", eps_boundary) + side_condition_sites(
-        pair.d, qf, "d", eps_boundary
-    )
+    u = 1 / pf
+    sites = side_condition_sites(pair.c, u, "c", eps_boundary) + side_condition_sites(pair.d, u, "d", eps_boundary)
     if any(s.verdict == "fail" for s in sites):
         overall = "fail"
     elif any(s.verdict == "boundary" for s in sites):
@@ -268,8 +281,7 @@ def normalize(s: CanonicalSymbol, p: PLike, side: str = "c") -> NormalizedRep:
     site; this is the placement alone, and callers that need the verdict go
     through normalized_pair.
     """
-    pf, qf = exponent_pair(p)
-    return _from_sites(s, side_condition_sites(s, pf if side == "c" else qf, side), side)
+    return _from_sites(s, side_condition_sites(s, 1 / exponent_pair(p)[0], side), side)
 
 
 def normalized_pair(pair: SymbolPair, p: PLike) -> tuple[NormalizedRep, NormalizedRep]:
@@ -294,6 +306,87 @@ def fredholm_index(pair: SymbolPair, p: PLike) -> int:
     """Index m - n of the operator at p; raises if not Fredholm or on a boundary."""
     rep_c, rep_d = normalized_pair(pair, p)
     return rep_d.n - rep_c.n
+
+
+@dataclass(frozen=True)
+class Breakpoint:
+    """A value u = 1/p at which the listed (side, point) sites vanish.
+
+    slope is the smallest |slope| among them, so the widest epsilon band
+    around u holds the u' with |slope| * |u' - u| below EPS_BOUNDARY: there
+    the gate's distance at that site is exactly that product.
+    """
+
+    u: Fraction
+    sites: tuple[tuple[str, UnitPoint], ...]
+    slope: Fraction
+
+    def in_band(self, u: Fraction) -> bool:
+        return float(self.slope * abs(u - self.u)) < EPS_BOUNDARY
+
+
+class PMap:
+    """The exact partition of 1 < p < infinity for one pair, in u = 1/p.
+
+    breakpoints holds, sorted by u, every u where a site vanishes and whose
+    band meets 0 < u < 1, the ends and just beyond them included.  edges are
+    0, the breakpoints strictly inside and 1; interval i is the open
+    (edges[i], edges[i + 1]), on which (n, m) is constant.
+    """
+
+    def __init__(self, pair: SymbolPair, breakpoints: list[Breakpoint]):
+        self.pair = pair
+        self.breakpoints = tuple(breakpoints)
+        self.edges = (Fraction(0), *(b.u for b in breakpoints if 0 < b.u < 1), Fraction(1))
+        self._us = [b.u for b in breakpoints]
+        # no band is wider than eps / min |slope| = 2 eps
+        self._reach = 2 * Fraction(EPS_BOUNDARY)
+        self._windings: dict[int | None, tuple[int, int]] = {}
+
+    def interval(self, u: Fraction) -> int | None:
+        """Index of the open interval holding u, or None on or inside a breakpoint's band."""
+        lo = bisect.bisect_left(self._us, u - self._reach)
+        hi = bisect.bisect_right(self._us, u + self._reach)
+        if any(b.in_band(u) for b in self.breakpoints[lo:hi]):
+            return None
+        return bisect.bisect_right(self.edges, u) - 1
+
+    def windings(self, p: Fraction) -> tuple[int, int]:
+        """(n, m) at p, from the gate.
+
+        A p on or inside a band goes through normalized_pair, which raises
+        there.  Any other p reads its interval's pair, computed by
+        normalized_pair at the first such p asked for in that interval.
+        """
+        i = self.interval(1 / p)
+        if i is None or i not in self._windings:
+            rep_c, rep_d = normalized_pair(self.pair, p)
+            self._windings[i] = rep_c.n, rep_d.n
+        return self._windings[i]
+
+
+def p_map(pair: SymbolPair) -> PMap:
+    """Solve tested - base - slope*u in Z at every site of c and d for its breakpoints.
+
+    A site's solutions are spaced 1/|slope| apart; those whose band, of
+    half-width EPS_BOUNDARY/|slope|, can reach 0 < u < 1 are kept.
+    """
+    found: dict[Fraction, list[tuple[str, UnitPoint, Fraction]]] = {}
+    for s, side in ((pair.c, "c"), (pair.d, "d")):
+        for point, tested, kind in _site_values(s):
+            base, slope = _LINES[side][kind]
+            step = 1 / abs(slope)
+            reach = Fraction(EPS_BOUNDARY) * step
+            first = (tested - base) / slope
+            u = first + math.ceil((-reach - first) / step) * step
+            while u <= 1 + reach:
+                found.setdefault(u, []).append((side, point, abs(slope)))
+                u += step
+    breakpoints = [
+        Breakpoint(u, tuple((side, pt) for side, pt, _ in found[u]), min(w for _, _, w in found[u]))
+        for u in sorted(found)
+    ]
+    return PMap(pair, breakpoints)
 
 
 @dataclass(frozen=True, eq=False)

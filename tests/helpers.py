@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from th_fredholm.fredholm_engine import fredholm_conditions
+from th_fredholm import __version__
+from th_fredholm.fredholm_engine import NotFredholm, fredholm_conditions, normalized_pair
 from th_fredholm.special_families import A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HA, A_PLUS_HT_A
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
@@ -51,6 +52,21 @@ def family_lows(tag: str, p: Fraction) -> tuple[Fraction, Fraction]:
         A_MINUS_HTINV_A: (-hq, -hq),
         A_PLUS_HT_A: (deep, deep),
     }[tag]
+
+
+def gate_sweep_doc(pair: SymbolPair, ps) -> dict:
+    """The sweep document by the per-row route: normalized_pair at every p."""
+    rows = []
+    for p in ps:
+        row = {"p": float(p), "overall": "pass", "n": None, "m": None, "index": None}
+        try:
+            rep_c, rep_d = normalized_pair(pair, p)
+        except NotFredholm as e:
+            row["overall"] = e.report.overall
+        else:
+            row.update(n=rep_c.n, m=rep_d.n, index=rep_d.n - rep_c.n)
+        rows.append(row)
+    return {"command": "sweep", "version": __version__, "rows": rows}
 
 
 def sampled_fft_coeffs(s: CanonicalSymbol, N: int, oversample: int = 8) -> TwoSidedSeries:

@@ -19,6 +19,7 @@ from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 from th_fredholm.symbol_core import CanonicalSymbol
 
+import helpers
 from helpers import family_lows, pair_from_c_and_b, random_generic_b, random_structural_c
 
 EX_CURVE_SYMBOL = {
@@ -385,12 +386,18 @@ def test_one_gate_per_command(tmp_path, capsys, monkeypatch):
         calls.clear()
         code, out, _ = run(capsys, [command, write_doc(tmp_path, doc)])
         assert (code, len(calls)) == (want, 1), (command, doc, code, len(calls))
+    # sweep gates each row on or inside a band, and each interval once, at
+    # its first row outside every band; steps of 1/84 hit 8/7 and 4/3
     calls.clear()
     sweep = ["sweep", write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}}), "--p-from", "8/7", "--p-to", "2"]
-    code, out, _ = run(capsys, sweep + ["--steps", "7"])
+    code, out, _ = run(capsys, sweep + ["--steps", "73"])
     rows = json.loads(out)["rows"]
-    assert code == 0 and len(calls) == len(rows) == 7
-    assert rows[0]["overall"] == "fail" and rows[-1]["overall"] == "pass"
+    pmap = fredholm_engine.p_map(cli.Job({"a": EX_CURVE_SYMBOL, "b": {}}, need_p=False).pair)
+    located = [pmap.interval(1 / (Fraction(8, 7) + Fraction(k, 84))) for k in range(73)]
+    implied = located.count(None) + len(set(located) - {None})
+    assert code == 0 and len(rows) == 73
+    assert len(calls) == implied == 4
+    assert [row["p"] for row in rows if row["overall"] == "fail"] == [8 / 7, 4 / 3]
 
 
 def test_verify_reports_oracles(tmp_path, capsys):
@@ -481,6 +488,83 @@ def test_sweep_csv_format(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "p,verdict,n,m,index"
     assert lines[1].split(",")[1] == "fail"
+
+
+def grid(lo: Fraction, hi: Fraction, steps: int) -> list[Fraction]:
+    return [lo] if steps == 1 else [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+
+
+TINY = Fraction(1, 10**12)
+# denominator-8 exponents put the breakpoints at p = 8/k, k = 1..7
+SWEEP_GRIDS = [
+    (Fraction(8, 7), Fraction(8, 5), 13),  # hits 8/7, 4/3 and 8/5
+    (Fraction(4), Fraction(4, 3), 5),  # descending; hits 4, 8/3, 2 and 4/3
+    (Fraction(8), Fraction(2), 7),  # descending; hits 8, 4 and 2
+    (Fraction(4, 3) - TINY, Fraction(4, 3) + TINY, 3),  # boundary rows beside 4/3
+    (Fraction(8, 7) + TINY, Fraction(8, 7) - TINY, 3),
+    # p = 10^12 and 1 + 10^-12 sit in the bands of u = 1/p = 0 and u = 1,
+    # each after a row of the same interval outside every band
+    (Fraction(3), Fraction(10**12), 2),
+    (Fraction(3, 2), 1 + TINY, 2),
+    (Fraction(4, 3), Fraction(2), 1),
+]
+E34 = 2.0**-34
+# Sites 6e-11 beyond u = 1/p = 0 and beyond u = 1, with nothing else near
+# either end; and a slope-1/2 breakpoint at u = 1/2 whose band reaches past
+# a slope-1 one 9.3e-10 above it.
+def jumps_doc(*jumps) -> dict:
+    return {"a": {"jumps": [{"theta_num": n, "theta_den": d, "beta": [re, 0.0]} for n, d, re in jumps]}, "b": {}}
+
+
+EDGE_SWEEP_DOCS = [
+    jumps_doc((0, 1, 1 - E34), (1, 2, 0.5)),
+    jumps_doc((0, 1, 1 + E34), (1, 2, 0.5)),
+    jumps_doc((1, 4, 0.5 + 2.0**-30), (3, 4, 0.5 + 2.0**-30), (0, 1, 1.5)),
+]
+
+
+def frac_text(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
+
+
+def test_sweep_agrees_with_per_row_gate(tmp_path, capsys):
+    rng = np.random.default_rng(2028)
+    docs = [{"a": EX_CURVE_SYMBOL, "b": {}}] + EDGE_SWEEP_DOCS
+    for _ in range(40):
+        pair = pair_from_c_and_b(random_structural_c(rng, denom=8), random_generic_b(rng, denom=8))
+        docs.append({"a": symbol_node(pair.a), "b": symbol_node(pair.b)})
+    grids = {i: SWEEP_GRIDS for i in range(len(docs))}
+    grids[0] = SWEEP_GRIDS + [(Fraction(85, 84), Fraction(3), 168)]
+    grids[3] = SWEEP_GRIDS + [(2 + Fraction(4, 10**8), 2 - Fraction(16, 10**9), 200)]
+    verdicts = set()
+    for i, doc in enumerate(docs):
+        path = write_doc(tmp_path, doc)
+        pair = cli.Job(doc, need_p=False).pair
+        for lo, hi, steps in grids[i]:
+            want = helpers.gate_sweep_doc(pair, grid(lo, hi, steps))
+            verdicts.update(row["overall"] for row in want["rows"])
+            argv = ["sweep", path, "--p-from", frac_text(lo), "--p-to", frac_text(hi), "--steps", str(steps)]
+            assert run(capsys, argv)[:2] == (0, json.dumps(want, sort_keys=True, indent=2) + "\n"), (i, lo, hi)
+            assert run(capsys, argv + ["--format", "csv"])[:2] == (0, cli._sweep_csv(want)), (i, lo, hi)
+    assert verdicts == {"pass", "fail", "boundary"}
+
+
+def test_pmap_four_jump_example(tmp_path, capsys):
+    path = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}})
+    code, out, _ = run(capsys, ["pmap", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert [(e["p"], e["bandHalfWidth"]) for e in doc["excluded"]] == [([8, 7], 1e-9), ([4, 3], 2e-9)]
+    assert doc["excluded"][0]["sites"] == [{"side": "c", "point": [1, 4]}, {"side": "d", "point": [1, 4]}]
+    assert [e["u"] for e in doc["ends"]] == [[1, 1], [0, 1]]
+    assert [(r["pFrom"], r["pTo"], r["n"], r["m"], r["index"]) for r in doc["intervals"]] == [
+        ([1, 1], [8, 7], -1, 1, 2),
+        ([8, 7], [4, 3], 0, 0, 0),
+        ([4, 3], None, 1, 0, -1),
+    ]
+    assert run(capsys, ["pmap", path])[:2] == (0, out)
+    code, out, err = run(capsys, ["pmap", write_doc(tmp_path, {"a": {"winding": 1}, "b": {}})])
+    assert (code, out) == (3, "") and "error:" in err
 
 
 def test_byte_determinism(tmp_path, capsys):

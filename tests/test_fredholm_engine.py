@@ -18,6 +18,7 @@ from th_fredholm.fredholm_engine import (
     fredholm_index,
     normalize,
     normalized_pair,
+    p_map,
     winding_from_curve,
 )
 from th_fredholm.symbol_core import (
@@ -278,6 +279,21 @@ def test_adjoint_swap_negates_index():
         assert fredholm_index(adj, q) == -fredholm_index(pair, p)
 
 
+def on_window_edge(s: CanonicalSymbol, big_p: Fraction) -> bool:
+    """Whether an exponent of s sits on a window edge, by the conditions written out.
+
+    At 1: sigma + beta/2 in 1/2 + 1/(2P) + Z; at -1: kappa/2 + sigma + beta/2
+    in 1/(2P) + Z; at an interior jump: beta in 1/P + Z.  sigma is 1/2 when
+    the scale is -1, else 0.
+    """
+    sigma = Fraction(1, 2) if s.scale.real < 0 else Fraction(0)
+    tested = [
+        sigma + s.beta_at(ONE).re / 2 - Fraction(1, 2) - 1 / (2 * big_p),
+        Fraction(s.kappa, 2) + sigma + s.beta_at(MINUS_ONE).re / 2 - 1 / (2 * big_p),
+    ] + [j.beta.re - 1 / big_p for j in s.jumps if j.point.in_upper_half]
+    return any(x.denominator == 1 for x in tested)
+
+
 def test_conditions_equivalent_to_normalization():
     rng = np.random.default_rng(99)
     agree = failures = 0
@@ -287,14 +303,51 @@ def test_conditions_equivalent_to_normalization():
         pair = pair_from_c_and_b(c, b)
         p = Fraction(2) if rng.random() < 0.5 else Fraction(4, 3)
         report = fredholm_conditions(pair, p)
+        by_hand = on_window_edge(pair.c, p) or on_window_edge(pair.d, p / (p - 1))
         try:
             normalize(pair.c, p, side="c")
             normalize(pair.d, p, side="d")
             ok = True
         except NotFredholmOnSide:
             ok = False
-        assert ok == (report.overall != "fail")
+        assert by_hand == (report.overall == "fail") == (not ok)
         agree += 1
-        failures += not ok
+        failures += by_hand
     assert failures > 5  # the denominator-8 grid must actually hit boundaries
     assert agree == 120
+
+
+def test_p_map_four_jump_example():
+    pmap = p_map(example_pair())
+    assert {b.u for b in pmap.breakpoints if 0 < b.u < 1} == {Fraction(7, 8), Fraction(3, 4)}
+    for p, want in ((Fraction(2), 1), (Fraction(3, 2), 1), (Fraction(29, 25), 0), (Fraction(113, 100), -1)):
+        assert pmap.interval(1 / p) is not None
+        assert pmap.windings(p)[0] == want
+
+
+def test_p_map_agrees_with_conditions_random():
+    rng = np.random.default_rng(2029)
+    tiny = Fraction(1, 10**12)
+    seen = set()
+    for i in range(60):
+        denom = 8 if i % 2 else 64
+        pair = pair_from_c_and_b(random_structural_c(rng, denom=denom), random_generic_b(rng, denom=denom))
+        pmap = p_map(pair)
+        for b in pmap.breakpoints:
+            if 0 < b.u < 1:
+                report = fredholm_conditions(pair, 1 / b.u)
+                assert report.overall == "fail"
+                assert {(s.side, s.point) for s in report.sites if s.distance == 0} == set(b.sites)
+        us = [b.u + d for b in pmap.breakpoints for d in (-tiny, tiny)]
+        us += [(lo + hi) / 2 for lo, hi in zip(pmap.edges[:-1], pmap.edges[1:])]
+        us += [Fraction(int(rng.integers(1, 1000)), 1000) for _ in range(8)]
+        for u in us:
+            if not 0 < u < 1:
+                continue
+            report = fredholm_conditions(pair, 1 / u)
+            seen.add(report.overall)
+            assert (pmap.interval(u) is None) == (report.overall != "pass")
+            if report.overall == "pass":
+                rep_c, rep_d = normalized_pair(pair, 1 / u)
+                assert pmap.windings(1 / u) == (rep_c.n, rep_d.n)
+    assert seen == {"pass", "boundary"}
