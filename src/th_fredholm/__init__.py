@@ -1,127 +1,41 @@
-"""Fredholm theory, index, and defect numbers for Toeplitz plus Hankel operators."""
+"""Fredholm theory, index, and defect numbers for Toeplitz plus Hankel operators.
 
-from .defect_solver import (
-    DefectReport,
-    InsufficientCoefficients,
-    RankUndecidable,
-    defect_numbers,
-    invertibility,
-)
-from .fredholm_engine import (
-    BoundaryCase,
-    ConditionReport,
-    CurveThroughOrigin,
-    NormalizedRep,
-    NotFredholm,
-    NotFredholmOnSide,
-    build_hash_curve,
-    exponent_pair,
-    fredholm_conditions,
-    fredholm_index,
-    normalize,
-    normalized_pair,
-    p_map,
-    winding_from_curve,
-)
-from .special_families import (
-    FamilyReport,
-    JacobiData,
-    classify_family,
-    family_b,
-    family_fredholm,
-    hankel_identity_report,
-    jacobi_determinant,
-    jacobi_symbol,
-)
-from .symbol_core import (
-    CanonicalSymbol,
-    ConditionViolated,
-    EvalAtJump,
-    Exponent,
-    FourierLogPoly,
-    JumpFactor,
-    SymbolPair,
-    UnitPoint,
-    eval_symbol,
-    invert,
-    jump_unit,
-    multiply,
-    one_sided_limits,
-    tilde,
-    validate_pair,
-)
-from .verification_oracle import (
-    KernelBasis,
-    MethodDisagreement,
-    ResidualTooLarge,
-    finite_section,
-    fourier_coeffs,
-    kernel_residual_check,
-)
-from .wiener_hopf import (
-    PlusFactor,
-    RhoSeries,
-    build_plus_factor,
-    factor_reconstruction_defect,
-    rho_coefficients,
-    rho_for_pair,
-)
+The public names resolve on first use (PEP 562), each from the module that
+defines it, so importing the package loads no submodule and the exact
+commands never load numpy.
+"""
 
-__all__ = [
-    "BoundaryCase",
-    "CanonicalSymbol",
-    "ConditionReport",
-    "ConditionViolated",
-    "CurveThroughOrigin",
-    "DefectReport",
-    "EvalAtJump",
-    "Exponent",
-    "FamilyReport",
-    "FourierLogPoly",
-    "InsufficientCoefficients",
-    "JacobiData",
-    "JumpFactor",
-    "KernelBasis",
-    "MethodDisagreement",
-    "NormalizedRep",
-    "NotFredholm",
-    "NotFredholmOnSide",
-    "PlusFactor",
-    "RankUndecidable",
-    "ResidualTooLarge",
-    "RhoSeries",
-    "SymbolPair",
-    "UnitPoint",
-    "build_hash_curve",
-    "build_plus_factor",
-    "classify_family",
-    "defect_numbers",
-    "eval_symbol",
-    "exponent_pair",
-    "factor_reconstruction_defect",
-    "family_b",
-    "family_fredholm",
-    "finite_section",
-    "fourier_coeffs",
-    "fredholm_conditions",
-    "fredholm_index",
-    "hankel_identity_report",
-    "invert",
-    "invertibility",
-    "jacobi_determinant",
-    "jacobi_symbol",
-    "jump_unit",
-    "kernel_residual_check",
-    "multiply",
-    "normalize",
-    "normalized_pair",
-    "one_sided_limits",
-    "p_map",
-    "rho_coefficients",
-    "rho_for_pair",
-    "tilde",
-    "validate_pair",
-    "winding_from_curve",
-]
+import importlib
+
+_EXPORTS = {
+    "confidence": "MethodDisagreement RankUndecidable ResidualTooLarge",
+    "defect_solver": "DefectReport InsufficientCoefficients defect_numbers invertibility",
+    "fredholm_engine": (
+        "BoundaryCase ConditionReport CurveThroughOrigin NormalizedRep NotFredholm NotFredholmOnSide"
+        " build_hash_curve exponent_pair fredholm_conditions fredholm_index normalize normalized_pair"
+        " p_map winding_from_curve"
+    ),
+    "special_families": (
+        "FamilyReport JacobiData classify_family family_b family_fredholm hankel_identity_report"
+        " jacobi_determinant jacobi_symbol"
+    ),
+    "symbol_core": (
+        "CanonicalSymbol ConditionViolated EvalAtJump Exponent FourierLogPoly JumpFactor SymbolPair"
+        " UnitPoint eval_symbol invert jump_unit multiply one_sided_limits tilde validate_pair"
+    ),
+    "verification_oracle": "KernelBasis finite_section fourier_coeffs kernel_residual_check",
+    "wiener_hopf": (
+        "PlusFactor RhoSeries build_plus_factor factor_reconstruction_defect rho_coefficients rho_for_pair"
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

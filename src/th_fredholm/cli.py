@@ -10,13 +10,15 @@ two internal routes disagreed.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .defect_solver import DefectReport, RankUndecidable, defect_numbers
+from .confidence import MethodDisagreement, RankUndecidable, ResidualTooLarge
 from .fredholm_engine import (
     EPS_BOUNDARY,
     BoundaryCase,
@@ -49,15 +51,6 @@ from .symbol_core import (
     as_fraction,
     validate_pair,
 )
-from .verification_oracle import (
-    SETTLE_TOL,
-    MethodDisagreement,
-    ResidualTooLarge,
-    fourier_coeffs,
-    kernel_residual_check,
-    rho_series,
-)
-from .wiener_hopf import build_plus_factor, rho_coefficients
 
 _CONFIDENCE_ERRORS = (RankUndecidable, MethodDisagreement, ResidualTooLarge)
 
@@ -202,22 +195,6 @@ def _condition_doc(command: str, report: ConditionReport) -> dict:
     }
 
 
-def _defect_doc(command: str, report: DefectReport, p: Fraction) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "p": _frac(p),
-        "n": report.n,
-        "m": report.m,
-        "index": report.index,
-        "dimKer": report.dim_ker,
-        "dimCoker": report.dim_coker,
-        "caseTag": report.case_tag,
-        "kernelTolerance": _finite(report.kernel_tolerance),
-        "gapRatio": _finite(report.gap_ratio),
-    }
-
-
 def _exponent_doc(e: Exponent) -> dict:
     return {"re": _frac(e.re), "im": e.im}
 
@@ -242,11 +219,28 @@ def cmd_index(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_defects(job: Job, ns) -> tuple[dict, int]:
+    from .defect_solver import defect_numbers
+
     report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
-    return _defect_doc("defects", report, job.p), 0
+    doc = {
+        "command": "defects",
+        "version": __version__,
+        "p": _frac(job.p),
+        "n": report.n,
+        "m": report.m,
+        "index": report.index,
+        "dimKer": report.dim_ker,
+        "dimCoker": report.dim_coker,
+        "caseTag": report.case_tag,
+        "kernelTolerance": _finite(report.kernel_tolerance),
+        "gapRatio": _finite(report.gap_ratio),
+    }
+    return doc, 0
 
 
 def cmd_factor(job: Job, ns) -> tuple[dict, int]:
+    from .wiener_hopf import build_plus_factor
+
     order = job.truncation if job.truncation is not None else 64
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     sides = {}
@@ -343,6 +337,10 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_verify(job: Job, ns) -> tuple[dict, int]:
+    from .defect_solver import defect_numbers
+    from .verification_oracle import SETTLE_TOL, fourier_coeffs, kernel_residual_check, rho_series
+    from .wiener_hopf import build_plus_factor, rho_coefficients
+
     report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
     order = job.truncation if job.truncation is not None else 64
     series_a = fourier_coeffs(job.pair.a, order, tol=job.tolerance)
@@ -396,9 +394,9 @@ def _sweep_values(ns) -> list[Fraction]:
     hi = parse_p(ns.p_to)
     steps = ns.steps
     _require(steps >= 1, "--steps must be at least 1")
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    step = (hi - lo) / max(steps - 1, 1)
+    # an exact running sum: lo plus k steps is lo + (hi - lo) * k / (steps - 1)
+    return list(itertools.accumulate(itertools.repeat(step, steps - 1), initial=lo))
 
 
 def _verdict_entry(pmap: PMap, p: Fraction, entry: dict) -> dict:
@@ -479,6 +477,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="th-fredholm",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .confidence import RankUndecidable
 from .fredholm_engine import NotFredholm, normalized_pair
 from .symbol_core import SymbolPair
 from .wiener_hopf import RhoSeries, build_plus_factor, rho_coefficients
@@ -24,24 +25,6 @@ from .wiener_hopf import RhoSeries, build_plus_factor, rho_coefficients
 
 class InsufficientCoefficients(ValueError):
     """The rho series does not hold enough coefficients for the matrix."""
-
-
-class RankUndecidable(RuntimeError):
-    """rho's error estimate could flip the rank decision.
-
-    Attributes
-    ----------
-    tail_bound : float
-        rho's error estimate (RhoSeries.tail_bound), the coefficient
-        uncertainty propagated to the matrix.
-    critical_sv : float
-        Distance from the nearest singular value to the rank threshold.
-    """
-
-    def __init__(self, message: str, tail_bound: float, critical_sv: float):
-        super().__init__(message)
-        self.tail_bound = tail_bound
-        self.critical_sv = critical_sv
 
 
 class IllConditionedRankWarning(UserWarning):

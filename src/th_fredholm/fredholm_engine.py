@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-import numpy as np
-
 from .symbol_core import (
     MINUS_ONE,
     ONE,
@@ -341,10 +339,23 @@ class PMap:
         self._us = [b.u for b in breakpoints]
         # no band is wider than eps / min |slope| = 2 eps
         self._reach = 2 * Fraction(EPS_BOUNDARY)
+        # a u whose float is over twice the reach from every breakpoint and
+        # edge lies in no band, and floats order it among the edges exactly
+        self._near = sorted({float(v) for v in (*self._us, *self.edges)})
+        self._margin = 4 * EPS_BOUNDARY
+        self._float_edges = [float(e) for e in self.edges]
         self._windings: dict[int | None, tuple[int, int]] = {}
 
     def interval(self, u: Fraction) -> int | None:
-        """Index of the open interval holding u, or None on or inside a breakpoint's band."""
+        """Index of the open interval holding u, or None on or inside a breakpoint's band.
+
+        A u far from every breakpoint and edge is placed by float comparison;
+        any other goes through the exact band search.
+        """
+        x = float(u)
+        i = bisect.bisect_left(self._near, x - self._margin)
+        if i == len(self._near) or self._near[i] > x + self._margin:
+            return bisect.bisect_right(self._float_edges, x) - 1
         lo = bisect.bisect_left(self._us, u - self._reach)
         hi = bisect.bisect_right(self._us, u + self._reach)
         if any(b.in_band(u) for b in self.breakpoints[lo:hi]):
@@ -397,6 +408,8 @@ class CurveData:
 
     @property
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return np.concatenate([seg for _, seg in self.segments])
 
     def tags(self) -> tuple[str, ...]:
@@ -410,6 +423,8 @@ def _arc_points(z1: complex, z2: complex, theta: float, samples: int) -> np.ndar
     same coset, which reproduces the coset condition this arc encodes; that
     degeneracy is checked analytically, not by sampling.
     """
+    import numpy as np
+
     if abs(z1 - z2) < 1e-14:
         return np.empty(0, dtype=complex)
     if min(abs(z1), abs(z2)) < 1e-9:
@@ -432,6 +447,8 @@ def build_hash_curve(
     image of the upper half circle with an inserted arc at every interior
     jump, and closes with the arc from the minus limit at -1 back to 1.
     """
+    import numpy as np
+
     pf = float(as_fraction(p))
     if pf <= 1:
         raise ValueError("exponent parameter must exceed 1")
@@ -476,6 +493,8 @@ def build_hash_curve(
 
 def winding_from_curve(curve: CurveData) -> int:
     """Winding about the origin by continuous argument tracking along the polyline."""
+    import numpy as np
+
     pts = curve.points
     closed = np.concatenate([pts, pts[:1]])
     increments = np.angle(closed[1:] / closed[:-1])

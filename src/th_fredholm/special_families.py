@@ -17,8 +17,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .defect_solver import DefectReport, defect_numbers
 from .fredholm_engine import exponent_pair, normalized_pair
 from .symbol_core import (
     MINUS_ONE,
@@ -31,6 +31,9 @@ from .symbol_core import (
     multiply,
     symbols_equal,
 )
+
+if TYPE_CHECKING:
+    from .defect_solver import DefectReport
 
 
 class InternalDisagreement(RuntimeError):
@@ -178,6 +181,8 @@ def hankel_identity_report(pair: SymbolPair, p) -> FamilyReport:
     delta-side carries m.  Defect numbers come from the general four-case
     dispatch, which also gates.
     """
+    from .defect_solver import defect_numbers
+
     report = defect_numbers(pair, p)
     rep_c, rep_d = report.rep_c, report.rep_d
     n_plus = _integer_difference(rep_c.gamma_plus, rep_d.gamma_plus, "endpoint 1")

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 ExponentLike = Union["Exponent", Fraction, int, float, complex, str]
@@ -36,7 +34,8 @@ class ConditionViolated(ValueError):
     Attributes
     ----------
     deviation : float
-        Largest observed deviation from the identity.
+        A bound on |a*a~ / (b*b~) - 1| over the circle, or the deviation of
+        the jump ratio at the offending jump point.
     point : UnitPoint | None
         Offending jump point, when the violation is a mismatched jump.
     """
@@ -274,6 +273,8 @@ def eval_symbol(s: CanonicalSymbol, x: float) -> complex:
 
 def eval_many(s: CanonicalSymbol, xs: np.ndarray) -> np.ndarray:
     """Vectorized eval_symbol over a jump-avoiding grid of angles."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float) % TWO_PI
     for j in s.jumps:
         d = np.abs((xs - j.point.angle + math.pi) % TWO_PI - math.pi)
@@ -374,13 +375,17 @@ def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> 
 
     The structural parts are checked exactly: the residual e = a*a~*(b*b~)^{-1}
     must have winding index 0 and no jumps (exponent real parts cancel as
-    Fractions); the remaining smooth part is sampled on a dense jump-avoiding
-    grid and compared to 1 within tol.
+    Fractions).  What is left is e = w * exp(L) with w = scale * exp(L_0):
+    L holds the nonconstant log terms and the jumps with |Im beta| <= tol,
+    so |L| <= R = sum_{k != 0} |L_k| + pi * sum |Im beta| on the whole
+    circle, and |e - 1| <= |w - 1| + |w| * (exp(R) - 1).  That bound, not a
+    sample, is compared to tol.
 
     Raises
     ------
     ConditionViolated
-        With the largest deviation and the offending jump point, if any.
+        With the deviation bound, or the jump ratio's deviation and the
+        offending jump point.
     """
     e = multiply(multiply(a, tilde(a)), invert(multiply(b, tilde(b))))
     for j in e.jumps:
@@ -396,9 +401,13 @@ def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> 
             f"a*a~ and b*b~ have different winding index (residual kappa {e.kappa})",
             deviation=math.inf,
         )
-    grid = TWO_PI * (np.arange(512) + 0.2026) / 512
-    dev = float(np.max(np.abs(eval_many(e, grid) - 1.0)))
-    if dev > tol:
-        raise ConditionViolated(f"a*a~ != b*b~ on the circle (max deviation {dev:.3e})", deviation=dev)
+    r = sum(abs(v) for k, v in e.log_smooth.coeffs if k) + math.pi * sum(abs(j.beta.im) for j in e.jumps)
+    try:
+        w = e.scale * cmath.exp(e.log_smooth.as_dict().get(0, 0j))
+        dev = abs(w - 1.0) + abs(w) * math.expm1(r)
+    except OverflowError:
+        dev = math.inf
+    if not dev <= tol:
+        raise ConditionViolated(f"a*a~ != b*b~ on the circle (deviation bound {dev:.3e})", deviation=dev)
     b_inv = invert(b)
     return SymbolPair(a=a, b=b, c=multiply(a, b_inv), d=multiply(tilde(a), b_inv))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
 from .symbol_core import MINUS_ONE, CanonicalSymbol, FourierLogPoly, SymbolPair, eval_many
 from .wiener_hopf import (
@@ -44,14 +45,6 @@ from .wiener_hopf import (
 
 # the movement below which rho_series counts as settled
 SETTLE_TOL = 1e-9
-
-
-class MethodDisagreement(RuntimeError):
-    """Two independent computations of the same numbers disagree."""
-
-
-class ResidualTooLarge(RuntimeError):
-    """A constructed kernel candidate fails its finite-section residual."""
 
 
 @dataclass(frozen=True, eq=False)

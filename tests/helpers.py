@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from th_fredholm import __version__
-from th_fredholm.fredholm_engine import NotFredholm, fredholm_conditions, normalized_pair
+from th_fredholm.fredholm_engine import EPS_BOUNDARY, NotFredholm, PMap, fredholm_conditions, normalized_pair
 from th_fredholm.special_families import A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HA, A_PLUS_HT_A
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
@@ -67,6 +68,17 @@ def gate_sweep_doc(pair: SymbolPair, ps) -> dict:
             row.update(n=rep_c.n, m=rep_d.n, index=rep_d.n - rep_c.n)
         rows.append(row)
     return {"command": "sweep", "version": __version__, "rows": rows}
+
+
+def interval_by_fractions(pmap: PMap, u: Fraction) -> int | None:
+    """PMap.interval by the all-Fraction band search alone, with no float prefilter."""
+    us = [b.u for b in pmap.breakpoints]
+    reach = 2 * Fraction(EPS_BOUNDARY)
+    lo = bisect.bisect_left(us, u - reach)
+    hi = bisect.bisect_right(us, u + reach)
+    if any(b.in_band(u) for b in pmap.breakpoints[lo:hi]):
+        return None
+    return bisect.bisect_right(pmap.edges, u) - 1
 
 
 def sampled_fft_coeffs(s: CanonicalSymbol, N: int, oversample: int = 8) -> TwoSidedSeries:

@@ -1,6 +1,7 @@
 """Exit codes, document schemas, and determinism of the command line."""
 
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from th_fredholm import cli, fredholm_engine, special_families
+from th_fredholm import cli, defect_solver, fredholm_engine
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 from th_fredholm.symbol_core import CanonicalSymbol
@@ -441,15 +442,16 @@ def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
 
 def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):
     # skew the delta side by half a unit, so the Hankel split's gamma - delta
-    # at 1 is not an integer
-    real = special_families.defect_numbers
+    # at 1 is not an integer; hankel_identity_report reads defect_numbers
+    # from defect_solver at call time
+    real = defect_solver.defect_numbers
 
     def skewed(pair, p):
         report = real(pair, p)
         rep_d = dataclasses.replace(report.rep_d, gamma_plus=report.rep_d.gamma_plus + Fraction(1, 2))
         return dataclasses.replace(report, rep_d=rep_d)
 
-    monkeypatch.setattr(special_families, "defect_numbers", skewed)
+    monkeypatch.setattr(defect_solver, "defect_numbers", skewed)
     code, out, _ = run(capsys, ["special", write_doc(tmp_path, JACOBI_FMATRIX)])
     assert code == 4
     assert json.loads(out)["errorKind"] == "internal-disagreement"
@@ -632,6 +634,11 @@ INPUT_ERRORS = [
         {**README_DOC, "options": {"curve_samples": 0}},
     ]
 ] + [(README_DOC, ["curve", "--samples", "0"])]
+# residuals whose deviation bound overflows a float
+INPUT_ERRORS += [
+    ({"a": {"log_smooth": [{"k": 0, "re": 1000.0}]}, "b": {}, "p": 2}, ["check"]),
+    ({"a": {"log_smooth": [{"k": 1, "re": 1e300}, {"k": -1, "re": 1e300}]}, "b": {}, "p": 2}, ["check"]),
+]
 
 
 @pytest.mark.parametrize(
@@ -664,6 +671,19 @@ def test_usage_error_exits_three(capsys):
     code, _, err = run(capsys, ["sweep", "-", "--steps", "3"])
     assert code == 3
     assert "error:" in err
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, capsys):
+    path = write_doc(tmp_path, {"a": {"kappa": -1}, "b": {}, "p": 2})
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, ["index", path])
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["--version"])
+        assert stop.value.code == 0 and capsys.readouterr().out == f"th-fredholm {cli.__version__}\n"
+        assert run(capsys, ["index", path, "--steps", "3"])[0] == 3
+        assert run(capsys, ["bogus"])[0] == 3
+    assert run(capsys, ["index", path]) == first and first[0] == 0
 
 
 # The Jacobi case alpha = beta = 0, kappa = 1 of acceptance criterion 4: n = m = 1.
@@ -713,3 +733,73 @@ def test_cold_commands_do_not_import_scipy(tmp_path):
     assert seen["import"] == []
     assert seen["check"] == [0, None, []]
     assert seen["defects"] == [0, "F-matrix", []]
+
+
+EXACT_TIER_PROBE = """
+import contextlib, io, json, sys
+
+def numpy_loaded():
+    return any(name.split(".")[0] == "numpy" for name in sys.modules)
+
+import th_fredholm
+
+seen = [["import th_fredholm", numpy_loaded()]]
+from th_fredholm import cli
+
+seen.append(["import th_fredholm.cli", numpy_loaded()])
+family, general = sys.argv[1:]
+sweep = ["--p-from", "6/5", "--p-to", "3", "--steps", "25"]
+runs = [["check", family], ["index", family], ["sweep", family] + sweep, ["pmap", family],
+        ["special", family], ["special", general], ["defects", general]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([argv[0], code, numpy_loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    # README_DOC is the a-driven family T(a) + H(a); the four-jump symbol
+    # against b = 1 is General
+    family = write_doc(tmp_path, README_DOC, "family.json")
+    general = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2}, "general.json")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", EXACT_TIER_PROBE, family, general],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(result.stdout) == [
+        ["import th_fredholm", False],
+        ["import th_fredholm.cli", False],
+        ["check", 0, False],
+        ["index", 0, False],
+        ["sweep", 0, False],
+        ["pmap", 0, False],
+        ["special", 0, False],
+        ["special", 0, False],
+        # the probe is live: the numeric tier loads numpy
+        ["defects", 0, True],
+    ]
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    import th_fredholm
+    from th_fredholm import confidence, verification_oracle
+
+    star = {}
+    exec("from th_fredholm import *", star)
+    for name in th_fredholm.__all__:
+        obj = getattr(th_fredholm, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj is star[name], name
+    assert defect_solver.RankUndecidable is confidence.RankUndecidable
+    assert verification_oracle.MethodDisagreement is confidence.MethodDisagreement
+    assert verification_oracle.ResidualTooLarge is confidence.ResidualTooLarge
+    with pytest.raises(AttributeError):
+        th_fredholm.eval_many

@@ -5,8 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import pair_from_c_and_b, random_fredholm_pair, random_generic_b, random_structural_c
+from helpers import (
+    interval_by_fractions,
+    pair_from_c_and_b,
+    random_fredholm_pair,
+    random_generic_b,
+    random_structural_c,
+)
 from th_fredholm.fredholm_engine import (
+    EPS_BOUNDARY,
     BoundaryCase,
     ConditionReport,
     CurveThroughOrigin,
@@ -351,3 +358,27 @@ def test_p_map_agrees_with_conditions_random():
                 rep_c, rep_d = normalized_pair(pair, 1 / u)
                 assert pmap.windings(1 / u) == (rep_c.n, rep_d.n)
     assert seen == {"pass", "boundary"}
+
+
+def test_p_map_interval_prefilter_matches_fraction_search():
+    # the float prefilter must place every u exactly as the Fraction search does:
+    # on breakpoints, within 1e-12 and within multiples of 1e-9 of one (band
+    # edges sit at 1e-9 and 2e-9, the prefilter's margin at 4e-9), at the ends
+    rng = np.random.default_rng(2030)
+    tiny = Fraction(1, 10**12)
+    eps = Fraction(EPS_BOUNDARY)
+    seen = set()
+    for i in range(40):
+        denom = 8 if i % 2 else 64
+        pmap = p_map(pair_from_c_and_b(random_structural_c(rng, denom=denom), random_generic_b(rng, denom=denom)))
+        # 1 - 1e-20 rounds to the float 1.0
+        us = [Fraction(0), Fraction(1), tiny, 1 - tiny, -tiny, 1 + tiny, 1 - Fraction(1, 10**20)]
+        for b in pmap.breakpoints:
+            us += [b.u, b.u - tiny, b.u + tiny]
+            us += [b.u + k * eps + d for k in range(-9, 10) for d in (-tiny, 0, tiny)]
+        us += [Fraction(int(rng.integers(0, 10**6)), 10**6) for _ in range(200)]
+        for u in us:
+            got = pmap.interval(u)
+            assert got == interval_by_fractions(pmap, u), (i, u)
+            seen.add(got is None)
+    assert seen == {True, False}

@@ -24,7 +24,7 @@ from th_fredholm.symbol_core import (
     validate_pair,
 )
 
-from helpers import rotate_half
+from helpers import random_generic_b, rotate_half
 
 
 def example_c():
@@ -229,6 +229,41 @@ def test_validate_pair_rejects_smooth_residual():
         validate_pair(a, b)
     assert err.value.point is None
     assert err.value.deviation > 1e-3
+
+
+def residual(a, b):
+    """e = a*a~ / (b*b~), as validate_pair forms it."""
+    return multiply(multiply(a, tilde(a)), invert(multiply(b, tilde(b))))
+
+
+def test_validate_pair_deviation_bounds_the_sampled_maximum():
+    # a = s*b: e = s*s~ keeps s's smooth log, its constant, and a pair of
+    # imaginary jumps with |Im beta| <= tol that pass the jump check
+    rng = np.random.default_rng(2031)
+    xs = 2 * math.pi * (np.arange(4096) + 0.5) / 4096
+    tol = 1e-2
+    for _ in range(40):
+        log = {int(k): complex(rng.normal(), rng.normal()) * 0.05 for k in rng.integers(-4, 5, size=3)}
+        jumps = [JumpFactor(UnitPoint(int(num), 8), Exponent(Fraction(0), float(rng.uniform(-tol, tol))))
+                 for num in rng.choice(3, size=int(rng.integers(0, 3)), replace=False) + 1]
+        s = CanonicalSymbol(scale=1 + 0.01 * complex(rng.normal(), rng.normal()), log_smooth=log, jumps=jumps)
+        b = random_generic_b(rng)
+        sampled = float(np.max(np.abs(eval_many(residual(multiply(s, b), b), xs) - 1.0)))
+        with pytest.raises(ConditionViolated) as err:
+            validate_pair(multiply(s, b), b, tol=tol)
+        assert err.value.point is None
+        assert err.value.deviation >= sampled > tol
+
+
+def test_validate_pair_rejects_a_residual_between_grid_points():
+    # e = exp(2e-9 cos(512 x)): the old 512-point sample saw 5.9e-10 < tol
+    a = CanonicalSymbol(log_smooth={512: 1e-9})
+    e = residual(a, CanonicalSymbol.one())
+    grid = 2 * math.pi * (np.arange(512) + 0.2026) / 512
+    assert float(np.max(np.abs(eval_many(e, grid) - 1.0))) < 1e-9
+    with pytest.raises(ConditionViolated) as err:
+        validate_pair(a, CanonicalSymbol.one())
+    assert err.value.deviation >= 2e-9
 
 
 def test_exponent_arithmetic_is_exact():
