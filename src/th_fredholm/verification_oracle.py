@@ -10,16 +10,14 @@ production rho and pushed through the finite section to measure residuals.
 Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
 every open arc between its jump points, so plain composite Gauss-Legendre
 per arc converges spectrally and no grading is needed.  rho, which can blow
-up at its sites, is computed in production by graded quadrature
-(wiener_hopf.rho_coefficients); the second route kept here, rho_series,
-convolves the factor series instead and doubles their order until the
-coefficients settle.  It is independent of the quadrature, and `verify`
-compares the two on |k| <= 16.
+up at its sites, is computed in production by graded Gauss-Legendre
+quadrature (wiener_hopf.rho_coefficients); the second route kept here,
+rho_de, integrates the same pointwise values by tanh-sinh quadrature in the
+offsets from each site, and `verify` compares the two on |k| <= 16.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,24 +25,18 @@ import numpy as np
 
 from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
-from .symbol_core import MINUS_ONE, CanonicalSymbol, FourierLogPoly, SymbolPair, eval_many
+from .symbol_core import CanonicalSymbol, SymbolPair, eval_many
 from .wiener_hopf import (
     PlusFactor,
     RhoSeries,
     _fourier_integrals,
     _gauss_panels,
+    _rho_values,
     build_plus_factor,
     convolve,
-    eta_series,
     rho_coefficients,
     rho_sites,
-    smooth_minus_factor,
-    smooth_plus_factor,
-    xi_series,
 )
-
-# the movement below which rho_series counts as settled
-SETTLE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +101,7 @@ def _arc_rule(s: CanonicalSymbol, freq: int, nodes: int) -> tuple[np.ndarray, np
     """
     angles = sorted(p.angle for p in s.jump_points)
     breaks = np.array(angles + [angles[0] + 2 * math.pi] if angles else [0.0, 2 * math.pi])
-    return _gauss_panels(breaks[:-1], breaks[1:], freq, nodes, 12)
+    return _gauss_panels(breaks[:-1], breaks[1:], freq, nodes, 12)[:2]
 
 
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
@@ -226,13 +218,12 @@ def kernel_residual_check(
         else:
             weights = _null_vectors(report.matrix.matrix, report.m - report.dim_ker)
             label = "null-vector"
+        # sym[l, k] = rho_{l+n-k} + rho_{l+n+k}, read from the stored coefficients
+        l, k = np.arange(N)[:, None], np.arange(m)[None, :]
+        sym = rho.coeffs[l + n - k + keep] + rho.coeffs[l + n + k + keep]
         for idx, x in enumerate(weights):
-            g = np.zeros(N, dtype=complex)
-            for l in range(N):
-                h = -sum(
-                    x[k] * (rho.get(l + n - k) + rho.get(l + n + k)) for k in range(m)
-                )
-                g[l] = h / 2 if l <= -2 * n else h
+            g = -(sym @ x)
+            g[: max(0, 1 - 2 * n)] /= 2
             vectors.append(solve_toeplitz((col, row), g))
             tags.append(f"{label}[{idx}]")
 
@@ -262,49 +253,52 @@ def kernel_residual_check(
     return KernelBasis(tuple(vectors), tuple(tags), residuals, gram_rank)
 
 
-def rho_series(
+def rho_de(
     c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int,
-    start_order: int = 4096, max_order: int = 2**16, settle_tol: float = SETTLE_TOL,
+    tol: float = 1e-13, floor: float = 2**-10,
 ) -> RhoSeries:
-    """rho_k, |k| <= N_keep, by convolving the factor series: the second route.
+    """rho_k, |k| <= N_keep, by tanh-sinh quadrature over the half-arcs: the second route.
 
-    All same-orientation products are exact to the inner order; the lone
-    analytic-against-anti convolution is refined by doubling the inner order
-    until the kept coefficients move by less than settle_tol or the order
-    reaches max_order.  tail_bound is the last movement, an estimate (inf
-    when no doubling ran), and the series settled when it is below
-    settle_tol.
+    Each half of an arc between sites of rho, of width L, is integrated in the
+    offset u from its end site, u = L / (1 + e^{-pi sinh s}), so the nodes
+    crowd the site without cancellation (Takahasi & Mori, Publ. RIMS 9, 1974).
+    |s| runs until u^{1 + Re beta} is e^{-40} at the steepest site (e^{-600}
+    at most).  The step in s starts at 1/8 and halves until the coefficients
+    move by less than tol, or down to floor.  tail_bound, an estimate and not
+    a bound, is the last movement plus the integral of |rho| ~ u^beta below
+    the innermost nodes.  Raises ValueError where a site has Re beta <= -1.
     """
-    b_log = b.log_smooth.as_dict()
-    shift = -m - n - b.kappa
-    constant = (1.0 / b.scale) * cmath.exp(-b_log.get(0, 0j))
+    sites = rho_sites(c_plus, d_plus, b)
+    turns = sorted(sites)
+    S = len(turns)
+    room = np.array([1 + float(sites[t].re) for t in turns])
+    if room.min() <= 0:
+        raise ValueError("rho is not integrable: a site has Re beta <= -1")
+    # half-arc i < S leaves site i forward, half-arc S + i reaches site i + 1 backward
+    anchor = np.concatenate([np.arange(S), (np.arange(S) + 1) % S])
+    L = np.tile([math.pi * float((turns[(i + 1) % S] - t) % 1) for i, t in enumerate(turns)], 2)[:, None]
+    sign = np.repeat([1.0, -1.0], S)[:, None]
+    span = math.ceil(8 * math.asinh(min(600.0, 40.0 / min(1.0, room.min())) / math.pi))
 
-    def compute(order: int) -> np.ndarray:
-        analytic = smooth_plus_factor(FourierLogPoly.of({k: -v for k, v in b_log.items() if k >= 1}), order)
-        analytic = analytic.conv(eta_series(MINUS_ONE, 1.0, order))  # (1+t)
-        for j in b.jumps:
-            analytic = analytic.conv(eta_series(j.point, -j.beta.value, order))
-        anti = smooth_minus_factor(FourierLogPoly.of({k: -v for k, v in b_log.items() if k <= -1}), order)
-        anti = anti.conv(xi_series(MINUS_ONE, 1.0, order))  # (1 + 1/t)
-        for j in b.jumps:
-            anti = anti.conv(xi_series(j.point, j.beta.value, order))
-        anti = anti.conv(c_plus.realize(order).mirror())
-        anti = anti.conv(d_plus.realize(order).mirror())
-        cross = convolve(analytic.coeffs, anti.coeffs[::-1])
-        # cross index r corresponds to coefficient r - order of the unshifted product
-        out = np.empty(2 * N_keep + 1, dtype=complex)
-        for k in range(-N_keep, N_keep + 1):
-            out[k + N_keep] = constant * cross[(k - shift) + order]
-        return out
+    def total(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum of rho e^{-ikx} du/ds over the nodes s of every half-arc, and rho u at s[0]."""
+        q = np.pi * np.sinh(s)
+        e = np.exp(-np.abs(q))
+        u = sign * L * np.where(q >= 0, 1.0, e) / (1 + e)
+        index = np.repeat(anchor, s.size)
+        vals = _rho_values(c_plus, d_plus, b, m + n, sites, index, u.ravel())
+        xs = 2 * np.pi * np.array(turns, dtype=float)[index] + u.ravel()
+        du = L * (np.pi * np.cosh(s) * e / (1 + e) ** 2)
+        return _fourier_integrals(xs, du.ravel(), vals, N_keep), vals.reshape(u.shape)[:, 0] * u[:, 0]
 
-    order = start_order
-    while order < 2 * (N_keep + abs(shift)):
-        order *= 2
-    cur, move = compute(order), math.inf
-    while order < max_order:
-        order *= 2
-        prev, cur = cur, compute(order)
-        move = float(np.max(np.abs(cur - prev)))
-        if move < settle_tol:
-            break
-    return RhoSeries(cur, N_keep, order, move, shift, n, m, c_plus, d_plus, b, rho_sites(c_plus, d_plus, b))
+    h, steps = 1 / 8, span
+    acc, inner = total(h * np.arange(-steps, steps + 1))
+    coeffs, move = h * acc, math.inf
+    while move >= tol and h > floor:
+        h, steps = h / 2, 2 * steps
+        acc = acc + total(h * (2 * np.arange(-steps // 2, steps // 2) + 1))[0]
+        coeffs, prev = h * acc, coeffs
+        move = float(np.max(np.abs(coeffs - prev)))
+    estimate = move + float(np.sum(np.abs(inner) / room[anchor])) / (2 * np.pi)
+    nodes = (2 * steps + 1) * 2 * S
+    return RhoSeries(coeffs, N_keep, nodes, estimate, -m - n - b.kappa, n, m, c_plus, d_plus, b, sites)

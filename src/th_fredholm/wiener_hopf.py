@@ -9,11 +9,13 @@ converge too slowly near the jump points to be usable for pointwise work, so
 the closed forms are authoritative on the circle.
 
 rho is analytic between its sites and behaves like |x - x_s|^{beta_s} at a
-site, with beta_s exact from the structure.  The few coefficients the defect
-matrix reads come from Gauss-Legendre quadrature of the closed form, graded
-geometrically into the sites (Schwab, Computing 1994), with a coarser rule
-beside it for the error estimate.  The series route, which convolves factor
-series of doubling order, survives only as verification_oracle.rho_series.
+site, with beta_s exact from the structure.  Its values come from one
+exponent per point, every factor's site term taken from the exact offset of
+the point to that site.  The few coefficients the defect matrix reads come
+from Gauss-Legendre quadrature of those values, graded geometrically into
+the sites (Schwab, Computing 1994), with a coarser rule beside it for the
+error estimate; both rules are evaluated in one pass.  The second route,
+tanh-sinh quadrature on the same values, is verification_oracle.rho_de.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _leggauss = functools.lru_cache(maxsize=8)(leggauss)
 
 
-def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the intervals [lo_i, hi_i].
+def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes, weights and interval indices on the intervals [lo_i, hi_i].
 
     Interval i is cut into ceil(width * freq / 10) equal panels, at least
     `least`, for an integrand whose highest frequency is freq.
@@ -113,7 +115,8 @@ def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray
     index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     mid = np.repeat(lo, counts) + panel * (index + 0.5)
     x_nodes, w_nodes = _leggauss(nodes)
-    return (mid[:, None] + (panel / 2)[:, None] * x_nodes).ravel(), ((panel / 2)[:, None] * w_nodes).ravel()
+    xs = (mid[:, None] + (panel / 2)[:, None] * x_nodes).ravel()
+    return xs, ((panel / 2)[:, None] * w_nodes).ravel(), np.repeat(np.arange(lo.size), counts * nodes)
 
 
 def _fourier_integrals(xs, ws, vals, k_max: int) -> np.ndarray:
@@ -123,7 +126,7 @@ def _fourier_integrals(xs, ws, vals, k_max: int) -> np.ndarray:
     holds z^j, so (rows @ powers.T)[b, j] is the coefficient
     k = -k_max + b*block + j.
     """
-    block = 32  # 16 and 64 were slower at 5,000 nodes and k_max = 512
+    block = math.isqrt(2 * k_max) + 1  # about sqrt(2 k_max + 1): 33 powers and 32 rows at k_max = 512
     z = np.exp(-1j * xs)
     powers = np.empty((block, xs.size), dtype=complex)
     powers[0] = 1.0
@@ -163,10 +166,6 @@ class OneSidedSeries:
         full = convolve(self.coeffs, other.coeffs)[: n + 1]
         return OneSidedSeries(self.orientation, full)
 
-    def mirror(self) -> "OneSidedSeries":
-        flipped = "anti" if self.orientation == "analytic" else "analytic"
-        return OneSidedSeries(flipped, self.coeffs.copy())
-
     def eval_at(self, z: np.ndarray) -> np.ndarray:
         """Partial-sum evaluation; adequate only away from singular points."""
         zz = np.asarray(z, dtype=complex)
@@ -184,16 +183,7 @@ def eta_series(point: UnitPoint, beta: complex, N: int) -> OneSidedSeries:
     return OneSidedSeries("analytic", binomial_coefficients(b, N) * signs * tau_pow)
 
 
-def xi_series(point: UnitPoint, beta: complex, N: int) -> OneSidedSeries:
-    """(1 - tau/t)^beta as an anti-analytic series: [xi]_{-k} = C(beta,k)(-1)^k tau^{k}."""
-    b = complex(beta)
-    k = np.arange(N + 1)
-    tau_pow = np.exp(1j * point.angle * k)
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
-    return OneSidedSeries("anti", binomial_coefficients(b, N) * signs * tau_pow)
-
-
-def _exp_of_monomial(gamma: complex, k: int, N: int, orientation: str) -> OneSidedSeries:
+def _exp_of_monomial(gamma: complex, k: int, N: int) -> OneSidedSeries:
     # exp(gamma t^k): sparse terms gamma^m/m! at index k*m
     m_max = N // k
     m = np.arange(m_max + 1, dtype=float)
@@ -202,7 +192,7 @@ def _exp_of_monomial(gamma: complex, k: int, N: int, orientation: str) -> OneSid
         terms[1:] = np.cumprod(gamma / m[1:])
     coeffs = np.zeros(N + 1, dtype=complex)
     coeffs[:: k][: m_max + 1] = terms
-    return OneSidedSeries(orientation, coeffs)
+    return OneSidedSeries("analytic", coeffs)
 
 
 def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> OneSidedSeries:
@@ -214,16 +204,7 @@ def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> OneSidedSeries:
     series = OneSidedSeries("analytic", np.concatenate([[1.0 + 0j], np.zeros(N, dtype=complex)]))
     for k, v in log_smooth.coeffs:
         if k >= 1:
-            series = series.conv(_exp_of_monomial(v, k, N, "analytic"))
-    return series
-
-
-def smooth_minus_factor(log_smooth: FourierLogPoly, N: int) -> OneSidedSeries:
-    """exp of the strictly anti-analytic part (indices <= -1) of the log."""
-    series = OneSidedSeries("anti", np.concatenate([[1.0 + 0j], np.zeros(N, dtype=complex)]))
-    for k, v in log_smooth.coeffs:
-        if k <= -1:
-            series = series.conv(_exp_of_monomial(v, -k, N, "anti"))
+            series = series.conv(_exp_of_monomial(v, k, N))
     return series
 
 
@@ -313,8 +294,9 @@ class RhoSeries:
     """Two-sided coefficients of rho with their error estimate and provenance.
 
     coeffs[k + N_keep] holds rho_k.  tail_bound is an error estimate, not a
-    bound: max |fine - coarse| of the quadrature, or the oracle series' last
-    movement.  inner_N is the fine rule's node count, or the series order.
+    bound: max |fine - coarse| of the quadrature, or the tanh-sinh oracle's
+    last movement plus its inner remainder.  inner_N is the node count of the
+    fine rule, or of the oracle's last step.
     sites (rho_sites) and the structured factors give closed-form values.
     """
 
@@ -342,10 +324,13 @@ class RhoSeries:
         return float(np.max(np.abs(self.coeffs - self.coeffs[::-1])))
 
     def eval_at(self, angles: np.ndarray) -> np.ndarray:
-        """Closed-form rho on a jump-avoiding grid of angles."""
+        """Closed-form rho on a grid of angles off its sites, each read from its nearest site."""
         xs = np.asarray(angles, dtype=float)
+        turns = np.array([float(t) for t in sorted(self.sites)])
+        gaps = np.remainder(xs[:, None] - 2 * np.pi * turns + np.pi, 2 * np.pi) - np.pi
+        index = np.argmin(np.abs(gaps), axis=1)
         parts = (self.c_plus, self.d_plus, self.b_symbol, self.m + self.n, self.sites)
-        return _rho_values(*parts, np.zeros(xs.shape, dtype=int), xs)
+        return _rho_values(*parts, index, gaps[np.arange(xs.size), index])
 
 
 def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dict[Fraction, Exponent]:
@@ -371,28 +356,42 @@ def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dic
 
 
 def _rho_values(c_plus, d_plus, b, nm: int, sites: dict, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """rho at the angles 2 pi turns[index] + offsets, with turns = sorted(sites).
+    """rho at the angles 2 pi turns[index] + offsets, |offsets| <= pi, with turns = sorted(sites).
 
-    Each eta factor (1 - e^{-id})^beta, and (1+t)(1+1/t) = 4 sin^2(d/2) at
-    -1, is computed from the offset d of the angle to its site, as
-    2|sin(d/2)| and the one-sided argument (sign(d) pi - d)/2.  Near a site
-    d is exact, where e^{ix} would have lost it to the rounding of x.
+    One exponent holds the Laurent log of c_+(1/t) d_+(1/t) / b, the power
+    t^{-nm - kappa_b}, and per site its eta factor (1 - e^{-id})^eta and the
+    inverse of b's jump factor u = exp(-i beta (sign(d) pi - d)), both from
+    the offset d of the angle to the site: eta log|2 sin(d/2)| + i (eta/2 +
+    beta)(sign(d) pi - d).  Near a site d is exact, where e^{ix} would have
+    lost it to the rounding of x.  (1+t)(1+1/t) = 4 sin^2(d/2) at -1 stays a
+    factor, so rho there is 0 rather than the exponential of log(0).
     """
     turns = sorted(sites)
-    x = 2 * np.pi * np.array([float(t) for t in turns])[index] + offsets
-    z = np.exp(1j * x)
-    log = sum(v * z ** (-k) for f in (c_plus, d_plus) for k, v in f.analytic_log.coeffs)
-    vals = c_plus.constant * d_plus.constant * z ** (-nm) * np.exp(log) / eval_many(b, x)
     half = Fraction(1, 2)
-    for turn, e in sites.items():
-        base = 2 * np.pi * np.array([float((t - turn + half) % 1 - half) for t in turns])
-        d = np.fmod(base[index] + offsets, 2 * np.pi)
-        eta = e.value - (2 if turn == half else 0)
+    # table[s, a]: the offset from site s to anchor a, exact in turns before one rounding
+    table = 2 * np.pi * np.array([[float((a - s + half) % 1 - half) for a in turns] for s in turns])
+    x = 2 * np.pi * np.array([float(t) for t in turns])[index] + offsets
+    laurent = c_plus.analytic_log.tilde().plus(d_plus.analytic_log.tilde()).plus(b.log_smooth, -1).as_dict()
+    const = c_plus.constant * d_plus.constant / b.scale * cmath.exp(laurent.pop(0, 0j))
+    expo = 1j * (-nm - b.kappa) * x
+    z = np.exp(1j * x) if laurent else None
+    expo += sum(v * z**k for k, v in laurent.items())
+    jumps = {j.point.turns: j.beta.value for j in b.jumps}
+    factor = 1.0
+    for turn, row in zip(turns, table):
+        eta = sites[turn].value - (2 if turn == half else 0)
+        phase = eta / 2 + jumps.get(turn, 0)
+        if not (eta or phase or turn == half):
+            continue
+        d = row[index] + offsets
+        sine = np.sin(d / 2)
         if eta:
-            vals *= np.exp(eta * (np.log(2 * np.abs(np.sin(d / 2))) + 0.5j * (np.sign(d) * np.pi - d)))
+            expo += eta * np.log(2 * np.abs(sine))
+        if phase:
+            expo += 1j * phase * (np.sign(d) * np.pi - d)
         if turn == half:
-            vals *= 4 * np.sin(d / 2) ** 2
-    return vals
+            factor = 4 * sine**2
+    return const * np.exp(expo) * factor
 
 
 def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
@@ -403,26 +402,32 @@ def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
     graded geometrically (ratio at most 4) from the midpoint down to
     `sliver`, at exponent 0 too, so a singular site just past the anchor
     meets small panels; graded panels are cut to at most 10/freq rad.  The
-    sliver becomes nodes at `sliver` and `sliver`/2 that integrate C u^beta
-    (1 + c u) exactly, as a formal finite part when Re beta <= -1.
+    sliver becomes nodes at +-`sliver` and +-`sliver`/2 that integrate C
+    |u|^beta (1 + c u) exactly, as a formal finite part when Re beta <= -1.
     """
 
     def part(a):  # finite part of the integral of u^a over (0, sliver)
         return math.log(sliver) if a == -1 else sliver ** (a + 1) / (a + 1)
 
     turns = sorted(sites)
-    parts = []
-    for i, turn in enumerate(turns):
-        half = math.pi * float((turns[(i + 1) % len(turns)] - turn) % 1)
-        levels = math.ceil(math.log(half / sliver, 4))
-        breaks = half * (sliver / half) ** (np.arange(levels + 1) / levels)
-        d, w = _gauss_panels(breaks[1:], breaks[:-1], freq, nodes, 1)
-        for anchor, sign in ((i, 1.0), ((i + 1) % len(turns), -1.0)):
-            beta = sites[turns[anchor]].value
-            j0, j1 = part(beta), part(beta + 1) / sliver
-            caps = [sliver**-beta * (2 * j1 - j0), (sliver / 2) ** -beta * 2 * (j0 - j1)]
-            parts.append((np.full(d.size + 2, anchor), sign * np.append(d, [sliver, sliver / 2]), np.append(w, caps)))
-    return tuple(np.concatenate(c) for c in zip(*parts))
+    S = len(turns)
+    halves = np.array([math.pi * float((turns[(i + 1) % S] - t) % 1) for i, t in enumerate(turns)])
+    levels = np.array([math.ceil(math.log(h / sliver, 4)) for h in halves])
+    # level j of arc i runs from halves[i] (sliver/halves[i])^((j+1)/levels[i]) up to the same at j
+    arc = np.repeat(np.arange(S), levels)
+    j = np.arange(arc.size) - np.repeat(np.cumsum(levels) - levels, levels)
+    top, ratio = halves[arc], sliver / halves[arc]
+    lo, hi = top * ratio ** ((j + 1) / levels[arc]), top * ratio ** (j / levels[arc])
+    d, w, interval = _gauss_panels(lo, hi, freq, nodes, 1)
+    caps = []
+    for t in turns:
+        beta = sites[t].value
+        j0, j1 = part(beta), part(beta + 1) / sliver
+        caps.append([sliver**-beta * (2 * j1 - j0), (sliver / 2) ** -beta * 2 * (j0 - j1)] * 2)
+    own = arc[interval]
+    index = np.concatenate([own, (own + 1) % S, np.repeat(np.arange(S), 4)])
+    offsets = np.concatenate([d, -d, np.tile([sliver, sliver / 2, -sliver, -sliver / 2], S)])
+    return index, offsets, np.concatenate([w, w, np.ravel(caps)])
 
 
 def rho_coefficients(
@@ -441,13 +446,12 @@ def rho_coefficients(
     freq = N_keep + abs(shift) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
     sites = rho_sites(c_plus, d_plus, b)
     turns = np.array([float(t) for t in sorted(sites)])
-
-    def quadrature(nodes: int, sliver: float) -> tuple[np.ndarray, int]:
-        index, offsets, weights = _rho_rule(sites, freq, nodes, sliver)
-        vals = _rho_values(c_plus, d_plus, b, m + n, sites, index, offsets)
-        return _fourier_integrals(2 * np.pi * turns[index] + offsets, weights, vals, N_keep), index.size
-
-    (fine, count), (coarse, _) = quadrature(*FINE_RULE), quadrature(*COARSE_RULE)
+    rules = [_rho_rule(sites, freq, *rule) for rule in (FINE_RULE, COARSE_RULE)]
+    index, offsets, weights = (np.concatenate(c) for c in zip(*rules))
+    vals = _rho_values(c_plus, d_plus, b, m + n, sites, index, offsets)
+    xs, count = 2 * np.pi * turns[index] + offsets, rules[0][0].size
+    fine = _fourier_integrals(xs[:count], weights[:count], vals[:count], N_keep)
+    coarse = _fourier_integrals(xs[count:], weights[count:], vals[count:], N_keep)
     estimate = float(np.max(np.abs(fine - coarse)))
     return RhoSeries(fine, N_keep, count, estimate, shift, n, m, c_plus, d_plus, b, sites)
 

@@ -416,7 +416,7 @@ def test_verify_reports_oracles(tmp_path, capsys):
     assert report["kernel"]["maxResidual"] < 1e-6
     assert report["rho"]["evenness"] < 1e-9
     assert report["rho"]["estimate"] < 1e-12
-    assert report["rho"]["seriesDeviation"] < 1e-8
+    assert report["rho"]["oracleDeviation"] < 1e-12
 
 
 def test_verify_confidence_failure_exits_four(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Quadrature coefficients, finite sections, and explicit kernel elements."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ import pytest
 
 from th_fredholm.defect_solver import defect_numbers
 from th_fredholm.symbol_core import (
+    ONE,
     CanonicalSymbol,
+    Exponent,
     FourierLogPoly,
     jump_unit,
     multiply,
@@ -24,10 +27,10 @@ from th_fredholm.verification_oracle import (
     fourier_coeffs,
     hankel_matrix,
     kernel_residual_check,
-    rho_series,
+    rho_de,
     toeplitz_matrix,
 )
-from th_fredholm.wiener_hopf import rho_for_pair
+from th_fredholm.wiener_hopf import NotInL1Warning, build_plus_factor, convolve, rho_for_pair
 
 from helpers import sampled_fft_coeffs
 
@@ -78,11 +81,13 @@ def test_high_winding_enters_panel_count():
 
 
 def test_power_recurrence_matches_dense_kernel():
+    # the block of the recurrence grows with k_max; 0 and 16 take one and six rows
     xs, ws = _arc_rule(jump_unit(1, 3, 0.2), 512, 16)
     vals = np.exp(1j * np.sin(3 * xs)) * (1 + 0.5 * np.cos(xs))
-    ks = np.arange(-512, 513)
-    dense = (ws * vals) @ np.exp(-1j * np.outer(xs, ks)) / (2 * np.pi)
-    assert np.max(np.abs(_fourier_integrals(xs, ws, vals, 512) - dense)) < 1e-13
+    for k_max in (0, 16, 512):
+        ks = np.arange(-k_max, k_max + 1)
+        dense = (ws * vals) @ np.exp(-1j * np.outer(xs, ks)) / (2 * np.pi)
+        assert np.max(np.abs(_fourier_integrals(xs, ws, vals, k_max) - dense)) < 1e-13
 
 
 def test_series_matches_fft_for_smooth_symbol():
@@ -224,29 +229,55 @@ def test_residual_gate_trips_on_absurd_tolerance():
 
 
 def series_deviation(pair, N_keep: int, N: int) -> tuple[float, float]:
-    """Max |quadrature - series| of rho over |k| <= N, and the series' last movement."""
+    """Max |quadrature - oracle| of rho's coefficients over |k| <= N, and the oracle's estimate."""
     _, _, rho = rho_for_pair(pair, 2, N_keep=N_keep)
-    series = rho_series(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, N_keep)
-    return max(abs(rho.get(k) - series.get(k)) for k in range(-N, N + 1)), series.tail_bound
+    de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, N_keep)
+    return max(abs(rho.get(k) - de.get(k)) for k in range(-N, N + 1)), de.tail_bound
 
 
 def test_rho_series_deviation_trivial_pair():
     one = CanonicalSymbol.one()
-    assert series_deviation(validate_pair(one, one), 16, 8)[0] < 1e-9
+    assert series_deviation(validate_pair(one, one), 16, 8)[0] < 1e-12
 
 
 def test_rho_series_deviation_smooth_pair():
     c = smooth(kappa=2, log={1: 0.2, -1: -0.2})
     b = smooth(kappa=-1, scale=0.8 - 0.3j, log={1: 0.1 + 0.2j, -2: -0.15})
-    assert series_deviation(validate_pair(multiply(c, b), b), 32, 16)[0] < 1e-8
+    assert series_deviation(validate_pair(multiply(c, b), b), 32, 16)[0] < 1e-12
 
 
 def test_rho_series_deviation_mild_jump():
-    # rho has exponent -1/4 at 1, and the series is still moving by about
-    # 1.6e-5 per doubling at its 2^16 cap, with coefficients converging like
-    # order^(-3/4).  At any rate faster than order^(-0.58) the distance to the
-    # limit is below twice the last movement; the quadrature must sit there.
+    # rho has exponent -1/4 at 1; the tanh-sinh nodes reach the site in
+    # exact offsets, so the oracle settles and the two routes agree
     pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
-    deviation, movement = series_deviation(pair, 32, 16)
-    assert movement < 1e-4
-    assert deviation < 2 * movement
+    deviation, estimate = series_deviation(pair, 32, 16)
+    assert estimate < 1e-12
+    assert deviation < 1e-12
+
+
+def test_rho_de_refuses_non_integrable_rho():
+    pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
+    _, _, rho = rho_for_pair(pair, 2, N_keep=8)
+    steep = dataclasses.replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
+    with pytest.warns(NotInL1Warning), pytest.raises(ValueError, match="not integrable"):
+        rho_de(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
+
+
+def test_kernel_candidates_match_per_entry_rho_sum():
+    # each particular candidate f solves (1+t) c_+ f = g; g is read here entry
+    # by entry through RhoSeries.get, in kernel_residual_check as one array
+    c = smooth(kappa=-3, log={1: 0.3, -1: -0.3})
+    b = smooth(log={1: 0.2, -1: 0.1})
+    pair = validate_pair(multiply(c, b), b)
+    report = defect_numbers(pair, 2)
+    n, m, N = report.n, report.m, 64
+    assert (n, m) == (-1, 2)
+    rho = rho_for_pair(pair, 2, N_keep=N + abs(n) + m + 4)[2]
+    basis = kernel_residual_check(pair, 2, report, N=N)
+    c_plus = build_plus_factor(report.rep_c).realize(max(2 * N, 512)).coeffs
+    col = convolve(np.array([1.0, 1.0], dtype=complex), c_plus)[:N]
+    for k in range(m):
+        f = basis.vectors[basis.tags.index(f"particular[{k}]")]
+        g = np.array([-(rho.get(l + n - k) + rho.get(l + n + k)) for l in range(N)])
+        g[: 1 - 2 * n] /= 2
+        assert np.max(np.abs(convolve(col, f)[:N] - g)) < 1e-12

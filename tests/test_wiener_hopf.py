@@ -1,12 +1,14 @@
+import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import random_fredholm_pair
+from helpers import pair_from_c_and_b, random_fredholm_pair, random_generic_b, random_structural_c
 from th_fredholm import wiener_hopf
-from th_fredholm.fredholm_engine import NormalizedRep, normalize, normalized_pair
+from th_fredholm.fredholm_engine import BoundaryCase, NormalizedRep, NotFredholm, normalize, normalized_pair
 from th_fredholm.symbol_core import (
     MINUS_ONE,
     ONE,
@@ -30,11 +32,10 @@ from th_fredholm.wiener_hopf import (
     fft_length,
     rho_coefficients,
     rho_for_pair,
-    smooth_minus_factor,
+    rho_sites,
     smooth_plus_factor,
-    xi_series,
 )
-from th_fredholm.verification_oracle import SETTLE_TOL, rho_series
+from th_fredholm.verification_oracle import rho_de
 
 
 def example_c():
@@ -48,11 +49,11 @@ def example_c():
     )
 
 
-def series_for_pair(pair, p, N_keep, **orders):
-    """rho of a pair by the oracle's series route."""
+def oracle_for_pair(pair, p, N_keep):
+    """rho of a pair by the oracle's tanh-sinh route."""
     rep_c, rep_d = normalized_pair(pair, p)
     c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
-    return rep_c, rep_d, rho_series(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep, **orders)
+    return rep_c, rep_d, rho_de(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep)
 
 
 def plain_rep(**overrides) -> NormalizedRep:
@@ -82,14 +83,6 @@ def test_eta_series_half_exponent():
     assert s.coeffs[2] == pytest.approx(-0.125)
 
 
-def test_xi_series_is_one_plus_inverse_t():
-    s = xi_series(MINUS_ONE, 1, 8)
-    assert s.orientation == "anti"
-    assert s.coeffs[0] == pytest.approx(1.0)
-    assert s.coeffs[1] == pytest.approx(1.0)  # coefficient of t^{-1}
-    assert np.max(np.abs(s.coeffs[2:])) < 1e-15
-
-
 def test_eta_times_eta_negated_is_unit():
     point = UnitPoint(1, 3)
     prod = eta_series(point, 0.37 + 0.1j, 64).conv(eta_series(point, -0.37 - 0.1j, 64))
@@ -115,14 +108,14 @@ def test_smooth_plus_factor_exponential():
 
 
 def test_smooth_factor_splits_odd_log():
-    # phi = exp(t - 1/t): the analytic half evaluated against the anti half
-    # reproduces exp(2i sin x)
+    # phi = exp(t - 1/t): the analytic half times the analytic half of the
+    # reversed log, read at 1/t, reproduces exp(2i sin x)
     log = FourierLogPoly.of({1: 1.0, -1: -1.0})
     plus = smooth_plus_factor(log, 64)
-    minus = smooth_minus_factor(log, 64)
+    minus = smooth_plus_factor(log.tilde(), 64)
     xs = 2 * math.pi * (np.arange(100) + 0.17) / 100
     z = np.exp(1j * xs)
-    vals = plus.eval_at(z) * minus.eval_at(z)
+    vals = plus.eval_at(z) * minus.eval_at(1 / z)
     assert np.max(np.abs(vals - np.exp(2j * np.sin(xs)))) < 1e-10
 
 
@@ -178,7 +171,7 @@ def test_reciprocal_identity_random_reps():
 
 def test_rho_trivial_pair():
     pair = validate_pair(CanonicalSymbol.one(), CanonicalSymbol.one())
-    _, _, rho = series_for_pair(pair, 2, N_keep=8, start_order=64)
+    _, _, rho = oracle_for_pair(pair, 2, N_keep=8)
     assert rho.get(0) == pytest.approx(2.0, abs=1e-12)
     assert rho.get(1) == pytest.approx(1.0, abs=1e-12)
     assert rho.get(-1) == pytest.approx(1.0, abs=1e-12)
@@ -190,7 +183,7 @@ def test_rho_trivial_pair():
 def test_rho_monomial_pair_matches_trivial():
     t_inv = CanonicalSymbol.monomial(-1)
     pair = validate_pair(t_inv, t_inv)
-    rep_c, rep_d, rho = series_for_pair(pair, 2, N_keep=6, start_order=64)
+    rep_c, rep_d, rho = oracle_for_pair(pair, 2, N_keep=6)
     assert (rep_c.n, rep_d.n) == (0, 1)
     assert rho.shift == 0
     assert rho.get(0) == pytest.approx(2.0, abs=1e-12)
@@ -203,7 +196,7 @@ def test_rho_smooth_pair_against_fft_oracle():
     # an FFT of the closed form resolves to spectral accuracy
     b = CanonicalSymbol(log_smooth={1: 0.3, -1: -0.3})
     pair = validate_pair(b, b)
-    _, _, rho = series_for_pair(pair, 2, N_keep=12, start_order=256)
+    _, _, rho = oracle_for_pair(pair, 2, N_keep=12)
     M = 512
     xs = 2 * math.pi * np.arange(M) / M
     vals = (2 + 2 * np.cos(xs)) * np.exp(-0.6 * np.cos(xs))
@@ -219,9 +212,7 @@ def test_rho_evenness_randomized():
     for i in range(8):
         p = [2, Fraction(3, 2), 3][i % 3]
         pair = random_fredholm_pair(rng, p)
-        _, _, rho = series_for_pair(
-            pair, p, N_keep=16, start_order=512, max_order=4096, settle_tol=1e-10
-        )
+        _, _, rho = oracle_for_pair(pair, p, N_keep=16)
         slack = max(10 * rho.tail_bound, 1e-9)
         assert rho.evenness_defect() <= slack
 
@@ -239,7 +230,7 @@ def test_rho_closed_form_matches_coefficients_for_smooth_pair():
         ),
         b,
     )
-    _, _, rho = series_for_pair(pair, 2, N_keep=10, start_order=512)
+    _, _, rho = oracle_for_pair(pair, 2, N_keep=10)
     M = 1024
     xs = 2 * math.pi * np.arange(M) / M
     fft = np.fft.fft(rho.eval_at(xs)) / M
@@ -255,31 +246,120 @@ def test_not_in_l1_warning():
     assert np.all(np.isfinite(rho.coeffs))
 
 
-def test_quadrature_agrees_with_series_where_it_settles():
-    rng = np.random.default_rng(31)
-    settled = 0
-    for i in range(18):
+@functools.lru_cache(maxsize=1)
+def seeded_pairs():
+    """40 seeded pairs at p in {2, 3/2, 3} with their production rho, N_keep = 16."""
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(40):
         p = [2, Fraction(3, 2), 3][i % 3]
         pair = random_fredholm_pair(rng, p)
-        _, _, rho = rho_for_pair(pair, p, N_keep=16)
-        _, _, series = series_for_pair(pair, p, N_keep=16, start_order=512, max_order=8192)
-        assert rho.tail_bound < 1e-11
-        if series.tail_bound < SETTLE_TOL:
-            settled += 1
-            assert np.max(np.abs(rho.coeffs - series.coeffs)) < 1e-9
-    assert settled >= 5
+        out.append((pair, p, rho_for_pair(pair, p, N_keep=16)[2]))
+    return tuple(out)
 
 
 def steep_pair():
     """The first seeded pair whose rho has Re beta <= -0.65 at a site other than +-1."""
-    rng = np.random.default_rng(5)
-    for i in range(40):
-        p = [2, Fraction(3, 2), 3][i % 3]
-        pair = random_fredholm_pair(rng, p)
-        _, _, rho = rho_for_pair(pair, p, N_keep=16)
+    for pair, p, rho in seeded_pairs():
         if any(t not in (0, Fraction(1, 2)) and e.re <= Fraction(-65, 100) for t, e in rho.sites.items()):
             return pair, p, rho
     raise AssertionError("no steep interior site among the seeded pairs")
+
+
+def test_gate_keeps_every_rho_site_integrable():
+    # a passing site lies in its window (offset - 1, offset), u = 1/p: at 1
+    # that gives 2 gamma_c > u - 1 and 2 gamma_d > -u, at -1 2 gamma_c > u - 2
+    # and 2 gamma_d > -1 - u beside the 2 of (1+t)(1+1/t), and inside
+    # gamma_c > u - 1 and gamma_d > -u.  Every sum exceeds -1, so past the gate
+    # rho is integrable and the oracle applies.
+    rng = np.random.default_rng(11)
+    ps = [Fraction(2), Fraction(3, 2), Fraction(3), Fraction(4, 3), Fraction(101, 100), Fraction(100)]
+    least, passed = Fraction(0), 0
+    for _ in range(300):
+        pair = pair_from_c_and_b(random_structural_c(rng, denom=16), random_generic_b(rng, denom=16))
+        for p in ps:
+            try:
+                rep_c, rep_d = normalized_pair(pair, p)
+            except (NotFredholm, BoundaryCase):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", NotInL1Warning)
+                sites = rho_sites(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b)
+            least, passed = min([least, *(e.re for e in sites.values())]), passed + 1
+    assert passed >= 1000 and -1 < least < Fraction(-3, 4)
+
+
+def test_quadrature_agrees_with_de_on_seeded_pairs():
+    # the steep pair is among them; the tanh-sinh nodes reach its -0.8125 site
+    for pair, p, rho in seeded_pairs():
+        de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
+        assert rho.tail_bound < 1e-11 and de.tail_bound < 1e-12
+        assert np.max(np.abs(rho.coeffs - de.coeffs)) < 1e-12
+
+
+def test_rho_de_matches_mpmath_quad_on_steep_pair():
+    # mpmath's tanh-sinh runs in its own arithmetic on each half-arc, in
+    # w = u^{1/g} with u the offset from the end site and g = 1/(1 + Re beta)
+    # there, so the integrand u^beta du stays bounded at w = 0.  Both routes
+    # read rho through _rho_values, which test_rho_values_match_factor_products
+    # checks on its own.
+    import mpmath
+
+    _, _, rho = steep_pair()
+    de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
+    turns = sorted(rho.sites)
+    parts = (rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
+
+    @functools.lru_cache(maxsize=None)
+    def value(anchor, u):
+        return complex(wiener_hopf._rho_values(*parts, np.array([anchor]), np.array([u]))[0])
+
+    for k in (0, -5, 16):
+        total = 0
+        for i, turn in enumerate(turns):
+            width = math.pi * float((turns[(i + 1) % len(turns)] - turn) % 1)
+            for anchor, sign in ((i, 1), ((i + 1) % len(turns), -1)):
+                x0 = 2 * math.pi * float(turns[anchor])
+                g = 1 / min(1.0, 1 + float(rho.sites[turns[anchor]].re))
+
+                def f(w):
+                    u = sign * w**g
+                    return g * w ** (g - 1) * value(anchor, float(u)) * mpmath.expj(-k * (x0 + u))
+
+                total += mpmath.quad(f, [0, width ** (1 / g)])
+        assert abs(complex(total) / (2 * math.pi) - de.get(k)) < 1e-13, k
+
+
+def test_rho_values_match_factor_products():
+    # an independent pointwise route: principal powers from e^{ix} through
+    # PlusFactor.eval_tilde_at, and b through eval_many, on angles at least
+    # 1e-3 rad from every site, where neither route loses the offset
+    for pair, p, rho in seeded_pairs():
+        sites = 2 * np.pi * np.array([float(t) for t in rho.sites])
+        xs = 2 * np.pi * (np.arange(400) + 0.37) / 400
+        gap = np.abs(np.remainder(xs[:, None] - sites[None, :] + np.pi, 2 * np.pi) - np.pi).min(axis=1)
+        xs = xs[gap >= 1e-3]
+        assert xs.size >= 300
+        z = np.exp(1j * xs)
+        direct = (
+            z ** (-rho.m - rho.n) * (1 + z) * (1 + 1 / z)
+            * rho.c_plus.eval_tilde_at(z) * rho.d_plus.eval_tilde_at(z) / eval_many(rho.b_symbol, xs)
+        )
+        got = rho.eval_at(xs)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_rho_eval_at_through_minus_one_raises_no_warning():
+    # (1+t)(1+1/t) stays a factor, so rho at -1 is 0 with no log(0) inside
+    xs = np.linspace(np.pi - 1e-3, np.pi + 1e-3, 41)
+    assert np.pi in xs
+    for pair, p, rho in seeded_pairs():
+        if rho.sites[Fraction(1, 2)] != Exponent(Fraction(2)) or pair.b.jump_points:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = rho.eval_at(xs)
+        assert np.all(np.isfinite(vals)) and vals[20] == 0
 
 
 def test_steep_site_insensitive_to_sliver_width(monkeypatch):
