@@ -355,7 +355,7 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         raise MethodDisagreement(
             f"rho evenness defect {evenness:.3e} exceeds the estimate gate {even_gate:.3e}"
         )
-    # the gate's windows put every site of rho above Re beta = -1, so the oracle applies to every document
+    # the gate's windows put every site of rho above Re beta = -1; rho_de refuses, naming the site, if one is not
     de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
     oracle_dev = max(abs(rho.get(k) - de.get(k)) for k in range(-16, 17))
     oracle_gate = max(1e-8, 10.0 * (de.tail_bound + rho.tail_bound))

@@ -254,8 +254,7 @@ def kernel_residual_check(
 
 
 def rho_de(
-    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int,
-    tol: float = 1e-13, floor: float = 2**-10,
+    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int
 ) -> RhoSeries:
     """rho_k, |k| <= N_keep, by tanh-sinh quadrature over the half-arcs: the second route.
 
@@ -264,16 +263,20 @@ def rho_de(
     crowd the site without cancellation (Takahasi & Mori, Publ. RIMS 9, 1974).
     |s| runs until u^{1 + Re beta} is e^{-40} at the steepest site (e^{-600}
     at most).  The step in s starts at 1/8 and halves until the coefficients
-    move by less than tol, or down to floor.  tail_bound, an estimate and not
-    a bound, is the last movement plus the integral of |rho| ~ u^beta below
-    the innermost nodes.  Raises ValueError where a site has Re beta <= -1.
+    move by less than 1e-13, or down to 2^-10.  tail_bound, an estimate and
+    not a bound, is the last movement plus the integral of |rho| ~ u^beta
+    below the innermost nodes.  Raises MethodDisagreement, naming the site,
+    where a site has Re beta <= -1: the oracle does not apply there.
     """
     sites = rho_sites(c_plus, d_plus, b)
     turns = sorted(sites)
     S = len(turns)
+    steepest = min(turns, key=lambda t: sites[t].re)
+    if sites[steepest].re <= -1:
+        raise MethodDisagreement(
+            f"rho oracle not applicable: Re beta = {sites[steepest].re} <= -1 at turn {steepest}"
+        )
     room = np.array([1 + float(sites[t].re) for t in turns])
-    if room.min() <= 0:
-        raise ValueError("rho is not integrable: a site has Re beta <= -1")
     # half-arc i < S leaves site i forward, half-arc S + i reaches site i + 1 backward
     anchor = np.concatenate([np.arange(S), (np.arange(S) + 1) % S])
     L = np.tile([math.pi * float((turns[(i + 1) % S] - t) % 1) for i, t in enumerate(turns)], 2)[:, None]
@@ -294,7 +297,7 @@ def rho_de(
     h, steps = 1 / 8, span
     acc, inner = total(h * np.arange(-steps, steps + 1))
     coeffs, move = h * acc, math.inf
-    while move >= tol and h > floor:
+    while move >= 1e-13 and h > 2**-10:
         h, steps = h / 2, 2 * steps
         acc = acc + total(h * (2 * np.arange(-steps // 2, steps // 2) + 1))[0]
         coeffs, prev = h * acc, coeffs

@@ -142,36 +142,21 @@ def _fourier_integrals(xs, ws, vals, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OneSidedSeries:
-    """Truncated series supported on one half axis.
+    """Truncated analytic series: coeffs[k] is the coefficient of t^k."""
 
-    coeffs[k] is the coefficient of t^k for analytic orientation and of
-    t^{-k} for anti-analytic orientation.
-    """
-
-    orientation: str  # "analytic" | "anti"
     coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.orientation not in ("analytic", "anti"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
     @property
     def N(self) -> int:
         return self.coeffs.size - 1
 
     def conv(self, other: "OneSidedSeries") -> "OneSidedSeries":
-        if other.orientation != self.orientation:
-            raise ValueError("cannot convolve series of opposite orientation")
         n = max(self.N, other.N)
-        full = convolve(self.coeffs, other.coeffs)[: n + 1]
-        return OneSidedSeries(self.orientation, full)
+        return OneSidedSeries(convolve(self.coeffs, other.coeffs)[: n + 1])
 
     def eval_at(self, z: np.ndarray) -> np.ndarray:
         """Partial-sum evaluation; adequate only away from singular points."""
-        zz = np.asarray(z, dtype=complex)
-        if self.orientation == "anti":
-            zz = 1.0 / zz
-        return np.polyval(self.coeffs[::-1], zz)
+        return np.polyval(self.coeffs[::-1], np.asarray(z, dtype=complex))
 
 
 def eta_series(point: UnitPoint, beta: complex, N: int) -> OneSidedSeries:
@@ -180,7 +165,7 @@ def eta_series(point: UnitPoint, beta: complex, N: int) -> OneSidedSeries:
     k = np.arange(N + 1)
     tau_pow = np.exp(-1j * point.angle * k)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
-    return OneSidedSeries("analytic", binomial_coefficients(b, N) * signs * tau_pow)
+    return OneSidedSeries(binomial_coefficients(b, N) * signs * tau_pow)
 
 
 def _exp_of_monomial(gamma: complex, k: int, N: int) -> OneSidedSeries:
@@ -192,7 +177,7 @@ def _exp_of_monomial(gamma: complex, k: int, N: int) -> OneSidedSeries:
         terms[1:] = np.cumprod(gamma / m[1:])
     coeffs = np.zeros(N + 1, dtype=complex)
     coeffs[:: k][: m_max + 1] = terms
-    return OneSidedSeries("analytic", coeffs)
+    return OneSidedSeries(coeffs)
 
 
 def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> OneSidedSeries:
@@ -201,7 +186,7 @@ def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> OneSidedSeries:
     The index-0 log coefficient is deliberately excluded; callers split it
     into their constant bookkeeping.
     """
-    series = OneSidedSeries("analytic", np.concatenate([[1.0 + 0j], np.zeros(N, dtype=complex)]))
+    series = OneSidedSeries(np.concatenate([[1.0 + 0j], np.zeros(N, dtype=complex)]))
     for k, v in log_smooth.coeffs:
         if k >= 1:
             series = series.conv(_exp_of_monomial(v, k, N))
@@ -232,7 +217,7 @@ class PlusFactor:
             b = e.value if sign == 1 else -e.value
             series = series.conv(eta_series(point, b, N))
         const = self.constant if sign == 1 else 1.0 / self.constant
-        return OneSidedSeries("analytic", const * series.coeffs)
+        return OneSidedSeries(const * series.coeffs)
 
     def eval_at(self, z: np.ndarray) -> np.ndarray:
         """Closed-form values of c_+ on or inside the unit circle (principal powers)."""

@@ -259,7 +259,7 @@ def test_rho_de_refuses_non_integrable_rho():
     pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
     _, _, rho = rho_for_pair(pair, 2, N_keep=8)
     steep = dataclasses.replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
-    with pytest.warns(NotInL1Warning), pytest.raises(ValueError, match="not integrable"):
+    with pytest.warns(NotInL1Warning), pytest.raises(MethodDisagreement, match="not applicable.* at turn 0$"):
         rho_de(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
 
 
