@@ -12,15 +12,19 @@ not a bound, so neither is the audit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .confidence import RankUndecidable
 from .fredholm_engine import NotFredholm, normalized_pair
 from .symbol_core import SymbolPair
-from .wiener_hopf import RhoSeries, build_plus_factor, rho_coefficients
+
+if TYPE_CHECKING:  # numpy and rho load only on the F-matrix path
+    import numpy as np
+
+    from .wiener_hopf import RhoSeries
 
 
 class InsufficientCoefficients(ValueError):
@@ -82,6 +86,8 @@ def case_tag(n: int, m: int) -> str:
 
 def defect_matrix(rho: RhoSeries, n: int, m: int) -> DefectMatrix:
     """Assemble [rho_{i-j} + rho_{i+j}] for 0 <= i < n, 0 <= j < m."""
+    import numpy as np
+
     if n < 1 or m < 1:
         raise ValueError("the defect matrix exists only for n >= 1 and m >= 1")
     if rho.N_keep < n + m - 1:
@@ -100,6 +106,8 @@ def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
     Warns with IllConditionedRankWarning when the gap ratio at the rank cut
     is below 10.
     """
+    import numpy as np
+
     a = np.asarray(matrix, dtype=complex)
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -130,13 +138,12 @@ def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
 def _audit_rank(decision: RankDecision, dm: DefectMatrix) -> None:
     """Refuse when rho's error estimate, taken as if it held, could move the rank."""
     tail = dm.rho.tail_bound
-    if not np.isfinite(tail):
+    if not math.isfinite(tail):
         raise RankUndecidable("rho carries no finite error estimate", tail, 0.0)
     # entries off by up to 2*tail move the spectral norm by at most this
-    perturbation = 2.0 * tail * np.sqrt(dm.n * dm.m)
+    perturbation = 2.0 * tail * math.sqrt(dm.n * dm.m)
     sv = decision.singular_values
-    distances = np.abs(sv - decision.threshold)
-    critical = float(distances.min()) if sv.size else np.inf
+    critical = float(abs(sv - decision.threshold).min()) if sv.size else math.inf
     if perturbation >= max(critical, 1e-300):
         raise RankUndecidable(
             f"rho error estimate {tail:.3e} perturbs singular values by up to "
@@ -177,6 +184,8 @@ def defect_numbers(pair: SymbolPair, p, tol_rel: float = 1e-8) -> DefectReport:
         return DefectReport(dim_ker=-n, dim_coker=-m, **common)
     if tag == "F-count":
         return DefectReport(dim_ker=m - n, dim_coker=0, **common)
+
+    from .wiener_hopf import build_plus_factor, rho_coefficients
 
     keep = max(n + m, 16)
     rho = rho_coefficients(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, keep)

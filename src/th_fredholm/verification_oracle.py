@@ -1,19 +1,21 @@
 """Independent cross-checks for the symbolic pipeline.
 
 Fourier coefficients of a symbol come from one route, composite
-Gauss-Legendre quadrature of the defining integral over the arcs between
-jump points, with a self-check that reruns it at 3/2 the node count; finite
+Gauss-Legendre quadrature of the defining integral on equal panels over the
+circle, with a self-check that reruns it at 3/2 the node count; finite
 sections of the operator matrix are assembled from those coefficients;
 kernel candidates are built explicitly from the factorization and the
 production rho and pushed through the finite section to measure residuals.
 
 Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
-every open arc between its jump points, so plain composite Gauss-Legendre
-per arc converges spectrally and no grading is needed.  rho, which can blow
-up at its sites, is computed in production by graded Gauss-Legendre
-quadrature (wiener_hopf.rho_coefficients); the second route kept here,
-rho_de, integrates the same pointwise values by tanh-sinh quadrature in the
-offsets from each site, and `verify` compares the two on |k| <= 16.
+every open arc between its jump points, so composite Gauss-Legendre on
+panels cut at the jumps converges spectrally and needs no grading; the
+uncut panels, one panel shifted around the circle, are summed by one FFT
+(Cooley & Tukey, Math. Comp. 19, 1965).  rho, which can blow up at its
+sites, is computed in production by graded Gauss-Legendre quadrature
+(wiener_hopf.rho_coefficients); the second route kept here, rho_de,
+integrates the same pointwise values by tanh-sinh quadrature in the offsets
+from each site, and `verify` compares the two on |k| <= 16.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .wiener_hopf import (
     PlusFactor,
     RhoSeries,
     _fourier_integrals,
-    _gauss_panels,
+    _leggauss,
     _rho_values,
     build_plus_factor,
     convolve,
@@ -62,19 +64,6 @@ class TwoSidedSeries:
     def as_array(self) -> np.ndarray:
         return self.coeffs.copy()
 
-    def tilde(self) -> "TwoSidedSeries":
-        return TwoSidedSeries(self.coeffs[::-1].copy(), self.cross_deviation)
-
-    def tail_energy(self) -> np.ndarray:
-        """Energy in |k| >= j for j = 0..N; non-increasing by construction."""
-        sq = np.abs(self.coeffs) ** 2
-        out = np.empty(self.N + 1)
-        out[0] = sq.sum()
-        for j in range(1, self.N + 1):
-            out[j] = out[j - 1] - sq[self.N + j - 1] - sq[self.N - j + 1]
-        # guard the subtraction against negative rounding dust
-        return np.maximum(out, 0.0)
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteSection:
@@ -92,26 +81,31 @@ class KernelBasis:
     gram_rank: int
 
 
-def _arc_rule(s: CanonicalSymbol, freq: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on equal panels over the arcs of s.
+def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
+    """(1/2pi) sum of w f e^{-ikx} over the uncut panels, |k| <= N, by one DFT.
 
-    The arcs run between the jump angles of s (the whole circle when s has
-    none).  Each arc gets ceil(width * freq / 10) panels, at least 12, for an
-    integrand whose highest frequency is freq.
+    Panel p holds panel 0's nodes x0 shifted by 2 pi p / M.  With k = qM + r
+    the sum over p is the DFT F[r] of each node's column, periodic in k, and
+    e^{-ik x0} = e^{-iqM x0} e^{-ir x0}, so row q of E_q @ (E_r F).T holds k.
     """
-    angles = sorted(p.angle for p in s.jump_points)
-    breaks = np.array(angles + [angles[0] + 2 * math.pi] if angles else [0.0, 2 * math.pi])
-    return _gauss_panels(breaks[:-1], breaks[1:], freq, nodes, 12)[:2]
+    grid = np.zeros((M, x0.size), dtype=complex)
+    grid[whole] = vals.reshape(whole.size, x0.size) * w0
+    spectrum = np.fft.fft(grid, axis=0) * np.exp(-1j * np.outer(np.arange(M), x0))
+    qs = np.arange(-N // M, N // M + 1)
+    out = (np.exp(-1j * M * np.outer(qs, x0)) @ spectrum.T).ravel()
+    start = -N - qs[0] * M
+    return out[start : start + 2 * N + 1] / (2 * np.pi)
 
 
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
-    """Coefficients f_k, |k| <= N, by Gauss-Legendre quadrature over the arcs.
+    """Coefficients f_k, |k| <= N, by Gauss-Legendre quadrature on M equal panels.
 
-    The panels of _arc_rule are sized for the highest frequency in the
-    integrand, N + |kappa| + the top degree of log_smooth.  The returned
-    values use 24 nodes per panel; the maximum difference from the same
-    rule at 16 nodes is recorded as cross_deviation.  That is an estimate
-    of the error, not a bound.
+    M = max(12, ceil(2 pi freq / 10)) for the highest frequency in the
+    integrand, freq = N + |kappa| + the top degree of log_smooth.  A jump
+    strictly inside a panel (turns * M not an integer, so never a jump at 1)
+    cuts it; the pieces are summed directly, the uncut panels by one FFT.
+    The values use 24 nodes per panel; their largest difference from 16
+    nodes is cross_deviation, an estimate of the error, not a bound.
 
     Raises
     ------
@@ -119,12 +113,28 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
         When the 16- and 24-node values differ by more than tol.
     """
     freq = N + abs(s.kappa) + max((abs(k) for k, _ in s.log_smooth.coeffs), default=0)
-
-    def quadrature(nodes: int) -> np.ndarray:
-        xs, ws = _arc_rule(s, freq, nodes)
-        return _fourier_integrals(xs, ws, eval_many(s, xs), N)
-
-    coarse, fine = quadrature(16), quadrature(24)
+    M = max(12, math.ceil(2 * math.pi * freq / 10))
+    h = 2 * math.pi / M
+    cuts: dict[int, list[float]] = {}
+    for pt in s.jump_points:  # in turn order, so each panel's cuts come sorted
+        if (pt.turns * M).denominator != 1:
+            cuts.setdefault(math.floor(pt.turns * M), []).append(pt.angle)
+    # piece 0 is panel 0, the template of the uncut panels; the rest are the pieces of cut panels
+    edges = [[p * h, *angles, (p + 1) * h] for p, angles in cuts.items()]
+    lo = np.array([0.0, *(x for e in edges for x in e[:-1])])
+    half = (np.array([h, *(x for e in edges for x in e[1:])]) - lo)[:, None] / 2
+    whole = np.array([p for p in range(M) if p not in cuts], dtype=int)
+    rules = []
+    for nodes in (16, 24):  # one Gauss panel per piece: none is wider than h
+        x, w = _leggauss(nodes)
+        xs, ws = lo[:, None] + half * (1 + x), half * w
+        rules.append((xs[0], ws[0], (whole[:, None] * h + xs[0]).ravel(), xs[1:].ravel(), ws[1:].ravel()))
+    vals = eval_many(s, np.concatenate([part for rule in rules for part in rule[2:4]]))  # both rules at once
+    sums = []
+    for x0, w0, grid, xs, ws in rules:
+        v, c, vals = vals[: grid.size], vals[grid.size : grid.size + xs.size], vals[grid.size + xs.size :]
+        sums.append(_panel_sums(x0, w0, v, whole, M, N) + _fourier_integrals(xs, ws, c, N))
+    coarse, fine = sums
     deviation = float(np.max(np.abs(fine - coarse)))
     if deviation > tol:
         raise MethodDisagreement(

@@ -747,10 +747,11 @@ seen = [["import th_fredholm", numpy_loaded()]]
 from th_fredholm import cli
 
 seen.append(["import th_fredholm.cli", numpy_loaded()])
-family, general = sys.argv[1:]
+family, general, hankel = sys.argv[1:]
 sweep = ["--p-from", "6/5", "--p-to", "3", "--steps", "25"]
 runs = [["check", family], ["index", family], ["sweep", family] + sweep, ["pmap", family],
-        ["special", family], ["special", general], ["defects", general]]
+        ["special", family], ["special", general], ["defects", general], ["special", hankel],
+        ["factor", general]]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -761,14 +762,16 @@ print(json.dumps(seen))
 
 def test_exact_commands_do_not_import_numpy(tmp_path):
     # README_DOC is the a-driven family T(a) + H(a); the four-jump symbol
-    # against b = 1 is General
+    # against b = 1 is General and G-zero; a = 1, b = t^2 u(i,1/4) u(-i,1/4)
+    # is identity-plus-Hankel and G-count
     family = write_doc(tmp_path, README_DOC, "family.json")
     general = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2}, "general.json")
+    hankel = write_doc(tmp_path, {**TWO_JUMP_DOC, "b": {**TWO_JUMP_DOC["b"], "kappa": 2}}, "hankel.json")
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
-        [sys.executable, "-c", EXACT_TIER_PROBE, family, general],
+        [sys.executable, "-c", EXACT_TIER_PROBE, family, general, hankel],
         capture_output=True,
         text=True,
         env=env,
@@ -784,8 +787,11 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         ["pmap", 0, False],
         ["special", 0, False],
         ["special", 0, False],
+        # counted defects are integer arithmetic
+        ["defects", 0, False],
+        ["special", 0, False],
         # the probe is live: the numeric tier loads numpy
-        ["defects", 0, True],
+        ["factor", 0, True],
     ]
 
 

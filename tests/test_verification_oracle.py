@@ -9,10 +9,14 @@ import pytest
 
 from th_fredholm.defect_solver import defect_numbers
 from th_fredholm.symbol_core import (
+    MINUS_ONE,
     ONE,
     CanonicalSymbol,
     Exponent,
     FourierLogPoly,
+    JumpFactor,
+    UnitPoint,
+    eval_many,
     jump_unit,
     multiply,
     validate_pair,
@@ -21,7 +25,6 @@ from th_fredholm.verification_oracle import (
     MethodDisagreement,
     ResidualTooLarge,
     TwoSidedSeries,
-    _arc_rule,
     _fourier_integrals,
     finite_section,
     fourier_coeffs,
@@ -30,7 +33,7 @@ from th_fredholm.verification_oracle import (
     rho_de,
     toeplitz_matrix,
 )
-from th_fredholm.wiener_hopf import NotInL1Warning, build_plus_factor, convolve, rho_for_pair
+from th_fredholm.wiener_hopf import NotInL1Warning, _gauss_panels, build_plus_factor, convolve, rho_for_pair
 
 from helpers import sampled_fft_coeffs
 
@@ -80,9 +83,71 @@ def test_high_winding_enters_panel_count():
     assert np.max(np.abs(series.as_array())) < 1e-12
 
 
+@pytest.mark.parametrize("N", [8, 64, 255, 512])
+def test_jump_inside_a_panel_against_closed_form(N):
+    # a jump at turn 1/3 cuts a panel unless 3 divides the panel count M:
+    # M = 12 at N = 8 puts it on a panel edge, M = 41, 161, 322 cut
+    beta = 0.3
+    series = fourier_coeffs(jump_unit(1, 3, beta), N)
+    ks = np.arange(-N, N + 1)
+    want = np.exp(-2j * np.pi * ks / 3) * np.sin(np.pi * beta) / (np.pi * (beta - ks))
+    assert np.max(np.abs(series.as_array() - want)) < 1e-12
+    assert series.cross_deviation < 1e-12
+
+
+def test_two_jumps_inside_one_panel_against_mpmath():
+    import mpmath
+
+    # at N = 8 there are 12 panels; turns 1/97 and 1/96 both cut panel 0
+    jumps = ((UnitPoint(1, 97), Fraction(3, 10)), (UnitPoint(1, 96), Fraction(-1, 5)))
+    s = CanonicalSymbol(
+        kappa=1,
+        log_smooth=FourierLogPoly.of({1: 0.2, -1: 0.1j}),
+        jumps=tuple(JumpFactor(pt, Exponent.of(beta)) for pt, beta in jumps),
+    )
+    series = fourier_coeffs(s, 8)
+    with mpmath.workdps(20):
+        two_pi = 2 * mpmath.pi
+        cuts = [two_pi * mpmath.mpf(pt.num) / pt.den for pt, _ in jumps]
+
+        def symbol(x):  # t exp(0.2 t + 0.1i/t) u(tau_1, 3/10) u(tau_2, -1/5) at t = e^{ix}
+            z = mpmath.expj(x)
+            val = z * mpmath.exp(0.2 * z + 0.1j / z)
+            for theta, (_, beta) in zip(cuts, jumps):
+                offset = x - theta if x > theta else x - theta + two_pi
+                val *= mpmath.expj(mpmath.mpf(beta.numerator) / beta.denominator * (offset - mpmath.pi))
+            return val
+
+        for k in (-8, -3, -1, 0, 1, 2, 5, 8):
+            want = mpmath.quad(lambda x: symbol(x) * mpmath.expj(-k * x), [0, *cuts, two_pi]) / two_pi
+            assert abs(series.get(k) - complex(want)) < 1e-12
+
+
+def arc_rule_coeffs(s: CanonicalSymbol, N: int) -> TwoSidedSeries:
+    """f_k by 24-node Gauss-Legendre panels over the arcs between the jumps, summed densely."""
+    angles = sorted(pt.angle for pt in s.jump_points)
+    freq = N + abs(s.kappa) + max((abs(k) for k, _ in s.log_smooth.coeffs), default=0)
+    xs, ws, _ = _gauss_panels(np.array(angles), np.array(angles[1:] + [angles[0] + 2 * np.pi]), freq, 24, 12)
+    ks = np.arange(-N, N + 1)
+    return TwoSidedSeries((ws * eval_many(s, xs)) @ np.exp(-1j * np.outer(xs, ks)) / (2 * np.pi))
+
+
+def test_finite_section_with_jumps_at_plus_minus_one():
+    # a = b = t^-2 u(1, 1/8) u(-1, 1/8): n = 0, m = 2, a two-dimensional kernel.
+    # At section 64, a's 41 panels put -1 inside panel 20; b's 82 put it on an edge.
+    jumps = multiply(jump_unit(0, 1, Fraction(1, 8)), jump_unit(1, 2, Fraction(1, 8)))
+    a = multiply(CanonicalSymbol.monomial(-2), jumps)
+    assert a.jump_points == (ONE, MINUS_ONE)
+    pair = validate_pair(a, a)
+    assert defect_numbers(pair, 2).dim_ker == 2
+    want = toeplitz_matrix(arc_rule_coeffs(a, 63), 64) + hankel_matrix(arc_rule_coeffs(a, 127), 64)
+    assert np.max(np.abs(finite_section(pair, 64).matrix - want)) < 1e-13
+
+
 def test_power_recurrence_matches_dense_kernel():
     # the block of the recurrence grows with k_max; 0 and 16 take one and six rows
-    xs, ws = _arc_rule(jump_unit(1, 3, 0.2), 512, 16)
+    # 16-node Gauss-Legendre panels once around the circle from turn 1/3
+    xs, ws, _ = _gauss_panels(np.array([2 * np.pi / 3]), np.array([8 * np.pi / 3]), 512, 16, 12)
     vals = np.exp(1j * np.sin(3 * xs)) * (1 + 0.5 * np.cos(xs))
     for k_max in (0, 16, 512):
         ks = np.arange(-k_max, k_max + 1)
@@ -99,12 +164,10 @@ def test_series_matches_fft_for_smooth_symbol():
 
 def test_two_sided_series_accessors():
     series = fourier_coeffs(smooth(log={1: 0.5}), 8)
+    assert series.N == 8
+    assert series.get(-3) == series.as_array()[5]
     with pytest.raises(IndexError):
         series.get(9)
-    flipped = series.tilde()
-    assert flipped.get(-3) == series.get(3)
-    energy = series.tail_energy()
-    assert np.all(np.diff(energy) <= 1e-15)
 
 
 def test_method_disagreement_on_absurd_tolerance():
@@ -161,8 +224,9 @@ def test_toeplitz_hankel_product_identities():
         ab = TwoSidedSeries(fftconvolve(a.as_array(), b.as_array())[M : 3 * M + 1])
         ta, tb = toeplitz_matrix(a, N), toeplitz_matrix(b, N)
         ha, hb = hankel_matrix(a, N), hankel_matrix(b, N)
-        tbt = toeplitz_matrix(b.tilde(), N)
-        hbt = hankel_matrix(b.tilde(), N)
+        b_tilde = TwoSidedSeries(b.as_array()[::-1])
+        tbt = toeplitz_matrix(b_tilde, N)
+        hbt = hankel_matrix(b_tilde, N)
         mid = slice(N // 4, 3 * N // 4)
         lhs = toeplitz_matrix(ab, N)[mid, mid]
         rhs = (ta @ tb + ha @ hbt)[mid, mid]
