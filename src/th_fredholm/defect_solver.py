@@ -90,13 +90,13 @@ def defect_matrix(rho: RhoSeries, n: int, m: int) -> DefectMatrix:
 
     if n < 1 or m < 1:
         raise ValueError("the defect matrix exists only for n >= 1 and m >= 1")
-    if rho.N_keep < n + m - 1:
+    if 1 - m not in rho.ks or n + m - 2 not in rho.ks:
         raise InsufficientCoefficients(
-            f"need rho up to |k| = {n + m - 2}, kept only {rho.N_keep}"
+            f"need rho_k for {1 - m} <= k <= {n + m - 2}, kept only {rho.ks.start}..{rho.ks.stop - 1}"
         )
     i = np.arange(n)[:, None]
     j = np.arange(m)[None, :]
-    out = rho.coeffs[i - j + rho.N_keep] + rho.coeffs[i + j + rho.N_keep]
+    out = rho.coeffs[i - j - rho.ks.start] + rho.coeffs[i + j - rho.ks.start]
     return DefectMatrix(n=n, m=m, matrix=out, rho=rho)
 
 

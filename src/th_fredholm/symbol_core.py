@@ -272,25 +272,24 @@ def eval_symbol(s: CanonicalSymbol, x: float) -> complex:
 
 
 def eval_many(s: CanonicalSymbol, xs: np.ndarray) -> np.ndarray:
-    """Vectorized eval_symbol over a jump-avoiding grid of angles."""
+    """Vectorized eval_symbol over a jump-avoiding grid of angles.
+
+    kappa x, the log polynomial (of z = e^{ix}) and every jump phase add into one exponent.
+    """
     import numpy as np
 
     xs = np.asarray(xs, dtype=float) % TWO_PI
-    for j in s.jumps:
-        d = np.abs((xs - j.point.angle + math.pi) % TWO_PI - math.pi)
-        if np.any(d < 1e-13):
-            raise EvalAtJump(f"grid hits the jump at {j.point}")
-    z = np.exp(1j * xs)
-    val = np.full(xs.shape, s.scale, dtype=complex) * np.exp(1j * s.kappa * xs)
-    if not s.log_smooth.is_empty:
-        acc = np.zeros(xs.shape, dtype=complex)
-        for k, v in s.log_smooth.coeffs:
-            acc += v * z**k
-        val *= np.exp(acc)
+    expo = 1j * s.kappa * xs
     for j in s.jumps:
         xp = (xs - j.point.angle) % TWO_PI
-        val *= np.exp(1j * j.beta.value * (xp - math.pi))
-    return val
+        if np.any((xp < 1e-13) | (xp > TWO_PI - 1e-13)):
+            raise EvalAtJump(f"grid hits the jump at {j.point}")
+        expo += 1j * j.beta.value * (xp - math.pi)
+    if not s.log_smooth.is_empty:
+        z = np.exp(1j * xs)
+        for k, v in s.log_smooth.coeffs:
+            expo += v * z**k
+    return s.scale * np.exp(expo)
 
 
 def one_sided_limits(s: CanonicalSymbol, point: UnitPoint) -> tuple[complex, complex]:

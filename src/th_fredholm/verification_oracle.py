@@ -2,10 +2,11 @@
 
 Fourier coefficients of a symbol come from one route, composite
 Gauss-Legendre quadrature of the defining integral on equal panels over the
-circle, with a self-check that reruns it at 3/2 the node count; finite
-sections of the operator matrix are assembled from those coefficients;
-kernel candidates are built explicitly from the factorization and the
-production rho and pushed through the finite section to measure residuals.
+circle, with a self-check that reruns it at 3/2 the node count.  Kernel
+candidates are built explicitly from the factorization and the production
+rho, and their finite-section residuals T_N f + H_N f come from two FFT
+convolutions with those coefficients; finite_section assembles the dense
+N x N matrix, the reference the tests compare the residuals against.
 
 Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
 every open arc between its jump points, so composite Gauss-Legendre on
@@ -133,7 +134,7 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     sums = []
     for x0, w0, grid, xs, ws in rules:
         v, c, vals = vals[: grid.size], vals[grid.size : grid.size + xs.size], vals[grid.size + xs.size :]
-        sums.append(_panel_sums(x0, w0, v, whole, M, N) + _fourier_integrals(xs, ws, c, N))
+        sums.append(_panel_sums(x0, w0, v, whole, M, N) + _fourier_integrals(xs, ws, c, range(-N, N + 1)))
     coarse, fine = sums
     deviation = float(np.max(np.abs(fine - coarse)))
     if deviation > tol:
@@ -188,13 +189,17 @@ def kernel_residual_check(
     read off the coefficients of -rho (t^k + t^{-k}).  For n > 0 the same
     solve runs over the null vectors of the defect matrix, so the basis count
     always equals the reported kernel dimension.  rho comes from
-    wiener_hopf.rho_coefficients, the route the defect matrix is built from.
+    wiener_hopf.rho_coefficients, the route the defect matrix is built from,
+    over the k the right sides read.  tol gates both the residuals and the
+    16/24-node check of a's and b's coefficients.
 
     Raises
     ------
     ResidualTooLarge
         When any candidate's residual exceeds tol or the truncated vectors
         are not linearly independent.
+    MethodDisagreement
+        When the section's coefficients fail their self-check at tol.
     """
     from scipy.linalg import solve_toeplitz
 
@@ -217,8 +222,8 @@ def kernel_residual_check(
             tags.append(f"homogeneous[{j}]")
 
     if m > 0:
-        keep = N + abs(n) + m + 4
-        rho = rho_coefficients(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, keep)
+        ks = range(n - m + 1, N + n + m - 1)  # the k of rho_{l+n-k} and rho_{l+n+k} read below
+        rho = rho_coefficients(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, ks)
         col = convolve(np.array([1.0, 1.0], dtype=complex), c_plus.realize(order).coeffs)[:N]
         row = np.zeros(N, dtype=complex)
         row[0] = col[0]
@@ -230,7 +235,7 @@ def kernel_residual_check(
             label = "null-vector"
         # sym[l, k] = rho_{l+n-k} + rho_{l+n+k}, read from the stored coefficients
         l, k = np.arange(N)[:, None], np.arange(m)[None, :]
-        sym = rho.coeffs[l + n - k + keep] + rho.coeffs[l + n + k + keep]
+        sym = rho.coeffs[l + n - k - ks.start] + rho.coeffs[l + n + k - ks.start]
         for idx, x in enumerate(weights):
             g = -(sym @ x)
             g[: max(0, 1 - 2 * n)] /= 2
@@ -244,13 +249,11 @@ def kernel_residual_check(
     if not vectors:
         return KernelBasis((), (), np.zeros(0), 0)
 
-    section = finite_section(pair, N)
-    residuals = np.array(
-        [
-            np.linalg.norm(section.matrix @ f) / np.linalg.norm(f)
-            for f in vectors
-        ]
-    )
+    # the section's T_N f, and H_N f with (H_N f)_i = sum_j b_{i+j+1} f_j, by convolution with b_{2N-1..1}
+    a = fourier_coeffs(pair.a, N - 1, tol).coeffs
+    b_rev = fourier_coeffs(pair.b, 2 * N - 1, tol).coeffs[: 2 * N - 1 : -1]
+    images = [convolve(a, f)[N - 1 : 2 * N - 1] + convolve(b_rev, f)[N - 1 : 2 * N - 1][::-1] for f in vectors]
+    residuals = np.array([np.linalg.norm(g) / np.linalg.norm(f) for g, f in zip(images, vectors)])
     gram_rank = int(np.linalg.matrix_rank(np.vstack(vectors)))
     if gram_rank != len(vectors):
         raise ResidualTooLarge(
@@ -278,6 +281,7 @@ def rho_de(
     below the innermost nodes.  Raises MethodDisagreement, naming the site,
     where a site has Re beta <= -1: the oracle does not apply there.
     """
+    ks = range(-N_keep, N_keep + 1)
     sites = rho_sites(c_plus, d_plus, b)
     turns = sorted(sites)
     S = len(turns)
@@ -302,7 +306,7 @@ def rho_de(
         vals = _rho_values(c_plus, d_plus, b, m + n, sites, index, u.ravel())
         xs = 2 * np.pi * np.array(turns, dtype=float)[index] + u.ravel()
         du = L * (np.pi * np.cosh(s) * e / (1 + e) ** 2)
-        return _fourier_integrals(xs, du.ravel(), vals, N_keep), vals.reshape(u.shape)[:, 0] * u[:, 0]
+        return _fourier_integrals(xs, du.ravel(), vals, ks), vals.reshape(u.shape)[:, 0] * u[:, 0]
 
     h, steps = 1 / 8, span
     acc, inner = total(h * np.arange(-steps, steps + 1))
@@ -314,4 +318,4 @@ def rho_de(
         move = float(np.max(np.abs(coeffs - prev)))
     estimate = move + float(np.sum(np.abs(inner) / room[anchor])) / (2 * np.pi)
     nodes = (2 * steps + 1) * 2 * S
-    return RhoSeries(coeffs, N_keep, nodes, estimate, -m - n - b.kappa, n, m, c_plus, d_plus, b, sites)
+    return RhoSeries(coeffs, ks, nodes, estimate, -m - n - b.kappa, n, m, c_plus, d_plus, b, sites)

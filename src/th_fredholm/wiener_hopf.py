@@ -119,25 +119,33 @@ def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray
     return xs, ((panel / 2)[:, None] * w_nodes).ravel(), np.repeat(np.arange(lo.size), counts * nodes)
 
 
-def _fourier_integrals(xs, ws, vals, k_max: int) -> np.ndarray:
-    """(1/2pi) sum_x w f(x) e^{-ikx} for |k| <= k_max, as one blocked product.
+def _fourier_integrals(xs, ws, vals, ks: range) -> np.ndarray:
+    """(1/2pi) sum_x w f(x) e^{-ikx} for k in ks, a contiguous range, as blocked products.
 
-    With z = e^{-ix}, rows[b] holds w f z^{-k_max + b*block} and powers[j]
+    With z = e^{-ix}, rows[b] holds w f z^{ks.start + b*block} and powers[j]
     holds z^j, so (rows @ powers.T)[b, j] is the coefficient
-    k = -k_max + b*block + j.
+    k = ks.start + b*block + j; z^block is powers[-1] z.  The nodes go in
+    slices of at most 2^14 / max(block, rows), so neither table exceeds
+    256 KiB and the allocator reuses its memory instead of mapping it anew.
     """
-    block = math.isqrt(2 * k_max) + 1  # about sqrt(2 k_max + 1): 33 powers and 32 rows at k_max = 512
-    z = np.exp(-1j * xs)
-    powers = np.empty((block, xs.size), dtype=complex)
-    powers[0] = 1.0
-    for j in range(1, block):
-        np.multiply(powers[j - 1], z, out=powers[j])
-    rows = np.empty((-(-(2 * k_max + 1) // block), xs.size), dtype=complex)
-    rows[0] = ws * vals * np.exp(1j * k_max * xs)
-    step = np.exp(-1j * block * xs)
-    for b in range(1, rows.shape[0]):
-        np.multiply(rows[b - 1], step, out=rows[b])
-    return (rows @ powers.T).ravel()[: 2 * k_max + 1] / (2 * np.pi)
+    block = math.isqrt(len(ks) - 1) + 1  # about sqrt(len(ks)): 33 powers and 32 rows for 1,025 k
+    count = -(-len(ks) // block)
+    width = 2**14 // max(block, count)
+    out = np.zeros((count, block), dtype=complex)
+    for lo in range(0, xs.size, width):
+        x = xs[lo : lo + width]
+        z = np.exp(-1j * x)
+        powers = np.empty((block, x.size), dtype=complex)
+        powers[0] = 1.0
+        for j in range(1, block):
+            np.multiply(powers[j - 1], z, out=powers[j])
+        step = powers[-1] * z
+        rows = np.empty((count, x.size), dtype=complex)
+        rows[0] = ws[lo : lo + width] * vals[lo : lo + width] * np.exp(-1j * ks.start * x)
+        for b in range(1, count):
+            np.multiply(rows[b - 1], step, out=rows[b])
+        out += rows @ powers.T
+    return out.ravel()[: len(ks)] / (2 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,15 +286,16 @@ def factor_reconstruction_defect(rep: NormalizedRep, factor: PlusFactor, angles:
 class RhoSeries:
     """Two-sided coefficients of rho with their error estimate and provenance.
 
-    coeffs[k + N_keep] holds rho_k.  tail_bound is an error estimate, not a
-    bound: max |fine - coarse| of the quadrature, or the tanh-sinh oracle's
-    last movement plus its inner remainder.  inner_N is the node count of the
-    fine rule, or of the oracle's last step.
-    sites (rho_sites) and the structured factors give closed-form values.
+    coeffs[k - ks.start] holds rho_k for k in ks, a contiguous range, symmetric
+    for the defect matrix and the oracle.  tail_bound is an error estimate,
+    not a bound: max |fine - coarse| of the quadrature, or the tanh-sinh
+    oracle's last movement plus its inner remainder.  inner_N is the node
+    count of the fine rule, or of the oracle's last step.  sites (rho_sites)
+    and the structured factors give closed-form values.
     """
 
     coeffs: np.ndarray
-    N_keep: int
+    ks: range
     inner_N: int
     tail_bound: float
     shift: int
@@ -298,14 +307,16 @@ class RhoSeries:
     sites: dict[Fraction, Exponent]
 
     def get(self, k: int) -> complex:
-        if abs(k) > self.N_keep:
-            raise IndexError(f"rho_{k} not kept (N_keep = {self.N_keep})")
-        return complex(self.coeffs[k + self.N_keep])
+        if k not in self.ks:
+            raise IndexError(f"rho_{k} not kept (k in {self.ks.start}..{self.ks.stop - 1})")
+        return complex(self.coeffs[k - self.ks.start])
 
     def as_array(self) -> np.ndarray:
         return self.coeffs.copy()
 
     def evenness_defect(self) -> float:
+        if self.ks.start != 1 - self.ks.stop:
+            raise ValueError(f"evenness needs a symmetric range, have {self.ks}")
         return float(np.max(np.abs(self.coeffs - self.coeffs[::-1])))
 
     def eval_at(self, angles: np.ndarray) -> np.ndarray:
@@ -416,29 +427,31 @@ def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
 
 
 def rho_coefficients(
-    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int
+    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, keep: int | range
 ) -> RhoSeries:
     """Two-sided Fourier coefficients of rho = t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b.
 
-    rho_k = (1/2pi) int rho(e^{ix}) e^{-ikx} dx for |k| <= N_keep by the graded
-    rule of _rho_rule between the sites of rho_sites, sized for the top
-    frequency N_keep + |m + n + kappa_b| + the top log degree of b, c_+, d_+.
+    rho_k = (1/2pi) int rho(e^{ix}) e^{-ikx} dx for k in keep, a contiguous
+    range, or for |k| <= keep when it is an int, by the graded rule of
+    _rho_rule between the sites of rho_sites, sized for the top frequency
+    max |k| + |m + n + kappa_b| + the top log degree of b, c_+, d_+.
     The result is the FINE_RULE value; tail_bound holds max |fine - coarse|
     against COARSE_RULE, an estimate that sees node and sliver error both.
     """
+    ks = keep if isinstance(keep, range) else range(-keep, keep + 1)
     shift = -m - n - b.kappa
     logs = (b.log_smooth, c_plus.analytic_log, d_plus.analytic_log)
-    freq = N_keep + abs(shift) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
+    freq = max(-ks.start, ks.stop - 1) + abs(shift) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
     sites = rho_sites(c_plus, d_plus, b)
     turns = np.array([float(t) for t in sorted(sites)])
     rules = [_rho_rule(sites, freq, *rule) for rule in (FINE_RULE, COARSE_RULE)]
     index, offsets, weights = (np.concatenate(c) for c in zip(*rules))
     vals = _rho_values(c_plus, d_plus, b, m + n, sites, index, offsets)
     xs, count = 2 * np.pi * turns[index] + offsets, rules[0][0].size
-    fine = _fourier_integrals(xs[:count], weights[:count], vals[:count], N_keep)
-    coarse = _fourier_integrals(xs[count:], weights[count:], vals[count:], N_keep)
+    fine = _fourier_integrals(xs[:count], weights[:count], vals[:count], ks)
+    coarse = _fourier_integrals(xs[count:], weights[count:], vals[count:], ks)
     estimate = float(np.max(np.abs(fine - coarse)))
-    return RhoSeries(fine, N_keep, count, estimate, shift, n, m, c_plus, d_plus, b, sites)
+    return RhoSeries(fine, ks, count, estimate, shift, n, m, c_plus, d_plus, b, sites)
 
 
 def rho_for_pair(pair, p, N_keep: int) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:

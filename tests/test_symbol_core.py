@@ -81,6 +81,11 @@ def test_eval_at_jump_raises():
         eval_symbol(s, math.pi / 2)
     with pytest.raises(EvalAtJump):
         eval_many(s, np.array([0.3, math.pi / 2]))
+    # the 1e-13 guard on both sides of a jump, across 0 = 2 pi too
+    with pytest.raises(EvalAtJump):
+        eval_many(s, np.array([0.3, math.pi / 2 + 1e-14]))
+    with pytest.raises(EvalAtJump):
+        eval_many(jump_unit(0, 1, Fraction(1, 3)), np.array([0.3, 2 * math.pi - 1e-14]))
 
 
 def test_example_c_value_at_pi_over_4():

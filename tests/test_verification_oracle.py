@@ -35,7 +35,7 @@ from th_fredholm.verification_oracle import (
 )
 from th_fredholm.wiener_hopf import NotInL1Warning, _gauss_panels, build_plus_factor, convolve, rho_for_pair
 
-from helpers import sampled_fft_coeffs
+from helpers import golden_kernel_instances, sampled_fft_coeffs
 
 
 def smooth(kappa=0, scale=1.0, log=None):
@@ -133,26 +133,29 @@ def arc_rule_coeffs(s: CanonicalSymbol, N: int) -> TwoSidedSeries:
 
 
 def test_finite_section_with_jumps_at_plus_minus_one():
-    # a = b = t^-2 u(1, 1/8) u(-1, 1/8): n = 0, m = 2, a two-dimensional kernel.
     # At section 64, a's 41 panels put -1 inside panel 20; b's 82 put it on an edge.
-    jumps = multiply(jump_unit(0, 1, Fraction(1, 8)), jump_unit(1, 2, Fraction(1, 8)))
-    a = multiply(CanonicalSymbol.monomial(-2), jumps)
+    pair = pm_one_pair()
+    a = pair.a
     assert a.jump_points == (ONE, MINUS_ONE)
-    pair = validate_pair(a, a)
     assert defect_numbers(pair, 2).dim_ker == 2
     want = toeplitz_matrix(arc_rule_coeffs(a, 63), 64) + hankel_matrix(arc_rule_coeffs(a, 127), 64)
     assert np.max(np.abs(finite_section(pair, 64).matrix - want)) < 1e-13
 
 
 def test_power_recurrence_matches_dense_kernel():
-    # the block of the recurrence grows with k_max; 0 and 16 take one and six rows
-    # 16-node Gauss-Legendre panels once around the circle from turn 1/3
-    xs, ws, _ = _gauss_panels(np.array([2 * np.pi / 3]), np.array([8 * np.pi / 3]), 512, 16, 12)
-    vals = np.exp(1j * np.sin(3 * xs)) * (1 + 0.5 * np.cos(xs))
-    for k_max in (0, 16, 512):
-        ks = np.arange(-k_max, k_max + 1)
-        dense = (ws * vals) @ np.exp(-1j * np.outer(xs, ks)) / (2 * np.pi)
-        assert np.max(np.abs(_fourier_integrals(xs, ws, vals, k_max) - dense)) < 1e-13
+    # the block of the recurrence grows with the range: 1, 33 and 1,025 k take one, six
+    # and 32 rows, and a one-sided range starts the rows at its own first k.  The nodes go
+    # in slices of 2^14 // max(block, rows): 5,152 nodes are one slice at 1 k and eleven at
+    # 1,025 k, and 41,184 nodes are sixteen slices at 33 k.
+    cases = [(512, [range(0, 1), range(-16, 17), range(-512, 513), range(-5, 301)]), (4096, [range(-16, 17)])]
+    for freq, ranges in cases:
+        # 16-node Gauss-Legendre panels once around the circle from turn 1/3
+        xs, ws, _ = _gauss_panels(np.array([2 * np.pi / 3]), np.array([8 * np.pi / 3]), freq, 16, 12)
+        vals = np.exp(1j * np.sin(3 * xs)) * (1 + 0.5 * np.cos(xs))
+        for ks in ranges:
+            dense = (ws * vals) @ np.exp(-1j * np.outer(xs, np.array(ks))) / (2 * np.pi)
+            assert np.max(np.abs(_fourier_integrals(xs, ws, vals, ks) - dense)) < 1e-13
+    assert xs.size == 41184
 
 
 def test_series_matches_fft_for_smooth_symbol():
@@ -286,10 +289,39 @@ def test_kernel_check_smooth_b():
 
 
 def test_residual_gate_trips_on_absurd_tolerance():
+    # tol gates the section's coefficients too (16 and 24 nodes differ by about 1e-15),
+    # so the residual gate needs a residual above it: at N = 8 the truncated candidates
+    # leave 2.7e-8 and 3.3e-8
     c = smooth(kappa=-2, log={1: 0.3, -1: -0.3})
     pair = validate_pair(multiply(c, CanonicalSymbol.one()), CanonicalSymbol.one())
-    with pytest.raises(ResidualTooLarge):
-        kernel_residual_check(pair, 2, N=96, tol=1e-18)
+    with pytest.raises(ResidualTooLarge, match="residual"):
+        kernel_residual_check(pair, 2, N=8, tol=1e-12)
+
+
+def test_kernel_check_gates_section_coefficients_by_tol():
+    name, pair, p = next(inst for inst in golden_kernel_instances() if defect_numbers(inst[1], inst[2]).dim_ker)
+    with pytest.raises(MethodDisagreement, match="16- and 24-node"):
+        kernel_residual_check(pair, p, N=64, tol=1e-16)
+
+
+def pm_one_pair():
+    # a = b = t^-2 u(1, 1/8) u(-1, 1/8): n = 0, m = 2, a two-dimensional kernel
+    jumps = multiply(jump_unit(0, 1, Fraction(1, 8)), jump_unit(1, 2, Fraction(1, 8)))
+    a = multiply(CanonicalSymbol.monomial(-2), jumps)
+    return validate_pair(a, a)
+
+
+@pytest.mark.parametrize("N", [63, 64])
+def test_convolution_residuals_match_dense_section(N):
+    instances = [(name, pair, p) for name, pair, p in golden_kernel_instances() if not name.startswith("jump")]
+    checked = 0
+    for name, pair, p in instances + [("pm-one", pm_one_pair(), 2)]:
+        basis = kernel_residual_check(pair, p, N=N, tol=1.0)
+        matrix = finite_section(pair, N).matrix
+        dense = [np.linalg.norm(matrix @ f) / np.linalg.norm(f) for f in basis.vectors]
+        assert np.max(np.abs(basis.residuals - dense), initial=0.0) < 1e-13, name
+        checked += len(dense)
+    assert checked >= 20
 
 
 def series_deviation(pair, N_keep: int, N: int) -> tuple[float, float]:

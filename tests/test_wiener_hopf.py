@@ -297,6 +297,20 @@ def test_quadrature_agrees_with_de_on_seeded_pairs():
         assert np.max(np.abs(rho.coeffs - de.coeffs)) < 1e-12
 
 
+def test_one_sided_rho_is_a_slice_of_the_symmetric_one():
+    # rho_k for -5 <= k <= 16 is sized for the same top frequency as |k| <= 16, so it
+    # runs the same rule; only the summation differs
+    for pair, p, rho in seeded_pairs():
+        part = rho_coefficients(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, range(-5, 17))
+        assert part.inner_N == rho.inner_N
+        assert np.max(np.abs(part.coeffs - rho.coeffs[11:])) < 1e-13
+    assert part.get(-5) == part.coeffs[0]
+    with pytest.raises(IndexError):
+        part.get(-6)
+    with pytest.raises(ValueError):
+        part.evenness_defect()
+
+
 def test_rho_de_matches_mpmath_quad_on_steep_pair():
     # mpmath's tanh-sinh runs in its own arithmetic on each half-arc, in
     # w = u^{1/g} with u the offset from the end site and g = 1/(1 + Re beta)
