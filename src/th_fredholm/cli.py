@@ -257,7 +257,7 @@ def cmd_factor(job: Job, ns) -> tuple[dict, int]:
                 {"point": _frac(pt.turns), **_exponent_doc(e)}
                 for pt, e in factor.eta_exponents
             ],
-            "series": [_cnum(z) for z in factor.realize(order).coeffs],
+            "series": [_cnum(z) for z in factor.realize(order)],
         }
     doc = {
         "command": "factor",

@@ -185,13 +185,16 @@ def kernel_residual_check(
 
     Homogeneous candidates (n < 0) are f = (1-t) c_+^{-1} (t^j + t^{-2n-2-j});
     for m > 0 one particular candidate per symmetric polynomial t^k + t^{-k}
-    is obtained by solving the triangular system (1+t) c_+ f = g, where g is
-    read off the coefficients of -rho (t^k + t^{-k}).  For n > 0 the same
-    solve runs over the null vectors of the defect matrix, so the basis count
-    always equals the reported kernel dimension.  rho comes from
-    wiener_hopf.rho_coefficients, the route the defect matrix is built from,
-    over the k the right sides read.  tol gates both the residuals and the
-    16/24-node check of a's and b's coefficients.
+    solves (1+t) c_+ f = g, where g is read off the coefficients of
+    -rho (t^k + t^{-k}): f is the convolution of g with c_+^{-1}, truncated
+    to N, then divided by 1+t as the alternating running sum of
+    1/(1+t) = sum (-t)^k.  For n > 0 the same division runs over the null
+    vectors of the defect matrix, so the basis count always equals the
+    reported kernel dimension.  One realization of c_+^{-1} to t^{N-1}
+    serves every candidate, since no coefficient read depends on a higher
+    one.  rho comes from wiener_hopf.rho_coefficients, the route the defect
+    matrix is built from, over the k the right sides read.  tol gates both
+    the residuals and the 16/24-node check of a's and b's coefficients.
 
     Raises
     ------
@@ -201,18 +204,15 @@ def kernel_residual_check(
     MethodDisagreement
         When the section's coefficients fail their self-check at tol.
     """
-    from scipy.linalg import solve_toeplitz
-
     if report is None:
         report = defect_numbers(pair, p)
     n, m = report.n, report.m
-    order = max(2 * N, 512)
     c_plus = build_plus_factor(report.rep_c)
+    inv = c_plus.realize(N - 1, inverted=True)
     vectors: list[np.ndarray] = []
     tags: list[str] = []
 
     if n < 0:
-        inv = c_plus.realize(order, inverted=True).coeffs
         base = convolve(np.array([1.0, -1.0], dtype=complex), inv)[:N]
         for j in range(-n):
             q2 = np.zeros(-2 * n - 1, dtype=complex)
@@ -224,9 +224,7 @@ def kernel_residual_check(
     if m > 0:
         ks = range(n - m + 1, N + n + m - 1)  # the k of rho_{l+n-k} and rho_{l+n+k} read below
         rho = rho_coefficients(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, ks)
-        col = convolve(np.array([1.0, 1.0], dtype=complex), c_plus.realize(order).coeffs)[:N]
-        row = np.zeros(N, dtype=complex)
-        row[0] = col[0]
+        alt = (-1.0) ** np.arange(N)
         if n <= 0:
             weights = [np.eye(m, dtype=complex)[k] for k in range(m)]
             label = "particular"
@@ -239,7 +237,8 @@ def kernel_residual_check(
         for idx, x in enumerate(weights):
             g = -(sym @ x)
             g[: max(0, 1 - 2 * n)] /= 2
-            vectors.append(solve_toeplitz((col, row), g))
+            h = convolve(inv, g)[:N]
+            vectors.append(alt * np.cumsum(alt * h))
             tags.append(f"{label}[{idx}]")
 
     if len(vectors) != report.dim_ker:
@@ -318,4 +317,4 @@ def rho_de(
         move = float(np.max(np.abs(coeffs - prev)))
     estimate = move + float(np.sum(np.abs(inner) / room[anchor])) / (2 * np.pi)
     nodes = (2 * steps + 1) * 2 * S
-    return RhoSeries(coeffs, ks, nodes, estimate, -m - n - b.kappa, n, m, c_plus, d_plus, b, sites)
+    return RhoSeries(coeffs, ks, nodes, estimate, n, m, c_plus, d_plus, b, sites)

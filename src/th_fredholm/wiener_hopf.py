@@ -148,35 +148,16 @@ def _fourier_integrals(xs, ws, vals, ks: range) -> np.ndarray:
     return out.ravel()[: len(ks)] / (2 * np.pi)
 
 
-@dataclass(frozen=True, eq=False)
-class OneSidedSeries:
-    """Truncated analytic series: coeffs[k] is the coefficient of t^k."""
-
-    coeffs: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.coeffs.size - 1
-
-    def conv(self, other: "OneSidedSeries") -> "OneSidedSeries":
-        n = max(self.N, other.N)
-        return OneSidedSeries(convolve(self.coeffs, other.coeffs)[: n + 1])
-
-    def eval_at(self, z: np.ndarray) -> np.ndarray:
-        """Partial-sum evaluation; adequate only away from singular points."""
-        return np.polyval(self.coeffs[::-1], np.asarray(z, dtype=complex))
-
-
-def eta_series(point: UnitPoint, beta: complex, N: int) -> OneSidedSeries:
+def eta_series(point: UnitPoint, beta: complex, N: int) -> np.ndarray:
     """(1 - t/tau)^beta as an analytic series: [eta]_k = C(beta,k)(-1)^k tau^{-k}."""
     b = complex(beta)
     k = np.arange(N + 1)
     tau_pow = np.exp(-1j * point.angle * k)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
-    return OneSidedSeries(binomial_coefficients(b, N) * signs * tau_pow)
+    return binomial_coefficients(b, N) * signs * tau_pow
 
 
-def _exp_of_monomial(gamma: complex, k: int, N: int) -> OneSidedSeries:
+def _exp_of_monomial(gamma: complex, k: int, N: int) -> np.ndarray:
     # exp(gamma t^k): sparse terms gamma^m/m! at index k*m
     m_max = N // k
     m = np.arange(m_max + 1, dtype=float)
@@ -185,19 +166,19 @@ def _exp_of_monomial(gamma: complex, k: int, N: int) -> OneSidedSeries:
         terms[1:] = np.cumprod(gamma / m[1:])
     coeffs = np.zeros(N + 1, dtype=complex)
     coeffs[:: k][: m_max + 1] = terms
-    return OneSidedSeries(coeffs)
+    return coeffs
 
 
-def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> OneSidedSeries:
+def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> np.ndarray:
     """exp of the strictly analytic part (indices >= 1) of the log, to order N.
 
     The index-0 log coefficient is deliberately excluded; callers split it
     into their constant bookkeeping.
     """
-    series = OneSidedSeries(np.concatenate([[1.0 + 0j], np.zeros(N, dtype=complex)]))
+    series = np.concatenate([[1.0 + 0j], np.zeros(N, dtype=complex)])
     for k, v in log_smooth.coeffs:
         if k >= 1:
-            series = series.conv(_exp_of_monomial(v, k, N))
+            series = convolve(series, _exp_of_monomial(v, k, N))[: N + 1]
     return series
 
 
@@ -206,26 +187,25 @@ class PlusFactor:
     """Structured analytic factor c_+ of the antisymmetric factorization.
 
     c_+ = constant * exp(analytic log) * prod eta(point, exponent).  realize(N)
-    builds the coefficients of c_+ (or of 1/c_+ when inverted) at the order the
-    caller reads, and eval_at gives closed-form values on the circle.
+    returns the array of coefficients of c_+ (or of 1/c_+ when inverted) up to
+    t^N, the order the caller reads, and eval_at gives closed-form values on
+    the circle.
     """
 
-    side: str
-    n: int
     constant: complex
     analytic_log: FourierLogPoly
     eta_exponents: tuple[tuple[UnitPoint, Exponent], ...]
 
-    def realize(self, N: int, inverted: bool = False) -> OneSidedSeries:
+    def realize(self, N: int, inverted: bool = False) -> np.ndarray:
         """Coefficients of c_+, or of 1/c_+ when inverted, up to t^N."""
         sign = -1 if inverted else 1
         log = FourierLogPoly.of({k: sign * v for k, v in self.analytic_log.coeffs})
         series = smooth_plus_factor(log, N)
         for point, e in self.eta_exponents:
             b = e.value if sign == 1 else -e.value
-            series = series.conv(eta_series(point, b, N))
+            series = convolve(series, eta_series(point, b, N))[: N + 1]
         const = self.constant if sign == 1 else 1.0 / self.constant
-        return OneSidedSeries(const * series.coeffs)
+        return const * series
 
     def eval_at(self, z: np.ndarray) -> np.ndarray:
         """Closed-form values of c_+ on or inside the unit circle (principal powers)."""
@@ -264,8 +244,6 @@ def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
     log_dict = rep.smooth_log.as_dict()
     gamma0 = log_dict.get(0, 0j)
     return PlusFactor(
-        side=rep.side,
-        n=rep.n,
         constant=cmath.sqrt(rep.smooth_scale) * cmath.exp(gamma0 / 2),
         analytic_log=FourierLogPoly.of({k: v for k, v in log_dict.items() if k >= 1}),
         eta_exponents=tuple(exponents),
@@ -298,7 +276,6 @@ class RhoSeries:
     ks: range
     inner_N: int
     tail_bound: float
-    shift: int
     n: int
     m: int
     c_plus: PlusFactor
@@ -439,9 +416,9 @@ def rho_coefficients(
     against COARSE_RULE, an estimate that sees node and sliver error both.
     """
     ks = keep if isinstance(keep, range) else range(-keep, keep + 1)
-    shift = -m - n - b.kappa
     logs = (b.log_smooth, c_plus.analytic_log, d_plus.analytic_log)
-    freq = max(-ks.start, ks.stop - 1) + abs(shift) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
+    top = max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
+    freq = max(-ks.start, ks.stop - 1) + abs(m + n + b.kappa) + top
     sites = rho_sites(c_plus, d_plus, b)
     turns = np.array([float(t) for t in sorted(sites)])
     rules = [_rho_rule(sites, freq, *rule) for rule in (FINE_RULE, COARSE_RULE)]
@@ -451,7 +428,7 @@ def rho_coefficients(
     fine = _fourier_integrals(xs[:count], weights[:count], vals[:count], ks)
     coarse = _fourier_integrals(xs[count:], weights[count:], vals[count:], ks)
     estimate = float(np.max(np.abs(fine - coarse)))
-    return RhoSeries(fine, ks, count, estimate, shift, n, m, c_plus, d_plus, b, sites)
+    return RhoSeries(fine, ks, count, estimate, n, m, c_plus, d_plus, b, sites)
 
 
 def rho_for_pair(pair, p, N_keep: int) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:

@@ -707,22 +707,30 @@ def scipy_modules():
 
 from th_fredholm import cli
 
+fmatrix, monomial, readme = sys.argv[1:]
 seen = {"import": scipy_modules()}
-for command in ("check", "defects"):
+runs = {"check": ["check", fmatrix], "defects": ["defects", fmatrix],
+        "verify monomial": ["verify", monomial], "verify README": ["verify", readme]}
+for label, argv in runs.items():
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main([command, sys.argv[1]])
-    seen[command] = [code, json.loads(out.getvalue()).get("caseTag"), scipy_modules()]
+        code = cli.main(argv)
+    doc = json.loads(out.getvalue())
+    seen[label] = [code, doc.get("caseTag", doc.get("errorKind")), scipy_modules()]
 print(json.dumps(seen))
 """
 
 
 def test_cold_commands_do_not_import_scipy(tmp_path):
-    path = write_doc(tmp_path, JACOBI_FMATRIX)
+    # verify builds its kernel candidates by convolution, with no scipy.linalg:
+    # t^-1 has one particular candidate, and README_DOC fails on its residual
+    monomial = {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2}
+    docs = {"fmatrix.json": JACOBI_FMATRIX, "monomial.json": monomial, "readme.json": README_DOC}
+    files = [write_doc(tmp_path, doc, name) for name, doc in docs.items()]
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
-        [sys.executable, "-c", COLD_START_PROBE, path],
+        [sys.executable, "-c", COLD_START_PROBE, *files],
         capture_output=True,
         text=True,
         env=env,
@@ -733,6 +741,8 @@ def test_cold_commands_do_not_import_scipy(tmp_path):
     assert seen["import"] == []
     assert seen["check"] == [0, None, []]
     assert seen["defects"] == [0, "F-matrix", []]
+    assert seen["verify monomial"] == [0, None, []]
+    assert seen["verify README"] == [4, "numerical-confidence", []]
 
 
 EXACT_TIER_PROBE = """

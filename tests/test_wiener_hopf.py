@@ -23,7 +23,6 @@ from th_fredholm.symbol_core import (
 )
 from th_fredholm.wiener_hopf import (
     NotInL1Warning,
-    OneSidedSeries,
     binomial_coefficients,
     build_plus_factor,
     convolve,
@@ -72,21 +71,20 @@ def plain_rep(**overrides) -> NormalizedRep:
 
 def test_eta_series_integer_exponent():
     s = eta_series(ONE, 1, 8)
-    assert s.coeffs[0] == pytest.approx(1.0)
-    assert s.coeffs[1] == pytest.approx(-1.0)
-    assert np.max(np.abs(s.coeffs[2:])) < 1e-15
+    assert s[0] == pytest.approx(1.0)
+    assert s[1] == pytest.approx(-1.0)
+    assert np.max(np.abs(s[2:])) < 1e-15
 
 
 def test_eta_series_half_exponent():
     s = eta_series(ONE, 0.5, 8)
-    assert s.coeffs[1] == pytest.approx(-0.5)
-    assert s.coeffs[2] == pytest.approx(-0.125)
+    assert s[1] == pytest.approx(-0.5)
+    assert s[2] == pytest.approx(-0.125)
 
 
 def test_eta_times_eta_negated_is_unit():
     point = UnitPoint(1, 3)
-    prod = eta_series(point, 0.37 + 0.1j, 64).conv(eta_series(point, -0.37 - 0.1j, 64))
-    unit_defect = prod.coeffs.copy()
+    unit_defect = convolve(eta_series(point, 0.37 + 0.1j, 64), eta_series(point, -0.37 - 0.1j, 64))[:65]
     unit_defect[0] -= 1.0
     assert np.max(np.abs(unit_defect)) < 1e-12
 
@@ -103,8 +101,8 @@ def test_binomial_tail_envelope():
 def test_smooth_plus_factor_exponential():
     s = smooth_plus_factor(FourierLogPoly.of({1: 1.0}), 12)
     want = 1.0 / np.array([math.factorial(k) for k in range(13)])
-    assert np.max(np.abs(s.coeffs - want)) < 1e-12
-    assert smooth_plus_factor(FourierLogPoly(), 8).coeffs[0] == 1.0
+    assert np.max(np.abs(s - want)) < 1e-12
+    assert smooth_plus_factor(FourierLogPoly(), 8)[0] == 1.0
 
 
 def test_smooth_factor_splits_odd_log():
@@ -115,7 +113,7 @@ def test_smooth_factor_splits_odd_log():
     minus = smooth_plus_factor(log.tilde(), 64)
     xs = 2 * math.pi * (np.arange(100) + 0.17) / 100
     z = np.exp(1j * xs)
-    vals = plus.eval_at(z) * minus.eval_at(1 / z)
+    vals = np.polyval(plus[::-1], z) * np.polyval(minus[::-1], 1 / z)
     assert np.max(np.abs(vals - np.exp(2j * np.sin(xs)))) < 1e-10
 
 
@@ -129,7 +127,7 @@ def test_plus_factor_structure_for_example():
         (UnitPoint(1, 4), Fraction(-1, 8)),
         (UnitPoint(3, 4), Fraction(-1, 8)),
     }
-    assert factor.n == 1
+    assert rep.n == 1
     xs = 2 * math.pi * (np.arange(50) + 0.31) / 50
     assert factor_reconstruction_defect(rep, factor, xs) < 1e-8
 
@@ -140,7 +138,7 @@ def test_plus_factor_minus_t_case():
     factor = build_plus_factor(rep)
     assert rep.n == 0
     assert factor.eta_exponents == ((ONE, Exponent(Fraction(1))),)
-    assert np.max(np.abs(factor.realize(16).coeffs[:2] - np.array([1.0, -1.0]))) < 1e-14
+    assert np.max(np.abs(factor.realize(16)[:2] - np.array([1.0, -1.0]))) < 1e-14
     z = np.exp(1j * (2 * math.pi * (np.arange(20) + 0.4) / 20))
     recon = factor.eval_at(z) / factor.eval_tilde_at(z)
     assert np.max(np.abs(recon + z)) < 1e-12
@@ -150,7 +148,7 @@ def test_plus_factor_series_matches_closed_form_when_smooth():
     rep = plain_rep(smooth_log=FourierLogPoly.of({1: 0.2 - 0.1j, 2: 0.05j}))
     factor = build_plus_factor(rep)
     z = np.exp(1j * (2 * math.pi * (np.arange(60) + 0.25) / 60))
-    assert np.max(np.abs(factor.realize(96).eval_at(z) - factor.eval_at(z))) < 1e-12
+    assert np.max(np.abs(np.polyval(factor.realize(96)[::-1], z) - factor.eval_at(z))) < 1e-12
 
 
 def test_reciprocal_identity_random_reps():
@@ -164,7 +162,7 @@ def test_reciprocal_identity_random_reps():
             smooth_log=FourierLogPoly.of({1: 0.1 * rng.normal()}),
         )
         factor = build_plus_factor(rep)
-        prod = factor.realize(256).conv(factor.realize(256, inverted=True)).coeffs
+        prod = convolve(factor.realize(256), factor.realize(256, inverted=True))[:257]
         prod[0] -= 1.0
         assert np.max(np.abs(prod)) < 1e-11
 
@@ -185,7 +183,6 @@ def test_rho_monomial_pair_matches_trivial():
     pair = validate_pair(t_inv, t_inv)
     rep_c, rep_d, rho = oracle_for_pair(pair, 2, N_keep=6)
     assert (rep_c.n, rep_d.n) == (0, 1)
-    assert rho.shift == 0
     assert rho.get(0) == pytest.approx(2.0, abs=1e-12)
     assert rho.get(1) == pytest.approx(1.0, abs=1e-12)
     assert abs(rho.get(3)) < 1e-12
@@ -389,16 +386,6 @@ def test_steep_site_insensitive_to_sliver_width(monkeypatch):
     monkeypatch.setattr(wiener_hopf, "FINE_RULE", (24, 1e-8))
     _, _, wide = rho_for_pair(pair, p, N_keep=16)
     assert np.max(np.abs(wide.coeffs - rho.coeffs)) < 1e-10
-
-
-def test_one_sided_series_guards():
-    # a product keeps the longer order, never coefficients past what both
-    # factors were realized to
-    a = OneSidedSeries(np.array([1.0 + 0j, 2.0]))
-    b = OneSidedSeries(np.array([1.0 + 0j, 1.0, 3.0]))
-    prod = a.conv(b)
-    assert prod.N == 2 and np.array_equal(prod.coeffs, [1, 3, 5])
-    assert prod.eval_at(np.array([2.0]))[0] == 27
 
 
 @pytest.mark.parametrize(
