@@ -353,9 +353,9 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     even_gate = max(1e-8, 10.0 * rho.tail_bound)
     if evenness > even_gate:
         raise MethodDisagreement(
-            f"rho evenness defect {evenness:.3e} exceeds the estimate gate {even_gate:.3e}"
+            f"rho evenness defect {evenness:.3e} exceeds the bound gate {even_gate:.3e}"
         )
-    # the gate's windows put every site of rho above Re beta = -1; rho_de refuses, naming the site, if one is not
+    # the gate's windows put every site of rho above Re beta = -1; rho_sites refuses, naming the site, if one is not
     de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
     oracle_dev = max(abs(rho.get(k) - de.get(k)) for k in range(-16, 17))
     oracle_gate = max(1e-8, 10.0 * (de.tail_bound + rho.tail_bound))
@@ -369,13 +369,13 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         "command": "verify",
         "version": __version__,
         "p": _frac(job.p),
-        "fourierDeviation": {
-            "a": _finite(series_a.cross_deviation),
-            "b": _finite(series_b.cross_deviation),
+        "fourierBound": {
+            "a": _finite(series_a.bound),
+            "b": _finite(series_b.bound),
         },
         "rho": {
+            "bound": _finite(rho.tail_bound),
             "evenness": evenness,
-            "estimate": _finite(rho.tail_bound),
             "oracleDeviation": oracle_dev,
         },
         "kernel": {

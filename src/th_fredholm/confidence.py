@@ -6,12 +6,12 @@ line can catch them without importing numpy.
 
 
 class RankUndecidable(RuntimeError):
-    """rho's error estimate could flip the rank decision.
+    """rho's error bound could flip the rank decision.
 
     Attributes
     ----------
     tail_bound : float
-        rho's error estimate (RhoSeries.tail_bound), the coefficient
+        rho's a-priori error bound (RhoSeries.tail_bound), the coefficient
         uncertainty propagated to the matrix.
     critical_sv : float
         Distance from the nearest singular value to the rank threshold.

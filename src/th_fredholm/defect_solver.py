@@ -5,9 +5,8 @@ numerics: the n x m matrix with entries rho_{i-j} + rho_{i+j}, whose kernel
 dimension feeds both defect numbers.  Since the matrix is assembled from
 coefficients computed by quadrature, the rank decision is audited: a
 singular-value gap report accompanies every kernel dimension, and when rho's
-error estimate is large enough to move singular values across the rank
-threshold the solver refuses to answer instead of guessing.  The estimate is
-not a bound, so neither is the audit.
+a-priori error bound is large enough to move singular values across the rank
+threshold the solver refuses to answer instead of guessing.
 """
 
 from __future__ import annotations
@@ -136,17 +135,17 @@ def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
 
 
 def _audit_rank(decision: RankDecision, dm: DefectMatrix) -> None:
-    """Refuse when rho's error estimate, taken as if it held, could move the rank."""
+    """Refuse when rho's error bound could move the rank."""
     tail = dm.rho.tail_bound
     if not math.isfinite(tail):
-        raise RankUndecidable("rho carries no finite error estimate", tail, 0.0)
+        raise RankUndecidable("rho carries no finite error bound", tail, 0.0)
     # entries off by up to 2*tail move the spectral norm by at most this
     perturbation = 2.0 * tail * math.sqrt(dm.n * dm.m)
     sv = decision.singular_values
     critical = float(abs(sv - decision.threshold).min()) if sv.size else math.inf
     if perturbation >= max(critical, 1e-300):
         raise RankUndecidable(
-            f"rho error estimate {tail:.3e} perturbs singular values by up to "
+            f"rho error bound {tail:.3e} fails the bound gate: it perturbs singular values by up to "
             f"{perturbation:.3e}, within {critical:.3e} of the rank threshold",
             tail,
             critical,

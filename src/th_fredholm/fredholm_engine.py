@@ -235,12 +235,6 @@ class NormalizedRep:
             kappa=2 * self.n, scale=self.smooth_scale, log_smooth=self.smooth_log, jumps=tuple(jumps)
         )
 
-    def exponents(self) -> dict[UnitPoint, Exponent]:
-        out = {ONE: self.gamma_plus, MINUS_ONE: self.gamma_minus}
-        for pt, g in self.gammas:
-            out[pt] = g
-        return out
-
 
 def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition], side: str) -> NormalizedRep:
     """Place each exponent of s in the open window (offset - 1, offset) of its site.

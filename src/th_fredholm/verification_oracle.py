@@ -1,8 +1,8 @@
 """Independent cross-checks for the symbolic pipeline.
 
-Fourier coefficients of a symbol come from one route, composite
+Fourier coefficients of a symbol come from one route, composite 24-node
 Gauss-Legendre quadrature of the defining integral on equal panels over the
-circle, with a self-check that reruns it at 3/2 the node count.  Kernel
+circle, with an a-priori error bound (_fourier_bound).  Kernel
 candidates are built explicitly from the factorization and the production
 rho, and their finite-section residuals T_N f + H_N f come from two FFT
 convolutions with those coefficients; finite_section assembles the dense
@@ -12,7 +12,10 @@ Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
 every open arc between its jump points, so composite Gauss-Legendre on
 panels cut at the jumps converges spectrally and needs no grading; the
 uncut panels, one panel shifted around the circle, are summed by one FFT
-(Cooley & Tukey, Math. Comp. 19, 1965).  rho, which can blow up at its
+(Cooley & Tukey, Math. Comp. 19, 1965).  A symbol is entire in the angle
+between its jumps, so the Gauss-Legendre bound on a Bernstein ellipse
+(Trefethen, SIAM Review 50, 2008, Thm 4.5) holds for any ellipse parameter
+and needs no sliver.  rho, which can blow up at its
 sites, is computed in production by graded Gauss-Legendre quadrature
 (wiener_hopf.rho_coefficients); the second route kept here, rho_de,
 integrates the same pointwise values by tanh-sinh quadrature in the offsets
@@ -32,11 +35,15 @@ from .symbol_core import CanonicalSymbol, SymbolPair, eval_many
 from .wiener_hopf import (
     PlusFactor,
     RhoSeries,
+    UNIT,
     _fourier_integrals,
     _leggauss,
+    _power_layout,
     _rho_values,
+    _summation_depth,
     build_plus_factor,
     convolve,
+    fft_length,
     rho_coefficients,
     rho_sites,
 )
@@ -44,10 +51,10 @@ from .wiener_hopf import (
 
 @dataclass(frozen=True, eq=False)
 class TwoSidedSeries:
-    """Coefficients f_k for |k| <= N, stored with k = 0 at the center."""
+    """Coefficients f_k for |k| <= N, stored with k = 0 at the center, and a bound on their error."""
 
     coeffs: np.ndarray
-    cross_deviation: float | None = None
+    bound: float | None = None
 
     def __post_init__(self):
         if self.coeffs.size % 2 != 1:
@@ -98,23 +105,70 @@ def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
     return out[start : start + 2 * N + 1] / (2 * np.pi)
 
 
-def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
-    """Coefficients f_k, |k| <= N, by Gauss-Legendre quadrature on M equal panels.
+def _fourier_bound(s: CanonicalSymbol, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -> float:
+    """A-priori bound on the error of fourier_coeffs over |k| <= N, with M panels.
 
-    M = max(12, ceil(2 pi freq / 10)) for the highest frequency in the
-    integrand, freq = N + |kappa| + the top degree of log_smooth.  A jump
-    strictly inside a panel (turns * M not an integer, so never a jump at 1)
-    cuts it; the pieces are summed directly, the uncut panels by one FFT.
-    The values use 24 nodes per panel; their largest difference from 16
-    nodes is cross_deviation, an estimate of the error, not a bound.
+    Quadrature: every piece, of half-width at most pi/M, sees an entire
+    integrand.  With |s(w) e^{-ikw}| bounded by C on the ellipse of
+    parameter r, factor by factor as in wiener_hopf._quadrature_term, the
+    pieces, whose half-widths add up to pi, err by (32/15) C r^{-48} / (r^2
+    - 1) over 2 pi; the best of a few r is taken.
+
+    Rounding: uncut and cut are sum |w s(x)| / 2 pi over the nodes of the
+    uncut panels and of the cut pieces.  Each summand carries a relative
+    error of at most UNIT times: its value's (eval_many's exponent terms and
+    sums, its exp, and a position error of at most 8 pi UNIT times the
+    slope); its weight's (8, see wiener_hopf._rounding_term); for the uncut
+    panels the FFT (a pass of radix p errs by at most (p + 7) UNIT, and an
+    11-smooth M has passes of radix 11 at most), the two phase tables, the
+    sum over 24 nodes and the products; for the cut pieces, as in
+    wiener_hopf._rounding_term, with |x| <= 2 pi placed within 10 pi UNIT.
+    """
+    logs = s.log_smooth.coeffs
+    jumps = [j.beta.value for j in s.jumps]
+    caps = []
+    for r in (2.0, 4.0, 8.0, 16.0, 32.0):
+        lift, grow = math.pi / M * (r - 1 / r) / 2, math.pi / M * ((r + 1 / r) / 2 - 1)
+        log_cap = math.log(abs(s.scale)) + (abs(s.kappa) + N) * lift
+        log_cap += sum(abs(v) * math.exp(abs(k) * lift) for k, v in logs)
+        log_cap += sum(abs(b.imag) * (math.pi + grow) + abs(b.real) * lift for b in jumps)
+        caps.append(32 / 15 * math.exp(log_cap) * r**-48 / (r**2 - 1))
+    slope = abs(s.kappa) + sum(abs(b) for b in jumps) + sum(abs(k * v) for k, v in logs)
+    partial = 2 * math.pi * abs(s.kappa) + math.pi * sum(abs(b) for b in jumps) + sum(abs(v) for _, v in logs)
+    value = (
+        8 * math.pi * slope + 2 * math.pi * abs(s.kappa) + 16 * math.pi * sum(abs(b) for b in jumps)
+        + sum(abs(v) * (2 * abs(k) + 6 * math.log2(abs(k)) + 6) for k, v in logs)
+        + (len(jumps) + len(logs)) * partial + 8
+    )
+    passes, rest = 0, M
+    for p in (2, 3, 5, 7, 11):
+        while rest % p == 0:
+            passes, rest = passes + p + 7, rest // p
+    phases = 6 * math.pi + 18 * math.pi * N / M  # both tables' arguments, and |k| times x0's error
+    t_uncut = UNIT * (value + passes + phases + 24 + 22)
+    block, count, _ = _power_layout(2 * N + 1)
+    recurrence = 5 * (count * (block + 1) + block)
+    t_cut = UNIT * (value + _summation_depth(cut_nodes, 2 * N + 1) + recurrence + 12 * math.pi * N + 9)
+    return min(caps) + uncut * t_uncut / (1 - t_uncut) + cut * t_cut / (1 - t_cut)
+
+
+def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
+    """Coefficients f_k, |k| <= N, by 24-node Gauss-Legendre quadrature on M equal panels.
+
+    M is the least 11-smooth number (wiener_hopf.fft_length) at or above
+    max(12, ceil(2 pi freq / 10)) for the highest frequency in the integrand,
+    freq = N + |kappa| + the top degree of log_smooth, so its FFT runs passes
+    of radix 11 at most.  A jump strictly inside a panel (turns * M not an
+    integer, so never a jump at 1) cuts it; the pieces are summed directly,
+    the uncut panels by one FFT.  bound is _fourier_bound.
 
     Raises
     ------
     MethodDisagreement
-        When the 16- and 24-node values differ by more than tol.
+        When the bound exceeds tol.
     """
     freq = N + abs(s.kappa) + max((abs(k) for k, _ in s.log_smooth.coeffs), default=0)
-    M = max(12, math.ceil(2 * math.pi * freq / 10))
+    M = fft_length(max(12, math.ceil(2 * math.pi * freq / 10)))
     h = 2 * math.pi / M
     cuts: dict[int, list[float]] = {}
     for pt in s.jump_points:  # in turn order, so each panel's cuts come sorted
@@ -125,23 +179,18 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     lo = np.array([0.0, *(x for e in edges for x in e[:-1])])
     half = (np.array([h, *(x for e in edges for x in e[1:])]) - lo)[:, None] / 2
     whole = np.array([p for p in range(M) if p not in cuts], dtype=int)
-    rules = []
-    for nodes in (16, 24):  # one Gauss panel per piece: none is wider than h
-        x, w = _leggauss(nodes)
-        xs, ws = lo[:, None] + half * (1 + x), half * w
-        rules.append((xs[0], ws[0], (whole[:, None] * h + xs[0]).ravel(), xs[1:].ravel(), ws[1:].ravel()))
-    vals = eval_many(s, np.concatenate([part for rule in rules for part in rule[2:4]]))  # both rules at once
-    sums = []
-    for x0, w0, grid, xs, ws in rules:
-        v, c, vals = vals[: grid.size], vals[grid.size : grid.size + xs.size], vals[grid.size + xs.size :]
-        sums.append(_panel_sums(x0, w0, v, whole, M, N) + _fourier_integrals(xs, ws, c, range(-N, N + 1)))
-    coarse, fine = sums
-    deviation = float(np.max(np.abs(fine - coarse)))
-    if deviation > tol:
-        raise MethodDisagreement(
-            f"16- and 24-node quadrature differ by {deviation:.3e} on |k| <= {N}"
-        )
-    return TwoSidedSeries(fine, deviation)
+    x, w = _leggauss(24)  # one Gauss panel per piece: none is wider than h
+    xs, ws = lo[:, None] + half * (1 + x), half * w
+    grid, pieces = (whole[:, None] * h + xs[0]).ravel(), xs[1:].ravel()
+    vals = eval_many(s, np.concatenate([grid, pieces]))
+    v, c = vals[: grid.size], vals[grid.size :]
+    coeffs = _panel_sums(xs[0], ws[0], v, whole, M, N) + _fourier_integrals(pieces, ws[1:].ravel(), c, range(-N, N + 1))
+    uncut = float(np.sum(np.abs(v.reshape(whole.size, 24)) @ ws[0])) / (2 * np.pi)
+    cut = float(np.abs(c) @ ws[1:].ravel()) / (2 * np.pi)
+    bound = _fourier_bound(s, N, M, uncut, cut, pieces.size)
+    if bound > tol:
+        raise MethodDisagreement(f"Fourier quadrature bound {bound:.3e} exceeds {tol:.1e} on |k| <= {N}")
+    return TwoSidedSeries(coeffs, bound)
 
 
 def toeplitz_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
@@ -193,8 +242,9 @@ def kernel_residual_check(
     reported kernel dimension.  One realization of c_+^{-1} to t^{N-1}
     serves every candidate, since no coefficient read depends on a higher
     one.  rho comes from wiener_hopf.rho_coefficients, the route the defect
-    matrix is built from, over the k the right sides read.  tol gates both
-    the residuals and the 16/24-node check of a's and b's coefficients.
+    matrix is built from, over the k the right sides read.  tol gates the
+    residuals and the error bounds of that rho and of a's and b's
+    coefficients.
 
     Raises
     ------
@@ -202,7 +252,7 @@ def kernel_residual_check(
         When any candidate's residual exceeds tol or the truncated vectors
         are not linearly independent.
     MethodDisagreement
-        When the section's coefficients fail their self-check at tol.
+        When the bound of rho or of the section's coefficients exceeds tol.
     """
     if report is None:
         report = defect_numbers(pair, p)
@@ -224,6 +274,10 @@ def kernel_residual_check(
     if m > 0:
         ks = range(n - m + 1, N + n + m - 1)  # the k of rho_{l+n-k} and rho_{l+n+k} read below
         rho = rho_coefficients(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, ks)
+        if rho.tail_bound > tol:
+            raise MethodDisagreement(
+                f"rho bound {rho.tail_bound:.3e} exceeds {tol:.1e} on {ks.start} <= k <= {ks.stop - 1}"
+            )
         alt = (-1.0) ** np.arange(N)
         if n <= 0:
             weights = [np.eye(m, dtype=complex)[k] for k in range(m)]
@@ -277,18 +331,12 @@ def rho_de(
     at most).  The step in s starts at 1/8 and halves until the coefficients
     move by less than 1e-13, or down to 2^-10.  tail_bound, an estimate and
     not a bound, is the last movement plus the integral of |rho| ~ u^beta
-    below the innermost nodes.  Raises MethodDisagreement, naming the site,
-    where a site has Re beta <= -1: the oracle does not apply there.
+    below the innermost nodes.
     """
     ks = range(-N_keep, N_keep + 1)
     sites = rho_sites(c_plus, d_plus, b)
     turns = sorted(sites)
     S = len(turns)
-    steepest = min(turns, key=lambda t: sites[t].re)
-    if sites[steepest].re <= -1:
-        raise MethodDisagreement(
-            f"rho oracle not applicable: Re beta = {sites[steepest].re} <= -1 at turn {steepest}"
-        )
     room = np.array([1 + float(sites[t].re) for t in turns])
     # half-arc i < S leaves site i forward, half-arc S + i reaches site i + 1 backward
     anchor = np.concatenate([np.arange(S), (np.arange(S) + 1) % S])

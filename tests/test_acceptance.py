@@ -259,7 +259,7 @@ def test_criterion_6_invariant_properties():
         signs += 1
     assert signs == 50
     print(
-        "\n[PASS] invariants on randomized instances: rho evenness within its error estimate "
+        "\n[PASS] invariants on randomized instances: rho evenness within its error bound "
         "and factor reconstruction below 1e-6 (100 pairs), index identity "
         "dimKer - dimCoker = m - n (100 reports), adjoint duality swaps defects "
         "(10 pairs), identity-plus-Hankel index sign by p-side (50 symbols)"

@@ -415,7 +415,7 @@ def test_verify_reports_oracles(tmp_path, capsys):
     assert report["kernel"]["count"] == report["kernel"]["dimKer"] == 1
     assert report["kernel"]["maxResidual"] < 1e-6
     assert report["rho"]["evenness"] < 1e-9
-    assert report["rho"]["estimate"] < 1e-12
+    assert report["rho"]["bound"] < 1e-12
     assert report["rho"]["oracleDeviation"] < 1e-12
 
 
@@ -436,8 +436,8 @@ def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
     path = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2})
     code, out, _ = run(capsys, ["verify", path])
     assert code == 0
-    deviation = json.loads(out)["fourierDeviation"]
-    assert deviation["a"] < 1e-12 and deviation["b"] < 1e-12
+    bound = json.loads(out)["fourierBound"]
+    assert bound["a"] < 1e-12 and bound["b"] < 1e-12
 
 
 def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):

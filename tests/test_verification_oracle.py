@@ -1,6 +1,5 @@
 """Quadrature coefficients, finite sections, and explicit kernel elements."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from th_fredholm.verification_oracle import (
     rho_de,
     toeplitz_matrix,
 )
-from th_fredholm.wiener_hopf import NotInL1Warning, _gauss_panels, build_plus_factor, convolve, rho_for_pair
+from th_fredholm.wiener_hopf import _gauss_panels, build_plus_factor, convolve, rho_for_pair
 
 from helpers import golden_kernel_instances, sampled_fft_coeffs
 
@@ -49,7 +48,7 @@ def test_monomial_coefficients():
     expected = np.zeros(17, dtype=complex)
     expected[8 + 3] = 1.0
     assert np.allclose(series.as_array(), expected, atol=1e-12)
-    assert series.cross_deviation < 1e-9
+    assert series.bound < 1e-9
 
 
 def test_exponential_coefficients():
@@ -62,7 +61,7 @@ def test_exponential_coefficients():
 def test_single_jump_against_integral_closed_form():
     beta = 0.3
     series = fourier_coeffs(jump_unit(0, 1, beta), 64)
-    assert series.cross_deviation < 1e-6
+    assert series.bound < 1e-6
     for k in range(-16, 17):
         want = math.sin(math.pi * beta) / (math.pi * (beta - k))
         assert abs(series.get(k) - want) < 2e-6
@@ -74,7 +73,7 @@ def test_single_jump_closed_form_to_order_512():
     ks = np.arange(-512, 513)
     want = np.sin(np.pi * beta) / (np.pi * (beta - ks))
     assert np.max(np.abs(series.as_array() - want)) < 1e-12
-    assert series.cross_deviation < 1e-12
+    assert series.bound < 1e-12
 
 
 def test_high_winding_enters_panel_count():
@@ -85,14 +84,15 @@ def test_high_winding_enters_panel_count():
 
 @pytest.mark.parametrize("N", [8, 64, 255, 512])
 def test_jump_inside_a_panel_against_closed_form(N):
-    # a jump at turn 1/3 cuts a panel unless 3 divides the panel count M:
-    # M = 12 at N = 8 puts it on a panel edge, M = 41, 161, 322 cut
+    # the panel counts M = 12, 42, 162, 324 are 11-smooth: a jump at turn 1/3 lands on a
+    # panel edge, and one at 1/13 cuts a panel, since 13 divides no 11-smooth number
     beta = 0.3
-    series = fourier_coeffs(jump_unit(1, 3, beta), N)
-    ks = np.arange(-N, N + 1)
-    want = np.exp(-2j * np.pi * ks / 3) * np.sin(np.pi * beta) / (np.pi * (beta - ks))
-    assert np.max(np.abs(series.as_array() - want)) < 1e-12
-    assert series.cross_deviation < 1e-12
+    for den in (3, 13):
+        series = fourier_coeffs(jump_unit(1, den, beta), N)
+        ks = np.arange(-N, N + 1)
+        want = np.exp(-2j * np.pi * ks / den) * np.sin(np.pi * beta) / (np.pi * (beta - ks))
+        assert np.max(np.abs(series.as_array() - want)) < 1e-12
+        assert series.bound < 1e-12
 
 
 def test_two_jumps_inside_one_panel_against_mpmath():
@@ -133,7 +133,7 @@ def arc_rule_coeffs(s: CanonicalSymbol, N: int) -> TwoSidedSeries:
 
 
 def test_finite_section_with_jumps_at_plus_minus_one():
-    # At section 64, a's 41 panels put -1 inside panel 20; b's 82 put it on an edge.
+    # At section 64, a's 42 panels and b's 84 put -1 on a panel edge.
     pair = pm_one_pair()
     a = pair.a
     assert a.jump_points == (ONE, MINUS_ONE)
@@ -174,8 +174,37 @@ def test_two_sided_series_accessors():
 
 
 def test_method_disagreement_on_absurd_tolerance():
-    with pytest.raises(MethodDisagreement):
+    with pytest.raises(MethodDisagreement, match="Fourier quadrature bound"):
         fourier_coeffs(jump_unit(0, 1, 0.3), 32, tol=1e-16)
+
+
+def closed_form_bound_cases(N: int):
+    """(computed series, mpmath coefficients) of u(tau, 3/10) at turns 0, 1/3 and 1/13, |k| <= N."""
+    import mpmath
+
+    out = []
+    for num, den in ((0, 1), (1, 3), (1, 13)):
+        s = jump_unit(num, den, Fraction(3, 10))
+        with mpmath.workdps(30):
+            beta = mpmath.mpf(3) / 10
+            want = [
+                mpmath.expj(-2 * mpmath.pi * k * num / den) * mpmath.sin(mpmath.pi * beta) / (mpmath.pi * (beta - k))
+                for k in range(-N, N + 1)
+            ]
+        out.append((fourier_coeffs(s, N), np.array([complex(w) for w in want])))
+    return out
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_fourier_bound_holds_against_mpmath(N, monkeypatch):
+    # the bound is mostly rounding (the quadrature term is below 1e-30 here): it holds, and
+    # with UNIT = 0, which drops the rounding term, it fails
+    import th_fredholm.verification_oracle as oracle
+
+    for series, want in closed_form_bound_cases(N):
+        assert np.max(np.abs(series.as_array() - want)) <= series.bound < 1e-12
+    monkeypatch.setattr(oracle, "UNIT", 0.0)
+    assert any(np.max(np.abs(series.as_array() - want)) > series.bound for series, want in closed_form_bound_cases(N))
 
 
 def test_finite_section_identity_cases():
@@ -289,8 +318,8 @@ def test_kernel_check_smooth_b():
 
 
 def test_residual_gate_trips_on_absurd_tolerance():
-    # tol gates the section's coefficients too (16 and 24 nodes differ by about 1e-15),
-    # so the residual gate needs a residual above it: at N = 8 the truncated candidates
+    # tol gates the bounds of rho and of the section's coefficients too (below 1e-13 here),
+    # so the residual gate needs a residual above them: at N = 8 the truncated candidates
     # leave 2.7e-8 and 3.3e-8
     c = smooth(kappa=-2, log={1: 0.3, -1: -0.3})
     pair = validate_pair(multiply(c, CanonicalSymbol.one()), CanonicalSymbol.one())
@@ -299,8 +328,18 @@ def test_residual_gate_trips_on_absurd_tolerance():
 
 
 def test_kernel_check_gates_section_coefficients_by_tol():
-    name, pair, p = next(inst for inst in golden_kernel_instances() if defect_numbers(inst[1], inst[2]).dim_ker)
-    with pytest.raises(MethodDisagreement, match="16- and 24-node"):
+    # homogeneous candidates only (m <= 0), so no rho is computed and the section's bound trips
+    report = lambda inst: defect_numbers(inst[1], inst[2])  # noqa: E731
+    name, pair, p = next(inst for inst in golden_kernel_instances() if report(inst).dim_ker and report(inst).m <= 0)
+    with pytest.raises(MethodDisagreement, match="Fourier quadrature bound"):
+        kernel_residual_check(pair, p, N=64, tol=1e-16)
+
+
+def test_kernel_check_gates_its_rho_by_tol():
+    # a particular candidate reads rho over 0 <= k <= 63, whose bound (about 5e-13) trips
+    # before the section's coefficients are computed
+    name, pair, p = next(inst for inst in golden_kernel_instances() if defect_numbers(inst[1], inst[2]).m > 0)
+    with pytest.raises(MethodDisagreement, match="rho bound .* on 0 <= k <= 63"):
         kernel_residual_check(pair, p, N=64, tol=1e-16)
 
 
@@ -349,14 +388,6 @@ def test_rho_series_deviation_mild_jump():
     deviation, estimate = series_deviation(pair, 32, 16)
     assert estimate < 1e-12
     assert deviation < 1e-12
-
-
-def test_rho_de_refuses_non_integrable_rho():
-    pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
-    _, _, rho = rho_for_pair(pair, 2, N_keep=8)
-    steep = dataclasses.replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
-    with pytest.warns(NotInL1Warning), pytest.raises(MethodDisagreement, match="not applicable.* at turn 0$"):
-        rho_de(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
 
 
 def test_kernel_candidates_match_per_entry_rho_sum():
