@@ -1,5 +1,6 @@
 """Quadrature coefficients, finite sections, and explicit kernel elements."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -388,6 +389,15 @@ def test_rho_series_deviation_mild_jump():
     deviation, estimate = series_deviation(pair, 32, 16)
     assert estimate < 1e-12
     assert deviation < 1e-12
+
+
+def test_rho_de_refuses_non_integrable_rho():
+    # rho_de reads its sites through rho_sites, which refuses the exponent -3/2 at turn 0
+    pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
+    _, _, rho = rho_for_pair(pair, 2, N_keep=8)
+    steep = dataclasses.replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
+    with pytest.raises(ValueError, match="at turn 0 makes rho non-integrable"):
+        rho_de(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
 
 
 def test_kernel_candidates_match_per_entry_rho_sum():

@@ -239,16 +239,24 @@ def test_rho_closed_form_matches_coefficients_for_smooth_pair():
 
 def test_rho_sites_refuses_a_non_integrable_site():
     # past the gate every site has Re beta > -1 (test_gate_keeps_every_rho_site_integrable);
-    # a hand-built c_+ with exponent -3/2 at 1 leaves rho non-integrable at turn 0, and both
-    # routes refuse it there
+    # a hand-built c_+ with exponent -3/2 at 1 leaves rho non-integrable at turn 0, and
+    # rho_coefficients refuses it there (rho_de: test_rho_de_refuses_non_integrable_rho)
     pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
     _, _, rho = rho_for_pair(pair, 2, N_keep=8)
     steep = dataclasses.replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
     with pytest.raises(ValueError, match="non-integrable"):
         rho_sites(steep, rho.d_plus, rho.b_symbol)
-    for route in (rho_coefficients, rho_de):
-        with pytest.raises(ValueError, match="at turn 0 "):
-            route(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
+    with pytest.raises(ValueError, match="at turn 0 "):
+        rho_coefficients(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
+
+
+def test_not_in_l1_warning():
+    # gamma_- = -1 on both factors puts net exponent -2 at -1: rho is not in L^1 there,
+    # and rho_coefficients refuses it instead of returning coefficients
+    rep = plain_rep(gamma_minus=Exponent(Fraction(-1)))
+    factor = build_plus_factor(rep)
+    with pytest.raises(ValueError, match="net exponent -2 at turn 1/2 makes rho non-integrable"):
+        rho_coefficients(factor, factor, CanonicalSymbol.one(), 0, 0, 4)
 
 
 @functools.lru_cache(maxsize=1)
