@@ -12,7 +12,7 @@ code used before (a 16-node rule with a 1e-10 rad sliver beside the 24-node
 one), with the tanh-sinh oracle and, on a subset, with the mpmath reference
 of tests/test_wiener_hopf.py.  faults counts minor page faults per
 rho_coefficients call with resource.getrusage, and the peak memory of
-compiling the two numeric modules; --src points it at another checkout's
+compiling the numeric modules; --src points it at another checkout's
 src.  pairs runs bench/run.py alternately in the parent checkout
 and in this one, each with a fresh bytecode cache.
 """
@@ -93,7 +93,7 @@ def old_estimate(rho) -> float:
     terms = wh._rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
     index, offsets, weights = wh._rho_rule(rho.sites, freq, 16, 1e-10)
     xs = 2 * np.pi * np.array([float(t) for t in terms.turns])[index] + offsets
-    coarse = wh._fourier_integrals(xs, weights, wh._values_of(terms, index, offsets), ks)
+    coarse = wh._fourier_integrals(xs, weights, wh._rho_values(terms, index, offsets), ks)
     return float(np.max(np.abs(rho.coeffs - coarse)))
 
 
@@ -102,6 +102,7 @@ def cmd_survey(args) -> None:
     import numpy as np
     from test_wiener_hopf import mp_rho_coefficients
     from th_fredholm import wiener_hopf as wh
+    from th_fredholm.quadrature import UNIT
     from th_fredholm.verification_oracle import rho_de
 
     rows, mp_count = [], {"jacobi": 0, "steep": 0, "seeded": 0, "fmatrix": 0}
@@ -116,7 +117,7 @@ def cmd_survey(args) -> None:
         logs = (rho.b_symbol.log_smooth, rho.c_plus.analytic_log, rho.d_plus.analytic_log)
         freq = K + abs(rho.m + rho.n + rho.b_symbol.kappa) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
         index, offsets, weights = wh._rho_rule(rho.sites, freq, *wh.RHO_RULE)
-        summands = weights * wh._values_of(terms, index, offsets)
+        summands = weights * wh._rho_values(terms, index, offsets)
         mass = float(np.sum(np.abs(summands))) / (2 * math.pi)
         de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, K)
         row = {
@@ -131,7 +132,7 @@ def cmd_survey(args) -> None:
             "old_estimate": old_estimate(rho),
             "oracle_gap": max(abs(rho.get(k) - de.get(k)) for k in range(-K, K + 1)),
         }
-        row["rounding_ulps_per_l1"] = row["rounding"] / mass / wh.UNIT
+        row["rounding_ulps_per_l1"] = row["rounding"] / mass / UNIT
         # mpmath on a subset, about 1 s per pair: a Latin-square quarter of the Jacobi grid, the steep
         # pair, every eighth seeded pair and the first ten F-matrix pairs, at k = 16
         i = seen[group] = seen.get(group, -1) + 1
@@ -207,7 +208,8 @@ def cmd_faults(args) -> None:
     compile_kb = {
         module: int(subprocess.run([sys.executable, "-c", probe, str(src / "th_fredholm" / f"{module}.py")],
                                    capture_output=True, text=True, check=True).stdout)
-        for module in ("wiener_hopf", "verification_oracle")
+        for module in ("wiener_hopf", "verification_oracle", "quadrature")
+        if (src / "th_fredholm" / f"{module}.py").exists()
     }
     save(f"faults:{src.parent.name if args.src else 'change'}",
          {"src": str(src) if args.src else "this checkout", "calls": calls, "compile_peak_kb": compile_kb})

@@ -2,7 +2,7 @@
 
 Fourier coefficients of a symbol come from one route, composite 24-node
 Gauss-Legendre quadrature of the defining integral on equal panels over the
-circle, with an a-priori error bound (_fourier_bound).  Kernel
+circle, with an a-priori error bound (quadrature.fourier_bound).  Kernel
 candidates are built explicitly from the factorization and the production
 rho, and their finite-section residuals T_N f + H_N f come from two FFT
 convolutions with those coefficients; finite_section assembles the dense
@@ -31,16 +31,13 @@ import numpy as np
 
 from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
+from .quadrature import _fourier_integrals, _leggauss, fourier_bound
 from .symbol_core import CanonicalSymbol, SymbolPair, eval_many
 from .wiener_hopf import (
     PlusFactor,
     RhoSeries,
-    UNIT,
-    _fourier_integrals,
-    _leggauss,
-    _power_layout,
+    _rho_terms,
     _rho_values,
-    _summation_depth,
     build_plus_factor,
     convolve,
     fft_length,
@@ -105,53 +102,6 @@ def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
     return out[start : start + 2 * N + 1] / (2 * np.pi)
 
 
-def _fourier_bound(s: CanonicalSymbol, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -> float:
-    """A-priori bound on the error of fourier_coeffs over |k| <= N, with M panels.
-
-    Quadrature: every piece, of half-width at most pi/M, sees an entire
-    integrand.  With |s(w) e^{-ikw}| bounded by C on the ellipse of
-    parameter r, factor by factor as in wiener_hopf._quadrature_term, the
-    pieces, whose half-widths add up to pi, err by (32/15) C r^{-48} / (r^2
-    - 1) over 2 pi; the best of a few r is taken.
-
-    Rounding: uncut and cut are sum |w s(x)| / 2 pi over the nodes of the
-    uncut panels and of the cut pieces.  Each summand carries a relative
-    error of at most UNIT times: its value's (eval_many's exponent terms and
-    sums, its exp, and a position error of at most 8 pi UNIT times the
-    slope); its weight's (8, see wiener_hopf._rounding_term); for the uncut
-    panels the FFT (a pass of radix p errs by at most (p + 7) UNIT, and an
-    11-smooth M has passes of radix 11 at most), the two phase tables, the
-    sum over 24 nodes and the products; for the cut pieces, as in
-    wiener_hopf._rounding_term, with |x| <= 2 pi placed within 10 pi UNIT.
-    """
-    logs = s.log_smooth.coeffs
-    jumps = [j.beta.value for j in s.jumps]
-    caps = []
-    for r in (2.0, 4.0, 8.0, 16.0, 32.0):
-        lift, grow = math.pi / M * (r - 1 / r) / 2, math.pi / M * ((r + 1 / r) / 2 - 1)
-        log_cap = math.log(abs(s.scale)) + (abs(s.kappa) + N) * lift
-        log_cap += sum(abs(v) * math.exp(abs(k) * lift) for k, v in logs)
-        log_cap += sum(abs(b.imag) * (math.pi + grow) + abs(b.real) * lift for b in jumps)
-        caps.append(32 / 15 * math.exp(log_cap) * r**-48 / (r**2 - 1))
-    slope = abs(s.kappa) + sum(abs(b) for b in jumps) + sum(abs(k * v) for k, v in logs)
-    partial = 2 * math.pi * abs(s.kappa) + math.pi * sum(abs(b) for b in jumps) + sum(abs(v) for _, v in logs)
-    value = (
-        8 * math.pi * slope + 2 * math.pi * abs(s.kappa) + 16 * math.pi * sum(abs(b) for b in jumps)
-        + sum(abs(v) * (2 * abs(k) + 6 * math.log2(abs(k)) + 6) for k, v in logs)
-        + (len(jumps) + len(logs)) * partial + 8
-    )
-    passes, rest = 0, M
-    for p in (2, 3, 5, 7, 11):
-        while rest % p == 0:
-            passes, rest = passes + p + 7, rest // p
-    phases = 6 * math.pi + 18 * math.pi * N / M  # both tables' arguments, and |k| times x0's error
-    t_uncut = UNIT * (value + passes + phases + 24 + 22)
-    block, count, _ = _power_layout(2 * N + 1)
-    recurrence = 5 * (count * (block + 1) + block)
-    t_cut = UNIT * (value + _summation_depth(cut_nodes, 2 * N + 1) + recurrence + 12 * math.pi * N + 9)
-    return min(caps) + uncut * t_uncut / (1 - t_uncut) + cut * t_cut / (1 - t_cut)
-
-
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
     """Coefficients f_k, |k| <= N, by 24-node Gauss-Legendre quadrature on M equal panels.
 
@@ -160,7 +110,7 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     freq = N + |kappa| + the top degree of log_smooth, so its FFT runs passes
     of radix 11 at most.  A jump strictly inside a panel (turns * M not an
     integer, so never a jump at 1) cuts it; the pieces are summed directly,
-    the uncut panels by one FFT.  bound is _fourier_bound.
+    the uncut panels by one FFT.  bound is quadrature.fourier_bound.
 
     Raises
     ------
@@ -187,7 +137,7 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     coeffs = _panel_sums(xs[0], ws[0], v, whole, M, N) + _fourier_integrals(pieces, ws[1:].ravel(), c, range(-N, N + 1))
     uncut = float(np.sum(np.abs(v.reshape(whole.size, 24)) @ ws[0])) / (2 * np.pi)
     cut = float(np.abs(c) @ ws[1:].ravel()) / (2 * np.pi)
-    bound = _fourier_bound(s, N, M, uncut, cut, pieces.size)
+    bound = fourier_bound(s, N, M, uncut, cut, pieces.size)
     if bound > tol:
         raise MethodDisagreement(f"Fourier quadrature bound {bound:.3e} exceeds {tol:.1e} on |k| <= {N}")
     return TwoSidedSeries(coeffs, bound)
@@ -343,6 +293,7 @@ def rho_de(
     L = np.tile([math.pi * float((turns[(i + 1) % S] - t) % 1) for i, t in enumerate(turns)], 2)[:, None]
     sign = np.repeat([1.0, -1.0], S)[:, None]
     span = math.ceil(8 * math.asinh(min(600.0, 40.0 / min(1.0, room.min())) / math.pi))
+    terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
 
     def total(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum of rho e^{-ikx} du/ds over the nodes s of every half-arc, and rho u at s[0]."""
@@ -350,7 +301,7 @@ def rho_de(
         e = np.exp(-np.abs(q))
         u = sign * L * np.where(q >= 0, 1.0, e) / (1 + e)
         index = np.repeat(anchor, s.size)
-        vals = _rho_values(c_plus, d_plus, b, m + n, sites, index, u.ravel())
+        vals = _rho_values(terms, index, u.ravel())
         xs = 2 * np.pi * np.array(turns, dtype=float)[index] + u.ravel()
         du = L * (np.pi * np.cosh(s) * e / (1 + e) ** 2)
         return _fourier_integrals(xs, du.ravel(), vals, ks), vals.reshape(u.shape)[:, 0] * u[:, 0]

@@ -14,12 +14,9 @@ exponent per point, every factor's site term taken from the exact offset of
 the point to that site.  The few coefficients the defect matrix reads come
 from Gauss-Legendre quadrature of those values, graded geometrically into
 the sites (Schwab, Computing 1994), one 24-node rule per panel.  Their
-error bound is a priori, per half-arc and site: the Gauss-Legendre bound for an
-integrand analytic in a Bernstein ellipse (Trefethen, SIAM Review 50, 2008,
-Thm 4.5), a Cauchy bound on what the sliver rule leaves out, and the
-rounding of the values and sums (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., 2002, ch. 3).  The second route, tanh-sinh quadrature
-on the same values, is verification_oracle.rho_de.
+error bound is a priori, per half-arc and site: the quadrature, sliver and
+rounding terms of the quadrature module.  The second route, tanh-sinh
+quadrature on the same values, is verification_oracle.rho_de.
 """
 
 from __future__ import annotations
@@ -31,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .fredholm_engine import NormalizedRep, normalized_pair
+from .quadrature import _fourier_integrals, _leggauss, _quadrature_term, _rounding_term, _sliver_term
 from .symbol_core import (
     MINUS_ONE,
     ONE,
@@ -46,11 +43,6 @@ from .symbol_core import (
 
 # Gauss-Legendre nodes per panel and sliver width in rad of the rho rule
 RHO_RULE = (24, 1e-12)
-# unit roundoff of float64; a complex product errs by at most sqrt(2) gamma_2 < 3 UNIT (Higham, Lemma 3.5)
-UNIT = 2.0**-53
-# Bernstein ellipse of the graded panels: a panel [u, 4u] sees its site 5/3 half-widths from its
-# centre, and this ellipse reaches (2.5 + 1/2.5)/2 = 1.45 of them
-ELLIPSE = 2.5
 
 
 def binomial_coefficients(beta: complex, N: int) -> np.ndarray:
@@ -101,30 +93,6 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec, out=spec)[:n]
 
 
-@functools.lru_cache(maxsize=8)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], each the float nearest its exact value.
-
-    numpy's leggauss places the nodes within an ulp, but its weights can be
-    off by a thousand ulps (at n = 24), an error no bound would survive.  So
-    from its nodes three Newton steps on P_n run in 128-bit fixed point, and
-    w = 2 / ((1 - x^2) P_n'(x)^2) is taken there; about 2 ms per n, once.
-    """
-    one = 1 << 128
-    xs, ws = [], []
-    for start in leggauss(n)[0]:
-        x = int(start * 2.0**60) << 68
-        for _ in range(3):
-            p0, p1 = one, x  # P_{k-1}(x), P_k(x)
-            for k in range(1, n):
-                p0, p1 = p1, ((2 * k + 1) * x * p1 // one - k * p0) // (k + 1)
-            slope = n * (x * p1 // one - p0) * one // (x * x // one - one)  # P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1)
-            x -= p1 * one // slope
-        xs.append(x / one)
-        ws.append(2 * one**4 / ((one * one - x * x) * slope * slope))
-    return np.array(xs), np.array(ws)
-
-
 def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes, weights and interval indices on the intervals [lo_i, hi_i].
 
@@ -139,56 +107,6 @@ def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray
     x_nodes, w_nodes = _leggauss(nodes)
     xs = (mid[:, None] + (panel / 2)[:, None] * x_nodes).ravel()
     return xs, ((panel / 2)[:, None] * w_nodes).ravel(), np.repeat(np.arange(lo.size), counts * nodes)
-
-
-# nodes per product in _fourier_integrals: a term meets at most this many additions in its
-# chunk and one per chunk after it (Higham 2002, sec. 4.2), where one product over the
-# slice would give it one per node
-SUM_CHUNK = 256
-
-
-def _power_layout(size: int) -> tuple[int, int, int]:
-    """Powers, rows and slice width of _fourier_integrals for `size` coefficients."""
-    block = math.isqrt(size - 1) + 1  # about sqrt(size): 33 powers and 32 rows for 1,025 k
-    count = -(-size // block)
-    return block, count, 2**14 // max(block, count)
-
-
-def _summation_depth(nodes: int, size: int) -> int:
-    """Additions a term of _fourier_integrals meets: in its chunk, across chunks and slices, and the scaling."""
-    width = _power_layout(size)[2]
-    return SUM_CHUNK + min(nodes, width) // SUM_CHUNK + -(-nodes // width) + 2
-
-
-def _fourier_integrals(xs, ws, vals, ks: range) -> np.ndarray:
-    """(1/2pi) sum_x w f(x) e^{-ikx} for k in ks, a contiguous range, as blocked products.
-
-    With z = e^{-ix}, rows[b] holds w f z^{ks.start + b*block} and powers[j]
-    holds z^j, so (rows @ powers.T)[b, j] is the coefficient
-    k = ks.start + b*block + j; z^block is powers[-1] z.  The nodes go in
-    slices of at most 2^14 / max(block, rows), so neither table exceeds
-    256 KiB and the allocator reuses its memory instead of mapping it anew;
-    each slice is summed in chunks of SUM_CHUNK nodes.
-    """
-    block, count, width = _power_layout(len(ks))
-    out = np.zeros((count, block), dtype=complex)
-    for lo in range(0, xs.size, width):
-        x = xs[lo : lo + width]
-        z = np.exp(-1j * x)
-        powers = np.empty((block, x.size), dtype=complex)
-        powers[0] = 1.0
-        for j in range(1, block):
-            np.multiply(powers[j - 1], z, out=powers[j])
-        step = powers[-1] * z
-        rows = np.empty((count, x.size), dtype=complex)
-        rows[0] = ws[lo : lo + width] * vals[lo : lo + width] * np.exp(-1j * ks.start * x)
-        for b in range(1, count):
-            np.multiply(rows[b - 1], step, out=rows[b])
-        cut = x.size - x.size % SUM_CHUNK
-        chunks = rows[:, :cut].reshape(count, -1, SUM_CHUNK).swapaxes(0, 1)
-        chunks = chunks @ powers[:, :cut].reshape(block, -1, SUM_CHUNK).transpose(1, 2, 0)
-        out += chunks.sum(axis=0) + rows[:, cut:] @ powers[:, cut:].T
-    return out.ravel()[: len(ks)] / (2 * np.pi)
 
 
 def eta_series(point: UnitPoint, beta: complex, N: int) -> np.ndarray:
@@ -309,7 +227,7 @@ class RhoSeries:
 
     coeffs[k - ks.start] holds rho_k for k in ks, a contiguous range, symmetric
     for the defect matrix and the oracle.  tail_bound is, from
-    rho_coefficients, a bound on max |rho_k - coeffs| over ks (see rho_bound);
+    rho_coefficients, a bound on max |rho_k - coeffs| over ks;
     from the tanh-sinh oracle it is an estimate, the last movement plus the
     inner remainder.  inner_N is the node count of the rule, or of the
     oracle's last step.  sites (rho_sites) and the structured factors give
@@ -346,8 +264,8 @@ class RhoSeries:
         turns = np.array([float(t) for t in sorted(self.sites)])
         gaps = np.remainder(xs[:, None] - 2 * np.pi * turns + np.pi, 2 * np.pi) - np.pi
         index = np.argmin(np.abs(gaps), axis=1)
-        parts = (self.c_plus, self.d_plus, self.b_symbol, self.m + self.n, self.sites)
-        return _rho_values(*parts, index, gaps[np.arange(xs.size), index])
+        terms = _rho_terms(self.c_plus, self.d_plus, self.b_symbol, self.m + self.n, self.sites)
+        return _rho_values(terms, index, gaps[np.arange(xs.size), index])
 
 
 def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dict[Fraction, Exponent]:
@@ -402,8 +320,8 @@ def _rho_terms(c_plus, d_plus, b, nm: int, sites: dict) -> _RhoTerms:
     return _RhoTerms(turns, table, const, laurent, -nm - b.kappa, betas, etas, phases, ahead)
 
 
-def _rho_values(c_plus, d_plus, b, nm: int, sites: dict, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """rho at the angles 2 pi turns[index] + offsets, |offsets| <= pi, with turns = sorted(sites).
+def _rho_values(terms: _RhoTerms, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """rho at the angles 2 pi turns[index] + offsets, |offsets| <= pi, from its parts (_rho_terms).
 
     One exponent holds the Laurent log of c_+(1/t) d_+(1/t) / b, per site its
     eta factor (1 - e^{-id})^eta and the inverse of b's jump factor u =
@@ -414,11 +332,6 @@ def _rho_values(c_plus, d_plus, b, nm: int, sites: dict, index: np.ndarray, offs
     (1+t)(1+1/t) = 4 sin^2(d/2) at -1 stays a factor, so rho there is 0
     rather than the exponential of log(0).
     """
-    return _values_of(_rho_terms(c_plus, d_plus, b, nm, sites), index, offsets)
-
-
-def _values_of(terms, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """_rho_values from the parts _rho_terms returns."""
     turns, table, laurent, etas, phases = terms.turns, terms.table, terms.laurent, terms.etas, terms.phases
     x = 2 * np.pi * np.array([float(t) for t in turns])[index] + offsets
     expo = np.zeros(x.shape, dtype=complex)
@@ -452,9 +365,8 @@ def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
     sliver becomes nodes at +-`sliver` and +-`sliver`/2, with weights sliver
     beta / ((beta + 1)(beta + 2)) and 2^(beta + 1) sliver / ((beta + 1)(beta +
     2)), that integrate C |u|^beta (1 + c u) exactly (Re beta > -1 by
-    rho_sites).  Every panel [l,
-    r] has r <= 4 l and a width of at most 10/freq, which _quadrature_term
-    reads.
+    rho_sites).  Every panel [l, r] has r <= 4 l and a width of at most
+    10/freq, which quadrature._quadrature_term reads.
     """
     turns = sorted(sites)
     S = len(turns)
@@ -475,157 +387,6 @@ def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
     index = np.concatenate([own, (own + 1) % S, np.repeat(np.arange(S), 4)])
     offsets = np.concatenate([d, -d, np.tile([sliver, sliver / 2, -sliver, -sliver / 2], S)])
     return index, offsets, np.concatenate([w, w, np.ravel(caps)])
-
-
-def _span(offset: float, below: float, above: float) -> tuple[float, float]:
-    """The range [lo, hi] of |x| over x in offset + [-below, above]; lo is -1 where it holds 0."""
-    p, q = offset - below, offset + above
-    lo, hi = sorted((abs(p), abs(q)))
-    return (-1.0 if p <= 0 <= q else lo), hi
-
-
-def _log_site_cap(lo: float, hi: float, height: float, beta: complex, phase: complex) -> float:
-    """log of a bound on a site's factor of rho where w = x + iy, lo <= |x| <= hi, |y| <= height.
-
-    x is the offset from the site.  The factor is (+-2 sin(w/2))^beta e^{i
-    phase (sign(x) pi - w)}: |sin(w/2)| lies between |sin(x/2)| and
-    cosh(y/2), the sine's argument within pi/2 and |pi - |x|| below pi.  inf
-    where the range reaches the site (lo <= 0 or hi >= 2 pi).
-    """
-    if not (lo > 0 and hi < 2 * math.pi):
-        return math.inf
-    br = beta.real
-    mod = br * (math.log(2 * min(math.sin(lo / 2), math.sin(hi / 2))) if br < 0 else math.log(2 * math.cosh(height / 2)))
-    return mod + math.pi * (abs(beta.imag) / 2 + abs(phase.imag)) + abs(phase.real) * height
-
-
-def _log_far_caps(terms: _RhoTerms, below: list, above: list, heights: list) -> list:
-    """Per anchor a, the sum over every other site s of _log_site_cap over the offsets
-    table[s, a] + [-below[a], above[a]] and heights[a]."""
-    table, S = terms.table.tolist(), len(terms.turns)
-    return [
-        sum(
-            _log_site_cap(*_span(table[s][a], below[a], above[a]), heights[a], terms.betas[s], terms.phases[s])
-            for s in range(S)
-            if s != a
-        )
-        for a in range(S)
-    ]
-
-
-def _log_common_cap(terms: _RhoTerms, K: int, height: float) -> float:
-    """log of a bound on |const e^{Laurent log} t^power e^{-ikx}|, |k| <= K, where |Im x| <= height.
-
-    Each Laurent term v e^{ijx} stays within |v| e^{|j| height}.
-    """
-    laurent = sum(abs(v) * math.exp(abs(k) * height) for k, v in terms.laurent.items())
-    return math.log(abs(terms.const)) + (abs(terms.power) + K) * height + laurent
-
-
-def _quadrature_term(terms: _RhoTerms, K: int, freq: int, nodes: int, sliver: float) -> float:
-    """Gauss-Legendre error of the panels of _rho_rule, over 2 pi.
-
-    A panel of half-width h errs by at most h (64/15) M r^{-2n} / (r^2 - 1)
-    with r = ELLIPSE and M a bound on |rho(x) e^{-ikx}|, |k| <= K, on its
-    Bernstein ellipse (Trefethen, SIAM Review 50, 2008, Thm 4.5).  The
-    ellipse of a panel [l, r], r <= 4 l, stays within |x| in [0.325 l, r +
-    0.45 h] and |Im x| <= 1.05 h, h <= min(3/8 of the half-arc, 5/freq).  M is
-    bounded factor by factor over the anchor's half-arcs.  The anchor's own
-    |2 sin(x/2)|^beta, with |2 sin(x/2)| >= 0.2 l where beta < 0, is summed
-    over the panels as (1/2) int (0.2 u/4)^beta du from sliver to the half-arc.
-    """
-    ahead = terms.ahead
-    back = ahead[-1:] + ahead[:-1]
-    heights = [1.05 * min(3 / 8 * max(f, b), 5 / freq) for f, b in zip(ahead, back)]
-    reach = 1 + 0.45 * 3 / 8
-    far = _log_far_caps(terms, [reach * b for b in back], [reach * f for f in ahead], heights)
-    total = 0.0
-    for beta, phase, f, b, h, rest in zip(terms.betas, terms.phases, ahead, back, heights, far):
-        lean = min(beta.real, 0.0)
-        rise = max(beta.real, 0.0) * math.log(2 * math.cosh(h / 2))  # beta >= 0: (2 cosh(h/2))^beta, times the sum of h
-        spin = math.pi * (abs(beta.imag) / 2 + abs(phase.imag)) + abs(phase.real) * h
-        span = (f ** (lean + 1) + b ** (lean + 1) - 2 * sliver ** (lean + 1)) / (lean + 1)
-        total += math.exp(_log_common_cap(terms, K, h) + rest + rise + spin) * (0.2 / 4) ** lean * span / 2
-    return 64 / 15 * ELLIPSE ** (-2 * nodes) / (ELLIPSE**2 - 1) * total / (2 * math.pi)
-
-
-def _sliver_term(terms: _RhoTerms, K: int, sliver: float) -> float:
-    """What the sliver rule leaves out, at both sides of every site, over 2 pi.
-
-    Beside site s the integrand is u^beta g(u), g analytic on the disk |u| <=
-    R, R at most half the gap to the next site.  The two nodes integrate
-    u^beta (g(0) + g'(0) u) exactly; the rest of g is at most C u^2 with C =
-    M / (R^2 - sliver R) (Cauchy, M bounding |g| on the disk).  Integrated
-    against |u^beta| and summed at the nodes, that leaves C sliver^(Re beta + 3)
-    (1/(Re beta + 3) + (|beta| + 1/2) / |(beta + 1)(beta + 2)|).
-    """
-    ahead = terms.ahead
-    radii = [min(f, b, 2 / (abs(terms.power) + K + 1)) for f, b in zip(ahead, ahead[-1:] + ahead[:-1])]
-    total = 0.0
-    for beta, phase, R, rest in zip(terms.betas, terms.phases, radii, _log_far_caps(terms, radii, radii, radii)):
-        if R <= sliver:
-            return math.inf
-        # the site's own factor in g: (2 sin(u/2) / u)^beta, within delta of 1, and its phase
-        delta = math.sinh(R / 2) / (R / 2) - 1
-        own = beta.real * math.log1p(-delta if beta.real < 0 else delta) + abs(beta.imag) * math.asin(delta)
-        own += abs(phase.imag) * (math.pi + R) + abs(phase.real) * R
-        cap = math.exp(_log_common_cap(terms, K, R) + own + rest) / (R * R - sliver * R)
-        weight = 1 / (beta.real + 3) + (abs(beta) + 0.5) / abs((beta + 1) * (beta + 2))
-        total += 2 * cap * sliver ** (beta.real + 3) * weight
-    return total / (2 * math.pi)
-
-
-def _rounding_term(terms: _RhoTerms, ks: range, sliver: float, nodes: int, summands: np.ndarray) -> float:
-    """Rounding of the values, the Fourier factors and the sums, over 2 pi.
-
-    Each summand w rho e^{-ikx} carries a relative error of at most UNIT
-    times the sum of: its weight's (8: _leggauss rounds the exact weights);
-    its additions in _fourier_integrals; the products of the power
-    recurrences and their two exp; the position error of x
-    (fl(2 pi t) + d, d within 8 UNIT |d| of the Gauss node) times |k| and
-    times the value's slope; and the rounding inside _values_of, taken per
-    anchor site a from the offsets of a's nodes to every site s: each exp,
-    log, sin and product a few units, and each addition into the exponent one
-    unit of the partial sum, which holds one large site log at most (a's own)
-    before the power of t.  Times sum |summands| / 2 pi, with n units taken
-    as n UNIT / (1 - n UNIT) (Higham, Lemma 3.1).
-    """
-    ahead, laurent, table, S = terms.ahead, terms.laurent, terms.table.tolist(), len(terms.turns)
-    back = ahead[-1:] + ahead[:-1]
-    K = max(-ks.start, ks.stop - 1)
-    Xt = 2 * math.pi * float(terms.turns[-1])
-    X = Xt + math.pi / 2  # |x|: no offset exceeds a half-arc
-    block, count, _ = _power_layout(len(ks))
-    fourier = 5 * (count * (block + 1) + block) + abs(ks.start) * X
-    position = 3 * Xt + X + 8 * math.pi
-    v_abs = sum(abs(v) for v in laurent.values())
-    common = (
-        position * (abs(terms.power) + sum(abs(k * v) for k, v in laurent.items()))
-        + sum(abs(v) * (2 * abs(k) + 6 * math.log2(abs(k)) + 6 + len(laurent)) for k, v in laurent.items())
-        + abs(terms.power) * X + 32  # the exp, the constant and products, and the weights (8 UNIT)
-    )
-    own_log = abs(math.log(2 * math.sin(sliver / 4)))
-    worst = 0.0
-    for a in range(S):  # a's nodes lie at offsets table[s, a] + [-back_a, ahead_a] from site s
-        value, partial = common, v_abs
-        for s in range(S):
-            eta, turn = abs(terms.etas[s]), abs(terms.phases[s])
-            tie = eta + abs(terms.betas[s] - terms.etas[s])  # with 4 sin^2(d/2) at -1
-            if s == a:  # d within 8 UNIT |d| of the node
-                sens, spread = 8 * (tie + math.pi * turn), eta * own_log
-            else:
-                lo, hi = _span(table[s][a], back[a], ahead[a])
-                if lo <= 0:
-                    return math.inf
-                near = min(lo, 2 * math.pi - hi)
-                slip = 3 * abs(table[s][a]) + hi + 8 * max(ahead[a], back[a])  # |d - exact| / UNIT
-                sens = (tie / (2 * math.tan(near / 2)) + turn) * slip
-                spread = eta * max(math.log(2), abs(math.log(2 * math.sin(near / 2))))
-            value += sens + 2 * spread + 2 * eta + 10 * math.pi * turn
-            partial += spread + math.pi * turn
-        worst = max(worst, value + (2 * S + 2) * partial)
-    t = UNIT * (_summation_depth(nodes, len(ks)) + fourier + K * position + worst)
-    return float(np.sum(np.abs(summands))) / (2 * np.pi) * t / (1 - t)
 
 
 def rho_coefficients(
@@ -649,7 +410,7 @@ def rho_coefficients(
     terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
     nodes, sliver = RHO_RULE
     index, offsets, weights = _rho_rule(sites, freq, nodes, sliver)
-    vals = _values_of(terms, index, offsets)
+    vals = _rho_values(terms, index, offsets)
     xs = 2 * np.pi * np.array([float(t) for t in terms.turns])[index] + offsets
     coeffs = _fourier_integrals(xs, weights, vals, ks)
     bound = (

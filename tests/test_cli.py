@@ -440,6 +440,24 @@ def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
     assert bound["a"] < 1e-12 and bound["b"] < 1e-12
 
 
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ({"kappa": -1, "log_smooth": [{"k": 6, "re": 1.0}, {"k": -6, "re": -1.0}]}, {}),
+        (
+            {"kappa": -1, "log_smooth": [{"k": 0, "re": 0.3}, {"k": 1, "re": 0.2}, {"k": -1, "re": -0.2}]},
+            {"log_smooth": [{"k": 0, "re": 0.3}]},
+        ),
+    ],
+)
+def test_verify_steep_and_constant_log_terms(tmp_path, capsys, a, b):
+    # a degree-6 log term and a k = 0 log term: verify reports both, with finite bounds
+    code, out, _ = run(capsys, ["verify", write_doc(tmp_path, {"a": a, "b": b, "p": 2})])
+    assert code == 0
+    report = json.loads(out)
+    assert max(report["fourierBound"].values()) < 1e-12 and report["rho"]["bound"] < 1e-12
+
 def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):
     # skew the delta side by half a unit, so the Hankel split's gamma - delta
     # at 1 is not an integer; hankel_identity_report reads defect_numbers

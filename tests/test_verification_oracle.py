@@ -200,13 +200,28 @@ def closed_form_bound_cases(N: int):
 def test_fourier_bound_holds_against_mpmath(N, monkeypatch):
     # the bound is mostly rounding (the quadrature term is below 1e-30 here): it holds, and
     # with UNIT = 0, which drops the rounding term, it fails
-    import th_fredholm.verification_oracle as oracle
+    from th_fredholm import quadrature
 
     for series, want in closed_form_bound_cases(N):
         assert np.max(np.abs(series.as_array() - want)) <= series.bound < 1e-12
-    monkeypatch.setattr(oracle, "UNIT", 0.0)
+    monkeypatch.setattr(quadrature, "UNIT", 0.0)
     assert any(np.max(np.abs(series.as_array() - want)) > series.bound for series, want in closed_form_bound_cases(N))
 
+
+
+@pytest.mark.parametrize("log", [{6: 1.0}, {0: 0.3, 1: 0.2}])
+def test_fourier_bound_on_steep_and_constant_log_terms(log):
+    # exp(v t^k) has the coefficients v^m / m! at k m.  At N = 64 a degree-6 log term
+    # makes the widest ellipse's cap overflow a float, and a k = 0 term has no log2|k|;
+    # the bound stays finite and holds for both
+    want = np.zeros(129, dtype=complex)
+    want[64] = 1.0
+    for k, v in log.items():
+        factor = np.zeros(129, dtype=complex)
+        factor[64 : 129 : max(k, 1)] = [v**m / math.factorial(m) for m in range(64 // max(k, 1) + 1)]
+        want[64:] = np.exp(v) * want[64:] if k == 0 else convolve(want[64:], factor[64:])[:65]
+    series = fourier_coeffs(CanonicalSymbol(log_smooth=FourierLogPoly.of(log)), 64)
+    assert np.max(np.abs(series.as_array() - want)) <= series.bound < 1e-12
 
 def test_finite_section_identity_cases():
     one = CanonicalSymbol.one()

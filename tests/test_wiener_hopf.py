@@ -333,11 +333,11 @@ def test_rho_de_matches_mpmath_quad_on_steep_pair():
     _, _, rho = steep_pair()
     de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
     turns = sorted(rho.sites)
-    parts = (rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
+    terms = wiener_hopf._rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
 
     @functools.lru_cache(maxsize=None)
     def value(anchor, u):
-        return complex(wiener_hopf._rho_values(*parts, np.array([anchor]), np.array([u]))[0])
+        return complex(wiener_hopf._rho_values(terms, np.array([anchor]), np.array([u]))[0])
 
     for k in (0, -5, 16):
         total = 0
