@@ -48,10 +48,9 @@ def survey_cases():
     N1, N2 in 1..6, p in {2, 3/2, 3}, numpy seed 7; two tries per setting.
     """
     import numpy as np
-    from helpers import pair_from_c_and_b, random_generic_b, random_structural_c
+    from helpers import jacobi_symbol, pair_from_c_and_b, random_generic_b, random_structural_c
     from test_wiener_hopf import seeded_pairs, steep_pair
     from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, normalized_pair
-    from th_fredholm.special_families import jacobi_symbol
     from th_fredholm.symbol_core import CanonicalSymbol, invert, validate_pair
 
     exponents = (Fraction(-2, 5), Fraction(0), Fraction(3, 10), Fraction(7, 10))
@@ -100,6 +99,7 @@ def old_estimate(rho) -> float:
 def cmd_survey(args) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     import numpy as np
+    from helpers import rho_for_pair
     from test_wiener_hopf import mp_rho_coefficients
     from th_fredholm import wiener_hopf as wh
     from th_fredholm.quadrature import UNIT
@@ -109,7 +109,7 @@ def cmd_survey(args) -> None:
     mp_quota = {"jacobi": 16, "steep": 1, "seeded": 5, "fmatrix": 10}
     seen: dict[str, int] = {}
     for group, pair, p in survey_cases():
-        rep_c, rep_d, rho = wh.rho_for_pair(pair, p, 16)
+        rep_c, rep_d, rho = rho_for_pair(pair, p, 16)
         if group == "fmatrix" and rep_c.n + rep_d.n > 16:
             rho = wh.rho_coefficients(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, rep_c.n + rep_d.n)
         terms = wh._rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
@@ -174,9 +174,8 @@ def cmd_survey(args) -> None:
 def cmd_faults(args) -> None:
     src = Path(args.src).resolve() if args.src else ROOT / "src"
     sys.path[:0] = [str(src), str(ROOT / "tests")]
-    from helpers import golden_kernel_instances
+    from helpers import golden_kernel_instances, jacobi_symbol
     from th_fredholm.defect_solver import defect_numbers
-    from th_fredholm.special_families import jacobi_symbol
     from th_fredholm.symbol_core import CanonicalSymbol, invert, validate_pair
     from th_fredholm.wiener_hopf import build_plus_factor, rho_coefficients
 

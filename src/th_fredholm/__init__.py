@@ -15,18 +15,13 @@ _EXPORTS = {
         " build_hash_curve exponent_pair fredholm_conditions fredholm_index normalize normalized_pair"
         " p_map winding_from_curve"
     ),
-    "special_families": (
-        "FamilyReport JacobiData classify_family family_b family_fredholm hankel_identity_report"
-        " jacobi_determinant jacobi_symbol"
-    ),
+    "special_families": "FamilyReport classify_family family_b family_fredholm hankel_identity_report",
     "symbol_core": (
         "CanonicalSymbol ConditionViolated EvalAtJump Exponent FourierLogPoly JumpFactor SymbolPair"
-        " UnitPoint eval_symbol invert jump_unit multiply one_sided_limits tilde validate_pair"
+        " UnitPoint invert jump_unit multiply one_sided_limits tilde validate_pair"
     ),
-    "verification_oracle": "KernelBasis finite_section fourier_coeffs kernel_residual_check",
-    "wiener_hopf": (
-        "PlusFactor RhoSeries build_plus_factor factor_reconstruction_defect rho_coefficients rho_for_pair"
-    ),
+    "verification_oracle": "KernelBasis fourier_coeffs kernel_residual_check",
+    "wiener_hopf": "PlusFactor RhoSeries build_plus_factor rho_coefficients",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

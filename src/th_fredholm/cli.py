@@ -91,10 +91,11 @@ def parse_symbol(node, name: str) -> CanonicalSymbol:
     scale = _as_complex(node.get("scale", [1.0, 0.0]), f"{name}.scale")
     log = {}
     for i, term in enumerate(node.get("log_smooth", [])):
-        _require(isinstance(term, dict), f"{name}.log_smooth[{i}] must be an object")
-        k = _as_int(term.get("k"), f"{name}.log_smooth[{i}].k")
+        where = f"{name}.log_smooth[{i}]"
+        _require(isinstance(term, dict), f"{where} must be an object")
+        k = _as_int(term.get("k"), f"{where}.k")
         log[k] = log.get(k, 0j) + complex(
-            _as_real(term.get("re", 0.0), "re"), _as_real(term.get("im", 0.0), "im")
+            _as_real(term.get("re", 0.0), f"{where}.re"), _as_real(term.get("im", 0.0), f"{where}.im")
         )
     jumps = []
     for i, jump in enumerate(node.get("jumps", [])):
@@ -130,6 +131,8 @@ class Job:
 
     def __init__(self, doc, need_p: bool = True):
         _require(isinstance(doc, dict), "input document must be a JSON object")
+        unknown = set(doc) - {"a", "b", "p", "options"}
+        _require(not unknown, f"input document: unknown keys {sorted(unknown)}")
         a = parse_symbol(doc.get("a"), "a")
         b = parse_symbol(doc.get("b"), "b")
         try:
@@ -143,6 +146,8 @@ class Job:
             raise InputError("input document needs p")
         options = doc.get("options", {})
         _require(isinstance(options, dict), "options must be an object")
+        unknown = set(options) - {"truncation", "section_size", "curve_samples", "tolerance", "rank_tolerance"}
+        _require(not unknown, f"options: unknown keys {sorted(unknown)}")
         self.truncation = options.get("truncation")
         if self.truncation is not None:
             self.truncation = _as_int(self.truncation, "options.truncation")

@@ -28,7 +28,6 @@ from .symbol_core import (
     CanonicalSymbol,
     Exponent,
     FourierLogPoly,
-    JumpFactor,
     SymbolPair,
     UnitPoint,
     as_fraction,
@@ -134,10 +133,6 @@ class ConditionReport:
     sites: tuple[SiteCondition, ...]
     overall: str  # "pass" | "fail" | "boundary"
 
-    @property
-    def fredholm(self) -> bool:
-        return self.overall == "pass"
-
     def failures(self) -> tuple[SiteCondition, ...]:
         return tuple(s for s in self.sites if s.verdict != "pass")
 
@@ -212,28 +207,15 @@ class NormalizedRep:
 
     gammas holds the common exponent of each conjugate pair, keyed by the
     upper-half point.  smooth_scale stays within 1e-9 of 1; it is kept so the
-    reconstruction reproduces the input bit for bit.
+    plus factor's constant stays faithful to the input's.
     """
 
-    side: str
     n: int
     gamma_plus: Exponent
     gamma_minus: Exponent
     gammas: tuple[tuple[UnitPoint, Exponent], ...]
     smooth_scale: complex
     smooth_log: FourierLogPoly
-
-    def reconstruct(self) -> CanonicalSymbol:
-        jumps = [
-            JumpFactor(ONE, self.gamma_plus + self.gamma_plus),
-            JumpFactor(MINUS_ONE, self.gamma_minus + self.gamma_minus),
-        ]
-        for pt, g in self.gammas:
-            jumps.append(JumpFactor(pt, g))
-            jumps.append(JumpFactor(pt.conjugate(), g))
-        return CanonicalSymbol(
-            kappa=2 * self.n, scale=self.smooth_scale, log_smooth=self.smooth_log, jumps=tuple(jumps)
-        )
 
 
 def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition], side: str) -> NormalizedRep:
@@ -255,7 +237,6 @@ def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition], side: str) -
         n += k
         placed[site.point] = site.tested - k
     return NormalizedRep(
-        side=side,
         n=n,
         gamma_plus=Exponent(placed.pop(ONE), s.beta_at(ONE).im / 2.0),
         gamma_minus=Exponent(placed.pop(MINUS_ONE), s.beta_at(MINUS_ONE).im / 2.0),
@@ -405,9 +386,6 @@ class CurveData:
         import numpy as np
 
         return np.concatenate([seg for _, seg in self.segments])
-
-    def tags(self) -> tuple[str, ...]:
-        return tuple(tag for tag, _ in self.segments)
 
 
 def _arc_points(z1: complex, z2: complex, theta: float, samples: int) -> np.ndarray:

@@ -7,14 +7,14 @@ fredholm_engine.normalized_pair returns after its gate also places a's
 exponents in their family windows and gives the winding kappa = n - m, whose
 sign alone decides both defect numbers.  The fifth family is I+H(phi~),
 handled through the general pipeline with c = d = phi, plus the sign data of
-the symmetric split rho = rho0 * rho1 and the Jacobi determinant closed form
-for its invertibility example.
+the symmetric split rho = rho0 * rho1.  The Jacobi determinant closed form of
+its invertibility example is a test reference (tests/helpers.py), not a route
+of the program.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -27,7 +27,6 @@ from .symbol_core import (
     Exponent,
     SymbolPair,
     UnitPoint,
-    jump_unit,
     multiply,
     symbols_equal,
 )
@@ -212,64 +211,3 @@ def hankel_identity_report(pair: SymbolPair, p) -> FamilyReport:
         split=split,
         defect=report,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class JacobiData:
-    alpha: complex
-    beta: complex
-    kappa: int
-    sigma_sq: tuple[complex, ...]
-    determinant: complex
-
-
-def _leading_coefficient_sq(n: int, alpha: complex, beta: complex) -> complex:
-    from scipy.special import gamma as gamma_fn  # complex arguments: math.gamma cannot serve
-
-    s = alpha + beta
-    if n == 0:
-        binom = 1.0 + 0j
-    else:
-        binom = gamma_fn(2 * n + s + 1) / (gamma_fn(n + 1) * gamma_fn(n + s + 1))
-    # the power of two under the (2n+s+1) factor is 2(alpha+beta)+1: the
-    # printed source drops the doubling, which a kappa=1 moment integral
-    # exposes immediately
-    return (
-        (2.0 ** (-n) * binom) ** 2
-        * (2 * n + s + 1)
-        / 2.0 ** (2 * s.real + 1 + 2j * s.imag)
-        * gamma_fn(n + 1)
-        * gamma_fn(n + s + 1)
-        / (gamma_fn(n + alpha + 1) * gamma_fn(n + beta + 1))
-    )
-
-
-def jacobi_determinant(alpha: complex, beta: complex, kappa: int) -> JacobiData:
-    """Closed form for det A_{kappa,kappa} of the two-endpoint identity case.
-
-    The weight is sigma(x) = (2-2x)^alpha (2+2x)^beta on [-1, 1]; the
-    determinant is 4 * 2^{kappa(kappa-1)} / pi^kappa over the squared
-    leading coefficients of the first kappa orthonormal polynomials.  The
-    value is nonzero throughout the admissible domain.
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    if alpha.real <= -1 or beta.real <= -1:
-        raise ValueError("weight exponents need real part above -1")
-    sigma_sq = tuple(_leading_coefficient_sq(n, alpha, beta) for n in range(kappa))
-    det = 4.0 * 2.0 ** (kappa * (kappa - 1)) / math.pi**kappa
-    for s in sigma_sq:
-        det /= s
-    return JacobiData(alpha, beta, kappa, sigma_sq, det)
-
-
-def jacobi_symbol(alpha, beta, kappa: int) -> CanonicalSymbol:
-    """The two-endpoint symbol phi = t^{2 kappa} u_{1,alpha+1/2} u_{-1,beta-1/2}."""
-    half = Fraction(1, 2)
-    out = multiply(
-        CanonicalSymbol.monomial(2 * kappa),
-        jump_unit(0, 1, Exponent.of(alpha) + half),
-    )
-    return multiply(out, jump_unit(1, 2, Exponent.of(beta) - half))

@@ -250,29 +250,8 @@ def _jump_value_interior(point: UnitPoint, beta: Exponent, x: float) -> complex:
     return cmath.exp(1j * beta.value * (xp - math.pi))
 
 
-def eval_symbol(s: CanonicalSymbol, x: float) -> complex:
-    """Evaluate s at t = exp(i*x), x taken mod 2*pi, away from jump angles.
-
-    Raises
-    ------
-    EvalAtJump
-        If x coincides with a jump angle of s (use one_sided_limits there).
-    """
-    x = float(x) % TWO_PI
-    for j in s.jumps:
-        d = abs((x - j.point.angle + math.pi) % TWO_PI - math.pi)
-        if d < 1e-13:
-            raise EvalAtJump(f"angle {x!r} hits the jump at {j.point}")
-    val = s.scale * cmath.exp(1j * s.kappa * x)
-    if not s.log_smooth.is_empty:
-        val *= cmath.exp(s.log_smooth.eval_at(cmath.exp(1j * x)))
-    for j in s.jumps:
-        val *= _jump_value_interior(j.point, j.beta, x)
-    return val
-
-
 def eval_many(s: CanonicalSymbol, xs: np.ndarray) -> np.ndarray:
-    """Vectorized eval_symbol over a jump-avoiding grid of angles.
+    """s at t = e^{ix} on a grid of angles; raises EvalAtJump on a jump angle.
 
     kappa x, the log polynomial (of z = e^{ix}) and every jump phase add into one exponent.
     """

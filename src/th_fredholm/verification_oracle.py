@@ -5,8 +5,8 @@ Gauss-Legendre quadrature of the defining integral on equal panels over the
 circle, with an a-priori error bound (quadrature.fourier_bound).  Kernel
 candidates are built explicitly from the factorization and the production
 rho, and their finite-section residuals T_N f + H_N f come from two FFT
-convolutions with those coefficients; finite_section assembles the dense
-N x N matrix, the reference the tests compare the residuals against.
+convolutions with those coefficients; the tests hold the dense N x N section
+(tests/helpers.py) that these residuals are checked against.
 
 Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
 every open arc between its jump points, so composite Gauss-Legendre on
@@ -65,17 +65,6 @@ class TwoSidedSeries:
         if abs(k) > self.N:
             raise IndexError(f"coefficient {k} beyond stored order {self.N}")
         return complex(self.coeffs[k + self.N])
-
-    def as_array(self) -> np.ndarray:
-        return self.coeffs.copy()
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteSection:
-    """Dense N x N section with entries a_{j-k} + b_{j+k+1}."""
-
-    N: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,31 +130,6 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     if bound > tol:
         raise MethodDisagreement(f"Fourier quadrature bound {bound:.3e} exceeds {tol:.1e} on |k| <= {N}")
     return TwoSidedSeries(coeffs, bound)
-
-
-def toeplitz_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
-    """Section (a_{j-k}) of size N; needs coefficients to |k| = N-1."""
-    if series.N < N - 1:
-        raise ValueError(f"need coefficients to {N - 1}, have {series.N}")
-    i = np.arange(N)[:, None]
-    j = np.arange(N)[None, :]
-    return series.coeffs[series.N + i - j]
-
-
-def hankel_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
-    """Section (b_{j+k+1}) of size N; needs coefficients to 2N-1."""
-    if series.N < 2 * N - 1:
-        raise ValueError(f"need coefficients to {2 * N - 1}, have {series.N}")
-    i = np.arange(N)[:, None]
-    j = np.arange(N)[None, :]
-    return series.coeffs[series.N + 1 + i + j]
-
-
-def finite_section(pair: SymbolPair, N: int) -> FiniteSection:
-    """Dense N x N truncation of the operator matrix."""
-    a_series = fourier_coeffs(pair.a, N - 1)
-    b_series = fourier_coeffs(pair.b, 2 * N - 1)
-    return FiniteSection(N, toeplitz_matrix(a_series, N) + hankel_matrix(b_series, N))
 
 
 def _null_vectors(matrix: np.ndarray, rank: int) -> list[np.ndarray]:

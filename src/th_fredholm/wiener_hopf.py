@@ -3,10 +3,9 @@
 The plus factor is kept in structured form: a constant, the analytic half of
 the smooth log, and a list of (point, exponent) pairs describing eta factors
 eta(tau, beta)(t) = (1 - t/tau)^beta with eta(0) = 1.  Series realizations at
-any truncation order follow from that structure by convolution, and pointwise
-values come from closed-form principal powers.  Partial sums of the series
-converge too slowly near the jump points to be usable for pointwise work, so
-the closed forms are authoritative on the circle.
+any truncation order follow from that structure by convolution.  Partial sums
+of the series converge too slowly near the jump points to be usable for
+pointwise work, so rho takes its values from the structure instead.
 
 rho is analytic between its sites and behaves like |x - x_s|^{beta_s} at a
 site, with beta_s exact from the structure.  Its values come from one
@@ -29,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fredholm_engine import NormalizedRep, normalized_pair
+from .fredholm_engine import NormalizedRep
 from .quadrature import _fourier_integrals, _leggauss, _quadrature_term, _rounding_term, _sliver_term
 from .symbol_core import (
     MINUS_ONE,
@@ -38,7 +37,6 @@ from .symbol_core import (
     Exponent,
     FourierLogPoly,
     UnitPoint,
-    eval_many,
 )
 
 # Gauss-Legendre nodes per panel and sliver width in rad of the rho rule
@@ -149,8 +147,7 @@ class PlusFactor:
 
     c_+ = constant * exp(analytic log) * prod eta(point, exponent).  realize(N)
     returns the array of coefficients of c_+ (or of 1/c_+ when inverted) up to
-    t^N, the order the caller reads, and eval_at gives closed-form values on
-    the circle.
+    t^N, the order the caller reads.
     """
 
     constant: complex
@@ -167,22 +164,6 @@ class PlusFactor:
             series = convolve(series, eta_series(point, b, N))[: N + 1]
         const = self.constant if sign == 1 else 1.0 / self.constant
         return const * series
-
-    def eval_at(self, z: np.ndarray) -> np.ndarray:
-        """Closed-form values of c_+ on or inside the unit circle (principal powers)."""
-        zz = np.asarray(z, dtype=complex)
-        out = np.full(zz.shape, self.constant, dtype=complex)
-        acc = np.zeros(zz.shape, dtype=complex)
-        for k, v in self.analytic_log.coeffs:
-            acc = acc + v * zz**k
-        out = out * np.exp(acc)
-        for point, e in self.eta_exponents:
-            out = out * np.exp(e.value * np.log(1.0 - zz / point.value()))
-        return out
-
-    def eval_tilde_at(self, z: np.ndarray) -> np.ndarray:
-        """Closed-form values of c_+(1/z)."""
-        return self.eval_at(1.0 / np.asarray(z, dtype=complex))
 
 
 def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
@@ -211,16 +192,6 @@ def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
     )
 
 
-def factor_reconstruction_defect(rep: NormalizedRep, factor: PlusFactor, angles: np.ndarray) -> float:
-    """Max pointwise gap between the input symbol and c_+(t) t^{2n} / c_+(1/t)."""
-    sym = rep.reconstruct()
-    z = np.exp(1j * np.asarray(angles, dtype=float))
-    recon = factor.eval_at(z) * z ** (2 * rep.n) / factor.eval_tilde_at(z)
-    target = eval_many(sym, angles)
-    scale = float(np.max(np.abs(target)))
-    return float(np.max(np.abs(recon - target))) / max(scale, 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class RhoSeries:
     """Two-sided coefficients of rho with their error figure and provenance.
@@ -230,8 +201,8 @@ class RhoSeries:
     rho_coefficients, a bound on max |rho_k - coeffs| over ks;
     from the tanh-sinh oracle it is an estimate, the last movement plus the
     inner remainder.  inner_N is the node count of the rule, or of the
-    oracle's last step.  sites (rho_sites) and the structured factors give
-    closed-form values.
+    oracle's last step.  sites (rho_sites), the structured factors and (n, m)
+    are what the oracle integrates rho from again.
     """
 
     coeffs: np.ndarray
@@ -250,22 +221,10 @@ class RhoSeries:
             raise IndexError(f"rho_{k} not kept (k in {self.ks.start}..{self.ks.stop - 1})")
         return complex(self.coeffs[k - self.ks.start])
 
-    def as_array(self) -> np.ndarray:
-        return self.coeffs.copy()
-
     def evenness_defect(self) -> float:
         if self.ks.start != 1 - self.ks.stop:
             raise ValueError(f"evenness needs a symmetric range, have {self.ks}")
         return float(np.max(np.abs(self.coeffs - self.coeffs[::-1])))
-
-    def eval_at(self, angles: np.ndarray) -> np.ndarray:
-        """Closed-form rho on a grid of angles off its sites, each read from its nearest site."""
-        xs = np.asarray(angles, dtype=float)
-        turns = np.array([float(t) for t in sorted(self.sites)])
-        gaps = np.remainder(xs[:, None] - 2 * np.pi * turns + np.pi, 2 * np.pi) - np.pi
-        index = np.argmin(np.abs(gaps), axis=1)
-        terms = _rho_terms(self.c_plus, self.d_plus, self.b_symbol, self.m + self.n, self.sites)
-        return _rho_values(terms, index, gaps[np.arange(xs.size), index])
 
 
 def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dict[Fraction, Exponent]:
@@ -419,10 +378,3 @@ def rho_coefficients(
         + _rounding_term(terms, ks, sliver, xs.size, weights * vals)
     )
     return RhoSeries(coeffs, ks, xs.size, bound, n, m, c_plus, d_plus, b, sites)
-
-
-def rho_for_pair(pair, p, N_keep: int) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:
-    """Normalize both sides, build the plus factors, and compute rho."""
-    rep_c, rep_d = normalized_pair(pair, p)
-    c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
-    return rep_c, rep_d, rho_coefficients(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep)

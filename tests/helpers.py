@@ -1,18 +1,36 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and the second routes only the tests use.
+
+The second routes are references the suite checks production against, kept
+out of the package because no command reaches them: pointwise symbol values
+(eval_symbol), dense finite sections, closed-form values of plus factors and
+of rho, the reconstruction of a normalized representation, and the Jacobi
+determinant closed form of acceptance criterion 4.
+"""
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from th_fredholm import __version__
-from th_fredholm.fredholm_engine import EPS_BOUNDARY, NotFredholm, PMap, fredholm_conditions, normalized_pair
+from th_fredholm.fredholm_engine import (
+    EPS_BOUNDARY,
+    NormalizedRep,
+    NotFredholm,
+    PMap,
+    fredholm_conditions,
+    normalized_pair,
+)
 from th_fredholm.special_families import A_MINUS_HA, A_MINUS_HTINV_A, A_PLUS_HA, A_PLUS_HT_A
 from th_fredholm.symbol_core import (
+    TWO_PI,
     CanonicalSymbol,
+    EvalAtJump,
     Exponent,
     FourierLogPoly,
     JumpFactor,
@@ -20,13 +38,21 @@ from th_fredholm.symbol_core import (
     ONE,
     SymbolPair,
     UnitPoint,
+    _jump_value_interior,
     eval_many,
     jump_unit,
     multiply,
     validate_pair,
 )
-from th_fredholm.verification_oracle import TwoSidedSeries
-from th_fredholm.wiener_hopf import build_plus_factor
+from th_fredholm.verification_oracle import TwoSidedSeries, fourier_coeffs
+from th_fredholm.wiener_hopf import (
+    PlusFactor,
+    RhoSeries,
+    _rho_terms,
+    _rho_values,
+    build_plus_factor,
+    rho_coefficients,
+)
 
 UPPER_ANGLES = [(1, 8), (1, 4), (3, 8), (1, 3), (1, 6), (2, 5)]
 
@@ -297,3 +323,182 @@ def hankel_split_factors(report):
         return out
 
     return rho0, rho1
+
+
+# -- second routes: pointwise symbol values, dense sections, closed forms ------
+
+
+def eval_symbol(s: CanonicalSymbol, x: float) -> complex:
+    """Evaluate s at t = exp(i*x), x taken mod 2*pi, away from jump angles.
+
+    The scalar route to symbol_core.eval_many's values, factor by factor.
+
+    Raises
+    ------
+    EvalAtJump
+        If x coincides with a jump angle of s (use one_sided_limits there).
+    """
+    x = float(x) % TWO_PI
+    for j in s.jumps:
+        d = abs((x - j.point.angle + math.pi) % TWO_PI - math.pi)
+        if d < 1e-13:
+            raise EvalAtJump(f"angle {x!r} hits the jump at {j.point}")
+    val = s.scale * cmath.exp(1j * s.kappa * x)
+    if not s.log_smooth.is_empty:
+        val *= cmath.exp(s.log_smooth.eval_at(cmath.exp(1j * x)))
+    for j in s.jumps:
+        val *= _jump_value_interior(j.point, j.beta, x)
+    return val
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteSection:
+    """Dense N x N section with entries a_{j-k} + b_{j+k+1}."""
+
+    N: int
+    matrix: np.ndarray
+
+
+def toeplitz_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
+    """Section (a_{j-k}) of size N; needs coefficients to |k| = N-1."""
+    if series.N < N - 1:
+        raise ValueError(f"need coefficients to {N - 1}, have {series.N}")
+    i = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    return series.coeffs[series.N + i - j]
+
+
+def hankel_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
+    """Section (b_{j+k+1}) of size N; needs coefficients to 2N-1."""
+    if series.N < 2 * N - 1:
+        raise ValueError(f"need coefficients to {2 * N - 1}, have {series.N}")
+    i = np.arange(N)[:, None]
+    j = np.arange(N)[None, :]
+    return series.coeffs[series.N + 1 + i + j]
+
+
+def finite_section(pair: SymbolPair, N: int) -> FiniteSection:
+    """Dense N x N truncation of the operator matrix."""
+    a_series = fourier_coeffs(pair.a, N - 1)
+    b_series = fourier_coeffs(pair.b, 2 * N - 1)
+    return FiniteSection(N, toeplitz_matrix(a_series, N) + hankel_matrix(b_series, N))
+
+
+def reconstruct(rep: NormalizedRep) -> CanonicalSymbol:
+    """The symbol t^{2n} a0 u(1,2g+) u(-1,2g-) prod u(tau,g) u(conj tau,g) that rep represents."""
+    jumps = [
+        JumpFactor(ONE, rep.gamma_plus + rep.gamma_plus),
+        JumpFactor(MINUS_ONE, rep.gamma_minus + rep.gamma_minus),
+    ]
+    for pt, g in rep.gammas:
+        jumps.append(JumpFactor(pt, g))
+        jumps.append(JumpFactor(pt.conjugate(), g))
+    return CanonicalSymbol(
+        kappa=2 * rep.n, scale=rep.smooth_scale, log_smooth=rep.smooth_log, jumps=tuple(jumps)
+    )
+
+
+def plus_factor_at(factor: PlusFactor, z: np.ndarray) -> np.ndarray:
+    """Closed-form values of c_+ on or inside the unit circle (principal powers)."""
+    zz = np.asarray(z, dtype=complex)
+    out = np.full(zz.shape, factor.constant, dtype=complex)
+    acc = np.zeros(zz.shape, dtype=complex)
+    for k, v in factor.analytic_log.coeffs:
+        acc = acc + v * zz**k
+    out = out * np.exp(acc)
+    for point, e in factor.eta_exponents:
+        out = out * np.exp(e.value * np.log(1.0 - zz / point.value()))
+    return out
+
+
+def plus_factor_tilde_at(factor: PlusFactor, z: np.ndarray) -> np.ndarray:
+    """Closed-form values of c_+(1/z)."""
+    return plus_factor_at(factor, 1.0 / np.asarray(z, dtype=complex))
+
+
+def factor_reconstruction_defect(rep: NormalizedRep, factor: PlusFactor, angles: np.ndarray) -> float:
+    """Max pointwise gap between the input symbol and c_+(t) t^{2n} / c_+(1/t)."""
+    sym = reconstruct(rep)
+    z = np.exp(1j * np.asarray(angles, dtype=float))
+    recon = plus_factor_at(factor, z) * z ** (2 * rep.n) / plus_factor_tilde_at(factor, z)
+    target = eval_many(sym, angles)
+    scale = float(np.max(np.abs(target)))
+    return float(np.max(np.abs(recon - target))) / max(scale, 1.0)
+
+
+def rho_at(rho: RhoSeries, angles: np.ndarray) -> np.ndarray:
+    """Closed-form rho on a grid of angles off its sites, each read from its nearest site."""
+    xs = np.asarray(angles, dtype=float)
+    turns = np.array([float(t) for t in sorted(rho.sites)])
+    gaps = np.remainder(xs[:, None] - 2 * np.pi * turns + np.pi, 2 * np.pi) - np.pi
+    index = np.argmin(np.abs(gaps), axis=1)
+    terms = _rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
+    return _rho_values(terms, index, gaps[np.arange(xs.size), index])
+
+
+def rho_for_pair(pair, p, N_keep: int) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:
+    """Normalize both sides, build the plus factors, and compute rho."""
+    rep_c, rep_d = normalized_pair(pair, p)
+    c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
+    return rep_c, rep_d, rho_coefficients(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep)
+
+
+@dataclass(frozen=True, eq=False)
+class JacobiData:
+    alpha: complex
+    beta: complex
+    kappa: int
+    sigma_sq: tuple[complex, ...]
+    determinant: complex
+
+
+def _leading_coefficient_sq(n: int, alpha: complex, beta: complex) -> complex:
+    from scipy.special import gamma as gamma_fn  # complex arguments: math.gamma cannot serve
+
+    s = alpha + beta
+    if n == 0:
+        binom = 1.0 + 0j
+    else:
+        binom = gamma_fn(2 * n + s + 1) / (gamma_fn(n + 1) * gamma_fn(n + s + 1))
+    # the power of two under the (2n+s+1) factor is 2(alpha+beta)+1: the
+    # printed source drops the doubling, which a kappa=1 moment integral
+    # exposes immediately
+    return (
+        (2.0 ** (-n) * binom) ** 2
+        * (2 * n + s + 1)
+        / 2.0 ** (2 * s.real + 1 + 2j * s.imag)
+        * gamma_fn(n + 1)
+        * gamma_fn(n + s + 1)
+        / (gamma_fn(n + alpha + 1) * gamma_fn(n + beta + 1))
+    )
+
+
+def jacobi_determinant(alpha: complex, beta: complex, kappa: int) -> JacobiData:
+    """Closed form for det A_{kappa,kappa} of the two-endpoint identity case.
+
+    The weight is sigma(x) = (2-2x)^alpha (2+2x)^beta on [-1, 1]; the
+    determinant is 4 * 2^{kappa(kappa-1)} / pi^kappa over the squared
+    leading coefficients of the first kappa orthonormal polynomials.  The
+    value is nonzero throughout the admissible domain.
+    """
+    alpha = complex(alpha)
+    beta = complex(beta)
+    if kappa < 1:
+        raise ValueError("kappa must be at least 1")
+    if alpha.real <= -1 or beta.real <= -1:
+        raise ValueError("weight exponents need real part above -1")
+    sigma_sq = tuple(_leading_coefficient_sq(n, alpha, beta) for n in range(kappa))
+    det = 4.0 * 2.0 ** (kappa * (kappa - 1)) / math.pi**kappa
+    for s in sigma_sq:
+        det /= s
+    return JacobiData(alpha, beta, kappa, sigma_sq, det)
+
+
+def jacobi_symbol(alpha, beta, kappa: int) -> CanonicalSymbol:
+    """The two-endpoint symbol phi = t^{2 kappa} u_{1,alpha+1/2} u_{-1,beta-1/2}."""
+    half = Fraction(1, 2)
+    out = multiply(
+        CanonicalSymbol.monomial(2 * kappa),
+        jump_unit(0, 1, Exponent.of(alpha) + half),
+    )
+    return multiply(out, jump_unit(1, 2, Exponent.of(beta) - half))

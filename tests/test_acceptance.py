@@ -16,7 +16,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import family_lows, golden_kernel_instances, random_fredholm_pair, unimodular_symbol
+from helpers import (
+    factor_reconstruction_defect,
+    family_lows,
+    golden_kernel_instances,
+    jacobi_determinant,
+    jacobi_symbol,
+    random_fredholm_pair,
+    rho_for_pair,
+    unimodular_symbol,
+)
 from th_fredholm.defect_solver import InsufficientCoefficients, RankUndecidable, defect_numbers
 from th_fredholm.fredholm_engine import (
     CurveThroughOrigin,
@@ -34,8 +43,6 @@ from th_fredholm.special_families import (
     A_PLUS_HT_A,
     family_b,
     family_fredholm,
-    jacobi_determinant,
-    jacobi_symbol,
 )
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
@@ -47,11 +54,7 @@ from th_fredholm.symbol_core import (
     validate_pair,
 )
 from th_fredholm.verification_oracle import kernel_residual_check
-from th_fredholm.wiener_hopf import (
-    build_plus_factor,
-    factor_reconstruction_defect,
-    rho_for_pair,
-)
+from th_fredholm.wiener_hopf import build_plus_factor
 
 
 def four_jump_symbol():

@@ -1,6 +1,7 @@
 """Exit codes, document schemas, and determinism of the command line."""
 
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -631,7 +632,7 @@ TWO_JUMP_DOC = {
 
 
 INPUT_ERRORS = [
-    (doc, ["check"])
+    (doc, ["check"], "error:")
     for doc in [
         {"a": {"kappa": -1}, "b": {"kappa": -1}},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 0.5},
@@ -651,23 +652,31 @@ INPUT_ERRORS = [
         {**TWO_JUMP_DOC, "options": {"rank_tolerance": 0.0}},
         {**README_DOC, "options": {"curve_samples": 0}},
     ]
-] + [(README_DOC, ["curve", "--samples", "0"])]
+] + [(README_DOC, ["curve", "--samples", "0"], "error:")]
 # residuals whose deviation bound overflows a float
 INPUT_ERRORS += [
-    ({"a": {"log_smooth": [{"k": 0, "re": 1000.0}]}, "b": {}, "p": 2}, ["check"]),
-    ({"a": {"log_smooth": [{"k": 1, "re": 1e300}, {"k": -1, "re": 1e300}]}, "b": {}, "p": 2}, ["check"]),
+    ({"a": {"log_smooth": [{"k": 0, "re": 1000.0}]}, "b": {}, "p": 2}, ["check"], "error:"),
+    ({"a": {"log_smooth": [{"k": 1, "re": 1e300}, {"k": -1, "re": 1e300}]}, "b": {}, "p": 2}, ["check"], "error:"),
+]
+# a misspelled option, keys the document does not know, and log terms that are not numbers: the error names each
+INPUT_ERRORS += [
+    ({**README_DOC, "options": {"section_szie": 8}}, ["verify"], "error: options: unknown keys ['section_szie']"),
+    ({**README_DOC, "note": "x"}, ["check"], "error: input document: unknown keys ['note']"),
+    ({**README_DOC, "P": 2}, ["sweep", "--p-from", "6/5", "--p-to", "3", "--steps", "3"], "unknown keys ['P']"),
+    ({"a": {"log_smooth": [{"k": 1, "re": "0.2"}]}, "b": {}, "p": 2}, ["check"], "a.log_smooth[0].re must be a number"),
+    ({"a": {}, "b": {"log_smooth": [{"k": 1}, {"k": 2, "im": None}]}, "p": 2}, ["check"], "b.log_smooth[1].im must be"),
 ]
 
 
 @pytest.mark.parametrize(
-    "doc,command", INPUT_ERRORS, ids=[f"doc{i}" for i in range(len(INPUT_ERRORS))]
+    "doc,command,message", INPUT_ERRORS, ids=[f"doc{i}" for i in range(len(INPUT_ERRORS))]
 )
-def test_input_errors_exit_three(tmp_path, capsys, doc, command):
+def test_input_errors_exit_three(tmp_path, capsys, doc, command, message):
     path = write_doc(tmp_path, doc)
     code, out, err = run(capsys, [command[0], path, *command[1:]])
     assert code == 3
     assert out == ""
-    assert "error:" in err
+    assert "error:" in err and message in err
 
 
 def test_invalid_json_exits_three(tmp_path, capsys):
@@ -718,14 +727,17 @@ JACOBI_FMATRIX = {
 }
 
 COLD_START_PROBE = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
+
+# scipy is blocked: importing it, or any submodule, raises ImportError
+sys.modules["scipy"] = None
 
 def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    return sorted(n for n, m in sys.modules.items() if n.split(".")[0] == "scipy" and m is not None)
 
 from th_fredholm import cli
 
-fmatrix, monomial, readme = sys.argv[1:]
+fmatrix, monomial, readme = sys.argv[1:4]
 seen = {"import": scipy_modules()}
 runs = {"check": ["check", fmatrix], "defects": ["defects", fmatrix],
         "verify monomial": ["verify", monomial], "verify README": ["verify", readme]}
@@ -734,21 +746,45 @@ for label, argv in runs.items():
         code = cli.main(argv)
     doc = json.loads(out.getvalue())
     seen[label] = [code, doc.get("caseTag", doc.get("errorKind")), scipy_modules()]
+commands = {}
+for argv in json.loads(sys.argv[4]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    commands[" ".join(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), scipy_modules()]
+seen["commands"] = commands
+try:
+    import scipy.special
+except ImportError:
+    seen["blocked"] = True
 print(json.dumps(seen))
 """
 
 
-def test_cold_commands_do_not_import_scipy(tmp_path):
+def test_cold_commands_do_not_import_scipy(tmp_path, capsys):
     # verify builds its kernel candidates by convolution, with no scipy.linalg:
-    # t^-1 has one particular candidate, and README_DOC fails on its residual
+    # t^-1 has one particular candidate, and README_DOC fails on its residual.
+    # With scipy blocked, all nine commands on the README and four-jump
+    # documents print what they print with scipy importable
     monomial = {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2}
-    docs = {"fmatrix.json": JACOBI_FMATRIX, "monomial.json": monomial, "readme.json": README_DOC}
+    docs = {
+        "fmatrix.json": JACOBI_FMATRIX,
+        "monomial.json": monomial,
+        "readme.json": README_DOC,
+        "four-jump.json": {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2},
+        "four-jump-steep.json": {"a": EX_CURVE_SYMBOL, "b": {}, "p": "113/100"},
+    }
     files = [write_doc(tmp_path, doc, name) for name, doc in docs.items()]
+    extra = {"sweep": ["--p-from", "6/5", "--p-to", "3", "--steps", "25"]}
+    argvs = [[command, path, *extra.get(command, [])] for path in files[2:] for command in cli._COMMANDS]
+    unblocked = {}
+    for argv in argvs:
+        code, out, _ = run(capsys, argv)
+        unblocked[" ".join(argv)] = [code, hashlib.sha256(out.encode()).hexdigest(), []]
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
-        [sys.executable, "-c", COLD_START_PROBE, *files],
+        [sys.executable, "-c", COLD_START_PROBE, *files[:3], json.dumps(argvs)],
         capture_output=True,
         text=True,
         env=env,
@@ -761,6 +797,8 @@ def test_cold_commands_do_not_import_scipy(tmp_path):
     assert seen["defects"] == [0, "F-matrix", []]
     assert seen["verify monomial"] == [0, None, []]
     assert seen["verify README"] == [4, "numerical-confidence", []]
+    assert seen.get("blocked") and seen["commands"] == unblocked
+    assert {code for code, _, _ in unblocked.values()} == {0, 4}
 
 
 EXACT_TIER_PROBE = """
@@ -825,7 +863,7 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
 
 def test_public_names_resolve_to_their_defining_modules():
     import th_fredholm
-    from th_fredholm import confidence, verification_oracle
+    from th_fredholm import confidence, special_families, symbol_core, verification_oracle, wiener_hopf
 
     star = {}
     exec("from th_fredholm import *", star)
@@ -837,3 +875,27 @@ def test_public_names_resolve_to_their_defining_modules():
     assert verification_oracle.ResidualTooLarge is confidence.ResidualTooLarge
     with pytest.raises(AttributeError):
         th_fredholm.eval_many
+    # the test-only routes live in tests/helpers.py, and the package names none of them
+    moved = {
+        symbol_core: ["eval_symbol"],
+        verification_oracle: ["finite_section", "toeplitz_matrix", "hankel_matrix", "FiniteSection"],
+        wiener_hopf: ["factor_reconstruction_defect", "rho_for_pair"],
+        special_families: ["JacobiData", "_leading_coefficient_sq", "jacobi_determinant", "jacobi_symbol"],
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert not hasattr(module, name), name
+            with pytest.raises(AttributeError):
+                getattr(th_fredholm, name)
+    methods = {
+        wiener_hopf.PlusFactor: ["eval_at", "eval_tilde_at"],
+        wiener_hopf.RhoSeries: ["eval_at", "as_array"],
+        verification_oracle.TwoSidedSeries: ["as_array"],
+        fredholm_engine.NormalizedRep: ["reconstruct", "side"],
+        fredholm_engine.ConditionReport: ["fredholm"],
+        fredholm_engine.CurveData: ["tags"],
+    }
+    for cls, names in methods.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert not hasattr(cls, name) and name not in fields, (cls.__name__, name)

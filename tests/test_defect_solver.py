@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import random_fredholm_pair
+from helpers import jacobi_determinant, jacobi_symbol, random_fredholm_pair, rho_for_pair
 from th_fredholm.defect_solver import (
     DefectMatrix,
     IllConditionedRankWarning,
@@ -22,7 +22,6 @@ from th_fredholm.defect_solver import (
 )
 from th_fredholm import wiener_hopf
 from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, fredholm_index
-from th_fredholm.special_families import jacobi_determinant, jacobi_symbol
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
     invert,
@@ -31,7 +30,6 @@ from th_fredholm.symbol_core import (
     tilde,
     validate_pair,
 )
-from th_fredholm.wiener_hopf import rho_for_pair
 
 
 def trivial_pair():

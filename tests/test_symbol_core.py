@@ -14,7 +14,6 @@ from th_fredholm.symbol_core import (
     JumpFactor,
     UnitPoint,
     eval_many,
-    eval_symbol,
     invert,
     jump_unit,
     multiply,
@@ -24,7 +23,7 @@ from th_fredholm.symbol_core import (
     validate_pair,
 )
 
-from helpers import random_generic_b, rotate_half
+from helpers import eval_symbol, random_generic_b, rotate_half
 
 
 def example_c():

@@ -26,16 +26,20 @@ from th_fredholm.verification_oracle import (
     ResidualTooLarge,
     TwoSidedSeries,
     _fourier_integrals,
-    finite_section,
     fourier_coeffs,
-    hankel_matrix,
     kernel_residual_check,
     rho_de,
+)
+from th_fredholm.wiener_hopf import _gauss_panels, build_plus_factor, convolve
+
+from helpers import (
+    finite_section,
+    golden_kernel_instances,
+    hankel_matrix,
+    rho_for_pair,
+    sampled_fft_coeffs,
     toeplitz_matrix,
 )
-from th_fredholm.wiener_hopf import _gauss_panels, build_plus_factor, convolve, rho_for_pair
-
-from helpers import golden_kernel_instances, sampled_fft_coeffs
 
 
 def smooth(kappa=0, scale=1.0, log=None):
@@ -48,7 +52,7 @@ def test_monomial_coefficients():
     series = fourier_coeffs(CanonicalSymbol.monomial(3), 8)
     expected = np.zeros(17, dtype=complex)
     expected[8 + 3] = 1.0
-    assert np.allclose(series.as_array(), expected, atol=1e-12)
+    assert np.allclose(series.coeffs, expected, atol=1e-12)
     assert series.bound < 1e-9
 
 
@@ -73,14 +77,14 @@ def test_single_jump_closed_form_to_order_512():
     series = fourier_coeffs(jump_unit(0, 1, beta), 512)
     ks = np.arange(-512, 513)
     want = np.sin(np.pi * beta) / (np.pi * (beta - ks))
-    assert np.max(np.abs(series.as_array() - want)) < 1e-12
+    assert np.max(np.abs(series.coeffs - want)) < 1e-12
     assert series.bound < 1e-12
 
 
 def test_high_winding_enters_panel_count():
     # t^300 has no coefficient at |k| <= 8, but its integrand oscillates 308 times
     series = fourier_coeffs(CanonicalSymbol.monomial(300), 8)
-    assert np.max(np.abs(series.as_array())) < 1e-12
+    assert np.max(np.abs(series.coeffs)) < 1e-12
 
 
 @pytest.mark.parametrize("N", [8, 64, 255, 512])
@@ -92,7 +96,7 @@ def test_jump_inside_a_panel_against_closed_form(N):
         series = fourier_coeffs(jump_unit(1, den, beta), N)
         ks = np.arange(-N, N + 1)
         want = np.exp(-2j * np.pi * ks / den) * np.sin(np.pi * beta) / (np.pi * (beta - ks))
-        assert np.max(np.abs(series.as_array() - want)) < 1e-12
+        assert np.max(np.abs(series.coeffs - want)) < 1e-12
         assert series.bound < 1e-12
 
 
@@ -161,15 +165,15 @@ def test_power_recurrence_matches_dense_kernel():
 
 def test_series_matches_fft_for_smooth_symbol():
     s = smooth(kappa=1, scale=0.7 - 0.2j, log={1: 0.3, -2: 0.1j})
-    a = fourier_coeffs(s, 32).as_array()
-    b = sampled_fft_coeffs(s, 32).as_array()
+    a = fourier_coeffs(s, 32).coeffs
+    b = sampled_fft_coeffs(s, 32).coeffs
     assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_two_sided_series_accessors():
     series = fourier_coeffs(smooth(log={1: 0.5}), 8)
     assert series.N == 8
-    assert series.get(-3) == series.as_array()[5]
+    assert series.get(-3) == series.coeffs[5]
     with pytest.raises(IndexError):
         series.get(9)
 
@@ -203,9 +207,9 @@ def test_fourier_bound_holds_against_mpmath(N, monkeypatch):
     from th_fredholm import quadrature
 
     for series, want in closed_form_bound_cases(N):
-        assert np.max(np.abs(series.as_array() - want)) <= series.bound < 1e-12
+        assert np.max(np.abs(series.coeffs - want)) <= series.bound < 1e-12
     monkeypatch.setattr(quadrature, "UNIT", 0.0)
-    assert any(np.max(np.abs(series.as_array() - want)) > series.bound for series, want in closed_form_bound_cases(N))
+    assert any(np.max(np.abs(series.coeffs - want)) > series.bound for series, want in closed_form_bound_cases(N))
 
 
 
@@ -221,7 +225,7 @@ def test_fourier_bound_on_steep_and_constant_log_terms(log):
         factor[64 : 129 : max(k, 1)] = [v**m / math.factorial(m) for m in range(64 // max(k, 1) + 1)]
         want[64:] = np.exp(v) * want[64:] if k == 0 else convolve(want[64:], factor[64:])[:65]
     series = fourier_coeffs(CanonicalSymbol(log_smooth=FourierLogPoly.of(log)), 64)
-    assert np.max(np.abs(series.as_array() - want)) <= series.bound < 1e-12
+    assert np.max(np.abs(series.coeffs - want)) <= series.bound < 1e-12
 
 def test_finite_section_identity_cases():
     one = CanonicalSymbol.one()
@@ -269,10 +273,10 @@ def test_toeplitz_hankel_product_identities():
     for _ in range(5):
         a = _random_banded(rng, M, N // 4)
         b = _random_banded(rng, M, N // 4)
-        ab = TwoSidedSeries(fftconvolve(a.as_array(), b.as_array())[M : 3 * M + 1])
+        ab = TwoSidedSeries(fftconvolve(a.coeffs, b.coeffs)[M : 3 * M + 1])
         ta, tb = toeplitz_matrix(a, N), toeplitz_matrix(b, N)
         ha, hb = hankel_matrix(a, N), hankel_matrix(b, N)
-        b_tilde = TwoSidedSeries(b.as_array()[::-1])
+        b_tilde = TwoSidedSeries(b.coeffs[::-1])
         tbt = toeplitz_matrix(b_tilde, N)
         hbt = hankel_matrix(b_tilde, N)
         mid = slice(N // 4, 3 * N // 4)
