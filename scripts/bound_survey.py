@@ -1,11 +1,12 @@
-"""Survey, page faults and benchmark pairs for the a-priori error bound of rho.
+"""Survey, page faults and benchmark pairs for the a-priori error bound of rho, and the rank rule it certifies.
 
-Run from the root of a checkout; each command writes its section of
-BENCH_rho_bound.json there:
+Run from the root of a checkout; ranks writes BENCH_rank_rule.json there,
+and each other command writes its section of BENCH_rho_bound.json:
 
     python3 scripts/bound_survey.py survey
     python3 scripts/bound_survey.py faults [--src DIR]
     python3 scripts/bound_survey.py pairs --parent DIR --workload W --seed S [--pairs 10]
+    python3 scripts/bound_survey.py ranks
 
 survey compares RhoSeries.tail_bound with the fine-minus-coarse estimate the
 code used before (a 16-node rule with a 1e-10 rad sliver beside the 24-node
@@ -14,7 +15,13 @@ of tests/test_wiener_hopf.py.  faults counts minor page faults per
 rho_coefficients call with resource.getrusage, and the peak memory of
 compiling the numeric modules; --src points it at another checkout's
 src.  pairs runs bench/run.py alternately in the parent checkout
-and in this one, each with a fresh bytecode cache.
+and in this one, each with a fresh bytecode cache.  ranks applies
+defect_solver.rank_decision, and the rule it replaced (a cut at 1e-8 sigma_max
+with a refusal only when rho's bound could move a singular value across the
+cut), to the F-matrix defect matrices of criterion 4's Jacobi grid,
+bench/gen.fmatrix_doc documents, the ROADMAP's random F-matrix survey and
+criterion 6's draws, and prints the certification margins and every
+difference between the two rules.
 """
 
 from __future__ import annotations
@@ -35,38 +42,29 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_rho_bound.json"
 
 
-def save(section: str, data) -> None:
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+def save(section: str, data, out: Path = OUT) -> None:
+    doc = json.loads(out.read_text()) if out.exists() else {}
     doc[section] = data
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def survey_cases():
-    """(group, pair, p) on criterion 4's Jacobi grid, the seeded pairs of the tests and random F-matrix pairs.
+def fmatrix_survey(tries: int):
+    """(pair, p) for the random F-matrix pairs of the ROADMAP survey, `tries` draws per setting.
 
-    The F-matrix pairs follow the ROADMAP survey: kappa_c = 2 N1, kappa_b = -(N1 + N2),
-    N1, N2 in 1..6, p in {2, 3/2, 3}, numpy seed 7; two tries per setting.
+    kappa_c = 2 N1, kappa_b = -(N1 + N2), N1, N2 in 1..6, p in {2, 3/2, 3},
+    numpy seed 7; draws that fail the gate or leave the F-matrix case are
+    skipped.
     """
     import numpy as np
-    from helpers import jacobi_symbol, pair_from_c_and_b, random_generic_b, random_structural_c
-    from test_wiener_hopf import seeded_pairs, steep_pair
+    from helpers import pair_from_c_and_b, random_generic_b, random_structural_c
     from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, normalized_pair
-    from th_fredholm.symbol_core import CanonicalSymbol, invert, validate_pair
+    from th_fredholm.symbol_core import CanonicalSymbol
 
-    exponents = (Fraction(-2, 5), Fraction(0), Fraction(3, 10), Fraction(7, 10))
-    for kappa in (1, 2, 3, 4):
-        for alpha in exponents:
-            for beta in exponents:
-                yield "jacobi", validate_pair(CanonicalSymbol.one(), invert(jacobi_symbol(alpha, beta, kappa))), 2
-    pair, p, _ = steep_pair()
-    yield "steep", pair, p
-    for pair, p, _ in seeded_pairs():
-        yield "seeded", pair, p
     rng = np.random.default_rng(7)
     for n1 in range(1, 7):
         for n2 in range(1, 7):
             for p in (Fraction(2), Fraction(3, 2), Fraction(3)):
-                for _ in range(2):
+                for _ in range(tries):
                     c = random_structural_c(rng)
                     b = random_generic_b(rng)
                     c = CanonicalSymbol(kappa=2 * n1, scale=c.scale, log_smooth=c.log_smooth, jumps=c.jumps)
@@ -77,7 +75,37 @@ def survey_cases():
                     except (NotFredholm, BoundaryCase):
                         continue
                     if rep_c.n > 0 and rep_d.n > 0:
-                        yield "fmatrix", pair, p
+                        yield pair, p
+
+
+def jacobi_pairs():
+    """(pair, p) on criterion 4's grid: a = 1, b = 1/phi, with n = m = kappa at p = 2."""
+    from helpers import jacobi_symbol
+    from th_fredholm.symbol_core import CanonicalSymbol, invert, validate_pair
+
+    exponents = (Fraction(-2, 5), Fraction(0), Fraction(3, 10), Fraction(7, 10))
+    for kappa in (1, 2, 3, 4):
+        for alpha in exponents:
+            for beta in exponents:
+                yield validate_pair(CanonicalSymbol.one(), invert(jacobi_symbol(alpha, beta, kappa))), 2
+
+
+def survey_cases():
+    """(group, pair, p) on criterion 4's Jacobi grid, the seeded pairs of the tests and random F-matrix pairs.
+
+    The F-matrix pairs follow the ROADMAP survey: kappa_c = 2 N1, kappa_b = -(N1 + N2),
+    N1, N2 in 1..6, p in {2, 3/2, 3}, numpy seed 7; two tries per setting.
+    """
+    from test_wiener_hopf import seeded_pairs, steep_pair
+
+    for pair, p in jacobi_pairs():
+        yield "jacobi", pair, p
+    pair, p, _ = steep_pair()
+    yield "steep", pair, p
+    for pair, p, _ in seeded_pairs():
+        yield "seeded", pair, p
+    for pair, p in fmatrix_survey(2):
+        yield "fmatrix", pair, p
 
 
 def old_estimate(rho) -> float:
@@ -253,6 +281,95 @@ def cmd_pairs(args) -> None:
     save(f"pairs:{args.workload}:{args.seed}", {"summary": summary, "runs": runs})
 
 
+def parent_rank(dm) -> int | None:
+    """The rank by the rule rank_decision replaced, or None where that rule refused.
+
+    It counted the singular values above 1e-8 sigma_max and refused only when
+    2 eps sqrt(nm) reached the distance from the cut to the nearest one.
+    """
+    import numpy as np
+
+    sv = np.linalg.svd(dm.matrix, compute_uv=False)
+    cut = 1e-8 * sv[0]
+    moved = 2.0 * dm.rho.tail_bound * math.sqrt(dm.n * dm.m)
+    if not moved < max(float(np.abs(sv - cut).min()), 1e-300):
+        return None
+    return int(np.sum(sv > cut))
+
+
+def rank_cases(fmatrix_docs: int, survey_tries: int):
+    """(group, pair, p) for every F-matrix case the rank survey reads."""
+    import random
+
+    import numpy as np
+    import gen
+    from helpers import random_fredholm_pair
+    from th_fredholm.cli import Job
+    from th_fredholm.fredholm_engine import normalized_pair
+    from th_fredholm.symbol_core import tilde, validate_pair
+
+    for pair, p in jacobi_pairs():
+        yield "jacobi", pair, p
+    rng = random.Random(2026)
+    for _ in range(fmatrix_docs):
+        job = Job(json.loads(gen.to_json(gen.fmatrix_doc(rng))))
+        yield "fmatrix_doc", job.pair, job.p
+    for pair, p in fmatrix_survey(survey_tries):
+        yield "survey", pair, p
+    # criterion 6's 100 Fredholm draws, and the dual pair (a~, b) at q of its first 10
+    rng = np.random.default_rng(2026)
+    ps = (Fraction(2), Fraction(3, 2), Fraction(3))
+    for i in range(100):
+        p = ps[i % 3]
+        pair = random_fredholm_pair(rng, p)
+        draws = [(pair, p)] + [(validate_pair(tilde(pair.a), pair.b), p / (p - 1))] * (i < 10)
+        for pair, p in draws:
+            rep_c, rep_d = normalized_pair(pair, p)
+            if rep_c.n > 0 and rep_d.n > 0:
+                yield "criterion6", pair, p
+
+
+def cmd_ranks(args) -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+    import numpy as np
+    from th_fredholm.defect_solver import RankUndecidable, defect_matrix, rank_decision
+    from th_fredholm.fredholm_engine import normalized_pair
+    from th_fredholm.wiener_hopf import build_plus_factor, rho_coefficients
+
+    groups: dict[str, dict] = {}
+    for group, pair, p in rank_cases(args.fmatrix_docs, args.survey_tries):
+        # the defect matrix exactly as defect_numbers builds it
+        rep_c, rep_d = normalized_pair(pair, p)
+        n, m = rep_c.n, rep_d.n
+        rho = rho_coefficients(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, max(n + m, 16))
+        dm = defect_matrix(rho, n, m)
+        sv = np.linalg.svd(dm.matrix, compute_uv=False)
+        try:
+            sigma_min, delta = rank_decision(dm)
+            rank = min(n, m)
+        except RankUndecidable as e:
+            sigma_min, delta, rank = e.sigma_min, e.perturbation_bound, None
+        old = parent_rank(dm)
+        g = groups.setdefault(group, {"cases": 0, "refusals": 0, "parent_refusals": 0,
+                                      "count_differences": 0, "exit_code_differences": 0,
+                                      "margin_min": math.inf, "sv_ratio_min": math.inf, "tail_bound_max": 0.0})
+        g["cases"] += 1
+        g["refusals"] += rank is None
+        g["parent_refusals"] += old is None
+        g["exit_code_differences"] += (rank is None) != (old is None)
+        g["count_differences"] += rank is not None and old is not None and rank != old
+        g["margin_min"] = min(g["margin_min"], sigma_min / delta)
+        g["sv_ratio_min"] = min(g["sv_ratio_min"], float(sv[-1] / sv[0]))
+        g["tail_bound_max"] = max(g["tail_bound_max"], rho.tail_bound)
+    for group, g in groups.items():
+        print(f"{group}: {g['cases']} cases, smallest sigma_min/delta {g['margin_min']:.2e}, "
+              f"smallest sigma_min/sigma_max {g['sv_ratio_min']:.2e}, {g['refusals']} refusals, "
+              f"{g['count_differences']} count and {g['exit_code_differences']} exit-code differences "
+              f"against the parent rule")
+    save("ranks", {"fmatrix_docs": args.fmatrix_docs, "survey_tries_per_setting": args.survey_tries,
+                   "groups": groups}, ROOT / "BENCH_rank_rule.json")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -264,8 +381,11 @@ def main() -> None:
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seed", type=int, required=True)
     pairs.add_argument("--pairs", type=int, default=10)
+    ranks = sub.add_parser("ranks")
+    ranks.add_argument("--fmatrix-docs", type=int, default=30)
+    ranks.add_argument("--survey-tries", type=int, default=30)
     args = parser.parse_args()
-    {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs}[args.command](args)
+    {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs, "ranks": cmd_ranks}[args.command](args)
 
 
 if __name__ == "__main__":

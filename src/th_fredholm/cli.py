@@ -139,6 +139,8 @@ class Job:
             self.pair: SymbolPair = validate_pair(a, b)
         except ConditionViolated as e:
             raise InputError(f"pair fails the structural condition: {e}") from e
+        except ValueError as e:  # a product of scales that under- or overflows
+            raise InputError(f"pair cannot be validated: {e}") from e
         self.p: Fraction | None = None
         if doc.get("p") is not None:
             self.p = parse_p(doc["p"])
@@ -146,7 +148,7 @@ class Job:
             raise InputError("input document needs p")
         options = doc.get("options", {})
         _require(isinstance(options, dict), "options must be an object")
-        unknown = set(options) - {"truncation", "section_size", "curve_samples", "tolerance", "rank_tolerance"}
+        unknown = set(options) - {"truncation", "section_size", "curve_samples", "tolerance"}
         _require(not unknown, f"options: unknown keys {sorted(unknown)}")
         self.truncation = options.get("truncation")
         if self.truncation is not None:
@@ -158,10 +160,6 @@ class Job:
         _require(self.curve_samples >= 1, "options.curve_samples must be at least 1")
         self.tolerance = _as_real(options.get("tolerance", 1e-6), "options.tolerance")
         _require(self.tolerance > 0, "options.tolerance must be positive")
-        self.rank_tolerance = _as_real(
-            options.get("rank_tolerance", 1e-8), "options.rank_tolerance"
-        )
-        _require(0 < self.rank_tolerance < 1, "options.rank_tolerance must lie in (0, 1)")
 
 
 def _frac(f: Fraction) -> list[int]:
@@ -226,7 +224,7 @@ def cmd_index(job: Job, ns) -> tuple[dict, int]:
 def cmd_defects(job: Job, ns) -> tuple[dict, int]:
     from .defect_solver import defect_numbers
 
-    report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
+    report = defect_numbers(job.pair, job.p)
     doc = {
         "command": "defects",
         "version": __version__,
@@ -237,8 +235,8 @@ def cmd_defects(job: Job, ns) -> tuple[dict, int]:
         "dimKer": report.dim_ker,
         "dimCoker": report.dim_coker,
         "caseTag": report.case_tag,
-        "kernelTolerance": _finite(report.kernel_tolerance),
-        "gapRatio": _finite(report.gap_ratio),
+        "sigmaMin": report.sigma_min,
+        "perturbationBound": report.perturbation_bound,
     }
     return doc, 0
 
@@ -346,7 +344,7 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     from .verification_oracle import fourier_coeffs, kernel_residual_check, rho_de
     from .wiener_hopf import build_plus_factor, rho_coefficients
 
-    report = defect_numbers(job.pair, job.p, tol_rel=job.rank_tolerance)
+    report = defect_numbers(job.pair, job.p)
     order = job.truncation if job.truncation is not None else 64
     series_a = fourier_coeffs(job.pair.a, order, tol=job.tolerance)
     series_b = fourier_coeffs(job.pair.b, order, tol=job.tolerance)
@@ -356,15 +354,18 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         rho = rho_coefficients(c_plus, d_plus, job.pair.b, report.n, report.m, 16)
     evenness = rho.evenness_defect()
     even_gate = max(1e-8, 10.0 * rho.tail_bound)
-    if evenness > even_gate:
+    # the gates fail closed: a NaN figure refuses
+    if not evenness <= even_gate:
         raise MethodDisagreement(
             f"rho evenness defect {evenness:.3e} exceeds the bound gate {even_gate:.3e}"
         )
     # the gate's windows put every site of rho above Re beta = -1; rho_sites refuses, naming the site, if one is not
     de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
-    oracle_dev = max(abs(rho.get(k) - de.get(k)) for k in range(-16, 17))
+    devs = [abs(rho.get(k) - de.get(k)) for k in range(-16, 17)]
+    # max() alone could pass over a NaN, which compares false with everything
+    oracle_dev = math.nan if any(map(math.isnan, devs)) else max(devs)
     oracle_gate = max(1e-8, 10.0 * (de.tail_bound + rho.tail_bound))
-    if oracle_dev > oracle_gate:
+    if not oracle_dev <= oracle_gate:
         raise MethodDisagreement(f"rho quadrature and oracle differ by {oracle_dev:.3e} > {oracle_gate:.3e}")
     basis = kernel_residual_check(
         job.pair, job.p, report, N=job.section_size, tol=job.tolerance

@@ -6,21 +6,22 @@ line can catch them without importing numpy.
 
 
 class RankUndecidable(RuntimeError):
-    """rho's error bound could flip the rank decision.
+    """rho's error bound cannot certify the rank of the defect matrix.
 
     Attributes
     ----------
-    tail_bound : float
-        rho's a-priori error bound (RhoSeries.tail_bound), the coefficient
-        uncertainty propagated to the matrix.
-    critical_sv : float
-        Distance from the nearest singular value to the rank threshold.
+    sigma_min : float
+        The smallest computed singular value of A_{n,m}.
+    perturbation_bound : float
+        delta, the most any singular value can lie from the exact matrix's:
+        rho's a-priori error bound through Weyl's inequality, plus the SVD's
+        backward error.  The refusal means sigma_min <= delta.
     """
 
-    def __init__(self, message: str, tail_bound: float, critical_sv: float):
+    def __init__(self, message: str, sigma_min: float, perturbation_bound: float):
         super().__init__(message)
-        self.tail_bound = tail_bound
-        self.critical_sv = critical_sv
+        self.sigma_min = sigma_min
+        self.perturbation_bound = perturbation_bound
 
 
 class MethodDisagreement(RuntimeError):

@@ -1,18 +1,20 @@
 """Defect numbers dim ker and dim coker from the sign pattern of (n, m).
 
 Three of the four sign cases are pure arithmetic.  Only n > 0, m > 0 needs
-numerics: the n x m matrix with entries rho_{i-j} + rho_{i+j}, whose kernel
-dimension feeds both defect numbers.  Since the matrix is assembled from
-coefficients computed by quadrature, the rank decision is audited: a
-singular-value gap report accompanies every kernel dimension, and when rho's
-a-priori error bound is large enough to move singular values across the rank
-threshold the solver refuses to answer instead of guessing.
+numerics: the n x m matrix A with entries rho_{i-j} + rho_{i+j}, whose rank
+gives dim ker = m - rank A and dim coker = n - rank A.  A is assembled from
+coefficients computed by quadrature, so the rank is certified, not cut: rho's
+a-priori error bound, through Weyl's inequality and the SVD's backward error,
+bounds how far every singular value can lie from the exact matrix's.  When
+the smallest computed singular value exceeds that bound, A has full rank
+min(n, m); otherwise the solver refuses (RankUndecidable) instead of guessing.
+Floating point cannot certify an exact zero, so a truly rank-deficient A
+always refuses.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -30,10 +32,6 @@ class InsufficientCoefficients(ValueError):
     """The rho series does not hold enough coefficients for the matrix."""
 
 
-class IllConditionedRankWarning(UserWarning):
-    """The singular-value gap at the rank cut is below the audit ratio."""
-
-
 @dataclass(frozen=True, eq=False)
 class DefectMatrix:
     """The n x m matrix [rho_{i-j} + rho_{i+j}] with its source series."""
@@ -45,15 +43,6 @@ class DefectMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class RankDecision:
-    rank: int
-    kernel_dim: int
-    singular_values: np.ndarray
-    gap_ratio: float
-    threshold: float
-
-
-@dataclass(frozen=True, eq=False)
 class DefectReport:
     n: int
     m: int
@@ -61,8 +50,8 @@ class DefectReport:
     dim_coker: int
     case_tag: str  # "G-zero" | "G-count" | "F-count" | "F-matrix"
     matrix: DefectMatrix | None = None
-    kernel_tolerance: float | None = None
-    gap_ratio: float | None = None
+    sigma_min: float | None = None
+    perturbation_bound: float | None = None
     rho: RhoSeries | None = None
     rep_c: object = None
     rep_d: object = None
@@ -70,6 +59,11 @@ class DefectReport:
     @property
     def index(self) -> int:
         return self.m - self.n
+
+    @property
+    def gap_ratio(self) -> float | None:
+        """sigma_min / perturbation_bound, the certification margin of the F-matrix case."""
+        return None if self.sigma_min is None else self.sigma_min / self.perturbation_bound
 
 
 def case_tag(n: int, m: int) -> str:
@@ -99,60 +93,43 @@ def defect_matrix(rho: RhoSeries, n: int, m: int) -> DefectMatrix:
     return DefectMatrix(n=n, m=m, matrix=out, rho=rho)
 
 
-def rank_decision(matrix: np.ndarray, tol_rel: float = 1e-8) -> RankDecision:
-    """Numerical rank with the singular-value gap around the threshold.
+def rank_decision(dm: DefectMatrix) -> tuple[float, float]:
+    """Certify that A = dm.matrix has full rank min(n, m): (sigma_min, delta).
 
-    Warns with IllConditionedRankWarning when the gap ratio at the rank cut
-    is below 10.
+    With eps = dm.rho.tail_bound, each rho_k is within eps, and each entry
+    is one rounded addition, so every computed entry is within
+    2 eps + u |A_ij| of the exact one (u = 2^-53).  The spectral norm of that
+    error is at most its Frobenius norm, sqrt(nm) (2 eps + u max |A_ij|), and
+    by Weyl's inequality (Math. Ann. 71, 1912) no singular value moves by
+    more.  The SVD returns the singular values of A + F with
+    ||F|| <= c u sigma_max, c a modestly growing function of the dimensions
+    (Golub & Van Loan, Matrix Computations, 4th ed., 8.6).  LAPACK's users'
+    guide takes c = 1; c = max(n, m) lets it grow linearly in the longer
+    side and still keeps delta near 1e-15 sigma_max at the sizes here.  So
+    delta = sqrt(nm) (2 eps + u max |A_ij|) + max(n, m) u sigma_max, and
+    sigma_min > delta certifies every exact singular value nonzero.
+
+    Raises RankUndecidable, naming sigma_min and delta, when sigma_min does
+    not exceed delta: always for a zero matrix or a non-finite eps.
     """
     import numpy as np
 
-    a = np.asarray(matrix, dtype=complex)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return RankDecision(
-            rank=0,
-            kernel_dim=a.shape[1],
-            singular_values=sv,
-            gap_ratio=np.inf,
-            threshold=0.0,
-        )
-    threshold = tol_rel * sv[0]
-    rank = int(np.sum(sv > threshold))
-    if 0 < rank < sv.size and sv[rank] > 0:
-        gap = float(sv[rank - 1] / sv[rank])
-    else:
-        gap = np.inf
-    if gap < 10:
-        warnings.warn(f"singular-value gap ratio {gap:.2f} at the rank cut", IllConditionedRankWarning)
-    return RankDecision(
-        rank=rank,
-        kernel_dim=a.shape[1] - rank,
-        singular_values=sv,
-        gap_ratio=gap,
-        threshold=threshold,
-    )
-
-
-def _audit_rank(decision: RankDecision, dm: DefectMatrix) -> None:
-    """Refuse when rho's error bound could move the rank."""
-    tail = dm.rho.tail_bound
-    if not math.isfinite(tail):
-        raise RankUndecidable("rho carries no finite error bound", tail, 0.0)
-    # entries off by up to 2*tail move the spectral norm by at most this
-    perturbation = 2.0 * tail * math.sqrt(dm.n * dm.m)
-    sv = decision.singular_values
-    critical = float(abs(sv - decision.threshold).min()) if sv.size else math.inf
-    if perturbation >= max(critical, 1e-300):
+    n, m, eps = dm.n, dm.m, dm.rho.tail_bound
+    sv = np.linalg.svd(dm.matrix, compute_uv=False)
+    sigma_min, sigma_max = float(sv[-1]), float(sv[0])
+    u = 2.0**-53
+    delta = math.sqrt(n * m) * (2.0 * eps + u * float(np.abs(dm.matrix).max())) + max(n, m) * u * sigma_max
+    if not sigma_min > delta:
         raise RankUndecidable(
-            f"rho error bound {tail:.3e} fails the bound gate: it perturbs singular values by up to "
-            f"{perturbation:.3e}, within {critical:.3e} of the rank threshold",
-            tail,
-            critical,
+            f"the {n} x {m} defect matrix has smallest singular value {sigma_min:.3e}, within its "
+            f"perturbation bound {delta:.3e} (rho error bound {eps:.3e}): its rank cannot be certified",
+            sigma_min,
+            delta,
         )
+    return sigma_min, delta
 
 
-def defect_numbers(pair: SymbolPair, p, tol_rel: float = 1e-8) -> DefectReport:
+def defect_numbers(pair: SymbolPair, p) -> DefectReport:
     """Full defect report at p per the four-case dispatch.
 
     (n, m) come from normalized_pair, the one Fredholm gate, so the report
@@ -164,8 +141,8 @@ def defect_numbers(pair: SymbolPair, p, tol_rel: float = 1e-8) -> DefectReport:
         When the conditions fail; BoundaryCase when they sit within eps of
         failing.  Both carry the ConditionReport as ``report``.
     RankUndecidable
-        When the matrix path cannot commit to a rank at the requested
-        confidence.
+        In the F-matrix case, when rho's error bound cannot certify that
+        the defect matrix has full rank.
     """
     rep_c, rep_d = normalized_pair(pair, p)
     n, m = rep_c.n, rep_d.n
@@ -189,15 +166,14 @@ def defect_numbers(pair: SymbolPair, p, tol_rel: float = 1e-8) -> DefectReport:
     keep = max(n + m, 16)
     rho = rho_coefficients(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, keep)
     dm = defect_matrix(rho, n, m)
-    decision = rank_decision(dm.matrix, tol_rel)
-    _audit_rank(decision, dm)
-    r = decision.rank
+    sigma_min, delta = rank_decision(dm)
+    r = min(n, m)
     return DefectReport(
         dim_ker=m - r,
         dim_coker=n - r,
         matrix=dm,
-        kernel_tolerance=tol_rel,
-        gap_ratio=decision.gap_ratio,
+        sigma_min=sigma_min,
+        perturbation_bound=delta,
         rho=rho,
         **common,
     )
@@ -208,8 +184,8 @@ def invertibility(pair: SymbolPair, p) -> str:
 
     Invertible means Fredholm with trivial kernel and cokernel, which per the
     case table happens exactly for n = m = 0 or n = m > 0 with a nonsingular
-    matrix.  A RankUndecidable audit failure propagates; no verdict is
-    fabricated over an unstable rank.
+    matrix.  A RankUndecidable refusal, where rho's error bound cannot
+    certify the matrix nonsingular, propagates; no verdict is fabricated.
     """
     try:
         report = defect_numbers(pair, p)

@@ -217,8 +217,8 @@ class CanonicalSymbol:
         object.__setattr__(self, "scale", complex(self.scale))
         object.__setattr__(self, "log_smooth", FourierLogPoly.of(self.log_smooth))
         object.__setattr__(self, "jumps", _canonical_jumps(self.jumps))
-        if self.scale == 0:
-            raise ValueError("scale must be nonzero")
+        if self.scale == 0 or not cmath.isfinite(self.scale):
+            raise ValueError("scale must be nonzero and finite")
 
     @staticmethod
     def one() -> "CanonicalSymbol":
@@ -351,12 +351,13 @@ class SymbolPair:
 def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> SymbolPair:
     """Verify a*tilde(a) = b*tilde(b) and build the auxiliary pair (c, d).
 
-    The structural parts are checked exactly: the residual e = a*a~*(b*b~)^{-1}
-    must have winding index 0 and no jumps (exponent real parts cancel as
-    Fractions).  What is left is e = w * exp(L) with w = scale * exp(L_0):
-    L holds the nonconstant log terms and the jumps with |Im beta| <= tol,
-    so |L| <= R = sum_{k != 0} |L_k| + pi * sum |Im beta| on the whole
-    circle, and |e - 1| <= |w - 1| + |w| * (exp(R) - 1).  That bound, not a
+    The structural parts are checked exactly: the residual
+    e = c*c~ = a*a~*(b*b~)^{-1}, with c = a*b^{-1}, must have winding index
+    0 and no jumps (exponent real parts cancel as Fractions).  What is left
+    is e = w * exp(L) with w = scale * exp(L_0): L holds the nonconstant log
+    terms and the jumps with |Im beta| <= tol, so |L| <= R =
+    sum_{k != 0} |L_k| + pi * sum |Im beta| on the whole circle, and
+    |e - 1| <= |w - 1| + |w| * (exp(R) - 1).  That bound, not a
     sample, is compared to tol.
 
     Raises
@@ -365,7 +366,10 @@ def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> 
         With the deviation bound, or the jump ratio's deviation and the
         offending jump point.
     """
-    e = multiply(multiply(a, tilde(a)), invert(multiply(b, tilde(b))))
+    b_inv = invert(b)
+    c = multiply(a, b_inv)
+    # from c, not from a*a~, whose scale underflows for a = b of tiny scale
+    e = multiply(c, tilde(c))
     for j in e.jumps:
         if j.beta.re != 0 or abs(j.beta.im) > tol:
             dev = abs(cmath.exp(2j * math.pi * j.beta.value) - 1.0)
@@ -387,5 +391,4 @@ def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> 
         dev = math.inf
     if not dev <= tol:
         raise ConditionViolated(f"a*a~ != b*b~ on the circle (deviation bound {dev:.3e})", deviation=dev)
-    b_inv = invert(b)
-    return SymbolPair(a=a, b=b, c=multiply(a, b_inv), d=multiply(tilde(a), b_inv))
+    return SymbolPair(a=a, b=b, c=c, d=multiply(tilde(a), b_inv))

@@ -55,6 +55,19 @@ def test_defects_document_contract(tmp_path, capsys):
     assert doc["dimKer"] == 1 and doc["dimCoker"] == 0
     assert doc["caseTag"] == "F-count"
     assert doc["command"] == "defects"
+    # the rank certificate exists only in the F-matrix case
+    assert doc["sigmaMin"] is None and doc["perturbationBound"] is None
+    assert "kernelTolerance" not in doc and "gapRatio" not in doc
+    # a = b passes the structural check at any scale, though a*a~ underflows at this one
+    tiny = {"kappa": -1, "scale": [1e-200, 0.0]}
+    assert run(capsys, ["defects", write_doc(tmp_path, {"a": tiny, "b": tiny, "p": 2})])[:2] == (0, out)
+
+    code, out, _ = run(capsys, ["defects", write_doc(tmp_path, JACOBI_FMATRIX)])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["m"], doc["caseTag"], doc["dimKer"], doc["dimCoker"]) == (1, 1, "F-matrix", 0, 0)
+    assert doc["sigmaMin"] > doc["perturbationBound"] > 0
+    assert "kernelTolerance" not in doc and "gapRatio" not in doc
 
 
 def test_check_flags_exact_failure(tmp_path, capsys):
@@ -433,6 +446,57 @@ def test_verify_confidence_failure_exits_four(tmp_path, capsys):
     assert json.loads(out)["errorKind"] == "numerical-confidence"
 
 
+# A General, G-count pair at p = 2 whose rho has exponent -15/16 at turns 1/4 and 3/4 and 3/8 at -1:
+# the oracle's innermost nodes, sized for the steep sites, overflow rho's exponent at -1 into NaN
+NAN_ORACLE_DOC = {
+    "a": {
+        "kappa": 1,
+        "scale": [-0.8125, -0.5625],
+        "log_smooth": [
+            {"k": -2, "re": -0.08203125, "im": -0.24609375},
+            {"k": -1, "re": -0.2421875, "im": -0.0625},
+            {"k": 1, "re": 0.46484375, "im": 0.06640625},
+            {"k": 2, "re": -0.04296875, "im": 0.2890625},
+        ],
+        "jumps": [
+            {"theta_num": 0, "theta_den": 1, "beta": [0.046875, -0.109375]},
+            {"theta_num": 1, "theta_den": 4, "beta": [-0.515625, 0.0]},
+            {"theta_num": 1, "theta_den": 3, "beta": [0.03125, 0.0]},
+            {"theta_num": 1, "theta_den": 2, "beta": [-0.65625, 0.0]},
+            {"theta_num": 2, "theta_den": 3, "beta": [0.03125, 0.0]},
+            {"theta_num": 3, "theta_den": 4, "beta": [-0.453125, 0.0]},
+        ],
+    },
+    "b": {
+        "kappa": 2,
+        "scale": [-0.8125, -0.5625],
+        "log_smooth": [
+            {"k": -2, "re": 0.1171875, "im": -0.17578125},
+            {"k": 1, "re": 0.22265625, "im": 0.00390625},
+            {"k": 2, "re": -0.2421875, "im": 0.21875},
+        ],
+        "jumps": [
+            {"theta_num": 1, "theta_den": 4, "beta": [-0.0625, 0.0]},
+            {"theta_num": 1, "theta_den": 2, "beta": [-0.1875, 0.0]},
+        ],
+    },
+    "p": "2",
+}
+
+
+def test_verify_refuses_a_nan_oracle(tmp_path, capsys):
+    # the gates fail closed: a NaN deviation refuses instead of passing as valid-looking output
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(capsys, ["verify", write_doc(tmp_path, NAN_ORACLE_DOC)])
+
+    def refuse(name):
+        raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+    doc = json.loads(out, parse_constant=refuse)
+    assert code == 4 and doc["errorKind"] == "numerical-confidence"
+    assert "oracle differ by nan" in doc["error"]
+
+
 def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
     path = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2})
     code, out, _ = run(capsys, ["verify", path])
@@ -647,12 +711,17 @@ INPUT_ERRORS = [
         {"a": {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [float("nan"), 0.0]}]}, "b": {}, "p": 2},
         {**README_DOC, "options": {"tolerance": float("nan")}},
         {**README_DOC, "options": {"tolerance": 0.0}},
-        {**TWO_JUMP_DOC, "options": {"rank_tolerance": float("nan")}},
-        {**TWO_JUMP_DOC, "options": {"rank_tolerance": 2.0}},
-        {**TWO_JUMP_DOC, "options": {"rank_tolerance": 0.0}},
-        {**README_DOC, "options": {"curve_samples": 0}},
     ]
-] + [(README_DOC, ["curve", "--samples", "0"], "error:")]
+]
+# rank_tolerance is no longer an option: a document that still sets it fails as any unknown key does
+INPUT_ERRORS += [
+    ({**TWO_JUMP_DOC, "options": {"rank_tolerance": v}}, ["defects"], "options: unknown keys ['rank_tolerance']")
+    for v in (float("nan"), 2.0, 0.0)
+]
+INPUT_ERRORS += [
+    ({**README_DOC, "options": {"curve_samples": 0}}, ["check"], "error:"),
+    (README_DOC, ["curve", "--samples", "0"], "error:"),
+]
 # residuals whose deviation bound overflows a float
 INPUT_ERRORS += [
     ({"a": {"log_smooth": [{"k": 0, "re": 1000.0}]}, "b": {}, "p": 2}, ["check"], "error:"),
@@ -665,6 +734,11 @@ INPUT_ERRORS += [
     ({**README_DOC, "P": 2}, ["sweep", "--p-from", "6/5", "--p-to", "3", "--steps", "3"], "unknown keys ['P']"),
     ({"a": {"log_smooth": [{"k": 1, "re": "0.2"}]}, "b": {}, "p": 2}, ["check"], "a.log_smooth[0].re must be a number"),
     ({"a": {}, "b": {"log_smooth": [{"k": 1}, {"k": 2, "im": None}]}, "p": 2}, ["check"], "b.log_smooth[1].im must be"),
+]
+# scales whose products leave the float range: c*c~ underflows, and 1/b overflows
+INPUT_ERRORS += [
+    ({"a": {"kappa": -1, "scale": [1e-200, 0.0]}, "b": {"kappa": -1}, "p": 2}, ["check"], "scale must be nonzero"),
+    ({"a": {"scale": [1e-320, 0.0]}, "b": {"scale": [1e-320, 0.0]}, "p": 2}, ["defects"], "scale must be nonzero"),
 ]
 
 

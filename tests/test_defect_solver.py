@@ -1,4 +1,4 @@
-"""Defect-number dispatch, the matrix case, and rank auditing."""
+"""Defect-number dispatch, the matrix case, and the certified rank rule."""
 
 import dataclasses
 from fractions import Fraction
@@ -10,10 +10,8 @@ import pytest
 from helpers import jacobi_determinant, jacobi_symbol, random_fredholm_pair, rho_for_pair
 from th_fredholm.defect_solver import (
     DefectMatrix,
-    IllConditionedRankWarning,
     InsufficientCoefficients,
     RankUndecidable,
-    _audit_rank,
     case_tag,
     defect_matrix,
     defect_numbers,
@@ -78,29 +76,73 @@ def test_defect_matrix_needs_enough_coefficients():
         defect_matrix(rho, 0, 2)
 
 
+def hand_built(matrix, tail_bound):
+    """A DefectMatrix holding matrix, over a series whose error bound is tail_bound."""
+    _, _, rho = rho_for_pair(trivial_pair(), 2, N_keep=8)
+    matrix = np.asarray(matrix, dtype=complex)
+    n, m = matrix.shape
+    return DefectMatrix(n=n, m=m, matrix=matrix, rho=dataclasses.replace(rho, tail_bound=tail_bound))
+
+
 def test_rank_decision_zero_matrix():
-    d = rank_decision(np.zeros((2, 2)))
-    assert d.rank == 0 and d.kernel_dim == 2
+    # floating point cannot certify an exact zero, so the rule refuses rather than answer
+    with pytest.raises(RankUndecidable) as exc:
+        rank_decision(hand_built(np.zeros((2, 2)), 0.0))
+    assert exc.value.sigma_min == exc.value.perturbation_bound == 0.0
 
 
 def test_rank_decision_nonsingular_scalar():
-    assert rank_decision(np.array([[4.0]])).kernel_dim == 0
-
-
-def test_gap_warning_fires_on_thin_cut():
-    m = np.diag([1.0, 2e-8, 5e-9])
-    with pytest.warns(IllConditionedRankWarning):
-        dim = rank_decision(m, tol_rel=1e-8).kernel_dim
-    assert dim == 1
+    sigma_min, delta = rank_decision(hand_built([[4.0]], 1e-15))
+    assert sigma_min == 4.0
+    # Weyl's term 2 eps + u |A_11| plus the SVD's u sigma_max
+    assert delta == pytest.approx(2e-15 + 2 * 4.0 * 2.0**-53)
 
 
 def test_rank_audit_refuses_on_large_tail():
-    _, _, rho = rho_for_pair(trivial_pair(), 2, N_keep=8)
-    noisy = dataclasses.replace(rho, tail_bound=1.0)
-    dm = DefectMatrix(n=2, m=2, matrix=defect_matrix(rho, 2, 2).matrix, rho=noisy)
+    dm = hand_built([[4.0, 2.0], [2.0, 2.0]], 1.0)
     with pytest.raises(RankUndecidable) as exc:
-        _audit_rank(rank_decision(dm.matrix), dm)
-    assert exc.value.tail_bound == 1.0
+        rank_decision(dm)
+    # sigma_min = 3 - sqrt(5), below delta = sqrt(4) * (2 + u * 4) + 2 * u * sigma_max
+    assert exc.value.sigma_min == pytest.approx(3 - 5**0.5)
+    assert exc.value.perturbation_bound == pytest.approx(4.0)
+    with pytest.raises(RankUndecidable) as exc:
+        rank_decision(dataclasses.replace(dm, rho=dataclasses.replace(dm.rho, tail_bound=float("inf"))))
+    assert exc.value.perturbation_bound == float("inf")
+
+
+def near_singular_rho(tail_bound, real_rho_coefficients=wiener_hopf.rho_coefficients):
+    """rho_0 = rho_1 = 1 and rho_2 = 1 + 1e-10, even: A_{2,2} = [[2, 2], [2, 2 + 1e-10]]."""
+
+    def rho_coefficients(*args):
+        rho = real_rho_coefficients(*args)
+        coeffs = np.zeros(rho.coeffs.size, dtype=complex)
+        for k, v in ((0, 1.0), (1, 1.0), (2, 1.0 + 1e-10)):
+            coeffs[k - rho.ks.start] = coeffs[-k - rho.ks.start] = v
+        return dataclasses.replace(rho, coeffs=coeffs, tail_bound=tail_bound)
+
+    return rho_coefficients
+
+
+def test_rank_certified_far_below_the_old_cut(monkeypatch):
+    # sigma_min / sigma_max is about 1.3e-11, far below the 1e-8 * sigma_max cut the solver used to
+    # apply, which called this matrix rank 1 and printed dim ker 1; rho's bound certifies rank 2
+    pair = validate_pair(CanonicalSymbol.one(), invert(jacobi_symbol(Fraction(0), Fraction(0), 2)))
+    monkeypatch.setattr(wiener_hopf, "rho_coefficients", near_singular_rho(1e-16))
+    report = defect_numbers(pair, 2)
+    assert (report.n, report.m, report.case_tag) == (2, 2, "F-matrix")
+    assert (report.dim_ker, report.dim_coker) == (0, 0)
+    sv = np.linalg.svd(report.matrix.matrix, compute_uv=False)
+    assert sv[-1] < 1e-10 * sv[0]
+    assert report.sigma_min == sv[-1] and report.perturbation_bound < 1e-14
+    assert report.gap_ratio == report.sigma_min / report.perturbation_bound > 1e3
+    assert invertibility(pair, 2) == "invertible"
+    # a bound that could move sigma_min to zero refuses, and so does the verdict built on it
+    monkeypatch.setattr(wiener_hopf, "rho_coefficients", near_singular_rho(1e-10))
+    with pytest.raises(RankUndecidable) as exc:
+        defect_numbers(pair, 2)
+    assert exc.value.sigma_min == pytest.approx(sv[-1], rel=1e-4) and exc.value.perturbation_bound > 4e-10
+    with pytest.raises(RankUndecidable):
+        invertibility(pair, 2)
 
 
 def test_case_partition_is_exhaustive_and_nonnegative():
@@ -157,7 +199,8 @@ def test_matrix_case_on_shift_pair():
     # rho collapses to the two-sided (1+t)(1+1/t), so the entry is 2*rho_0
     assert abs(rep.matrix.matrix[0, 0] - 4.0) < 1e-10
     assert (rep.dim_ker, rep.dim_coker) == (0, 0)
-    assert rep.kernel_tolerance == 1e-8
+    assert rep.sigma_min == pytest.approx(4.0)
+    assert 0 < rep.perturbation_bound < 1e-12 and rep.gap_ratio > 1e12
     assert invertibility(pair, 2) == "invertible"
 
 
