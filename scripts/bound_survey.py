@@ -40,6 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_rho_bound.json"
+# ranks reads this many bench/gen.fmatrix_doc documents, and fmatrix_survey at this many tries per setting
+RANK_FMATRIX_DOCS = 30
+RANK_SURVEY_TRIES = 30
 
 
 def save(section: str, data, out: Path = OUT) -> None:
@@ -281,15 +284,15 @@ def cmd_pairs(args) -> None:
     save(f"pairs:{args.workload}:{args.seed}", {"summary": summary, "runs": runs})
 
 
-def parent_rank(dm) -> int | None:
-    """The rank by the rule rank_decision replaced, or None where that rule refused.
+def parent_rank(dm, sv) -> int | None:
+    """The rank of dm by the rule rank_decision replaced, from its singular
+    values sv, or None where that rule refused.
 
     It counted the singular values above 1e-8 sigma_max and refused only when
     2 eps sqrt(nm) reached the distance from the cut to the nearest one.
     """
     import numpy as np
 
-    sv = np.linalg.svd(dm.matrix, compute_uv=False)
     cut = 1e-8 * sv[0]
     moved = 2.0 * dm.rho.tail_bound * math.sqrt(dm.n * dm.m)
     if not moved < max(float(np.abs(sv - cut).min()), 1e-300):
@@ -297,7 +300,7 @@ def parent_rank(dm) -> int | None:
     return int(np.sum(sv > cut))
 
 
-def rank_cases(fmatrix_docs: int, survey_tries: int):
+def rank_cases():
     """(group, pair, p) for every F-matrix case the rank survey reads."""
     import random
 
@@ -311,10 +314,10 @@ def rank_cases(fmatrix_docs: int, survey_tries: int):
     for pair, p in jacobi_pairs():
         yield "jacobi", pair, p
     rng = random.Random(2026)
-    for _ in range(fmatrix_docs):
+    for _ in range(RANK_FMATRIX_DOCS):
         job = Job(json.loads(gen.to_json(gen.fmatrix_doc(rng))))
         yield "fmatrix_doc", job.pair, job.p
-    for pair, p in fmatrix_survey(survey_tries):
+    for pair, p in fmatrix_survey(RANK_SURVEY_TRIES):
         yield "survey", pair, p
     # criterion 6's 100 Fredholm draws, and the dual pair (a~, b) at q of its first 10
     rng = np.random.default_rng(2026)
@@ -332,41 +335,47 @@ def rank_cases(fmatrix_docs: int, survey_tries: int):
 def cmd_ranks(args) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
     import numpy as np
-    from th_fredholm.defect_solver import RankUndecidable, defect_matrix, rank_decision
-    from th_fredholm.fredholm_engine import normalized_pair
-    from th_fredholm.wiener_hopf import build_plus_factor, rho_coefficients
+    from th_fredholm import defect_solver
+    from th_fredholm.defect_solver import RankUndecidable, defect_numbers
 
+    # record the matrix defect_numbers hands to rank_decision, so both rules read the one it decides on
+    seen = []
+    decide = defect_solver.rank_decision
+
+    def recording(dm):
+        seen.append(dm)
+        return decide(dm)
+
+    defect_solver.rank_decision = recording
     groups: dict[str, dict] = {}
-    for group, pair, p in rank_cases(args.fmatrix_docs, args.survey_tries):
-        # the defect matrix exactly as defect_numbers builds it
-        rep_c, rep_d = normalized_pair(pair, p)
-        n, m = rep_c.n, rep_d.n
-        rho = rho_coefficients(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, max(n + m, 16))
-        dm = defect_matrix(rho, n, m)
-        sv = np.linalg.svd(dm.matrix, compute_uv=False)
+    for group, pair, p in rank_cases():
+        seen.clear()
         try:
-            sigma_min, delta = rank_decision(dm)
-            rank = min(n, m)
+            report = defect_numbers(pair, p)
+            sigma_min, delta, refused = report.sigma_min, report.perturbation_bound, False
         except RankUndecidable as e:
-            sigma_min, delta, rank = e.sigma_min, e.perturbation_bound, None
-        old = parent_rank(dm)
+            sigma_min, delta, refused = e.sigma_min, e.perturbation_bound, True
+        (dm,) = seen
+        sv = np.linalg.svd(dm.matrix, compute_uv=False)
+        old = parent_rank(dm, sv)
         g = groups.setdefault(group, {"cases": 0, "refusals": 0, "parent_refusals": 0,
                                       "count_differences": 0, "exit_code_differences": 0,
                                       "margin_min": math.inf, "sv_ratio_min": math.inf, "tail_bound_max": 0.0})
         g["cases"] += 1
-        g["refusals"] += rank is None
+        g["refusals"] += refused
         g["parent_refusals"] += old is None
-        g["exit_code_differences"] += (rank is None) != (old is None)
-        g["count_differences"] += rank is not None and old is not None and rank != old
+        g["exit_code_differences"] += refused != (old is None)
+        g["count_differences"] += not refused and old is not None and old != min(dm.n, dm.m)
         g["margin_min"] = min(g["margin_min"], sigma_min / delta)
         g["sv_ratio_min"] = min(g["sv_ratio_min"], float(sv[-1] / sv[0]))
-        g["tail_bound_max"] = max(g["tail_bound_max"], rho.tail_bound)
+        g["tail_bound_max"] = max(g["tail_bound_max"], dm.rho.tail_bound)
+    defect_solver.rank_decision = decide
     for group, g in groups.items():
         print(f"{group}: {g['cases']} cases, smallest sigma_min/delta {g['margin_min']:.2e}, "
               f"smallest sigma_min/sigma_max {g['sv_ratio_min']:.2e}, {g['refusals']} refusals, "
               f"{g['count_differences']} count and {g['exit_code_differences']} exit-code differences "
               f"against the parent rule")
-    save("ranks", {"fmatrix_docs": args.fmatrix_docs, "survey_tries_per_setting": args.survey_tries,
+    save("ranks", {"fmatrix_docs": RANK_FMATRIX_DOCS, "survey_tries_per_setting": RANK_SURVEY_TRIES,
                    "groups": groups}, ROOT / "BENCH_rank_rule.json")
 
 
@@ -381,9 +390,7 @@ def main() -> None:
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seed", type=int, required=True)
     pairs.add_argument("--pairs", type=int, default=10)
-    ranks = sub.add_parser("ranks")
-    ranks.add_argument("--fmatrix-docs", type=int, default=30)
-    ranks.add_argument("--survey-tries", type=int, default=30)
+    sub.add_parser("ranks")
     args = parser.parse_args()
     {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs, "ranks": cmd_ranks}[args.command](args)
 

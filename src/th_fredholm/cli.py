@@ -340,6 +340,8 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_verify(job: Job, ns) -> tuple[dict, int]:
+    import numpy as np
+
     from .defect_solver import defect_numbers
     from .verification_oracle import fourier_coeffs, kernel_residual_check, rho_de
     from .wiener_hopf import build_plus_factor, rho_coefficients
@@ -361,9 +363,7 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         )
     # the gate's windows put every site of rho above Re beta = -1; rho_sites refuses, naming the site, if one is not
     de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
-    devs = [abs(rho.get(k) - de.get(k)) for k in range(-16, 17)]
-    # max() alone could pass over a NaN, which compares false with everything
-    oracle_dev = math.nan if any(map(math.isnan, devs)) else max(devs)
+    oracle_dev = float(np.max([abs(rho.get(k) - de.get(k)) for k in range(-16, 17)]))
     oracle_gate = max(1e-8, 10.0 * (de.tail_bound + rho.tail_bound))
     if not oracle_dev <= oracle_gate:
         raise MethodDisagreement(f"rho quadrature and oracle differ by {oracle_dev:.3e} > {oracle_gate:.3e}")

@@ -15,7 +15,9 @@ class RankUndecidable(RuntimeError):
     perturbation_bound : float
         delta, the most any singular value can lie from the exact matrix's:
         rho's a-priori error bound through Weyl's inequality, plus the SVD's
-        backward error.  The refusal means sigma_min <= delta.
+        backward error as LAPACK's error model gives it (with its constant
+        taken as max(n, m), not a proven bound).  The refusal means
+        sigma_min <= delta.
     """
 
     def __init__(self, message: str, sigma_min: float, perturbation_bound: float):

@@ -4,10 +4,12 @@ Three of the four sign cases are pure arithmetic.  Only n > 0, m > 0 needs
 numerics: the n x m matrix A with entries rho_{i-j} + rho_{i+j}, whose rank
 gives dim ker = m - rank A and dim coker = n - rank A.  A is assembled from
 coefficients computed by quadrature, so the rank is certified, not cut: rho's
-a-priori error bound, through Weyl's inequality and the SVD's backward error,
-bounds how far every singular value can lie from the exact matrix's.  When
-the smallest computed singular value exceeds that bound, A has full rank
-min(n, m); otherwise the solver refuses (RankUndecidable) instead of guessing.
+a-priori error bound, through Weyl's inequality, plus the SVD's backward
+error under LAPACK's error model, bounds how far every singular value can lie
+from the exact matrix's.  When the smallest computed singular value exceeds
+that bound, A has full rank min(n, m); otherwise the solver refuses
+(RankUndecidable) instead of guessing.  The certificate is as sound as that
+model: Weyl's term is a proven bound, the SVD's term is not.
 Floating point cannot certify an exact zero, so a truly rank-deficient A
 always refuses.
 """
@@ -103,11 +105,14 @@ def rank_decision(dm: DefectMatrix) -> tuple[float, float]:
     by Weyl's inequality (Math. Ann. 71, 1912) no singular value moves by
     more.  The SVD returns the singular values of A + F with
     ||F|| <= c u sigma_max, c a modestly growing function of the dimensions
-    (Golub & Van Loan, Matrix Computations, 4th ed., 8.6).  LAPACK's users'
-    guide takes c = 1; c = max(n, m) lets it grow linearly in the longer
-    side and still keeps delta near 1e-15 sigma_max at the sizes here.  So
+    (Golub & Van Loan, Matrix Computations, 4th ed., 8.6).  That is LAPACK's
+    error model, not a proven bound: neither source fixes c, and u here is
+    the real unit roundoff although A is complex.  LAPACK's users' guide
+    takes c = 1; c = max(n, m) lets it grow linearly in the longer side and
+    still keeps delta near 1e-15 sigma_max at the sizes here.  So
     delta = sqrt(nm) (2 eps + u max |A_ij|) + max(n, m) u sigma_max, and
-    sigma_min > delta certifies every exact singular value nonzero.
+    sigma_min > delta certifies every exact singular value nonzero under
+    that model.
 
     Raises RankUndecidable, naming sigma_min and delta, when sigma_min does
     not exceed delta: always for a zero matrix or a non-finite eps.
