@@ -148,7 +148,7 @@ class Job:
             raise InputError("input document needs p")
         options = doc.get("options", {})
         _require(isinstance(options, dict), "options must be an object")
-        unknown = set(options) - {"truncation", "section_size", "curve_samples", "tolerance"}
+        unknown = set(options) - {"truncation", "section_size", "tolerance"}
         _require(not unknown, f"options: unknown keys {sorted(unknown)}")
         self.truncation = options.get("truncation")
         if self.truncation is not None:
@@ -156,8 +156,6 @@ class Job:
             _require(self.truncation >= 0, "options.truncation must be at least 0")
         self.section_size = _as_int(options.get("section_size", 256), "options.section_size")
         _require(self.section_size >= 1, "options.section_size must be at least 1")
-        self.curve_samples = _as_int(options.get("curve_samples", 2048), "options.curve_samples")
-        _require(self.curve_samples >= 1, "options.curve_samples must be at least 1")
         self.tolerance = _as_real(options.get("tolerance", 1e-6), "options.tolerance")
         _require(self.tolerance > 0, "options.tolerance must be positive")
 
@@ -276,9 +274,8 @@ def cmd_curve(job: Job, ns) -> tuple[dict, int]:
     symbol = job.pair.c if ns.side == "c" else job.pair.d
     pf, qf = exponent_pair(job.p)
     big_p = pf if ns.side == "c" else qf
-    samples = ns.samples if ns.samples is not None else job.curve_samples
-    _require(samples >= 1, "--samples must be at least 1")
-    curve = build_hash_curve(symbol, big_p, samples, max(64, samples // 8))
+    _require(ns.samples >= 1, "--samples must be at least 1")
+    curve = build_hash_curve(symbol, big_p, ns.samples, max(64, ns.samples // 8))
     try:
         winding = winding_from_curve(curve)
     except ValueError as e:
@@ -511,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default=None)
         parsers[name] = sp
     parsers["curve"].add_argument("--side", choices=("c", "d"), default="c")
-    parsers["curve"].add_argument("--samples", type=int, default=None)
+    parsers["curve"].add_argument("--samples", type=int, default=2048)
     parsers["sweep"].add_argument("--p-from", dest="p_from", required=True)
     parsers["sweep"].add_argument("--p-to", dest="p_to", required=True)
     parsers["sweep"].add_argument("--steps", type=int, required=True)

@@ -24,6 +24,7 @@ from typing import Iterable, Union
 from .symbol_core import (
     MINUS_ONE,
     ONE,
+    STRUCTURAL_TOL,
     TWO_PI,
     CanonicalSymbol,
     Exponent,
@@ -73,7 +74,7 @@ class NotFredholmOnSide(NotFredholm):
 
 
 class BoundaryCase(NotFredholm):
-    """A tested quantity lies within eps_boundary of the forbidden set."""
+    """A tested quantity lies within EPS_BOUNDARY of the forbidden set."""
 
 
 class CurveThroughOrigin(ValueError):
@@ -88,30 +89,18 @@ def exponent_pair(p: PLike) -> tuple[Fraction, Fraction]:
     return pf, pf / (pf - 1)
 
 
-def structural_sign(scale: complex, tol: float = 1e-9) -> int:
-    """0 for scale near +1, 1 for scale near -1; anything else is non-structural."""
-    if abs(scale - 1.0) <= tol:
-        return 0
-    if abs(scale + 1.0) <= tol:
-        return 1
-    raise ValueError(f"scale {scale!r} is not +-1; the symbol does not satisfy s*s~ = 1")
+def structural_sign(s: CanonicalSymbol) -> int:
+    """0 when the constant scale * exp(log_0) of s is near +1, 1 when near -1.
 
-
-def ensure_unimodular(s: CanonicalSymbol, tol: float = 1e-9) -> None:
-    """Check the structural identity s*s~ = 1 on the canonical data.
-
-    Requires scale in {+1, -1}, an odd logarithm, and equal exponents on
-    conjugate jump points; the exponent at 1 and at -1 is unconstrained.
+    validate_pair places the constant of c and d within STRUCTURAL_TOL of
+    +1 or -1; any other constant is non-structural.
     """
-    structural_sign(s.scale, tol)
-    if s.log_smooth.odd_defect() > tol:
-        raise ValueError("smooth log is not odd; the symbol does not satisfy s*s~ = 1")
-    for j in s.jumps:
-        partner = s.beta_at(j.point.conjugate())
-        if j.point.in_upper_half and (j.beta.re != partner.re or abs(j.beta.im - partner.im) > tol):
-            raise ValueError(
-                f"jump exponents at {j.point} and its conjugate differ; s*s~ = 1 fails"
-            )
+    w = s.scale * cmath.exp(s.log_smooth.as_dict().get(0, 0j))
+    if abs(w - 1.0) <= STRUCTURAL_TOL:
+        return 0
+    if abs(w + 1.0) <= STRUCTURAL_TOL:
+        return 1
+    raise ValueError(f"constant {w!r} is not +-1; the symbol does not satisfy s*s~ = 1")
 
 
 @dataclass(frozen=True)
@@ -142,11 +131,11 @@ def _coset_distance(x: Fraction, offset: Fraction) -> Fraction:
     return min(f, 1 - f)
 
 
-def _site(side: str, point: UnitPoint, tested: Fraction, offset: Fraction, eps: float) -> SiteCondition:
+def _site(side: str, point: UnitPoint, tested: Fraction, offset: Fraction) -> SiteCondition:
     dist = _coset_distance(tested, offset)
     if dist == 0:
         verdict = "fail"
-    elif float(dist) < eps:
+    elif float(dist) < EPS_BOUNDARY:
         verdict = "boundary"
     else:
         verdict = "pass"
@@ -167,31 +156,28 @@ def _site_values(s: CanonicalSymbol) -> list[tuple[UnitPoint, Fraction, int]]:
     """(point, tested value, kind of site) for every site of s.
 
     The tested values come from the exact jump data: at 1 the half exponent
-    plus the sign of the scale, at -1 additionally half the winding power,
+    plus the sign of the constant, at -1 additionally half the winding power,
     at an interior jump the exponent itself.  The imaginary parts change only
     moduli of one-sided limits and never the tested arguments.
     """
-    ensure_unimodular(s)
-    sigma = Fraction(structural_sign(s.scale), 2)
+    sigma = Fraction(structural_sign(s), 2)
     return [
         (ONE, sigma + s.beta_at(ONE).re / 2, _AT_ONE),
         (MINUS_ONE, Fraction(s.kappa, 2) + sigma + s.beta_at(MINUS_ONE).re / 2, _AT_MINUS_ONE),
     ] + [(j.point, j.beta.re, _INTERIOR) for j in s.jumps if j.point.in_upper_half]
 
 
-def side_condition_sites(
-    s: CanonicalSymbol, u: Fraction, side: str, eps_boundary: float = EPS_BOUNDARY
-) -> list[SiteCondition]:
+def side_condition_sites(s: CanonicalSymbol, u: Fraction, side: str) -> list[SiteCondition]:
     """Coset conditions for one side at u = 1/p."""
     offsets = [base + slope * u for base, slope in _LINES[side]]
-    return [_site(side, pt, x, offsets[kind], eps_boundary) for pt, x, kind in _site_values(s)]
+    return [_site(side, pt, x, offsets[kind]) for pt, x, kind in _site_values(s)]
 
 
-def fredholm_conditions(pair: SymbolPair, p: PLike, eps_boundary: float = EPS_BOUNDARY) -> ConditionReport:
+def fredholm_conditions(pair: SymbolPair, p: PLike) -> ConditionReport:
     """Tri-state coset conditions at every site of c (with p) and d (with q)."""
     pf, qf = exponent_pair(p)
     u = 1 / pf
-    sites = side_condition_sites(pair.c, u, "c", eps_boundary) + side_condition_sites(pair.d, u, "d", eps_boundary)
+    sites = side_condition_sites(pair.c, u, "c") + side_condition_sites(pair.d, u, "d")
     if any(s.verdict == "fail" for s in sites):
         overall = "fail"
     elif any(s.verdict == "boundary" for s in sites):
@@ -206,8 +192,9 @@ class NormalizedRep:
     """Unique product representation s = t^{2n} a0 u(1,2g+) u(-1,2g-) prod u(tau,g) u(conj tau,g).
 
     gammas holds the common exponent of each conjugate pair, keyed by the
-    upper-half point.  smooth_scale stays within 1e-9 of 1; it is kept so the
-    plus factor's constant stays faithful to the input's.
+    upper-half point.  smooth_scale * exp(log_0), with log_0 the constant term
+    of smooth_log, stays within 1e-9 of 1; smooth_scale is kept so the plus
+    factor's constant stays faithful to the input's.
     """
 
     n: int
@@ -224,10 +211,10 @@ def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition], side: str) -
     A site's tested value moves down by k = floor(tested - offset) + 1, the
     unique integer that lands it in the window, and every unit moved carries
     t^2 into the t^{2n} front factor: n is the sum of the k less one when the
-    scale is -1.  The imaginary parts come from the jump data, halved at 1
+    constant is -1.  The imaginary parts come from the jump data, halved at 1
     and -1.  A tested value exactly on an edge raises NotFredholmOnSide.
     """
-    sign = structural_sign(s.scale)
+    sign = structural_sign(s)
     n = -sign
     placed = {}
     for site in sites:
@@ -247,12 +234,13 @@ def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition], side: str) -
 
 
 def normalize(s: CanonicalSymbol, p: PLike, side: str = "c") -> NormalizedRep:
-    """Normalize a structural symbol on one side, extracting the winding integer.
+    """Normalize the c or d of a validated pair on one side, extracting the winding integer.
 
     The windows are the unit intervals below the forbidden offsets of
     side_condition_sites, so an exponent on a window edge is exactly a failed
     site; this is the placement alone, and callers that need the verdict go
-    through normalized_pair.
+    through normalized_pair.  A hand-built symbol whose constant
+    scale * exp(log_0) is not +-1 raises ValueError (structural_sign).
     """
     return _from_sites(s, side_condition_sites(s, 1 / exponent_pair(p)[0], side), side)
 

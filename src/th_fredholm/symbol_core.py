@@ -20,6 +20,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 TWO_PI = 2.0 * math.pi
+# validate_pair's bound on |a*a~ / (b*b~) - 1| over the circle
+STRUCTURAL_TOL = 1e-9
+# symbols_equal's tolerance on float data
+EQUAL_TOL = 1e-12
 
 ExponentLike = Union["Exponent", Fraction, int, float, complex, str]
 
@@ -182,14 +186,6 @@ class FourierLogPoly:
             out[k] = out.get(k, 0j) + sign * v
         return FourierLogPoly.of(out)
 
-    def odd_defect(self) -> float:
-        """Max |gamma_k + gamma_{-k}|; zero iff the log is an odd function."""
-        d = self.as_dict()
-        worst = 0.0
-        for k, v in d.items():
-            worst = max(worst, abs(v + d.get(-k, 0j)))
-        return worst
-
     def eval_at(self, z: complex) -> complex:
         return sum(v * z**k for k, v in self.coeffs)
 
@@ -322,18 +318,18 @@ def invert(s: CanonicalSymbol) -> CanonicalSymbol:
     )
 
 
-def symbols_equal(s1: CanonicalSymbol, s2: CanonicalSymbol, tol: float = 1e-12) -> bool:
-    """Representation equality: exact on integers and rational data, tol on floats."""
-    if s1.kappa != s2.kappa or abs(s1.scale - s2.scale) > tol * max(1.0, abs(s1.scale)):
+def symbols_equal(s1: CanonicalSymbol, s2: CanonicalSymbol) -> bool:
+    """Representation equality: exact on integers and rational data, EQUAL_TOL on floats."""
+    if s1.kappa != s2.kappa or abs(s1.scale - s2.scale) > EQUAL_TOL * max(1.0, abs(s1.scale)):
         return False
     d1, d2 = s1.log_smooth.as_dict(), s2.log_smooth.as_dict()
     for k in set(d1) | set(d2):
-        if abs(d1.get(k, 0j) - d2.get(k, 0j)) > tol:
+        if abs(d1.get(k, 0j) - d2.get(k, 0j)) > EQUAL_TOL:
             return False
     if len(s1.jumps) != len(s2.jumps):
         return False
     for j1, j2 in zip(s1.jumps, s2.jumps):
-        if j1.point != j2.point or j1.beta.re != j2.beta.re or abs(j1.beta.im - j2.beta.im) > tol:
+        if j1.point != j2.point or j1.beta.re != j2.beta.re or abs(j1.beta.im - j2.beta.im) > EQUAL_TOL:
             return False
     return True
 
@@ -348,17 +344,19 @@ class SymbolPair:
     d: CanonicalSymbol
 
 
-def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> SymbolPair:
+def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol) -> SymbolPair:
     """Verify a*tilde(a) = b*tilde(b) and build the auxiliary pair (c, d).
 
     The structural parts are checked exactly: the residual
-    e = c*c~ = a*a~*(b*b~)^{-1}, with c = a*b^{-1}, must have winding index
-    0 and no jumps (exponent real parts cancel as Fractions).  What is left
-    is e = w * exp(L) with w = scale * exp(L_0): L holds the nonconstant log
-    terms and the jumps with |Im beta| <= tol, so |L| <= R =
+    e = c*c~ = a*a~*(b*b~)^{-1}, with c = a*b^{-1}, must have no jumps
+    (exponent real parts cancel as Fractions); its winding index
+    c.kappa - c.kappa is 0 by construction.  What is left is
+    e = w * exp(L) with w = scale * exp(L_0): L holds the nonconstant log
+    terms and the jumps with |Im beta| <= STRUCTURAL_TOL, so |L| <= R =
     sum_{k != 0} |L_k| + pi * sum |Im beta| on the whole circle, and
     |e - 1| <= |w - 1| + |w| * (exp(R) - 1).  That bound, not a
-    sample, is compared to tol.
+    sample, is compared to STRUCTURAL_TOL.  It places the constant
+    scale * exp(L_0) of c and of d within STRUCTURAL_TOL of +1 or -1.
 
     Raises
     ------
@@ -371,24 +369,19 @@ def validate_pair(a: CanonicalSymbol, b: CanonicalSymbol, tol: float = 1e-9) -> 
     # from c, not from a*a~, whose scale underflows for a = b of tiny scale
     e = multiply(c, tilde(c))
     for j in e.jumps:
-        if j.beta.re != 0 or abs(j.beta.im) > tol:
+        if j.beta.re != 0 or abs(j.beta.im) > STRUCTURAL_TOL:
             dev = abs(cmath.exp(2j * math.pi * j.beta.value) - 1.0)
             raise ConditionViolated(
                 f"a*a~ and b*b~ disagree at the jump {j.point}: residual exponent {j.beta.value}",
                 deviation=dev,
                 point=j.point,
             )
-    if e.kappa != 0:
-        raise ConditionViolated(
-            f"a*a~ and b*b~ have different winding index (residual kappa {e.kappa})",
-            deviation=math.inf,
-        )
     r = sum(abs(v) for k, v in e.log_smooth.coeffs if k) + math.pi * sum(abs(j.beta.im) for j in e.jumps)
     try:
         w = e.scale * cmath.exp(e.log_smooth.as_dict().get(0, 0j))
         dev = abs(w - 1.0) + abs(w) * math.expm1(r)
     except OverflowError:
         dev = math.inf
-    if not dev <= tol:
+    if not dev <= STRUCTURAL_TOL:
         raise ConditionViolated(f"a*a~ != b*b~ on the circle (deviation bound {dev:.3e})", deviation=dev)
     return SymbolPair(a=a, b=b, c=c, d=multiply(tilde(a), b_inv))

@@ -104,7 +104,7 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     Raises
     ------
     MethodDisagreement
-        When the bound exceeds tol.
+        When the bound exceeds tol or is NaN.
     """
     freq = N + abs(s.kappa) + max((abs(k) for k, _ in s.log_smooth.coeffs), default=0)
     M = fft_length(max(12, math.ceil(2 * math.pi * freq / 10)))
@@ -127,7 +127,7 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     uncut = float(np.sum(np.abs(v.reshape(whole.size, 24)) @ ws[0])) / (2 * np.pi)
     cut = float(np.abs(c) @ ws[1:].ravel()) / (2 * np.pi)
     bound = fourier_bound(s, N, M, uncut, cut, pieces.size)
-    if bound > tol:
+    if not bound <= tol:
         raise MethodDisagreement(f"Fourier quadrature bound {bound:.3e} exceeds {tol:.1e} on |k| <= {N}")
     return TwoSidedSeries(coeffs, bound)
 
@@ -163,10 +163,11 @@ def kernel_residual_check(
     Raises
     ------
     ResidualTooLarge
-        When any candidate's residual exceeds tol or the truncated vectors
-        are not linearly independent.
+        When any candidate's residual exceeds tol or is NaN, or the
+        truncated vectors are not linearly independent.
     MethodDisagreement
-        When the bound of rho or of the section's coefficients exceeds tol.
+        When the bound of rho or of the section's coefficients exceeds tol
+        or is NaN.
     """
     if report is None:
         report = defect_numbers(pair, p)
@@ -188,7 +189,7 @@ def kernel_residual_check(
     if m > 0:
         ks = range(n - m + 1, N + n + m - 1)  # the k of rho_{l+n-k} and rho_{l+n+k} read below
         rho = rho_coefficients(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, ks)
-        if rho.tail_bound > tol:
+        if not rho.tail_bound <= tol:
             raise MethodDisagreement(
                 f"rho bound {rho.tail_bound:.3e} exceeds {tol:.1e} on {ks.start} <= k <= {ks.stop - 1}"
             )
@@ -226,7 +227,7 @@ def kernel_residual_check(
         raise ResidualTooLarge(
             f"only {gram_rank} of {len(vectors)} candidates are independent"
         )
-    if residuals.max() > tol:
+    if not residuals.max() <= tol:
         raise ResidualTooLarge(
             f"worst finite-section residual {residuals.max():.3e} exceeds {tol:.1e}"
         )
@@ -239,13 +240,16 @@ def rho_de(
     """rho_k, |k| <= N_keep, by tanh-sinh quadrature over the half-arcs: the second route.
 
     Each half of an arc between sites of rho, of width L, is integrated in the
-    offset u from its end site, u = L / (1 + e^{-pi sinh s}), so the nodes
-    crowd the site without cancellation (Takahasi & Mori, Publ. RIMS 9, 1974).
-    |s| runs until u^{1 + Re beta} is e^{-40} at the steepest site (e^{-600}
-    at most).  The step in s starts at 1/8 and halves until the coefficients
-    move by less than 1e-13, or down to 2^-10.  tail_bound, an estimate and
-    not a bound, is the last movement plus the integral of |rho| ~ u^beta
-    below the innermost nodes.
+    offset u from its end site, its anchor, u = L / (1 + e^{-pi sinh s}), so
+    the nodes crowd the site without cancellation (Takahasi & Mori, Publ.
+    RIMS 9, 1974).  On each half-arc s runs down until u^{1 + Re beta} is
+    e^{-40} at its own anchor (u is e^{-600} at most): sized for a steeper
+    site instead, a shallow site's factors of rho would leave the float range
+    and meet as 0 * inf.  Toward the midpoint every half-arc runs as far as
+    the steepest one.  The step in s starts at 1/8 and halves until the
+    coefficients move by less than 1e-13, or down to 2^-10.  tail_bound, an
+    estimate and not a bound, is the last movement plus the integral of
+    |rho| ~ u^beta below the innermost nodes.
     """
     ks = range(-N_keep, N_keep + 1)
     sites = rho_sites(c_plus, d_plus, b)
@@ -256,19 +260,24 @@ def rho_de(
     anchor = np.concatenate([np.arange(S), (np.arange(S) + 1) % S])
     L = np.tile([math.pi * float((turns[(i + 1) % S] - t) % 1) for i, t in enumerate(turns)], 2)[:, None]
     sign = np.repeat([1.0, -1.0], S)[:, None]
-    span = math.ceil(8 * math.asinh(min(600.0, 40.0 / min(1.0, room.min())) / math.pi))
+    # half-arc i keeps the nodes s >= -reach[i] / 8 of the common grid |s| <= span / 8
+    reach = np.ceil(8 * np.arcsinh(np.minimum(600.0, 40.0 / np.minimum(1.0, room[anchor])) / np.pi))[:, None]
+    span = int(reach.max())
     terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
+    rows = np.arange(2 * S)
 
     def total(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum of rho e^{-ikx} du/ds over the nodes s of every half-arc, and rho u at s[0]."""
+        """sum of rho e^{-ikx} du/ds over the nodes s of every half-arc, and rho u at each innermost node."""
         q = np.pi * np.sinh(s)
         e = np.exp(-np.abs(q))
         u = sign * L * np.where(q >= 0, 1.0, e) / (1 + e)
-        index = np.repeat(anchor, s.size)
-        vals = _rho_values(terms, index, u.ravel())
-        xs = 2 * np.pi * np.array(turns, dtype=float)[index] + u.ravel()
+        keep = s >= -reach / 8
+        vals = np.zeros(u.shape, dtype=complex)
+        vals[keep] = _rho_values(terms, np.broadcast_to(anchor[:, None], u.shape)[keep], u[keep])
+        xs = 2 * np.pi * np.array(turns, dtype=float)[anchor][:, None] + u
         du = L * (np.pi * np.cosh(s) * e / (1 + e) ** 2)
-        return _fourier_integrals(xs, du.ravel(), vals, ks), vals.reshape(u.shape)[:, 0] * u[:, 0]
+        first = keep.argmax(axis=1)
+        return _fourier_integrals(xs.ravel(), du.ravel(), vals.ravel(), ks), vals[rows, first] * u[rows, first]
 
     h, steps = 1 / 8, span
     acc, inner = total(h * np.arange(-steps, steps + 1))
@@ -279,5 +288,5 @@ def rho_de(
         coeffs, prev = h * acc, coeffs
         move = float(np.max(np.abs(coeffs - prev)))
     estimate = move + float(np.sum(np.abs(inner) / room[anchor])) / (2 * np.pi)
-    nodes = (2 * steps + 1) * 2 * S
+    nodes = int(np.sum((reach + span) * (steps // span) + 1))
     return RhoSeries(coeffs, ks, nodes, estimate, n, m, c_plus, d_plus, b, sites)

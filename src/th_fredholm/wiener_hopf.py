@@ -170,10 +170,10 @@ def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
     """The structured plus factor of a normalized representation.
 
     The eta exponents are 2*gamma at the endpoints and gamma at both members
-    of every conjugate jump pair.  The residual scale (within 1e-9 of 1) is
-    threaded through a principal square root so downstream products stay
-    faithful to the input constants.  Nothing is realized here; callers use
-    PlusFactor.realize at the order they need.
+    of every conjugate jump pair.  The residual constant smooth_scale *
+    exp(log_0) (within 1e-9 of 1) is threaded through a principal square root
+    so downstream products stay faithful to the input constants.  Nothing is
+    realized here; callers use PlusFactor.realize at the order they need.
     """
     exponents = []
     if not rep.gamma_plus.is_zero:

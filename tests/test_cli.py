@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from th_fredholm import cli, defect_solver, fredholm_engine
+from th_fredholm import cli, defect_solver, fredholm_engine, verification_oracle
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 from th_fredholm.symbol_core import CanonicalSymbol
@@ -314,6 +315,21 @@ def test_exit_codes_agree_on_general_documents(tmp_path, capsys):
     assert {0, 1} <= set(seen)
 
 
+# a = e^{-0.3} exp(0.3) is the constant 1: the sign of c and d is read off scale * exp(log_0)
+CONSTANT_IN_LOG_DOC = {"a": {"scale": [0.7408182206817179, 0], "log_smooth": [{"k": 0, "re": 0.3}]}, "b": {}, "p": 2}
+
+
+def test_constant_in_log_passes_every_command(tmp_path, capsys):
+    path = write_doc(tmp_path, CONSTANT_IN_LOG_DOC)
+    one = write_doc(tmp_path, {"a": {}, "b": {}, "p": 2}, "one.json")
+    extra = {"sweep": ["--p-from", "6/5", "--p-to", "3", "--steps", "5"]}
+    for command in cli._COMMANDS:
+        code, out, _ = run(capsys, [command, path, *extra.get(command, [])])
+        assert code == 0, command
+        if command in ("check", "index", "defects", "sweep", "pmap"):
+            assert run(capsys, [command, one, *extra.get(command, [])])[:2] == (0, out), command
+
+
 def placed(value: Fraction, lo: Fraction) -> Fraction | None:
     """value moved by an integer into (lo, lo + 1); None on an edge."""
     offset = value - lo
@@ -447,7 +463,7 @@ def test_verify_confidence_failure_exits_four(tmp_path, capsys):
 
 
 # A General, G-count pair at p = 2 whose rho has exponent -15/16 at turns 1/4 and 3/4 and 3/8 at -1:
-# the oracle's innermost nodes, sized for the steep sites, overflow rho's exponent at -1 into NaN
+# oracle nodes sized for the steep sites on every half-arc overflowed rho's exponent at -1 into NaN
 NAN_ORACLE_DOC = {
     "a": {
         "kappa": 1,
@@ -484,10 +500,23 @@ NAN_ORACLE_DOC = {
 }
 
 
-def test_verify_refuses_a_nan_oracle(tmp_path, capsys):
-    # the gates fail closed: a NaN deviation refuses instead of passing as valid-looking output
-    with np.errstate(over="ignore", invalid="ignore"):
+def test_verify_sizes_the_oracle_per_site(tmp_path, capsys):
+    # each half-arc's nodes are sized for its own site, so no factor of rho leaves the float range
+    with np.errstate(over="raise", invalid="raise"):
         code, out, _ = run(capsys, ["verify", write_doc(tmp_path, NAN_ORACLE_DOC)])
+    assert code == 0
+    assert json.loads(out)["rho"]["oracleDeviation"] < 1e-13
+
+
+def test_verify_refuses_a_nan_oracle(tmp_path, capsys, monkeypatch):
+    # the gates fail closed: a NaN deviation refuses instead of passing as valid-looking output
+    rho_de = verification_oracle.rho_de
+    monkeypatch.setattr(
+        verification_oracle,
+        "rho_de",
+        lambda *args: dataclasses.replace(rho_de(*args), coeffs=np.full(33, complex(math.nan))),
+    )
+    code, out, _ = run(capsys, ["verify", write_doc(tmp_path, NAN_ORACLE_DOC)])
 
     def refuse(name):
         raise ValueError(f"stdout holds the non-JSON constant {name}")
@@ -719,7 +748,7 @@ INPUT_ERRORS += [
     for v in (float("nan"), 2.0, 0.0)
 ]
 INPUT_ERRORS += [
-    ({**README_DOC, "options": {"curve_samples": 0}}, ["check"], "error:"),
+    ({**README_DOC, "options": {"curve_samples": 0}}, ["check"], "options: unknown keys ['curve_samples']"),
     (README_DOC, ["curve", "--samples", "0"], "error:"),
 ]
 # residuals whose deviation bound overflows a float
@@ -973,3 +1002,20 @@ def test_public_names_resolve_to_their_defining_modules():
         fields = {f.name for f in dataclasses.fields(cls)}
         for name in names:
             assert not hasattr(cls, name) and name not in fields, (cls.__name__, name)
+    # validate_pair is the one structural check, and its tolerances are constants
+    assert not hasattr(fredholm_engine, "ensure_unimodular")
+    assert not hasattr(symbol_core.FourierLogPoly, "odd_defect")
+    knobs = {
+        symbol_core.validate_pair: "tol",
+        symbol_core.symbols_equal: "tol",
+        fredholm_engine.structural_sign: "tol",
+        fredholm_engine.fredholm_conditions: "eps_boundary",
+        fredholm_engine.side_condition_sites: "eps_boundary",
+        fredholm_engine._site: "eps",
+    }
+    for fn, name in knobs.items():
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+    # curve --samples is the one knob for curve samples
+    doc = {**README_DOC, "options": {"curve_samples": 2048}}
+    with pytest.raises(cli.InputError, match=r"options: unknown keys \['curve_samples'\]"):
+        cli.Job(doc)

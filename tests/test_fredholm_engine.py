@@ -111,6 +111,18 @@ def test_normalize_scale_sign_absorbed():
     assert np.max(np.abs(eval_many(recon, xs) - eval_many(c, xs))) < 1e-12
 
 
+def test_normalize_reads_the_sign_off_the_constant():
+    # the constant is scale * exp(log_0): e^{-0.3} exp(0.3) is 1 and -e^{-0.3} exp(0.3) is -1
+    for sign in (1.0, -1.0):
+        rep = normalize(CanonicalSymbol(scale=sign * math.exp(-0.3), log_smooth={0: 0.3}), 2)
+        want = normalize(CanonicalSymbol(scale=sign), 2)
+        assert (rep.n, rep.gamma_plus, rep.gamma_minus) == (want.n, want.gamma_plus, want.gamma_minus)
+        assert abs(rep.smooth_scale * cmath.exp(0.3) - 1) < 1e-15
+    # a hand-built symbol whose constant is not +-1 is refused
+    with pytest.raises(ValueError, match="is not \\+-1"):
+        normalize(CanonicalSymbol(scale=2.0), 2)
+
+
 def test_normalize_window_membership_random():
     rng = np.random.default_rng(7)
     for p in (Fraction(2), Fraction(3, 2), Fraction(5), Fraction(8, 7)):

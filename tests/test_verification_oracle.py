@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from th_fredholm import verification_oracle
 from th_fredholm.defect_solver import defect_numbers
 from th_fredholm.symbol_core import (
     MINUS_ONE,
@@ -181,6 +182,13 @@ def test_two_sided_series_accessors():
 def test_method_disagreement_on_absurd_tolerance():
     with pytest.raises(MethodDisagreement, match="Fourier quadrature bound"):
         fourier_coeffs(jump_unit(0, 1, 0.3), 32, tol=1e-16)
+
+
+def test_fourier_coeffs_refuses_a_nan_bound():
+    # t^-1 exp(400 (t + 1/t)) overflows its samples: NaN coefficients and a NaN bound refuse
+    a = smooth(kappa=-1, log={1: 400.0, -1: 400.0})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(MethodDisagreement, match="bound nan"):
+        fourier_coeffs(a, 64)
 
 
 def closed_form_bound_cases(N: int):
@@ -361,6 +369,18 @@ def test_kernel_check_gates_its_rho_by_tol():
     name, pair, p = next(inst for inst in golden_kernel_instances() if defect_numbers(inst[1], inst[2]).m > 0)
     with pytest.raises(MethodDisagreement, match="rho bound .* on 0 <= k <= 63"):
         kernel_residual_check(pair, p, N=64, tol=1e-16)
+
+
+def test_kernel_check_refuses_a_nan_rho_bound(monkeypatch):
+    rho_coefficients = verification_oracle.rho_coefficients
+    monkeypatch.setattr(
+        verification_oracle,
+        "rho_coefficients",
+        lambda *args: dataclasses.replace(rho_coefficients(*args), tail_bound=math.nan),
+    )
+    name, pair, p = next(inst for inst in golden_kernel_instances() if defect_numbers(inst[1], inst[2]).m > 0)
+    with pytest.raises(MethodDisagreement, match="rho bound nan"):
+        kernel_residual_check(pair, p, N=64)
 
 
 def pm_one_pair():
