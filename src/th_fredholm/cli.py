@@ -273,7 +273,11 @@ def cmd_factor(job: Job, ns) -> tuple[dict, int]:
 def cmd_curve(job: Job, ns) -> tuple[dict, int]:
     symbol = job.pair.c if ns.side == "c" else job.pair.d
     pf, qf = exponent_pair(job.p)
-    big_p = pf if ns.side == "c" else qf
+    big_p, name = (pf, "p") if ns.side == "c" else (qf, "q")
+    _require(
+        big_p <= sys.float_info.max and float(big_p) > 1,
+        f"p: curve --side {ns.side} needs a finite float {name} above 1, and this p gives none",
+    )
     _require(ns.samples >= 1, "--samples must be at least 1")
     curve = build_hash_curve(symbol, big_p, ns.samples, max(64, ns.samples // 8))
     try:
@@ -396,6 +400,8 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
 def _sweep_values(ns) -> list[Fraction]:
     lo = parse_p(ns.p_from)
     hi = parse_p(ns.p_to)
+    for option, text, value in (("--p-from", ns.p_from, lo), ("--p-to", ns.p_to, hi)):
+        _require(value <= sys.float_info.max, f"p: {option} {text} exceeds the largest float, which sweep's rows print")
     steps = ns.steps
     _require(steps >= 1, "--steps must be at least 1")
     step = (hi - lo) / max(steps - 1, 1)

@@ -17,12 +17,11 @@ always refuses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .confidence import RankUndecidable
 from .fredholm_engine import NotFredholm, normalized_pair
-from .symbol_core import SymbolPair
+from .symbol_core import SymbolPair, _Record
 
 if TYPE_CHECKING:  # numpy and rho load only on the F-matrix path
     import numpy as np
@@ -34,8 +33,7 @@ class InsufficientCoefficients(ValueError):
     """The rho series does not hold enough coefficients for the matrix."""
 
 
-@dataclass(frozen=True, eq=False)
-class DefectMatrix:
+class DefectMatrix(_Record, eq=False):
     """The n x m matrix [rho_{i-j} + rho_{i+j}] with its source series."""
 
     n: int
@@ -44,8 +42,7 @@ class DefectMatrix:
     rho: RhoSeries
 
 
-@dataclass(frozen=True, eq=False)
-class DefectReport:
+class DefectReport(_Record, eq=False):
     n: int
     m: int
     dim_ker: int

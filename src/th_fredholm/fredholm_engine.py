@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -31,6 +30,7 @@ from .symbol_core import (
     FourierLogPoly,
     SymbolPair,
     UnitPoint,
+    _Record,
     as_fraction,
     eval_many,
     one_sided_limits,
@@ -103,8 +103,7 @@ def structural_sign(s: CanonicalSymbol) -> int:
     raise ValueError(f"constant {w!r} is not +-1; the symbol does not satisfy s*s~ = 1")
 
 
-@dataclass(frozen=True)
-class SiteCondition:
+class SiteCondition(_Record):
     """One tested coset condition: tested value must avoid offset + Z."""
 
     side: str
@@ -114,9 +113,16 @@ class SiteCondition:
     distance: Fraction
     verdict: str  # "pass" | "fail" | "boundary"
 
+    def __init__(self, side, point, tested, forbidden_offset, distance, verdict):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "tested", tested)
+        object.__setattr__(self, "forbidden_offset", forbidden_offset)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "verdict", verdict)
 
-@dataclass(frozen=True)
-class ConditionReport:
+
+class ConditionReport(_Record):
     p: Fraction
     q: Fraction
     sites: tuple[SiteCondition, ...]
@@ -187,8 +193,7 @@ def fredholm_conditions(pair: SymbolPair, p: PLike) -> ConditionReport:
     return ConditionReport(p=pf, q=qf, sites=tuple(sites), overall=overall)
 
 
-@dataclass(frozen=True)
-class NormalizedRep:
+class NormalizedRep(_Record):
     """Unique product representation s = t^{2n} a0 u(1,2g+) u(-1,2g-) prod u(tau,g) u(conj tau,g).
 
     gammas holds the common exponent of each conjugate pair, keyed by the
@@ -269,8 +274,7 @@ def fredholm_index(pair: SymbolPair, p: PLike) -> int:
     return rep_d.n - rep_c.n
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(_Record):
     """A value u = 1/p at which the listed (side, point) sites vanish.
 
     slope is the smallest |slope| among them, so the widest epsilon band
@@ -363,8 +367,7 @@ def p_map(pair: SymbolPair) -> PMap:
     return PMap(pair, breakpoints)
 
 
-@dataclass(frozen=True, eq=False)
-class CurveData:
+class CurveData(_Record, eq=False):
     """Closed polyline tracing the arc-augmented image of the upper half circle."""
 
     segments: tuple[tuple[str, np.ndarray], ...]

@@ -14,8 +14,6 @@ of the program.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -27,6 +25,7 @@ from .symbol_core import (
     Exponent,
     SymbolPair,
     UnitPoint,
+    _Record,
     multiply,
     symbols_equal,
 )
@@ -55,8 +54,7 @@ FAMILY_TAGS = (
     GENERAL,
 )
 
-@dataclass(frozen=True, eq=False)
-class HankelSplit:
+class HankelSplit(_Record, eq=False):
     """Sign data of the even/odd split rho = rho0 * rho1 of the I+H defect kernel.
 
     rho1 is the sign function (-1)^{n+} times a product of symmetric square
@@ -69,8 +67,7 @@ class HankelSplit:
     pair_signs: tuple[tuple[UnitPoint, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyReport:
+class FamilyReport(_Record, eq=False):
     tag: str
     p: Fraction
     kappa: int
@@ -114,7 +111,7 @@ def family_b(a: CanonicalSymbol, tag: str) -> CanonicalSymbol:
             "hankel_identity_report handles the identity-plus-Hankel case"
         )
     sign, power = _FAMILY_SHAPES[tag]
-    b = a if sign == 1 else dataclasses.replace(a, scale=-a.scale)
+    b = a if sign == 1 else CanonicalSymbol(a.kappa, -a.scale, a.log_smooth, a.jumps)
     return multiply(CanonicalSymbol.monomial(power), b) if power else b
 
 

@@ -25,14 +25,13 @@ from each site, and `verify` compares the two on |k| <= 16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
 from .quadrature import _fourier_integrals, _leggauss, fourier_bound
-from .symbol_core import CanonicalSymbol, SymbolPair, eval_many
+from .symbol_core import CanonicalSymbol, SymbolPair, _Record, eval_many
 from .wiener_hopf import (
     PlusFactor,
     RhoSeries,
@@ -46,15 +45,16 @@ from .wiener_hopf import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class TwoSidedSeries:
+class TwoSidedSeries(_Record, eq=False):
     """Coefficients f_k for |k| <= N, stored with k = 0 at the center, and a bound on their error."""
 
     coeffs: np.ndarray
-    bound: float | None = None
+    bound: float | None
 
-    def __post_init__(self):
-        if self.coeffs.size % 2 != 1:
+    def __init__(self, coeffs: np.ndarray, bound: float | None = None):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "bound", bound)
+        if coeffs.size % 2 != 1:
             raise ValueError("two-sided storage needs an odd length")
 
     @property
@@ -67,8 +67,7 @@ class TwoSidedSeries:
         return complex(self.coeffs[k + self.N])
 
 
-@dataclass(frozen=True, eq=False)
-class KernelBasis:
+class KernelBasis(_Record, eq=False):
     vectors: tuple[np.ndarray, ...]
     tags: tuple[str, ...]
     residuals: np.ndarray

@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +36,7 @@ from .symbol_core import (
     Exponent,
     FourierLogPoly,
     UnitPoint,
+    _Record,
 )
 
 # Gauss-Legendre nodes per panel and sliver width in rad of the rho rule
@@ -141,8 +141,7 @@ def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> np.ndarray:
     return series
 
 
-@dataclass(frozen=True, eq=False)
-class PlusFactor:
+class PlusFactor(_Record, eq=False):
     """Structured analytic factor c_+ of the antisymmetric factorization.
 
     c_+ = constant * exp(analytic log) * prod eta(point, exponent).  realize(N)
@@ -192,8 +191,7 @@ def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RhoSeries:
+class RhoSeries(_Record, eq=False):
     """Two-sided coefficients of rho with their error figure and provenance.
 
     coeffs[k - ks.start] holds rho_k for k in ks, a contiguous range, symmetric
@@ -250,8 +248,7 @@ def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dic
     return sites
 
 
-@dataclass(frozen=True, eq=False)
-class _RhoTerms:
+class _RhoTerms(_Record, eq=False):
     """The parts of rho, read off its factors by _rho_terms."""
 
     turns: list  # sorted(sites)

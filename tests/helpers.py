@@ -201,6 +201,11 @@ def unimodular_symbol(rng: np.random.Generator, pair_cap: int = 20) -> Canonical
     )
 
 
+def replace(obj, **changes):
+    """A copy of the package record obj with the named fields changed."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj.__slots__}, **changes})
+
+
 def pair_from_c_and_b(c: CanonicalSymbol, b: CanonicalSymbol) -> SymbolPair:
     return validate_pair(multiply(c, b), b)
 

@@ -1,6 +1,5 @@
 """Exit codes, document schemas, and determinism of the command line."""
 
-import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -514,7 +513,7 @@ def test_verify_refuses_a_nan_oracle(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         verification_oracle,
         "rho_de",
-        lambda *args: dataclasses.replace(rho_de(*args), coeffs=np.full(33, complex(math.nan))),
+        lambda *args: helpers.replace(rho_de(*args), coeffs=np.full(33, complex(math.nan))),
     )
     code, out, _ = run(capsys, ["verify", write_doc(tmp_path, NAN_ORACLE_DOC)])
 
@@ -560,8 +559,8 @@ def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):
 
     def skewed(pair, p):
         report = real(pair, p)
-        rep_d = dataclasses.replace(report.rep_d, gamma_plus=report.rep_d.gamma_plus + Fraction(1, 2))
-        return dataclasses.replace(report, rep_d=rep_d)
+        rep_d = helpers.replace(report.rep_d, gamma_plus=report.rep_d.gamma_plus + Fraction(1, 2))
+        return helpers.replace(report, rep_d=rep_d)
 
     monkeypatch.setattr(defect_solver, "defect_numbers", skewed)
     code, out, _ = run(capsys, ["special", write_doc(tmp_path, JACOBI_FMATRIX)])
@@ -782,6 +781,42 @@ def test_input_errors_exit_three(tmp_path, capsys, doc, command, message):
     assert "error:" in err and message in err
 
 
+# p beyond the float range, and p so near 1 that it rounds to 1.0 (as q does on the d side of the huge p)
+HUGE_P_DOC = {"a": {"kappa": 1}, "b": {}, "p": "1e400"}
+NEAR_ONE_P_DOC = {**HUGE_P_DOC, "p": f"{10**30 + 1}/{10**30}"}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        (HUGE_P_DOC, ["curve"]),
+        (HUGE_P_DOC, ["curve", "--side", "d"]),
+        (NEAR_ONE_P_DOC, ["curve"]),
+        (HUGE_P_DOC, ["sweep", "--p-from", "1e400", "--p-to", "2", "--steps", "3"]),
+    ],
+    ids=["curve-huge", "curve-d-huge", "curve-near-one", "sweep-huge"],
+)
+def test_p_without_a_float_exits_three(tmp_path, capsys, doc, argv):
+    path = write_doc(tmp_path, doc)
+    code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: p: ")
+    # the exact commands keep their verdict: both p sit on a boundary of a = t
+    for command in ("check", "index", "defects", "verify"):
+        assert run(capsys, [command, path])[0] == 2, command
+
+
+def test_structural_mismatch_names_the_jump(tmp_path, capsys):
+    # a = u(i, 1/4) against b = 1: the error prints the jump point's record repr
+    doc = {"a": {"jumps": [{"theta_num": 1, "theta_den": 4, "beta": [0.25, 0.0]}]}, "b": {}, "p": 2}
+    assert run(capsys, ["index", write_doc(tmp_path, doc)]) == (
+        3,
+        "",
+        "error: pair fails the structural condition: a*a~ and b*b~ disagree at the jump UnitPoint(num=1, den=4):"
+        " residual exponent (0.25+0j)\n",
+    )
+
+
 def test_invalid_json_exits_three(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -907,15 +942,16 @@ def test_cold_commands_do_not_import_scipy(tmp_path, capsys):
 EXACT_TIER_PROBE = """
 import contextlib, io, json, sys
 
-def numpy_loaded():
-    return any(name.split(".")[0] == "numpy" for name in sys.modules)
+def loaded():
+    top = {name.split(".")[0] for name in sys.modules}
+    return [module in top for module in ("numpy", "dataclasses", "inspect")]
 
 import th_fredholm
 
-seen = [["import th_fredholm", numpy_loaded()]]
+seen = [["import th_fredholm", *loaded()]]
 from th_fredholm import cli
 
-seen.append(["import th_fredholm.cli", numpy_loaded()])
+seen.append(["import th_fredholm.cli", *loaded()])
 family, general, hankel = sys.argv[1:]
 sweep = ["--p-from", "6/5", "--p-to", "3", "--steps", "25"]
 runs = [["check", family], ["index", family], ["sweep", family] + sweep, ["pmap", family],
@@ -924,7 +960,7 @@ runs = [["check", family], ["index", family], ["sweep", family] + sweep, ["pmap"
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    seen.append([argv[0], code, numpy_loaded()])
+    seen.append([argv[0], code, *loaded()])
 print(json.dumps(seen))
 """
 
@@ -947,20 +983,22 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         check=True,
         timeout=120,
     )
+    # each entry: exit code, then whether numpy, dataclasses and inspect are loaded;
+    # the package defines no dataclasses, so the exact tier loads neither of the last two
     assert json.loads(result.stdout) == [
-        ["import th_fredholm", False],
-        ["import th_fredholm.cli", False],
-        ["check", 0, False],
-        ["index", 0, False],
-        ["sweep", 0, False],
-        ["pmap", 0, False],
-        ["special", 0, False],
-        ["special", 0, False],
+        ["import th_fredholm", False, False, False],
+        ["import th_fredholm.cli", False, False, False],
+        ["check", 0, False, False, False],
+        ["index", 0, False, False, False],
+        ["sweep", 0, False, False, False],
+        ["pmap", 0, False, False, False],
+        ["special", 0, False, False, False],
+        ["special", 0, False, False, False],
         # counted defects are integer arithmetic
-        ["defects", 0, False],
-        ["special", 0, False],
-        # the probe is live: the numeric tier loads numpy
-        ["factor", 0, True],
+        ["defects", 0, False, False, False],
+        ["special", 0, False, False, False],
+        # the probe is live: the numeric tier loads numpy, and inspect with it, but still no dataclasses
+        ["factor", 0, True, False, True],
     ]
 
 
@@ -999,9 +1037,8 @@ def test_public_names_resolve_to_their_defining_modules():
         fredholm_engine.CurveData: ["tags"],
     }
     for cls, names in methods.items():
-        fields = {f.name for f in dataclasses.fields(cls)}
         for name in names:
-            assert not hasattr(cls, name) and name not in fields, (cls.__name__, name)
+            assert not hasattr(cls, name) and name not in cls.__slots__, (cls.__name__, name)
     # validate_pair is the one structural check, and its tolerances are constants
     assert not hasattr(fredholm_engine, "ensure_unimodular")
     assert not hasattr(symbol_core.FourierLogPoly, "odd_defect")

@@ -1,13 +1,12 @@
 """Defect-number dispatch, the matrix case, and the certified rank rule."""
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from helpers import jacobi_determinant, jacobi_symbol, random_fredholm_pair, rho_for_pair
+from helpers import jacobi_determinant, jacobi_symbol, random_fredholm_pair, replace, rho_for_pair
 from th_fredholm.defect_solver import (
     DefectMatrix,
     InsufficientCoefficients,
@@ -58,7 +57,7 @@ def test_defect_matrix_matches_loop_formula():
     _, _, rho = rho_for_pair(trivial_pair(), 2, N_keep=8)
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=rho.coeffs.size) + 1j * rng.normal(size=rho.coeffs.size)
-    rho = dataclasses.replace(rho, coeffs=coeffs)
+    rho = replace(rho, coeffs=coeffs)
     n, m = 3, 5
     expected = np.empty((n, m), dtype=complex)
     for i in range(n):
@@ -81,7 +80,7 @@ def hand_built(matrix, tail_bound):
     _, _, rho = rho_for_pair(trivial_pair(), 2, N_keep=8)
     matrix = np.asarray(matrix, dtype=complex)
     n, m = matrix.shape
-    return DefectMatrix(n=n, m=m, matrix=matrix, rho=dataclasses.replace(rho, tail_bound=tail_bound))
+    return DefectMatrix(n=n, m=m, matrix=matrix, rho=replace(rho, tail_bound=tail_bound))
 
 
 def test_rank_decision_zero_matrix():
@@ -106,7 +105,7 @@ def test_rank_audit_refuses_on_large_tail():
     assert exc.value.sigma_min == pytest.approx(3 - 5**0.5)
     assert exc.value.perturbation_bound == pytest.approx(4.0)
     with pytest.raises(RankUndecidable) as exc:
-        rank_decision(dataclasses.replace(dm, rho=dataclasses.replace(dm.rho, tail_bound=float("inf"))))
+        rank_decision(replace(dm, rho=replace(dm.rho, tail_bound=float("inf"))))
     assert exc.value.perturbation_bound == float("inf")
 
 
@@ -118,7 +117,7 @@ def near_singular_rho(tail_bound, real_rho_coefficients=wiener_hopf.rho_coeffici
         coeffs = np.zeros(rho.coeffs.size, dtype=complex)
         for k, v in ((0, 1.0), (1, 1.0), (2, 1.0 + 1e-10)):
             coeffs[k - rho.ks.start] = coeffs[-k - rho.ks.start] = v
-        return dataclasses.replace(rho, coeffs=coeffs, tail_bound=tail_bound)
+        return replace(rho, coeffs=coeffs, tail_bound=tail_bound)
 
     return rho_coefficients
 

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,9 @@ from th_fredholm.symbol_core import (
     ConditionViolated,
     EvalAtJump,
     Exponent,
+    FourierLogPoly,
     JumpFactor,
+    SymbolPair,
     UnitPoint,
     eval_many,
     invert,
@@ -54,6 +58,39 @@ def test_unit_point_values():
     assert UnitPoint(1, 4).value() == pytest.approx(1j)
     assert UnitPoint(1, 2).value() == pytest.approx(-1.0)
     assert UnitPoint(1, 3).value() == pytest.approx(cmath.exp(2j * math.pi / 3))
+
+
+def test_records_order_hash_and_freeze_by_value():
+    points = [UnitPoint(3, 4), UnitPoint(1, 2), UnitPoint(1, 4), UnitPoint(0, 1), UnitPoint(1, 3)]
+    # ordered as the tuple (num, den), not by angle
+    assert sorted(points) == [UnitPoint(0, 1), UnitPoint(1, 2), UnitPoint(1, 3), UnitPoint(1, 4), UnitPoint(3, 4)]
+    assert UnitPoint(1, 4) <= UnitPoint(2, 8) and UnitPoint(3, 4) > UnitPoint(1, 2) >= UnitPoint(1, 2)
+    equal = [
+        (UnitPoint(6, 8), UnitPoint(3, 4)),
+        (Exponent(Fraction(1, 2), 0.5), Exponent(Fraction(2, 4), 0.5)),
+        (example_c(), example_c()),
+    ]
+    for x, y in equal:
+        assert x == y and x is not y and hash(x) == hash(y)
+        assert {x: "x"}[y] == "x"
+    assert UnitPoint(1, 4) != UnitPoint(1, 3) and Exponent(Fraction(1)) != Exponent(Fraction(1), 1e-3)
+    for record, field in [(UnitPoint(1, 4), "num"), (Exponent(Fraction(1)), "im"), (example_c(), "jumps")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    # the keyword and positional constructors of bench/workloads.to_pair
+    jump = JumpFactor(UnitPoint(5, 4), Exponent(Fraction(0.25), 0.0))
+    s = CanonicalSymbol(kappa=-1, scale=complex(2.0, 0.0), log_smooth={1: 0.5j, -1: 0.5j, 2: 0j}, jumps=(jump,))
+    assert (s.kappa, s.scale, s.log_smooth.coeffs) == (-1, 2.0, ((-1, 0.5j), (1, 0.5j)))
+    assert s.jumps == (JumpFactor(UnitPoint(1, 4), Exponent(Fraction(1, 4))),)
+    assert repr(jump) == "JumpFactor(point=UnitPoint(num=1, den=4), beta=Exponent(re=Fraction(1, 4), im=0.0))"
+    # a field missing, unknown, given twice or one too many is a TypeError; a trailing field takes its default
+    c = example_c()
+    wrong = [((c, c, c), {}), ((c, c, c, c), {"e": c}), ((c,), {"a": c, "b": c, "c": c, "d": c}), ((c,) * 5, {})]
+    for args, kwargs in wrong:
+        with pytest.raises(TypeError):
+            SymbolPair(*args, **kwargs)
+    assert SymbolPair(d=c, c=c, b=c, a=c) == SymbolPair(c, c, c, c) and FourierLogPoly().coeffs == ()
+    assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
 
 
 def test_jump_unit_minus_t_identity():

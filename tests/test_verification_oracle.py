@@ -1,6 +1,5 @@
 """Quadrature coefficients, finite sections, and explicit kernel elements."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -37,6 +36,7 @@ from helpers import (
     finite_section,
     golden_kernel_instances,
     hankel_matrix,
+    replace,
     rho_for_pair,
     sampled_fft_coeffs,
     toeplitz_matrix,
@@ -376,7 +376,7 @@ def test_kernel_check_refuses_a_nan_rho_bound(monkeypatch):
     monkeypatch.setattr(
         verification_oracle,
         "rho_coefficients",
-        lambda *args: dataclasses.replace(rho_coefficients(*args), tail_bound=math.nan),
+        lambda *args: replace(rho_coefficients(*args), tail_bound=math.nan),
     )
     name, pair, p = next(inst for inst in golden_kernel_instances() if defect_numbers(inst[1], inst[2]).m > 0)
     with pytest.raises(MethodDisagreement, match="rho bound nan"):
@@ -434,7 +434,7 @@ def test_rho_de_refuses_non_integrable_rho():
     # rho_de reads its sites through rho_sites, which refuses the exponent -3/2 at turn 0
     pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
     _, _, rho = rho_for_pair(pair, 2, N_keep=8)
-    steep = dataclasses.replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
+    steep = replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
     with pytest.raises(ValueError, match="at turn 0 makes rho non-integrable"):
         rho_de(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
 

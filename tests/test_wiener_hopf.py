@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import warnings
@@ -16,6 +15,7 @@ from helpers import (
     random_fredholm_pair,
     random_generic_b,
     random_structural_c,
+    replace,
     rho_at,
     rho_for_pair,
 )
@@ -250,7 +250,7 @@ def test_rho_sites_refuses_a_non_integrable_site():
     # rho_coefficients refuses it there (rho_de: test_rho_de_refuses_non_integrable_rho)
     pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
     _, _, rho = rho_for_pair(pair, 2, N_keep=8)
-    steep = dataclasses.replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
+    steep = replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
     with pytest.raises(ValueError, match="non-integrable"):
         rho_sites(steep, rho.d_plus, rho.b_symbol)
     with pytest.raises(ValueError, match="at turn 0 "):
