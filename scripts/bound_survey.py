@@ -121,7 +121,7 @@ def old_estimate(rho) -> float:
     top = max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
     freq = max(-ks.start, ks.stop - 1) + abs(rho.m + rho.n + rho.b_symbol.kappa) + top
     terms = wh._rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
-    index, offsets, weights = wh._rho_rule(rho.sites, freq, 16, 1e-10)
+    index, offsets, weights = wh._rho_rule(terms, freq, 16, 1e-10)
     xs = 2 * np.pi * np.array([float(t) for t in terms.turns])[index] + offsets
     coarse = wh._fourier_integrals(xs, weights, wh._rho_values(terms, index, offsets), ks)
     return float(np.max(np.abs(rho.coeffs - coarse)))
@@ -147,7 +147,7 @@ def cmd_survey(args) -> None:
         K = max(-rho.ks.start, rho.ks.stop - 1)
         logs = (rho.b_symbol.log_smooth, rho.c_plus.analytic_log, rho.d_plus.analytic_log)
         freq = K + abs(rho.m + rho.n + rho.b_symbol.kappa) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
-        index, offsets, weights = wh._rho_rule(rho.sites, freq, *wh.RHO_RULE)
+        index, offsets, weights = wh._rho_rule(terms, freq, *wh.RHO_RULE)
         summands = weights * wh._rho_values(terms, index, offsets)
         mass = float(np.sum(np.abs(summands))) / (2 * math.pi)
         de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, K)

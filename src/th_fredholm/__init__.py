@@ -12,10 +12,9 @@ _EXPORTS = {
     "defect_solver": "DefectReport InsufficientCoefficients defect_numbers invertibility",
     "fredholm_engine": (
         "BoundaryCase ConditionReport CurveThroughOrigin NormalizedRep NotFredholm NotFredholmOnSide"
-        " build_hash_curve exponent_pair fredholm_conditions fredholm_index normalize normalized_pair"
-        " p_map winding_from_curve"
+        " build_hash_curve exponent_pair fredholm_conditions fredholm_index normalize normalized_pair p_map"
     ),
-    "special_families": "FamilyReport classify_family family_b family_fredholm hankel_identity_report",
+    "special_families": "FamilyReport HankelReport classify_family family_b family_fredholm hankel_identity_report",
     "symbol_core": (
         "CanonicalSymbol ConditionViolated EvalAtJump Exponent FourierLogPoly JumpFactor SymbolPair"
         " UnitPoint invert jump_unit multiply one_sided_limits tilde validate_pair"

@@ -3,8 +3,7 @@
 Documents are JSON.  Reports are byte-deterministic: keys sorted, indent 2,
 no timestamps, a fixed version string.  Curves and sweeps can also be
 emitted as CSV.  Exit codes: 0 success, 1 not Fredholm or not invertible,
-2 boundary case, 3 input error, 4 a numerical confidence audit failed or
-two internal routes disagreed.
+2 boundary case, 3 input error, 4 a numerical confidence audit failed.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from .fredholm_engine import (
     build_hash_curve,
     exponent_pair,
     fredholm_conditions,
+    normalize,
     normalized_pair,
     p_map,
-    winding_from_curve,
 )
 from .special_families import (
     GENERAL,
     ID_PLUS_HANKEL,
-    InternalDisagreement,
     classify_family,
     family_fredholm,
     hankel_identity_report,
@@ -280,16 +278,12 @@ def cmd_curve(job: Job, ns) -> tuple[dict, int]:
     )
     _require(ns.samples >= 1, "--samples must be at least 1")
     curve = build_hash_curve(symbol, big_p, ns.samples, max(64, ns.samples // 8))
-    try:
-        winding = winding_from_curve(curve)
-    except ValueError as e:
-        raise MethodDisagreement(str(e)) from e
     doc = {
         "command": "curve",
         "version": __version__,
         "p": _frac(job.p),
         "side": ns.side,
-        "winding": winding,
+        "winding": normalize(symbol, job.p, ns.side).n,
         "segments": [
             {"tag": tag, "points": [_cnum(z) for z in pts]} for tag, pts in curve.segments
         ],
@@ -305,19 +299,17 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
         return doc, 0
     if tag == ID_PLUS_HANKEL:
         report = hankel_identity_report(job.pair, job.p)
+        defect = report.defect
         doc.update(
-            n=report.defect.n,
-            m=report.defect.m,
-            index=report.index,
-            dimKer=report.dim_ker,
-            dimCoker=report.dim_coker,
-            caseTag=report.defect.case_tag,
-            nPlus=report.split.n_plus,
-            nMinus=report.split.n_minus,
-            pairSigns=[
-                {"point": _frac(pt.turns), "difference": n_r}
-                for pt, n_r in report.split.pair_signs
-            ],
+            n=defect.n,
+            m=defect.m,
+            index=defect.index,
+            dimKer=defect.dim_ker,
+            dimCoker=defect.dim_coker,
+            caseTag=defect.case_tag,
+            nPlus=report.n_plus,
+            nMinus=report.n_minus,
+            pairSigns=[{"point": _frac(pt.turns), "difference": n_r} for pt, n_r in report.pair_signs],
         )
         return doc, 0
     report = family_fredholm(job.pair, tag, job.p)
@@ -356,8 +348,9 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         c_plus, d_plus = build_plus_factor(report.rep_c), build_plus_factor(report.rep_d)
         rho = rho_coefficients(c_plus, d_plus, job.pair.b, report.n, report.m, 16)
     evenness = rho.evenness_defect()
-    even_gate = max(1e-8, 10.0 * rho.tail_bound)
+    # rho is even and each rho_k lies within tail_bound, so the defect is at most twice it;
     # the gates fail closed: a NaN figure refuses
+    even_gate = 2.0 * rho.tail_bound
     if not evenness <= even_gate:
         raise MethodDisagreement(
             f"rho evenness defect {evenness:.3e} exceeds the bound gate {even_gate:.3e}"
@@ -402,6 +395,7 @@ def _sweep_values(ns) -> list[Fraction]:
     hi = parse_p(ns.p_to)
     for option, text, value in (("--p-from", ns.p_from, lo), ("--p-to", ns.p_to, hi)):
         _require(value <= sys.float_info.max, f"p: {option} {text} exceeds the largest float, which sweep's rows print")
+        _require(float(value) > 1, f"p: {option} {text} rounds to the float 1.0, which sweep's rows print")
     steps = ns.steps
     _require(steps >= 1, "--steps must be at least 1")
     step = (hi - lo) / max(steps - 1, 1)
@@ -585,14 +579,10 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except BoundaryCase as e:
-        return _emit_error(ns, str(e), 2)
-    except (NotFredholm, CurveThroughOrigin) as e:
-        return _emit_error(ns, str(e), 1)
+    except (NotFredholm, CurveThroughOrigin) as e:  # a refusal without a report, such as NotFredholmOnSide
+        return _emit_error(ns, str(e), 2 if isinstance(e, BoundaryCase) else 1)
     except _CONFIDENCE_ERRORS as e:
         return _emit_error(ns, str(e), 4, kind="numerical-confidence")
-    except InternalDisagreement as e:
-        return _emit_error(ns, str(e), 4, kind="internal-disagreement")
 
 
 if __name__ == "__main__":

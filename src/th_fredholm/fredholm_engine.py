@@ -1,15 +1,14 @@
-"""Fredholm conditions, normalization, index, and arc-augmented winding curves.
+"""Fredholm conditions, normalization, index, and arc-augmented symbol curves.
 
-Two independent routes to the same integers live here.  The symbolic route
-tests exact coset conditions on the jump data of the auxiliary functions c and
-d, and reads the normalized product representations, and with them (n, m) and
-the index m - n, off the same condition sites: each exponent is moved into
-the unit window just below its site's forbidden offset.  The geometric route
-traces the closed curve obtained from the image of the upper half circle by
-joining the one-sided limits at 1, -1, and every interior jump with circular
-arcs whose inscribed-angle parameter depends on p, then counts the winding
-about the origin.  Agreement of the two routes is a standing invariant of the
-test suite.
+Exact coset conditions on the jump data of the auxiliary functions c and d
+decide the verdict, and the normalized product representations, and with them
+(n, m) and the index m - n, are read off the same condition sites: each
+exponent is moved into the unit window just below its site's forbidden
+offset.  The curve drawn for one side is the image of the upper half circle
+with the one-sided limits at 1, -1, and every interior jump joined by circular
+arcs whose inscribed-angle parameter depends on p; its winding about the
+origin is the n that normalize gives, which the test suite checks by counting
+the curve's argument.
 """
 
 from __future__ import annotations
@@ -453,17 +452,3 @@ def build_hash_curve(
         raise CurveThroughOrigin("a sampled curve point lies at the origin")
     return curve
 
-
-def winding_from_curve(curve: CurveData) -> int:
-    """Winding about the origin by continuous argument tracking along the polyline."""
-    import numpy as np
-
-    pts = curve.points
-    closed = np.concatenate([pts, pts[:1]])
-    increments = np.angle(closed[1:] / closed[:-1])
-    total = float(np.sum(increments))
-    w = total / TWO_PI
-    nearest = round(w)
-    if abs(w - nearest) > 0.1:
-        raise ValueError(f"winding {w:.4f} is not close to an integer; refine the sampling")
-    return int(nearest)

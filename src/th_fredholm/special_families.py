@@ -6,8 +6,9 @@ monomial and d carries every jump of a, so the one normalization that
 fredholm_engine.normalized_pair returns after its gate also places a's
 exponents in their family windows and gives the winding kappa = n - m, whose
 sign alone decides both defect numbers.  The fifth family is I+H(phi~),
-handled through the general pipeline with c = d = phi, plus the sign data of
-the symmetric split rho = rho0 * rho1.  The Jacobi determinant closed form of
+handled through the general pipeline with c = d = phi: its report is the
+general DefectReport plus the sign data of the symmetric split rho = rho0 *
+rho1, which c = d makes exact integers.  The Jacobi determinant closed form of
 its invertibility example is a test reference (tests/helpers.py), not a route
 of the program.
 """
@@ -34,10 +35,6 @@ if TYPE_CHECKING:
     from .defect_solver import DefectReport
 
 
-class InternalDisagreement(RuntimeError):
-    """Two exact routes inside the program disagree: a defect, not a verdict."""
-
-
 A_PLUS_HA = "APlusHA"
 A_MINUS_HA = "AMinusHA"
 A_MINUS_HTINV_A = "AMinusHtInvA"
@@ -45,23 +42,17 @@ A_PLUS_HT_A = "APlusHtA"
 ID_PLUS_HANKEL = "IdPlusHankel"
 GENERAL = "General"
 
-FAMILY_TAGS = (
-    A_PLUS_HA,
-    A_MINUS_HA,
-    A_MINUS_HTINV_A,
-    A_PLUS_HT_A,
-    ID_PLUS_HANKEL,
-    GENERAL,
-)
 
-class HankelSplit(_Record, eq=False):
-    """Sign data of the even/odd split rho = rho0 * rho1 of the I+H defect kernel.
+class HankelReport(_Record, eq=False):
+    """The I+H defect report and the sign data of the even/odd split rho = rho0 * rho1.
 
     rho1 is the sign function (-1)^{n+} times a product of symmetric square
     waves, one per jump pair whose difference gamma_r - delta_r is odd;
-    pair_signs holds those differences.
+    n_plus and n_minus are the differences at 1 and -1, pair_signs those at
+    each upper-half jump.
     """
 
+    defect: DefectReport
     n_plus: int
     n_minus: int
     pair_signs: tuple[tuple[UnitPoint, int], ...]
@@ -76,8 +67,6 @@ class FamilyReport(_Record, eq=False):
     pairs: tuple[tuple[UnitPoint, Exponent, Exponent], ...]
     dim_ker: int
     dim_coker: int
-    split: HankelSplit | None = None
-    defect: DefectReport | None = None
 
     @property
     def index(self) -> int:
@@ -162,49 +151,23 @@ def family_fredholm(pair: SymbolPair, tag: str, p) -> FamilyReport:
     )
 
 
-def _integer_difference(g: Exponent, d: Exponent, what: str) -> int:
-    diff = g.re - d.re
-    if diff.denominator != 1 or abs(g.im - d.im) > 1e-12:
-        raise InternalDisagreement(f"{what}: gamma - delta = {diff} is not an integer")
-    return int(diff)
-
-
-def hankel_identity_report(pair: SymbolPair, p) -> FamilyReport:
-    """Both canonical representations of I+H(phi~) and the sign data of the rho split.
+def hankel_identity_report(pair: SymbolPair, p) -> HankelReport:
+    """The defect numbers of I+H(phi~) and the sign data of the rho split.
 
     The operator is the pair a = 1, b = phi^{-1}, for which both auxiliary
     functions equal phi; the gamma-side normalization carries n and the
-    delta-side carries m.  Defect numbers come from the general four-case
-    dispatch, which also gates.
+    delta-side carries m.  Both place the same exact jump data, so each
+    difference gamma - delta is an integer and the imaginary parts agree.
+    Defect numbers come from the general four-case dispatch, which also gates.
     """
     from .defect_solver import defect_numbers
 
     report = defect_numbers(pair, p)
     rep_c, rep_d = report.rep_c, report.rep_d
-    n_plus = _integer_difference(rep_c.gamma_plus, rep_d.gamma_plus, "endpoint 1")
-    n_minus = _integer_difference(rep_c.gamma_minus, rep_d.gamma_minus, "endpoint -1")
     deltas = dict(rep_d.gammas)
-    pair_signs = []
-    pairs = []
-    for pt, g in rep_c.gammas:
-        d = deltas[pt]
-        n_r = _integer_difference(g, d, f"pair at {pt.value():.4g}")
-        pair_signs.append((pt, n_r))
-        pairs.append((pt, g, d))
-    split = HankelSplit(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        pair_signs=tuple(pair_signs),
-    )
-    return FamilyReport(
-        tag=ID_PLUS_HANKEL,
-        p=exponent_pair(p)[0],
-        kappa=report.n - report.m,
-        beta_plus=rep_c.gamma_plus + rep_c.gamma_plus,
-        beta_minus=rep_c.gamma_minus + rep_c.gamma_minus,
-        pairs=tuple(pairs),
-        dim_ker=report.dim_ker,
-        dim_coker=report.dim_coker,
-        split=split,
+    return HankelReport(
         defect=report,
+        n_plus=int(rep_c.gamma_plus.re - rep_d.gamma_plus.re),
+        n_minus=int(rep_c.gamma_minus.re - rep_d.gamma_minus.re),
+        pair_signs=tuple((pt, int(g.re - deltas[pt].re)) for pt, g in rep_c.gammas),
     )

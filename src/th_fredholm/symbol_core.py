@@ -140,14 +140,6 @@ class Exponent(_Record):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
-    def __eq__(self, other):
-        if other.__class__ is Exponent:
-            return (self.re, self.im) == (other.re, other.im)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
     @staticmethod
     def of(x: ExponentLike) -> "Exponent":
         if isinstance(x, Exponent):

@@ -252,17 +252,17 @@ def rho_de(
     """
     ks = range(-N_keep, N_keep + 1)
     sites = rho_sites(c_plus, d_plus, b)
-    turns = sorted(sites)
+    terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
+    turns = terms.turns
     S = len(turns)
     room = np.array([1 + float(sites[t].re) for t in turns])
-    # half-arc i < S leaves site i forward, half-arc S + i reaches site i + 1 backward
+    # half-arc i < S leaves site i forward, half-arc S + i reaches site i + 1 backward, both of width ahead[i]
     anchor = np.concatenate([np.arange(S), (np.arange(S) + 1) % S])
-    L = np.tile([math.pi * float((turns[(i + 1) % S] - t) % 1) for i, t in enumerate(turns)], 2)[:, None]
+    L = np.tile(terms.ahead, 2)[:, None]
     sign = np.repeat([1.0, -1.0], S)[:, None]
     # half-arc i keeps the nodes s >= -reach[i] / 8 of the common grid |s| <= span / 8
     reach = np.ceil(8 * np.arcsinh(np.minimum(600.0, 40.0 / np.minimum(1.0, room[anchor])) / np.pi))[:, None]
     span = int(reach.max())
-    terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
     rows = np.arange(2 * S)
 
     def total(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

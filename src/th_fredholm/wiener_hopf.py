@@ -310,11 +310,12 @@ def _rho_values(terms: _RhoTerms, index: np.ndarray, offsets: np.ndarray) -> np.
     return terms.const * np.exp(expo) * factor
 
 
-def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
+def _rho_rule(terms: _RhoTerms, freq: int, nodes: int, sliver: float):
     """Anchor indices, offsets and weights of the graded arc rule for rho.
 
-    Each arc between consecutive sites is split at its midpoint, and each
-    half is laid out in offsets from its end site, its anchor.  A half is
+    Each arc between consecutive sites of rho's parts (_rho_terms) is split
+    at its midpoint, and each half, of the width terms.ahead that the bounds
+    read, is laid out in offsets from its end site, its anchor.  A half is
     graded geometrically (ratio at most 4) from the midpoint down to
     `sliver`, at exponent 0 too, so a singular site just past the anchor
     meets small panels; graded panels are cut to at most 10/freq rad.  The
@@ -324,9 +325,8 @@ def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
     rho_sites).  Every panel [l, r] has r <= 4 l and a width of at most
     10/freq, which quadrature._quadrature_term reads.
     """
-    turns = sorted(sites)
-    S = len(turns)
-    halves = np.array([math.pi * float((turns[(i + 1) % S] - t) % 1) for i, t in enumerate(turns)])
+    S = len(terms.turns)
+    halves = np.array(terms.ahead)
     levels = np.array([math.ceil(math.log(h / sliver, 4)) for h in halves])
     # level j of arc i runs from halves[i] (sliver/halves[i])^((j+1)/levels[i]) up to the same at j
     arc = np.repeat(np.arange(S), levels)
@@ -335,8 +335,7 @@ def _rho_rule(sites: dict, freq: int, nodes: int, sliver: float):
     lo, hi = top * ratio ** ((j + 1) / levels[arc]), top * ratio ** (j / levels[arc])
     d, w, interval = _gauss_panels(lo, hi, freq, nodes, 1)
     caps = []
-    for t in turns:
-        beta = sites[t].value
+    for beta in terms.betas:
         scale = sliver / ((beta + 1) * (beta + 2))
         caps.append([beta * scale, 2 ** (beta + 1) * scale] * 2)
     own = arc[interval]
@@ -365,7 +364,7 @@ def rho_coefficients(
     sites = rho_sites(c_plus, d_plus, b)
     terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
     nodes, sliver = RHO_RULE
-    index, offsets, weights = _rho_rule(sites, freq, nodes, sliver)
+    index, offsets, weights = _rho_rule(terms, freq, nodes, sliver)
     vals = _rho_values(terms, index, offsets)
     xs = 2 * np.pi * np.array([float(t) for t in terms.turns])[index] + offsets
     coeffs = _fourier_integrals(xs, weights, vals, ks)

@@ -2,9 +2,10 @@
 
 The second routes are references the suite checks production against, kept
 out of the package because no command reaches them: pointwise symbol values
-(eval_symbol), dense finite sections, closed-form values of plus factors and
-of rho, the reconstruction of a normalized representation, and the Jacobi
-determinant closed form of acceptance criterion 4.
+(eval_symbol), the winding of a drawn symbol curve, dense finite sections,
+closed-form values of plus factors and of rho, the reconstruction of a
+normalized representation, and the Jacobi determinant closed form of
+acceptance criterion 4.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from th_fredholm import __version__
 from th_fredholm.fredholm_engine import (
     EPS_BOUNDARY,
+    CurveData,
     NormalizedRep,
     NotFredholm,
     PMap,
@@ -320,8 +322,8 @@ def hankel_split_factors(report):
 
     def rho1(x: np.ndarray) -> np.ndarray:
         xs = np.mod(np.asarray(x, dtype=float), 2 * math.pi)
-        out = np.full(xs.shape, (-1.0) ** report.split.n_plus)
-        for pt, n_r in report.split.pair_signs:
+        out = np.full(xs.shape, (-1.0) ** report.n_plus)
+        for pt, n_r in report.pair_signs:
             if n_r % 2:
                 inside = (xs < pt.angle) | (xs > 2 * math.pi - pt.angle)
                 out = out * np.where(inside, 1.0, -1.0)
@@ -330,7 +332,7 @@ def hankel_split_factors(report):
     return rho0, rho1
 
 
-# -- second routes: pointwise symbol values, dense sections, closed forms ------
+# -- second routes: pointwise symbol values, curve windings, dense sections, closed forms
 
 
 def eval_symbol(s: CanonicalSymbol, x: float) -> complex:
@@ -380,6 +382,19 @@ def hankel_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
     i = np.arange(N)[:, None]
     j = np.arange(N)[None, :]
     return series.coeffs[series.N + 1 + i + j]
+
+
+def winding_from_curve(curve: CurveData) -> int:
+    """Winding about the origin by continuous argument tracking along the polyline."""
+    pts = curve.points
+    closed = np.concatenate([pts, pts[:1]])
+    increments = np.angle(closed[1:] / closed[:-1])
+    total = float(np.sum(increments))
+    w = total / TWO_PI
+    nearest = round(w)
+    if abs(w - nearest) > 0.1:
+        raise ValueError(f"winding {w:.4f} is not close to an integer; refine the sampling")
+    return int(nearest)
 
 
 def finite_section(pair: SymbolPair, N: int) -> FiniteSection:

@@ -25,6 +25,7 @@ from helpers import (
     random_fredholm_pair,
     rho_for_pair,
     unimodular_symbol,
+    winding_from_curve,
 )
 from th_fredholm.defect_solver import InsufficientCoefficients, RankUndecidable, defect_numbers
 from th_fredholm.fredholm_engine import (
@@ -34,7 +35,6 @@ from th_fredholm.fredholm_engine import (
     fredholm_conditions,
     normalize,
     normalized_pair,
-    winding_from_curve,
 )
 from th_fredholm.special_families import (
     A_MINUS_HA,
@@ -213,7 +213,7 @@ def test_criterion_6_invariant_properties():
         p = ps[len(reports) % 3]
         pair = random_fredholm_pair(rng, p)
         rep_c, rep_d, rho = rho_for_pair(pair, p, N_keep=8)
-        assert rho.evenness_defect() <= max(1e-8, 10.0 * rho.tail_bound)
+        assert rho.evenness_defect() <= 2.0 * rho.tail_bound
         for rep in (rep_c, rep_d):
             factor = build_plus_factor(rep)
             angles = np.linspace(0.0, 2.0 * np.pi, 257)[:-1] + 0.013
@@ -262,7 +262,7 @@ def test_criterion_6_invariant_properties():
         signs += 1
     assert signs == 50
     print(
-        "\n[PASS] invariants on randomized instances: rho evenness within its error bound "
+        "\n[PASS] invariants on randomized instances: rho evenness within twice its error bound "
         "and factor reconstruction below 1e-6 (100 pairs), index identity "
         "dimKer - dimCoker = m - n (100 reports), adjoint duality swaps defects "
         "(10 pairs), identity-plus-Hankel index sign by p-side (50 symbols)"

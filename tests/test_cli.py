@@ -132,6 +132,10 @@ def test_curve_csv_and_winding(tmp_path, capsys):
     tag, re_part, im_part = lines[2].split(",")
     complex(float(re_part), float(im_part))
     assert tag.startswith("arc")
+    # the printed winding is index's n, however coarse the drawn curve
+    assert json.loads(run(capsys, ["index", path])[1])["n"] == 1
+    code, out, _ = run(capsys, ["curve", path, "--samples", "1"])
+    assert (code, out.splitlines()[0]) == (0, "# winding=1")
 
 
 def test_curve_json_side_d(tmp_path, capsys):
@@ -142,6 +146,11 @@ def test_curve_json_side_d(tmp_path, capsys):
     assert doc["side"] == "d"
     assert isinstance(doc["winding"], int)
     assert doc["segments"][0]["points"]
+    # the printed winding is index's m, however coarse the drawn curve
+    m = json.loads(run(capsys, ["index", path])[1])["m"]
+    assert doc["winding"] == m
+    code, out, _ = run(capsys, ["curve", path, "--side", "d", "--format", "json", "--samples", "1"])
+    assert (code, json.loads(out)["winding"]) == (0, m)
 
 
 def test_special_family_and_general(tmp_path, capsys):
@@ -551,22 +560,6 @@ def test_verify_steep_and_constant_log_terms(tmp_path, capsys, a, b):
     report = json.loads(out)
     assert max(report["fourierBound"].values()) < 1e-12 and report["rho"]["bound"] < 1e-12
 
-def test_internal_disagreement_exits_four(tmp_path, capsys, monkeypatch):
-    # skew the delta side by half a unit, so the Hankel split's gamma - delta
-    # at 1 is not an integer; hankel_identity_report reads defect_numbers
-    # from defect_solver at call time
-    real = defect_solver.defect_numbers
-
-    def skewed(pair, p):
-        report = real(pair, p)
-        rep_d = helpers.replace(report.rep_d, gamma_plus=report.rep_d.gamma_plus + Fraction(1, 2))
-        return helpers.replace(report, rep_d=rep_d)
-
-    monkeypatch.setattr(defect_solver, "defect_numbers", skewed)
-    code, out, _ = run(capsys, ["special", write_doc(tmp_path, JACOBI_FMATRIX)])
-    assert code == 4
-    assert json.loads(out)["errorKind"] == "internal-disagreement"
-
 
 def test_factor_series_order(tmp_path, capsys):
     doc = {"a": {"kappa": -1}, "b": {}, "p": 2, "options": {"truncation": 8}}
@@ -793,8 +786,10 @@ NEAR_ONE_P_DOC = {**HUGE_P_DOC, "p": f"{10**30 + 1}/{10**30}"}
         (HUGE_P_DOC, ["curve", "--side", "d"]),
         (NEAR_ONE_P_DOC, ["curve"]),
         (HUGE_P_DOC, ["sweep", "--p-from", "1e400", "--p-to", "2", "--steps", "3"]),
+        (HUGE_P_DOC, ["sweep", "--p-from", NEAR_ONE_P_DOC["p"], "--p-to", f"{10**30 + 3}/{10**30}", "--steps", "3"]),
+        (HUGE_P_DOC, ["sweep", "--p-from", NEAR_ONE_P_DOC["p"], "--p-to", "2", "--steps", "2"]),
     ],
-    ids=["curve-huge", "curve-d-huge", "curve-near-one", "sweep-huge"],
+    ids=["curve-huge", "curve-d-huge", "curve-near-one", "sweep-huge", "sweep-near-one", "sweep-from-near-one"],
 )
 def test_p_without_a_float_exits_three(tmp_path, capsys, doc, argv):
     path = write_doc(tmp_path, doc)
@@ -1019,9 +1014,18 @@ def test_public_names_resolve_to_their_defining_modules():
     # the test-only routes live in tests/helpers.py, and the package names none of them
     moved = {
         symbol_core: ["eval_symbol"],
+        fredholm_engine: ["winding_from_curve"],
         verification_oracle: ["finite_section", "toeplitz_matrix", "hankel_matrix", "FiniteSection"],
         wiener_hopf: ["factor_reconstruction_defect", "rho_for_pair"],
-        special_families: ["JacobiData", "_leading_coefficient_sq", "jacobi_determinant", "jacobi_symbol"],
+        special_families: [
+            "JacobiData",
+            "_leading_coefficient_sq",
+            "jacobi_determinant",
+            "jacobi_symbol",
+            # the I+H report's check that could not fire, and its split record
+            "InternalDisagreement",
+            "HankelSplit",
+        ],
     }
     for module, names in moved.items():
         for name in names:

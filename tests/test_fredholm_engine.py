@@ -12,6 +12,7 @@ from helpers import (
     random_generic_b,
     random_structural_c,
     reconstruct,
+    winding_from_curve,
 )
 from th_fredholm.fredholm_engine import (
     EPS_BOUNDARY,
@@ -27,7 +28,6 @@ from th_fredholm.fredholm_engine import (
     normalize,
     normalized_pair,
     p_map,
-    winding_from_curve,
 )
 from th_fredholm.symbol_core import (
     MINUS_ONE,

@@ -181,10 +181,12 @@ def test_family_tables_agree_with_general_pipeline():
 
 def test_hankel_identity_trivial_symbol():
     one = CanonicalSymbol.one()
-    report = hankel_identity_report(validate_pair(one, one), 2)
-    assert report.tag == ID_PLUS_HANKEL
-    assert (report.dim_ker, report.dim_coker) == (0, 0)
+    pair = validate_pair(one, one)
+    assert classify_family(pair) == ID_PLUS_HANKEL
+    report = hankel_identity_report(pair, 2)
+    assert (report.defect.dim_ker, report.defect.dim_coker) == (0, 0)
     assert report.defect.n == 0 and report.defect.m == 0
+    assert (report.n_plus, report.n_minus, report.pair_signs) == (0, 0, ())
     # rho for the trivial pair is (1+t)(1+1/t); the split keeps all of it
     # in rho0 through the v factor at -1 with exponent gamma+delta+1 = 1
     x = np.linspace(0.3, 5.9, 7)
@@ -221,7 +223,7 @@ def test_hankel_split_sign_counts():
         jumps=(JumpFactor(pt, beta), JumpFactor(pt.conjugate(), beta)),
     )
     pair = validate_pair(CanonicalSymbol.one(), invert(phi))
-    by_p = {p: hankel_identity_report(pair, p).split.pair_signs[0][1] for p in (3, Fraction(3, 2), 2)}
+    by_p = {p: hankel_identity_report(pair, p).pair_signs[0][1] for p in (3, Fraction(3, 2), 2)}
     assert by_p == {3: -1, Fraction(3, 2): 1, 2: 0}
 
 
