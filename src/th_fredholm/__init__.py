@@ -9,10 +9,10 @@ import importlib
 
 _EXPORTS = {
     "confidence": "MethodDisagreement RankUndecidable ResidualTooLarge",
-    "defect_solver": "DefectReport InsufficientCoefficients defect_numbers invertibility",
+    "defect_solver": "DefectReport InsufficientCoefficients defect_numbers",
     "fredholm_engine": (
         "BoundaryCase ConditionReport CurveThroughOrigin NormalizedRep NotFredholm NotFredholmOnSide"
-        " build_hash_curve exponent_pair fredholm_conditions fredholm_index normalize normalized_pair p_map"
+        " build_hash_curve exponent_pair fredholm_conditions normalize normalized_pair p_map"
     ),
     "special_families": "FamilyReport HankelReport classify_family family_b family_fredholm hankel_identity_report",
     "symbol_core": (

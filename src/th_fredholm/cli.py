@@ -2,8 +2,10 @@
 
 Documents are JSON.  Reports are byte-deterministic: keys sorted, indent 2,
 no timestamps, a fixed version string.  Curves and sweeps can also be
-emitted as CSV.  Exit codes: 0 success, 1 not Fredholm or not invertible,
-2 boundary case, 3 input error, 4 a numerical confidence audit failed.
+emitted as CSV.  main writes each JSON document's envelope (command and
+version) and maps each verdict to the exit code.  Exit codes: 0 success,
+1 not Fredholm (or a curve through the origin), 2 boundary case, 3 input
+error or an unwritable --out, 4 a numerical confidence audit failed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import __version__
 from .confidence import MethodDisagreement, RankUndecidable, ResidualTooLarge
 from .fredholm_engine import (
     EPS_BOUNDARY,
-    BoundaryCase,
     ConditionReport,
     CurveThroughOrigin,
     NotFredholm,
@@ -51,6 +52,7 @@ from .symbol_core import (
 )
 
 _CONFIDENCE_ERRORS = (RankUndecidable, MethodDisagreement, ResidualTooLarge)
+_VERDICT_EXIT = {"pass": 0, "fail": 1, "boundary": 2}
 
 
 class InputError(ValueError):
@@ -148,10 +150,8 @@ class Job:
         _require(isinstance(options, dict), "options must be an object")
         unknown = set(options) - {"truncation", "section_size", "tolerance"}
         _require(not unknown, f"options: unknown keys {sorted(unknown)}")
-        self.truncation = options.get("truncation")
-        if self.truncation is not None:
-            self.truncation = _as_int(self.truncation, "options.truncation")
-            _require(self.truncation >= 0, "options.truncation must be at least 0")
+        self.truncation = _as_int(options.get("truncation", 64), "options.truncation")
+        _require(self.truncation >= 0, "options.truncation must be at least 0")
         self.section_size = _as_int(options.get("section_size", 256), "options.section_size")
         _require(self.section_size >= 1, "options.section_size must be at least 1")
         self.tolerance = _as_real(options.get("tolerance", 1e-6), "options.tolerance")
@@ -173,10 +173,9 @@ def _finite(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _condition_doc(command: str, report: ConditionReport) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
+def _verdict(report: ConditionReport) -> tuple[dict, int]:
+    """check's report and the exit code of its overall verdict."""
+    doc = {
         "p": _frac(report.p),
         "q": _frac(report.q),
         "overall": report.overall,
@@ -192,23 +191,32 @@ def _condition_doc(command: str, report: ConditionReport) -> dict:
             for s in report.sites
         ],
     }
+    return doc, _VERDICT_EXIT[report.overall]
 
 
 def _exponent_doc(e: Exponent) -> dict:
     return {"re": _frac(e.re), "im": e.im}
 
 
+def _defect_doc(report) -> dict:
+    """The keys a DefectReport gives defects and the I+H special alike."""
+    return {
+        "n": report.n,
+        "m": report.m,
+        "index": report.index,
+        "dimKer": report.dim_ker,
+        "dimCoker": report.dim_coker,
+        "caseTag": report.case_tag,
+    }
+
+
 def cmd_check(job: Job, ns) -> tuple[dict, int]:
-    report = fredholm_conditions(job.pair, job.p)
-    codes = {"pass": 0, "boundary": 2, "fail": 1}
-    return _condition_doc("check", report), codes[report.overall]
+    return _verdict(fredholm_conditions(job.pair, job.p))
 
 
 def cmd_index(job: Job, ns) -> tuple[dict, int]:
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     doc = {
-        "command": "index",
-        "version": __version__,
         "p": _frac(job.p),
         "n": rep_c.n,
         "m": rep_d.n,
@@ -222,15 +230,8 @@ def cmd_defects(job: Job, ns) -> tuple[dict, int]:
 
     report = defect_numbers(job.pair, job.p)
     doc = {
-        "command": "defects",
-        "version": __version__,
         "p": _frac(job.p),
-        "n": report.n,
-        "m": report.m,
-        "index": report.index,
-        "dimKer": report.dim_ker,
-        "dimCoker": report.dim_coker,
-        "caseTag": report.case_tag,
+        **_defect_doc(report),
         "sigmaMin": report.sigma_min,
         "perturbationBound": report.perturbation_bound,
     }
@@ -240,7 +241,6 @@ def cmd_defects(job: Job, ns) -> tuple[dict, int]:
 def cmd_factor(job: Job, ns) -> tuple[dict, int]:
     from .wiener_hopf import build_plus_factor
 
-    order = job.truncation if job.truncation is not None else 64
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     sides = {}
     for key, rep in (("c", rep_c), ("d", rep_d)):
@@ -256,16 +256,9 @@ def cmd_factor(job: Job, ns) -> tuple[dict, int]:
                 {"point": _frac(pt.turns), **_exponent_doc(e)}
                 for pt, e in factor.eta_exponents
             ],
-            "series": [_cnum(z) for z in factor.realize(order)],
+            "series": [_cnum(z) for z in factor.realize(job.truncation)],
         }
-    doc = {
-        "command": "factor",
-        "version": __version__,
-        "p": _frac(job.p),
-        "order": order,
-        "plusFactors": sides,
-    }
-    return doc, 0
+    return {"p": _frac(job.p), "order": job.truncation, "plusFactors": sides}, 0
 
 
 def cmd_curve(job: Job, ns) -> tuple[dict, int]:
@@ -279,8 +272,6 @@ def cmd_curve(job: Job, ns) -> tuple[dict, int]:
     _require(ns.samples >= 1, "--samples must be at least 1")
     curve = build_hash_curve(symbol, big_p, ns.samples, max(64, ns.samples // 8))
     doc = {
-        "command": "curve",
-        "version": __version__,
         "p": _frac(job.p),
         "side": ns.side,
         "winding": normalize(symbol, job.p, ns.side).n,
@@ -293,20 +284,14 @@ def cmd_curve(job: Job, ns) -> tuple[dict, int]:
 
 def cmd_special(job: Job, ns) -> tuple[dict, int]:
     tag = classify_family(job.pair)
-    doc = {"command": "special", "version": __version__, "p": _frac(job.p), "family": tag}
+    doc = {"p": _frac(job.p), "family": tag}
     if tag == GENERAL:
         doc["note"] = "no structured fast path; use check/index/defects"
         return doc, 0
     if tag == ID_PLUS_HANKEL:
         report = hankel_identity_report(job.pair, job.p)
-        defect = report.defect
         doc.update(
-            n=defect.n,
-            m=defect.m,
-            index=defect.index,
-            dimKer=defect.dim_ker,
-            dimCoker=defect.dim_coker,
-            caseTag=defect.case_tag,
+            _defect_doc(report.defect),
             nPlus=report.n_plus,
             nMinus=report.n_minus,
             pairSigns=[{"point": _frac(pt.turns), "difference": n_r} for pt, n_r in report.pair_signs],
@@ -340,9 +325,8 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     from .wiener_hopf import build_plus_factor, rho_coefficients
 
     report = defect_numbers(job.pair, job.p)
-    order = job.truncation if job.truncation is not None else 64
-    series_a = fourier_coeffs(job.pair.a, order, tol=job.tolerance)
-    series_b = fourier_coeffs(job.pair.b, order, tol=job.tolerance)
+    series_a = fourier_coeffs(job.pair.a, job.truncation, tol=job.tolerance)
+    series_b = fourier_coeffs(job.pair.b, job.truncation, tol=job.tolerance)
     rho = report.rho
     if rho is None:
         c_plus, d_plus = build_plus_factor(report.rep_c), build_plus_factor(report.rep_d)
@@ -366,8 +350,6 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     )
     worst = float(max(basis.residuals)) if basis.residuals.size else 0.0
     doc = {
-        "command": "verify",
-        "version": __version__,
         "p": _frac(job.p),
         "fourierBound": {
             "a": _finite(series_a.bound),
@@ -417,9 +399,7 @@ def _verdict_entry(pmap: PMap, p: Fraction, entry: dict) -> dict:
 
 def cmd_sweep(job: Job, ns) -> tuple[dict, int]:
     pmap = p_map(job.pair)
-    rows = [_verdict_entry(pmap, p, {"p": float(p)}) for p in _sweep_values(ns)]
-    doc = {"command": "sweep", "version": __version__, "rows": rows}
-    return doc, 0
+    return {"rows": [_verdict_entry(pmap, p, {"p": float(p)}) for p in _sweep_values(ns)]}, 0
 
 
 def cmd_pmap(job: Job, ns) -> tuple[dict, int]:
@@ -439,8 +419,7 @@ def cmd_pmap(job: Job, ns) -> tuple[dict, int]:
         _verdict_entry(pmap, 2 / (lo + hi), {"pFrom": _frac(1 / hi), "pTo": _frac(1 / lo) if lo else None})
         for lo, hi in reversed(list(zip(pmap.edges[:-1], pmap.edges[1:])))
     ]
-    doc = {"command": "pmap", "version": __version__, "excluded": excluded, "ends": ends, "intervals": intervals}
-    return doc, 0
+    return {"excluded": excluded, "ends": ends, "intervals": intervals}, 0
 
 
 def _curve_csv(doc: dict) -> str:
@@ -461,16 +440,17 @@ def _sweep_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each command's function and help line
 _COMMANDS = {
-    "check": cmd_check,
-    "index": cmd_index,
-    "defects": cmd_defects,
-    "factor": cmd_factor,
-    "curve": cmd_curve,
-    "special": cmd_special,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "pmap": cmd_pmap,
+    "check": (cmd_check, "tri-state Fredholm conditions at every jump site"),
+    "index": (cmd_index, "winding pair (n, m) and the index m - n"),
+    "defects": (cmd_defects, "defect numbers through the four-case dispatch"),
+    "factor": (cmd_factor, "plus factors of both auxiliary functions as series"),
+    "curve": (cmd_curve, "closed symbol curve for one side as points"),
+    "special": (cmd_special, "structured-family fast path"),
+    "verify": (cmd_verify, "independent oracle suite for one instance"),
+    "sweep": (cmd_sweep, "tabulate verdicts over a range of p"),
+    "pmap": (cmd_pmap, "exact excluded points of p and the (n, m) between them"),
 }
 
 
@@ -489,19 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"th-fredholm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "check": "tri-state Fredholm conditions at every jump site",
-        "index": "winding pair (n, m) and the index m - n",
-        "defects": "defect numbers through the four-case dispatch",
-        "factor": "plus factors of both auxiliary functions as series",
-        "curve": "closed symbol curve for one side as points",
-        "special": "structured-family fast path",
-        "verify": "independent oracle suite for one instance",
-        "sweep": "tabulate verdicts over a range of p",
-        "pmap": "exact excluded points of p and the (n, m) between them",
-    }
     parsers = {}
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("input", nargs="?", default="-", help="JSON document path, - for stdin")
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -515,6 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _render(ns, doc: dict) -> str:
     fmt = ns.format or ("csv" if ns.command == "curve" else "json")
     if fmt == "csv":
@@ -523,7 +496,7 @@ def _render(ns, doc: dict) -> str:
         if ns.command == "sweep":
             return _sweep_csv(doc)
         raise InputError(f"--format csv is not supported for {ns.command}")
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(doc)
 
 
 def _read_document(path: str) -> dict:
@@ -541,48 +514,41 @@ def _read_document(path: str) -> dict:
         raise InputError(f"invalid JSON: {e}") from e
 
 
-def _write(ns, text: str) -> None:
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_error(ns, message: str, code: int, kind: str | None = None) -> int:
-    doc = {"command": ns.command, "version": __version__, "error": message}
-    if kind:
-        doc["errorKind"] = kind
-    _write(ns, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return code
-
-
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    envelope = {"command": ns.command, "version": __version__}
     try:
-        doc = _read_document(ns.input)
-        job = Job(doc, need_p=ns.command not in ("sweep", "pmap"))
+        job = Job(_read_document(ns.input), need_p=ns.command not in ("sweep", "pmap"))
         try:
-            result, code = _COMMANDS[ns.command](job, ns)
+            result, code = _COMMANDS[ns.command][0](job, ns)
         except NotFredholm as e:
             if e.report is None:
                 raise
             # the gate in normalized_pair refused: report it as check does
-            result = _condition_doc(ns.command, e.report)
-            code = 2 if isinstance(e, BoundaryCase) else 1
-        _write(ns, _render(ns, result))
-        return code
+            result, code = _verdict(e.report)
+        text = _render(ns, {**result, **envelope})
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (NotFredholm, CurveThroughOrigin) as e:  # a refusal without a report, such as NotFredholmOnSide
-        return _emit_error(ns, str(e), 2 if isinstance(e, BoundaryCase) else 1)
+        # an error document is JSON whatever the format, curve's CSV default included
+        text, code = _json({**envelope, "error": str(e)}), 1
     except _CONFIDENCE_ERRORS as e:
-        return _emit_error(ns, str(e), 4, kind="numerical-confidence")
+        text, code = _json({**envelope, "error": str(e), "errorKind": "numerical-confidence"}), 4
+    if not ns.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(ns.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write {ns.out!r}: {e}", file=sys.stderr)
+        return 3
+    return code
 
 
 if __name__ == "__main__":

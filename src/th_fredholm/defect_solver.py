@@ -20,7 +20,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .confidence import RankUndecidable
-from .fredholm_engine import NotFredholm, normalized_pair
+from .fredholm_engine import normalized_pair
 from .symbol_core import SymbolPair, _Record
 
 if TYPE_CHECKING:  # numpy and rho load only on the F-matrix path
@@ -180,19 +180,3 @@ def defect_numbers(pair: SymbolPair, p) -> DefectReport:
         **common,
     )
 
-
-def invertibility(pair: SymbolPair, p) -> str:
-    """Verdict "invertible", "not-invertible", or "not-fredholm".
-
-    Invertible means Fredholm with trivial kernel and cokernel, which per the
-    case table happens exactly for n = m = 0 or n = m > 0 with a nonsingular
-    matrix.  A RankUndecidable refusal, where rho's error bound cannot
-    certify the matrix nonsingular, propagates; no verdict is fabricated.
-    """
-    try:
-        report = defect_numbers(pair, p)
-    except NotFredholm:
-        return "not-fredholm"
-    if report.dim_ker == 0 and report.dim_coker == 0:
-        return "invertible"
-    return "not-invertible"

@@ -73,7 +73,14 @@ class NotFredholmOnSide(NotFredholm):
 
 
 class BoundaryCase(NotFredholm):
-    """A tested quantity lies within EPS_BOUNDARY of the forbidden set."""
+    """A tested quantity lies within EPS_BOUNDARY of the forbidden set.
+
+    Only the gate in normalized_pair raises it, so ``report`` is always the
+    boundary ConditionReport.
+    """
+
+    def __init__(self, message: str, report: "ConditionReport"):
+        super().__init__(message, report)
 
 
 class CurveThroughOrigin(ValueError):
@@ -265,12 +272,6 @@ def normalized_pair(pair: SymbolPair, p: PLike) -> tuple[NormalizedRep, Normaliz
         _from_sites(s, [site for site in report.sites if site.side == side], side)
         for s, side in ((pair.c, "c"), (pair.d, "d"))
     )
-
-
-def fredholm_index(pair: SymbolPair, p: PLike) -> int:
-    """Index m - n of the operator at p; raises if not Fredholm or on a boundary."""
-    rep_c, rep_d = normalized_pair(pair, p)
-    return rep_d.n - rep_c.n
 
 
 class Breakpoint(_Record):

@@ -9,8 +9,8 @@ sign alone decides both defect numbers.  The fifth family is I+H(phi~),
 handled through the general pipeline with c = d = phi: its report is the
 general DefectReport plus the sign data of the symmetric split rho = rho0 *
 rho1, which c = d makes exact integers.  The Jacobi determinant closed form of
-its invertibility example is a test reference (tests/helpers.py), not a route
-of the program.
+its example of an invertible operator is a test reference (tests/helpers.py),
+not a route of the program.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .fredholm_engine import exponent_pair, normalized_pair
+from .fredholm_engine import normalized_pair
 from .symbol_core import (
     MINUS_ONE,
     ONE,
@@ -59,8 +59,6 @@ class HankelReport(_Record, eq=False):
 
 
 class FamilyReport(_Record, eq=False):
-    tag: str
-    p: Fraction
     kappa: int
     beta_plus: Exponent
     beta_minus: Exponent
@@ -140,8 +138,6 @@ def family_fredholm(pair: SymbolPair, tag: str, p) -> FamilyReport:
         pairs.append((pt, Exponent(-gamma - down.re, up.im), down))
     kappa = rep_c.n - rep_d.n
     return FamilyReport(
-        tag=tag,
-        p=exponent_pair(p)[0],
         kappa=kappa,
         beta_plus=Exponent(lift - rep_d.gamma_plus.re, a.beta_at(ONE).im),
         beta_minus=Exponent(-lift - Fraction(power, 2) - rep_d.gamma_minus.re, a.beta_at(MINUS_ONE).im),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from th_fredholm import cli, defect_solver, fredholm_engine, verification_oracle
+from th_fredholm import __version__, cli, defect_solver, fredholm_engine, verification_oracle
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 from th_fredholm.symbol_core import CanonicalSymbol
@@ -214,14 +214,18 @@ def test_special_gated_on_boundary(tmp_path, capsys, doc):
 
 
 def test_boundary_raised_inside_command_exits_two(tmp_path, capsys, monkeypatch):
-    def raises(job, ns):
-        raise BoundaryCase("on the boundary")
+    nudged = {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [-0.25 + 2e-10, 0.0]}]}
+    path = write_doc(tmp_path, {"a": nudged, "b": {}, "p": "4/3"})
 
-    monkeypatch.setitem(cli._COMMANDS, "index", raises)
-    path = write_doc(tmp_path, {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2})
+    def raises(job, ns):
+        raise BoundaryCase("on the boundary", fredholm_engine.fredholm_conditions(job.pair, job.p))
+
+    monkeypatch.setitem(cli._COMMANDS, "index", (raises, "raises a boundary case"))
+    check = json.loads(run(capsys, ["check", path])[1])
+    assert check["overall"] == "boundary"
     code, out, _ = run(capsys, ["index", path])
     assert code == 2
-    assert json.loads(out)["error"] == "on the boundary"
+    assert json.loads(out) == {**check, "command": "index"}
 
 
 FAMILY_B = {
@@ -683,6 +687,42 @@ def test_byte_determinism(tmp_path, capsys):
     assert len(outputs) == 1
 
 
+def test_every_json_document_carries_the_envelope(tmp_path, capsys):
+    failing = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": "4/3"}, "failing.json")
+    shaky = {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]}
+    confidence = write_doc(tmp_path, {"a": shaky, "b": shaky, "p": 2, "options": {"tolerance": 1e-18}}, "shaky.json")
+    cases = [
+        (["defects", write_doc(tmp_path, README_DOC)], 0, "dimKer"),
+        (["index", failing], 1, "overall"),
+        # curve prints CSV by default, but its refusal, which has no report, is JSON
+        (["curve", failing], 1, "error"),
+        (["verify", confidence], 4, "errorKind"),
+    ]
+    for argv, expected, key in cases:
+        code, out, _ = run(capsys, argv)
+        doc = json.loads(out)
+        assert (code, doc["command"], doc["version"]) == (expected, argv[0], __version__), argv[0]
+        assert key in doc, argv[0]
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("index", {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2}),
+        ("index", {"a": EX_CURVE_SYMBOL, "b": {}, "p": "4/3"}),
+        ("curve", {"a": EX_CURVE_SYMBOL, "b": {}, "p": "4/3"}),
+    ],
+    ids=["result", "gate-refusal", "error-document"],
+)
+def test_unwritable_out_exits_three(tmp_path, capsys, target, command, doc):
+    # exit 1 would read as "not Fredholm": an --out that cannot be written is an input error
+    path = write_doc(tmp_path, doc)
+    code, out, err = run(capsys, [command, path, "--out", str(tmp_path / target)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_out_file_instead_of_stdout(tmp_path, capsys):
     path = write_doc(tmp_path, {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2})
     target = tmp_path / "report.json"
@@ -726,6 +766,7 @@ INPUT_ERRORS = [
         {"a": {"winding": 1}, "b": {}, "p": 2},
         {"a": {"scale": [0.0, 0.0]}, "b": {}, "p": 2},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2, "options": {"truncation": -1}},
+        {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2, "options": {"truncation": None}},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2, "options": {"section_size": 0}},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": float("nan")},
         {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": float("inf")},
@@ -1014,7 +1055,9 @@ def test_public_names_resolve_to_their_defining_modules():
     # the test-only routes live in tests/helpers.py, and the package names none of them
     moved = {
         symbol_core: ["eval_symbol"],
-        fredholm_engine: ["winding_from_curve"],
+        # the index and the invertibility verdict are read off normalized_pair and defect_numbers
+        fredholm_engine: ["winding_from_curve", "fredholm_index"],
+        defect_solver: ["invertibility"],
         verification_oracle: ["finite_section", "toeplitz_matrix", "hankel_matrix", "FiniteSection"],
         wiener_hopf: ["factor_reconstruction_defect", "rho_for_pair"],
         special_families: [
@@ -1039,6 +1082,7 @@ def test_public_names_resolve_to_their_defining_modules():
         fredholm_engine.NormalizedRep: ["reconstruct", "side"],
         fredholm_engine.ConditionReport: ["fredholm"],
         fredholm_engine.CurveData: ["tags"],
+        special_families.FamilyReport: ["tag", "p"],
     }
     for cls, names in methods.items():
         for name in names:

@@ -14,11 +14,10 @@ from th_fredholm.defect_solver import (
     case_tag,
     defect_matrix,
     defect_numbers,
-    invertibility,
     rank_decision,
 )
 from th_fredholm import wiener_hopf
-from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, fredholm_index
+from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, normalized_pair
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
     invert,
@@ -134,14 +133,11 @@ def test_rank_certified_far_below_the_old_cut(monkeypatch):
     assert sv[-1] < 1e-10 * sv[0]
     assert report.sigma_min == sv[-1] and report.perturbation_bound < 1e-14
     assert report.gap_ratio == report.sigma_min / report.perturbation_bound > 1e3
-    assert invertibility(pair, 2) == "invertible"
-    # a bound that could move sigma_min to zero refuses, and so does the verdict built on it
+    # a bound that could move sigma_min to zero refuses, so no defect numbers are reported
     monkeypatch.setattr(wiener_hopf, "rho_coefficients", near_singular_rho(1e-10))
     with pytest.raises(RankUndecidable) as exc:
         defect_numbers(pair, 2)
     assert exc.value.sigma_min == pytest.approx(sv[-1], rel=1e-4) and exc.value.perturbation_bound > 4e-10
-    with pytest.raises(RankUndecidable):
-        invertibility(pair, 2)
 
 
 def test_case_partition_is_exhaustive_and_nonnegative():
@@ -174,7 +170,8 @@ def test_monomial_pairs_hit_counting_cases():
     assert (rep.n, rep.m) == (0, 1)
     assert rep.case_tag == "F-count"
     assert (rep.dim_ker, rep.dim_coker) == (1, 0)
-    assert rep.index == fredholm_index(validate_pair(t_inv, t_inv), 2) == 1
+    rep_c, rep_d = normalized_pair(validate_pair(t_inv, t_inv), 2)
+    assert rep.index == rep_d.n - rep_c.n == 1
 
     t_pos = CanonicalSymbol.monomial(1)
     rep = defect_numbers(validate_pair(t_pos, t_pos), 2)
@@ -185,7 +182,6 @@ def test_monomial_pairs_hit_counting_cases():
     rep = defect_numbers(trivial_pair(), 2)
     assert rep.case_tag == "G-count"
     assert (rep.dim_ker, rep.dim_coker) == (0, 0)
-    assert invertibility(trivial_pair(), 2) == "invertible"
 
 
 def test_matrix_case_on_shift_pair():
@@ -200,7 +196,6 @@ def test_matrix_case_on_shift_pair():
     assert (rep.dim_ker, rep.dim_coker) == (0, 0)
     assert rep.sigma_min == pytest.approx(4.0)
     assert 0 < rep.perturbation_bound < 1e-12 and rep.gap_ratio > 1e12
-    assert invertibility(pair, 2) == "invertible"
 
 
 def test_not_fredholm_verdict_and_error():
@@ -209,9 +204,9 @@ def test_not_fredholm_verdict_and_error():
         multiply(jump_unit(1, 4, Fraction(-1, 8)), jump_unit(3, 4, Fraction(-1, 8))),
     )
     pair = pair_from_c_and_b(c, CanonicalSymbol.one())
-    with pytest.raises(NotFredholm):
+    with pytest.raises(NotFredholm) as exc:
         defect_numbers(pair, Fraction(4, 3))
-    assert invertibility(pair, Fraction(4, 3)) == "not-fredholm"
+    assert exc.value.report.overall == "fail"
     with pytest.raises(BoundaryCase):
         defect_numbers(pair, Fraction(4, 3) + 1e-12)
 
@@ -223,7 +218,8 @@ def test_index_identity_on_random_instances():
             pair = random_fredholm_pair(rng, p)
             rep = defect_numbers(pair, p)
             assert rep.dim_ker - rep.dim_coker == rep.m - rep.n
-            assert rep.index == fredholm_index(pair, p)
+            rep_c, rep_d = normalized_pair(pair, p)
+            assert rep.index == rep_d.n - rep_c.n
             assert rep.dim_ker >= 0 and rep.dim_coker >= 0
 
 

@@ -24,7 +24,6 @@ from th_fredholm.fredholm_engine import (
     build_hash_curve,
     exponent_pair,
     fredholm_conditions,
-    fredholm_index,
     normalize,
     normalized_pair,
     p_map,
@@ -147,6 +146,12 @@ def test_conditions_trivial_pair():
     assert all(s.verdict == "pass" for s in report.sites)
 
 
+def gated_index(pair, p) -> int:
+    """The index m - n of the normalizations that the gate returns."""
+    rep_c, rep_d = normalized_pair(pair, p)
+    return rep_d.n - rep_c.n
+
+
 def test_conditions_monomial_pair():
     # a = 1, b = t: c = d = 1/t; the -1 site tests -1/2 against 1/(2p) + Z
     a = CanonicalSymbol.one()
@@ -157,7 +162,7 @@ def test_conditions_monomial_pair():
         assert report.overall == "pass"
         site = next(s for s in report.sites if s.side == "c" and s.point == MINUS_ONE)
         assert site.tested == Fraction(-1, 2)
-    assert fredholm_index(pair, 2) == 0
+    assert gated_index(pair, 2) == 0
 
 
 def test_conditions_flag_failing_site():
@@ -176,23 +181,27 @@ def test_conditions_boundary_verdict():
     p = Fraction(4, 3) + Fraction(1, 10**12)
     report = fredholm_conditions(pair, p)
     assert report.overall == "boundary"
-    with pytest.raises(BoundaryCase):
-        fredholm_index(pair, p)
+    with pytest.raises(BoundaryCase) as exc:
+        normalized_pair(pair, p)
+    assert exc.value.report == report
+    # only the gate raises a boundary case, and always with its report
+    with pytest.raises(TypeError):
+        BoundaryCase("on the boundary")
 
 
 def test_index_monomial_families():
     t_inv = CanonicalSymbol.monomial(-1)
-    assert fredholm_index(validate_pair(t_inv, t_inv), 2) == 1
+    assert gated_index(validate_pair(t_inv, t_inv), 2) == 1
     t_pos = CanonicalSymbol.monomial(1)
-    assert fredholm_index(validate_pair(t_pos, t_pos), 2) == -1
+    assert gated_index(validate_pair(t_pos, t_pos), 2) == -1
     one = CanonicalSymbol.one()
-    assert fredholm_index(validate_pair(one, one), 3.7) == 0
+    assert gated_index(validate_pair(one, one), 3.7) == 0
 
 
 def test_not_fredholm_raises_from_index():
     pair = example_pair()
     with pytest.raises(NotFredholm):
-        fredholm_index(pair, Fraction(4, 3))
+        normalized_pair(pair, Fraction(4, 3))
 
 
 def test_tested_arguments_match_one_sided_limits():
@@ -296,7 +305,7 @@ def test_adjoint_swap_negates_index():
         adj_c, adj_d = normalized_pair(adj, q)
         # roles swap exactly: the adjoint c side is the original d side
         assert adj_c.n == rep_d.n and adj_d.n == rep_c.n
-        assert fredholm_index(adj, q) == -fredholm_index(pair, p)
+        assert adj_d.n - adj_c.n == -(rep_d.n - rep_c.n)
 
 
 def on_window_edge(s: CanonicalSymbol, big_p: Fraction) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from th_fredholm.defect_solver import defect_numbers, invertibility
+from th_fredholm.defect_solver import defect_numbers
 from th_fredholm.fredholm_engine import NotFredholm, normalized_pair
 from th_fredholm.special_families import (
     A_MINUS_HA,
@@ -289,6 +289,9 @@ def test_jacobi_determinant_matches_assembled_matrix(alpha, beta, kappa):
 def test_invertibility_of_two_endpoint_symbols():
     one = CanonicalSymbol.one()
     inside = validate_pair(one, invert(jacobi_symbol(0, 0, 1)))
-    assert invertibility(inside, 2) == "invertible"
+    report = defect_numbers(inside, 2)
+    assert (report.dim_ker, report.dim_coker) == (0, 0)
+    # Fredholm of index 0, but not invertible
     negative = validate_pair(one, invert(CanonicalSymbol.monomial(-2)))
-    assert invertibility(negative, 2) == "not-invertible"
+    report = defect_numbers(negative, 2)
+    assert (report.dim_ker, report.dim_coker) == (1, 1)
