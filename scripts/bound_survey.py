@@ -14,7 +14,8 @@ one), with the tanh-sinh oracle and, on a subset, with the mpmath reference
 of tests/test_wiener_hopf.py.  faults counts minor page faults per
 rho_coefficients call with resource.getrusage, and the peak memory of
 compiling the numeric modules; --src points it at another checkout's
-src.  pairs runs bench/run.py alternately in the parent checkout
+src, whose rho_coefficients takes (rep_c, rep_d, b, keep) as this one's
+does.  pairs runs bench/run.py alternately in the parent checkout
 and in this one, each with a fresh bytecode cache.  ranks applies
 defect_solver.rank_decision, and the rule it replaced (a cut at 1e-8 sigma_max
 with a refusal only when rho's bound could move a singular value across the
@@ -116,14 +117,11 @@ def old_estimate(rho) -> float:
     import numpy as np
     from th_fredholm import wiener_hopf as wh
 
-    ks = rho.ks
-    logs = (rho.b_symbol.log_smooth, rho.c_plus.analytic_log, rho.d_plus.analytic_log)
-    top = max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
-    freq = max(-ks.start, ks.stop - 1) + abs(rho.m + rho.n + rho.b_symbol.kappa) + top
-    terms = wh._rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
-    index, offsets, weights = wh._rho_rule(terms, freq, 16, 1e-10)
-    xs = 2 * np.pi * np.array([float(t) for t in terms.turns])[index] + offsets
-    coarse = wh._fourier_integrals(xs, weights, wh._rho_values(terms, index, offsets), ks)
+    ks, parts = rho.ks, rho.parts
+    freq = max(-ks.start, ks.stop - 1) + abs(parts.power) + parts.top
+    index, offsets, weights = wh._rho_rule(parts, freq, 16, 1e-10)
+    xs = 2 * np.pi * np.array([float(t) for t in parts.turns])[index] + offsets
+    coarse = wh._fourier_integrals(xs, weights, wh._rho_values(parts, index, offsets), ks)
     return float(np.max(np.abs(rho.coeffs - coarse)))
 
 
@@ -142,23 +140,22 @@ def cmd_survey(args) -> None:
     for group, pair, p in survey_cases():
         rep_c, rep_d, rho = rho_for_pair(pair, p, 16)
         if group == "fmatrix" and rep_c.n + rep_d.n > 16:
-            rho = wh.rho_coefficients(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, rep_c.n + rep_d.n)
-        terms = wh._rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
+            rho = wh.rho_coefficients(rep_c, rep_d, pair.b, rep_c.n + rep_d.n)
+        parts = rho.parts
         K = max(-rho.ks.start, rho.ks.stop - 1)
-        logs = (rho.b_symbol.log_smooth, rho.c_plus.analytic_log, rho.d_plus.analytic_log)
-        freq = K + abs(rho.m + rho.n + rho.b_symbol.kappa) + max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
-        index, offsets, weights = wh._rho_rule(terms, freq, *wh.RHO_RULE)
-        summands = weights * wh._rho_values(terms, index, offsets)
+        freq = K + abs(parts.power) + parts.top
+        index, offsets, weights = wh._rho_rule(parts, freq, *wh.RHO_RULE)
+        summands = weights * wh._rho_values(parts, index, offsets)
         mass = float(np.sum(np.abs(summands))) / (2 * math.pi)
-        de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, K)
+        de = rho_de(parts, K)
         row = {
             "group": group,
-            "sites": len(rho.sites),
+            "sites": len(parts.turns),
             "nodes": rho.inner_N,
             "bound": rho.tail_bound,
-            "quadrature": wh._quadrature_term(terms, K, freq, *wh.RHO_RULE),
-            "sliver": wh._sliver_term(terms, K, wh.RHO_RULE[1]),
-            "rounding": wh._rounding_term(terms, rho.ks, wh.RHO_RULE[1], index.size, summands),
+            "quadrature": wh._quadrature_term(parts, K, freq, *wh.RHO_RULE),
+            "sliver": wh._sliver_term(parts, K, wh.RHO_RULE[1]),
+            "rounding": wh._rounding_term(parts, rho.ks, wh.RHO_RULE[1], index.size, summands),
             "l1": mass,
             "old_estimate": old_estimate(rho),
             "oracle_gap": max(abs(rho.get(k) - de.get(k)) for k in range(-K, K + 1)),
@@ -175,7 +172,7 @@ def cmd_survey(args) -> None:
         }[group]
         if take and mp_count[group] < mp_quota[group]:
             mp_count[group] += 1
-            row["mpmath_gap_k16"] = abs(rho.get(16) - mp_rho_coefficients(rho, (16,))[16])
+            row["mpmath_gap_k16"] = abs(rho.get(16) - mp_rho_coefficients(rep_c, rep_d, pair.b, (16,))[16])
         rows.append(row)
         print(group, f"bound {row['bound']:.2e} old {row['old_estimate']:.2e}", file=sys.stderr)
 
@@ -208,7 +205,7 @@ def cmd_faults(args) -> None:
     from helpers import golden_kernel_instances, jacobi_symbol
     from th_fredholm.defect_solver import defect_numbers
     from th_fredholm.symbol_core import CanonicalSymbol, invert, validate_pair
-    from th_fredholm.wiener_hopf import build_plus_factor, rho_coefficients
+    from th_fredholm.wiener_hopf import rho_coefficients
 
     jacobi = validate_pair(CanonicalSymbol.one(), invert(jacobi_symbol(Fraction(-2, 5), Fraction(7, 10), 3)))
     name, golden, p = next(i for i in golden_kernel_instances() if defect_numbers(i[1], i[2]).m > 0)
@@ -220,7 +217,7 @@ def cmd_faults(args) -> None:
         report = defect_numbers(pair, p)
         n, m = report.n, report.m
         ks = max(n + m, 16) if keep is None else range(n - m + 1, keep + n + m - 1)
-        args_ = (build_plus_factor(report.rep_c), build_plus_factor(report.rep_d), pair.b, n, m, ks)
+        args_ = (report.rep_c, report.rep_d, pair.b, ks)
         for _ in range(10):
             rho_coefficients(*args_)
         before, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()

@@ -1,11 +1,13 @@
 """Exit codes and output digests of every command on the benchmark's CLI documents.
 
 Runs the nine th-fredholm commands in process, through cli.main, on the 120
-documents of bench/gen.cli_documents (seeds 11, 12 and 13, 40 each); sweep
-runs from p = 1.1 to 4 in 25 steps.  For each command it prints how many runs
-ended with each exit code and the SHA-256 of the concatenated stdout, so two
-checkouts that give every document the same verdict and the same bytes print
-the same lines.  It takes no options:
+documents of bench/gen.cli_documents (seeds 11, 12 and 13, 40 each), and then
+on 30 F-matrix documents of bench/gen.fmatrix_doc (seed 2026), the only ones
+whose defect numbers run rho, the rank decision and the null-vector
+candidates; sweep runs from p = 1.1 to 4 in 25 steps.  For each block and
+command it prints how many runs ended with each exit code and the SHA-256 of
+the concatenated stdout, so two checkouts that give every document the same
+verdict and the same bytes print the same lines.  It takes no options:
 
     python3 scripts/census.py
 """
@@ -25,16 +27,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (11, 12, 13)
 PER_SEED = 40
+FMATRIX_SEED, FMATRIX_DOCS = 2026, 30
 COMMANDS = ("check", "index", "defects", "factor", "curve", "special", "verify", "sweep", "pmap")
 EXTRA = {"sweep": ["--p-from", "1.1", "--p-to", "4", "--steps", "25"]}
 
 
-def main() -> None:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+def census(docs: list[dict]) -> None:
+    """Print each command's exit-code counts and output digest over docs."""
     import gen
     from th_fredholm import cli
 
-    docs = [doc for seed in SEEDS for _, doc, _ in gen.cli_documents(random.Random(seed), PER_SEED)]
     codes = {command: Counter() for command in COMMANDS}
     digests = {command: hashlib.sha256() for command in COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
@@ -49,10 +51,21 @@ def main() -> None:
                         code = cli.main([command, str(path), *EXTRA.get(command, [])])
                 codes[command][code] += 1
                 digests[command].update(out.getvalue().encode())
-    print(f"{len(docs)} documents, seeds {', '.join(map(str, SEEDS))}")
     for command in COMMANDS:
         counts = " ".join(f"exit {code}: {n}" for code, n in sorted(codes[command].items()))
         print(f"{command:8} {counts:40} sha256 {digests[command].hexdigest()}")
+
+
+def main() -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import gen
+
+    docs = [doc for seed in SEEDS for _, doc, _ in gen.cli_documents(random.Random(seed), PER_SEED)]
+    print(f"{len(docs)} documents, seeds {', '.join(map(str, SEEDS))}")
+    census(docs)
+    rng = random.Random(FMATRIX_SEED)
+    print(f"{FMATRIX_DOCS} F-matrix documents, seed {FMATRIX_SEED}")
+    census([gen.fmatrix_doc(rng) for _ in range(FMATRIX_DOCS)])
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ from .symbol_core import (
     JumpFactor,
     SymbolPair,
     UnitPoint,
-    as_fraction,
     validate_pair,
 )
 
@@ -114,7 +113,7 @@ def parse_symbol(node, name: str) -> CanonicalSymbol:
 def parse_p(value) -> Fraction:
     if isinstance(value, str):
         try:
-            pf = as_fraction(value)
+            pf = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"p: cannot parse {value!r}") from e
     else:
@@ -320,17 +319,16 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
 def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     import numpy as np
 
-    from .defect_solver import defect_numbers
+    from .defect_solver import ORACLE_K, defect_numbers
     from .verification_oracle import fourier_coeffs, kernel_residual_check, rho_de
-    from .wiener_hopf import build_plus_factor, rho_coefficients
+    from .wiener_hopf import rho_coefficients
 
     report = defect_numbers(job.pair, job.p)
     series_a = fourier_coeffs(job.pair.a, job.truncation, tol=job.tolerance)
     series_b = fourier_coeffs(job.pair.b, job.truncation, tol=job.tolerance)
     rho = report.rho
     if rho is None:
-        c_plus, d_plus = build_plus_factor(report.rep_c), build_plus_factor(report.rep_d)
-        rho = rho_coefficients(c_plus, d_plus, job.pair.b, report.n, report.m, 16)
+        rho = rho_coefficients(report.rep_c, report.rep_d, job.pair.b, ORACLE_K)
     evenness = rho.evenness_defect()
     # rho is even and each rho_k lies within tail_bound, so the defect is at most twice it;
     # the gates fail closed: a NaN figure refuses
@@ -339,9 +337,9 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         raise MethodDisagreement(
             f"rho evenness defect {evenness:.3e} exceeds the bound gate {even_gate:.3e}"
         )
-    # the gate's windows put every site of rho above Re beta = -1; rho_sites refuses, naming the site, if one is not
-    de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
-    oracle_dev = float(np.max([abs(rho.get(k) - de.get(k)) for k in range(-16, 17)]))
+    # the gate's windows put every site of rho above Re beta = -1; rho_parts refuses, naming the site, if one is not
+    de = rho_de(rho.parts, ORACLE_K)
+    oracle_dev = float(np.max([abs(rho.get(k) - de.get(k)) for k in range(-ORACLE_K, ORACLE_K + 1)]))
     oracle_gate = max(1e-8, 10.0 * (de.tail_bound + rho.tail_bound))
     if not oracle_dev <= oracle_gate:
         raise MethodDisagreement(f"rho quadrature and oracle differ by {oracle_dev:.3e} > {oracle_gate:.3e}")
@@ -474,13 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("input", nargs="?", default="-", help="JSON document path, - for stdin")
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
         parsers[name] = sp
+    parsers["curve"].add_argument("--format", choices=("json", "csv"), default="csv")
     parsers["curve"].add_argument("--side", choices=("c", "d"), default="c")
     parsers["curve"].add_argument("--samples", type=int, default=2048)
     parsers["sweep"].add_argument("--p-from", dest="p_from", required=True)
     parsers["sweep"].add_argument("--p-to", dest="p_to", required=True)
     parsers["sweep"].add_argument("--steps", type=int, required=True)
+    parsers["sweep"].add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -489,13 +488,9 @@ def _json(doc: dict) -> str:
 
 
 def _render(ns, doc: dict) -> str:
-    fmt = ns.format or ("csv" if ns.command == "curve" else "json")
-    if fmt == "csv":
-        if ns.command == "curve":
-            return _curve_csv(doc)
-        if ns.command == "sweep":
-            return _sweep_csv(doc)
-        raise InputError(f"--format csv is not supported for {ns.command}")
+    """doc as --format asks; only curve and sweep have that option, and a CSV rendering."""
+    if getattr(ns, "format", "json") == "csv":
+        return (_curve_csv if ns.command == "curve" else _sweep_csv)(doc)
     return _json(doc)
 
 

@@ -23,6 +23,9 @@ from .confidence import RankUndecidable
 from .fredholm_engine import normalized_pair
 from .symbol_core import SymbolPair, _Record
 
+# verify compares rho with its oracle on |k| <= ORACLE_K, so defect_numbers keeps rho_k for |k| <= max(n + m, ORACLE_K)
+ORACLE_K = 16
+
 if TYPE_CHECKING:  # numpy and rho load only on the F-matrix path
     import numpy as np
 
@@ -97,10 +100,10 @@ def rank_decision(dm: DefectMatrix) -> tuple[float, float]:
 
     With eps = dm.rho.tail_bound, each rho_k is within eps, and each entry
     is one rounded addition, so every computed entry is within
-    2 eps + u |A_ij| of the exact one (u = 2^-53).  The spectral norm of that
-    error is at most its Frobenius norm, sqrt(nm) (2 eps + u max |A_ij|), and
-    by Weyl's inequality (Math. Ann. 71, 1912) no singular value moves by
-    more.  The SVD returns the singular values of A + F with
+    2 eps + u |A_ij| of the exact one (u = quadrature.UNIT, 2^-53).  The
+    spectral norm of that error is at most its Frobenius norm, sqrt(nm)
+    (2 eps + u max |A_ij|), and by Weyl's inequality (Math. Ann. 71, 1912)
+    no singular value moves by more.  The SVD returns the singular values of A + F with
     ||F|| <= c u sigma_max, c a modestly growing function of the dimensions
     (Golub & Van Loan, Matrix Computations, 4th ed., 8.6).  That is LAPACK's
     error model, not a proven bound: neither source fixes c, and u here is
@@ -116,10 +119,11 @@ def rank_decision(dm: DefectMatrix) -> tuple[float, float]:
     """
     import numpy as np
 
+    from .quadrature import UNIT as u
+
     n, m, eps = dm.n, dm.m, dm.rho.tail_bound
     sv = np.linalg.svd(dm.matrix, compute_uv=False)
     sigma_min, sigma_max = float(sv[-1]), float(sv[0])
-    u = 2.0**-53
     delta = math.sqrt(n * m) * (2.0 * eps + u * float(np.abs(dm.matrix).max())) + max(n, m) * u * sigma_max
     if not sigma_min > delta:
         raise RankUndecidable(
@@ -163,10 +167,9 @@ def defect_numbers(pair: SymbolPair, p) -> DefectReport:
     if tag == "F-count":
         return DefectReport(dim_ker=m - n, dim_coker=0, **common)
 
-    from .wiener_hopf import build_plus_factor, rho_coefficients
+    from .wiener_hopf import rho_coefficients
 
-    keep = max(n + m, 16)
-    rho = rho_coefficients(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b, n, m, keep)
+    rho = rho_coefficients(rep_c, rep_d, pair.b, max(n + m, ORACLE_K))
     dm = defect_matrix(rho, n, m)
     sigma_min, delta = rank_decision(dm)
     r = min(n, m)

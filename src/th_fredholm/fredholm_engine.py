@@ -30,7 +30,6 @@ from .symbol_core import (
     SymbolPair,
     UnitPoint,
     _Record,
-    as_fraction,
     eval_many,
     one_sided_limits,
 )
@@ -89,7 +88,7 @@ class CurveThroughOrigin(ValueError):
 
 def exponent_pair(p: PLike) -> tuple[Fraction, Fraction]:
     """Exact (p, q) with 1/p + 1/q = 1; floats enter through their binary value."""
-    pf = as_fraction(p)
+    pf = Fraction(p)
     if not pf > 1:
         raise ValueError(f"p must lie in (1, infinity), got {p!r}")
     return pf, pf / (pf - 1)
@@ -412,7 +411,7 @@ def build_hash_curve(
     """
     import numpy as np
 
-    pf = float(as_fraction(p))
+    pf = float(Fraction(p))
     if pf <= 1:
         raise ValueError("exponent parameter must exceed 1")
     breaks: list[Fraction] = [Fraction(0)]

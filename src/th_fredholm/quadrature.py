@@ -29,6 +29,8 @@ ELLIPSE = 2.5
 # chunk and one per chunk after it (Higham 2002, sec. 4.2), where one product over the
 # slice would give it one per node
 SUM_CHUNK = 256
+# Gauss-Legendre nodes per panel of verification_oracle.fourier_coeffs
+FOURIER_NODES = 24
 
 
 def _exp(x: float) -> float:
@@ -152,13 +154,13 @@ def _log_site_cap(lo: float, hi: float, height: float, beta: complex, phase: com
     return mod + math.pi * (abs(beta.imag) / 2 + abs(phase.imag)) + abs(phase.real) * height
 
 
-def _log_far_caps(terms, below: list, above: list, heights: list) -> list:
+def _log_far_caps(parts, below: list, above: list, heights: list) -> list:
     """Per anchor a, the sum over every other site s of _log_site_cap over the offsets
     table[s, a] + [-below[a], above[a]] and heights[a]."""
-    table, S = terms.table.tolist(), len(terms.turns)
+    table, S = parts.table.tolist(), len(parts.turns)
     return [
         sum(
-            _log_site_cap(*_span(table[s][a], below[a], above[a]), heights[a], terms.betas[s], terms.phases[s])
+            _log_site_cap(*_span(table[s][a], below[a], above[a]), heights[a], parts.betas[s], parts.phases[s])
             for s in range(S)
             if s != a
         )
@@ -166,15 +168,15 @@ def _log_far_caps(terms, below: list, above: list, heights: list) -> list:
     ]
 
 
-def _log_common_cap(terms, K: int, height: float) -> float:
+def _log_common_cap(parts, K: int, height: float) -> float:
     """log of a bound on |const e^{Laurent log} t^power e^{-ikx}|, |k| <= K, where |Im x| <= height."""
-    return math.log(abs(terms.const)) + (abs(terms.power) + K) * height + _log_exp_cap(terms.laurent.items(), height)
+    return math.log(abs(parts.const)) + (abs(parts.power) + K) * height + _log_exp_cap(parts.laurent.items(), height)
 
 
-def _quadrature_term(terms, K: int, freq: int, nodes: int, sliver: float) -> float:
+def _quadrature_term(parts, K: int, freq: int, nodes: int, sliver: float) -> float:
     """Gauss-Legendre error of the panels of wiener_hopf._rho_rule, over 2 pi.
 
-    terms are rho's parts (wiener_hopf._rho_terms).  A panel of half-width h
+    parts are rho's (wiener_hopf.rho_parts).  A panel of half-width h
     errs by at most h (64/15) M r^{-2n} / (r^2 - 1) with r = ELLIPSE and M a
     bound on |rho(x) e^{-ikx}|, |k| <= K, on its Bernstein ellipse
     (Trefethen, SIAM Review 50, 2008, Thm 4.5).  The ellipse of a panel [l,
@@ -184,22 +186,22 @@ def _quadrature_term(terms, K: int, freq: int, nodes: int, sliver: float) -> flo
     with |2 sin(x/2)| >= 0.2 l where beta < 0, is summed over the panels as
     (1/2) int (0.2 u/4)^beta du from sliver to the half-arc.
     """
-    ahead = terms.ahead
+    ahead = parts.ahead
     back = ahead[-1:] + ahead[:-1]
     heights = [1.05 * min(3 / 8 * max(f, b), 5 / freq) for f, b in zip(ahead, back)]
     reach = 1 + 0.45 * 3 / 8
-    far = _log_far_caps(terms, [reach * b for b in back], [reach * f for f in ahead], heights)
+    far = _log_far_caps(parts, [reach * b for b in back], [reach * f for f in ahead], heights)
     total = 0.0
-    for beta, phase, f, b, h, rest in zip(terms.betas, terms.phases, ahead, back, heights, far):
+    for beta, phase, f, b, h, rest in zip(parts.betas, parts.phases, ahead, back, heights, far):
         lean = min(beta.real, 0.0)
         rise = max(beta.real, 0.0) * math.log(2 * math.cosh(h / 2))  # beta >= 0: (2 cosh(h/2))^beta, times the sum of h
         spin = math.pi * (abs(beta.imag) / 2 + abs(phase.imag)) + abs(phase.real) * h
         span = (f ** (lean + 1) + b ** (lean + 1) - 2 * sliver ** (lean + 1)) / (lean + 1)
-        total += _exp(_log_common_cap(terms, K, h) + rest + rise + spin) * (0.2 / 4) ** lean * span / 2
+        total += _exp(_log_common_cap(parts, K, h) + rest + rise + spin) * (0.2 / 4) ** lean * span / 2
     return 64 / 15 * ELLIPSE ** (-2 * nodes) / (ELLIPSE**2 - 1) * total / (2 * math.pi)
 
 
-def _sliver_term(terms, K: int, sliver: float) -> float:
+def _sliver_term(parts, K: int, sliver: float) -> float:
     """What the sliver rule leaves out, at both sides of every site, over 2 pi.
 
     Beside site s the integrand is u^beta g(u), g analytic on the disk |u| <=
@@ -209,23 +211,23 @@ def _sliver_term(terms, K: int, sliver: float) -> float:
     against |u^beta| and summed at the nodes, that leaves C sliver^(Re beta + 3)
     (1/(Re beta + 3) + (|beta| + 1/2) / |(beta + 1)(beta + 2)|).
     """
-    ahead = terms.ahead
-    radii = [min(f, b, 2 / (abs(terms.power) + K + 1)) for f, b in zip(ahead, ahead[-1:] + ahead[:-1])]
+    ahead = parts.ahead
+    radii = [min(f, b, 2 / (abs(parts.power) + K + 1)) for f, b in zip(ahead, ahead[-1:] + ahead[:-1])]
     total = 0.0
-    for beta, phase, R, rest in zip(terms.betas, terms.phases, radii, _log_far_caps(terms, radii, radii, radii)):
+    for beta, phase, R, rest in zip(parts.betas, parts.phases, radii, _log_far_caps(parts, radii, radii, radii)):
         if R <= sliver:
             return math.inf
         # the site's own factor in g: (2 sin(u/2) / u)^beta, within delta of 1, and its phase
         delta = math.sinh(R / 2) / (R / 2) - 1
         own = beta.real * math.log1p(-delta if beta.real < 0 else delta) + abs(beta.imag) * math.asin(delta)
         own += abs(phase.imag) * (math.pi + R) + abs(phase.real) * R
-        cap = _exp(_log_common_cap(terms, K, R) + own + rest) / (R * R - sliver * R)
+        cap = _exp(_log_common_cap(parts, K, R) + own + rest) / (R * R - sliver * R)
         weight = 1 / (beta.real + 3) + (abs(beta) + 0.5) / abs((beta + 1) * (beta + 2))
         total += 2 * cap * sliver ** (beta.real + 3) * weight
     return total / (2 * math.pi)
 
 
-def _rounding_term(terms, ks: range, sliver: float, nodes: int, summands: np.ndarray) -> float:
+def _rounding_term(parts, ks: range, sliver: float, nodes: int, summands: np.ndarray) -> float:
     """Rounding of rho's values, the Fourier factors and the sums, over 2 pi.
 
     Each summand w rho e^{-ikx} carries a relative error of at most UNIT
@@ -240,25 +242,25 @@ def _rounding_term(terms, ks: range, sliver: float, nodes: int, summands: np.nda
     of t.  Times sum |summands| / 2 pi, with n units taken as n UNIT / (1 -
     n UNIT) (Higham, Lemma 3.1).
     """
-    ahead, laurent, table, S = terms.ahead, terms.laurent, terms.table.tolist(), len(terms.turns)
+    ahead, laurent, table, S = parts.ahead, parts.laurent, parts.table.tolist(), len(parts.turns)
     back = ahead[-1:] + ahead[:-1]
     K = max(-ks.start, ks.stop - 1)
-    Xt = 2 * math.pi * float(terms.turns[-1])
+    Xt = 2 * math.pi * float(parts.turns[-1])
     X = Xt + math.pi / 2  # |x|: no offset exceeds a half-arc
     position = 3 * Xt + X + 8 * math.pi
     v_abs = sum(abs(v) for v in laurent.values())
     common = (
-        position * (abs(terms.power) + sum(abs(k * v) for k, v in laurent.items()))
+        position * (abs(parts.power) + sum(abs(k * v) for k, v in laurent.items()))
         + _log_term_units(laurent.items()) + len(laurent) * v_abs
-        + abs(terms.power) * X + 32  # the exp, the constant and products, and the weights (8 UNIT)
+        + abs(parts.power) * X + 32  # the exp, the constant and products, and the weights (8 UNIT)
     )
     own_log = abs(math.log(2 * math.sin(sliver / 4)))
     worst = 0.0
     for a in range(S):  # a's nodes lie at offsets table[s, a] + [-back_a, ahead_a] from site s
         value, partial = common, v_abs
         for s in range(S):
-            eta, turn = abs(terms.etas[s]), abs(terms.phases[s])
-            tie = eta + abs(terms.betas[s] - terms.etas[s])  # with 4 sin^2(d/2) at -1
+            eta, turn = abs(parts.etas[s]), abs(parts.phases[s])
+            tie = eta + abs(parts.betas[s] - parts.etas[s])  # with 4 sin^2(d/2) at -1
             if s == a:  # d within 8 UNIT |d| of the node
                 sens, spread = 8 * (tie + math.pi * turn), eta * own_log
             else:
@@ -282,8 +284,8 @@ def fourier_bound(s, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -
     s is the symbol.  Quadrature: every piece, of half-width at most pi/M,
     sees an entire integrand.  With |s(w) e^{-ikw}| bounded by C on the
     ellipse of parameter r, factor by factor as in _quadrature_term, the
-    pieces, whose half-widths add up to pi, err by (32/15) C r^{-48} / (r^2
-    - 1) over 2 pi; the best of a few r is taken, compared in logs.
+    pieces, whose half-widths add up to pi, err by (32/15) C r^{-2 n} / (r^2
+    - 1) over 2 pi, n = FOURIER_NODES; the best of a few r is taken, compared in logs.
 
     Rounding: uncut and cut are sum |w s(x)| / 2 pi over the nodes of the
     uncut panels and of the cut pieces.  Each summand carries a relative
@@ -291,8 +293,8 @@ def fourier_bound(s, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -
     sums, its exp, and a position error of at most 8 pi UNIT times the
     slope); its weight's (8, see _rounding_term); for the uncut panels the
     FFT (a pass of radix p errs by at most (p + 7) UNIT, and an 11-smooth M
-    has passes of radix 11 at most), the two phase tables, the sum over 24
-    nodes and the products; for the cut pieces, as in _rounding_term, with
+    has passes of radix 11 at most), the two phase tables, the sum over
+    FOURIER_NODES nodes and the products; for the cut pieces, as in _rounding_term, with
     |x| <= 2 pi placed within 10 pi UNIT.
     """
     logs = s.log_smooth.coeffs
@@ -303,7 +305,7 @@ def fourier_bound(s, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -
         log_cap = math.log(abs(s.scale)) + (abs(s.kappa) + N) * lift
         log_cap += _log_exp_cap(logs, lift)
         log_cap += sum(abs(b.imag) * (math.pi + grow) + abs(b.real) * lift for b in jumps)
-        log_caps.append(log_cap + math.log(32 / 15 / (r**2 - 1)) - 48 * math.log(r))
+        log_caps.append(log_cap + math.log(32 / 15 / (r**2 - 1)) - 2 * FOURIER_NODES * math.log(r))
     slope = abs(s.kappa) + sum(abs(b) for b in jumps) + sum(abs(k * v) for k, v in logs)
     partial = 2 * math.pi * abs(s.kappa) + math.pi * sum(abs(b) for b in jumps) + sum(abs(v) for _, v in logs)
     value = (
@@ -315,6 +317,6 @@ def fourier_bound(s, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -
         while rest % p == 0:
             passes, rest = passes + p + 7, rest // p
     phases = 6 * math.pi + 18 * math.pi * N / M  # both tables' arguments, and |k| times x0's error
-    t_uncut = UNIT * (value + passes + phases + 24 + 22)
+    t_uncut = UNIT * (value + passes + phases + FOURIER_NODES + 22)
     t_cut = UNIT * (value + _integral_units(cut_nodes, 2 * N + 1) + 12 * math.pi * N + 9)
     return _exp(min(log_caps)) + uncut * t_uncut / (1 - t_uncut) + cut * t_cut / (1 - t_cut)

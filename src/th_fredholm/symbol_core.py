@@ -121,15 +121,6 @@ class _Record(metaclass=_RecordType):
         return hash(self._values())
 
 
-def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
-    """Exact conversion; floats convert via their binary value."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 class Exponent(_Record):
     """Complex exponent with exact rational real part."""
 
@@ -145,8 +136,8 @@ class Exponent(_Record):
         if isinstance(x, Exponent):
             return x
         if isinstance(x, complex):
-            return Exponent(as_fraction(x.real), float(x.imag))
-        return Exponent(as_fraction(x), 0.0)
+            return Exponent(Fraction(x.real), float(x.imag))
+        return Exponent(Fraction(x), 0.0)
 
     @property
     def value(self) -> complex:

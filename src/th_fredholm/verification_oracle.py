@@ -30,19 +30,9 @@ import numpy as np
 
 from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
-from .quadrature import _fourier_integrals, _leggauss, fourier_bound
+from .quadrature import FOURIER_NODES, _fourier_integrals, _leggauss, fourier_bound
 from .symbol_core import CanonicalSymbol, SymbolPair, _Record, eval_many
-from .wiener_hopf import (
-    PlusFactor,
-    RhoSeries,
-    _rho_terms,
-    _rho_values,
-    build_plus_factor,
-    convolve,
-    fft_length,
-    rho_coefficients,
-    rho_sites,
-)
+from .wiener_hopf import RhoParts, RhoSeries, _rho_values, build_plus_factor, convolve, fft_length, rho_coefficients
 
 
 class TwoSidedSeries(_Record, eq=False):
@@ -91,7 +81,7 @@ def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
 
 
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
-    """Coefficients f_k, |k| <= N, by 24-node Gauss-Legendre quadrature on M equal panels.
+    """Coefficients f_k, |k| <= N, by FOURIER_NODES-node Gauss-Legendre quadrature on M equal panels.
 
     M is the least 11-smooth number (wiener_hopf.fft_length) at or above
     max(12, ceil(2 pi freq / 10)) for the highest frequency in the integrand,
@@ -117,13 +107,13 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     lo = np.array([0.0, *(x for e in edges for x in e[:-1])])
     half = (np.array([h, *(x for e in edges for x in e[1:])]) - lo)[:, None] / 2
     whole = np.array([p for p in range(M) if p not in cuts], dtype=int)
-    x, w = _leggauss(24)  # one Gauss panel per piece: none is wider than h
+    x, w = _leggauss(FOURIER_NODES)  # one Gauss panel per piece: none is wider than h
     xs, ws = lo[:, None] + half * (1 + x), half * w
     grid, pieces = (whole[:, None] * h + xs[0]).ravel(), xs[1:].ravel()
     vals = eval_many(s, np.concatenate([grid, pieces]))
     v, c = vals[: grid.size], vals[grid.size :]
     coeffs = _panel_sums(xs[0], ws[0], v, whole, M, N) + _fourier_integrals(pieces, ws[1:].ravel(), c, range(-N, N + 1))
-    uncut = float(np.sum(np.abs(v.reshape(whole.size, 24)) @ ws[0])) / (2 * np.pi)
+    uncut = float(np.sum(np.abs(v.reshape(whole.size, FOURIER_NODES)) @ ws[0])) / (2 * np.pi)
     cut = float(np.abs(c) @ ws[1:].ravel()) / (2 * np.pi)
     bound = fourier_bound(s, N, M, uncut, cut, pieces.size)
     if not bound <= tol:
@@ -171,8 +161,7 @@ def kernel_residual_check(
     if report is None:
         report = defect_numbers(pair, p)
     n, m = report.n, report.m
-    c_plus = build_plus_factor(report.rep_c)
-    inv = c_plus.realize(N - 1, inverted=True)
+    inv = build_plus_factor(report.rep_c).realize(N - 1, inverted=True)
     vectors: list[np.ndarray] = []
     tags: list[str] = []
 
@@ -187,7 +176,7 @@ def kernel_residual_check(
 
     if m > 0:
         ks = range(n - m + 1, N + n + m - 1)  # the k of rho_{l+n-k} and rho_{l+n+k} read below
-        rho = rho_coefficients(c_plus, build_plus_factor(report.rep_d), pair.b, n, m, ks)
+        rho = rho_coefficients(report.rep_c, report.rep_d, pair.b, ks)
         if not rho.tail_bound <= tol:
             raise MethodDisagreement(
                 f"rho bound {rho.tail_bound:.3e} exceeds {tol:.1e} on {ks.start} <= k <= {ks.stop - 1}"
@@ -233,10 +222,11 @@ def kernel_residual_check(
     return KernelBasis(tuple(vectors), tuple(tags), residuals, gram_rank)
 
 
-def rho_de(
-    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, N_keep: int
-) -> RhoSeries:
+def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
     """rho_k, |k| <= N_keep, by tanh-sinh quadrature over the half-arcs: the second route.
+
+    It integrates the production parts of rho (wiener_hopf.rho_parts), and
+    the series it returns carries those same parts.
 
     Each half of an arc between sites of rho, of width L, is integrated in the
     offset u from its end site, its anchor, u = L / (1 + e^{-pi sinh s}), so
@@ -251,14 +241,12 @@ def rho_de(
     |rho| ~ u^beta below the innermost nodes.
     """
     ks = range(-N_keep, N_keep + 1)
-    sites = rho_sites(c_plus, d_plus, b)
-    terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
-    turns = terms.turns
+    turns = parts.turns
     S = len(turns)
-    room = np.array([1 + float(sites[t].re) for t in turns])
+    room = 1 + np.array([beta.real for beta in parts.betas])
     # half-arc i < S leaves site i forward, half-arc S + i reaches site i + 1 backward, both of width ahead[i]
     anchor = np.concatenate([np.arange(S), (np.arange(S) + 1) % S])
-    L = np.tile(terms.ahead, 2)[:, None]
+    L = np.tile(parts.ahead, 2)[:, None]
     sign = np.repeat([1.0, -1.0], S)[:, None]
     # half-arc i keeps the nodes s >= -reach[i] / 8 of the common grid |s| <= span / 8
     reach = np.ceil(8 * np.arcsinh(np.minimum(600.0, 40.0 / np.minimum(1.0, room[anchor])) / np.pi))[:, None]
@@ -272,7 +260,7 @@ def rho_de(
         u = sign * L * np.where(q >= 0, 1.0, e) / (1 + e)
         keep = s >= -reach / 8
         vals = np.zeros(u.shape, dtype=complex)
-        vals[keep] = _rho_values(terms, np.broadcast_to(anchor[:, None], u.shape)[keep], u[keep])
+        vals[keep] = _rho_values(parts, np.broadcast_to(anchor[:, None], u.shape)[keep], u[keep])
         xs = 2 * np.pi * np.array(turns, dtype=float)[anchor][:, None] + u
         du = L * (np.pi * np.cosh(s) * e / (1 + e) ** 2)
         first = keep.argmax(axis=1)
@@ -288,4 +276,4 @@ def rho_de(
         move = float(np.max(np.abs(coeffs - prev)))
     estimate = move + float(np.sum(np.abs(inner) / room[anchor])) / (2 * np.pi)
     nodes = int(np.sum((reach + span) * (steps // span) + 1))
-    return RhoSeries(coeffs, ks, nodes, estimate, n, m, c_plus, d_plus, b, sites)
+    return RhoSeries(coeffs, ks, nodes, estimate, parts)

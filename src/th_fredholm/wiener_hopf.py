@@ -8,7 +8,9 @@ of the series converge too slowly near the jump points to be usable for
 pointwise work, so rho takes its values from the structure instead.
 
 rho is analytic between its sites and behaves like |x - x_s|^{beta_s} at a
-site, with beta_s exact from the structure.  Its values come from one
+site, with beta_s exact from the structure.  rho_parts reads the sites and
+the rest of rho's parts once off the normalized pair and b, and the rule,
+its bounds and the oracle all read that one record.  Its values come from one
 exponent per point, every factor's site term taken from the exact offset of
 the point to that site.  The few coefficients the defect matrix reads come
 from Gauss-Legendre quadrature of those values, graded geometrically into
@@ -191,28 +193,38 @@ def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
     )
 
 
+class RhoParts(_Record, eq=False):
+    """The parts of rho, read off its three inputs by rho_parts; both quadratures and the bounds read them."""
+
+    turns: list  # the sorted turns of rho's sites
+    table: np.ndarray  # table[s, a]: offset from site s to site a, exact in turns before one rounding
+    const: complex
+    laurent: dict  # Laurent log of c_+(1/t) d_+(1/t) / b without its constant
+    power: int  # of t
+    top: int  # the top log degree of b, c_+ and d_+
+    betas: list  # per site: its exponent,
+    etas: list  # the exponent of its log term (beta less the 2 of 4 sin^2(d/2) at -1),
+    phases: list  # the factor of i (sign(d) pi - d) in the exponent,
+    ahead: list  # and the half-width of the arc ahead of it
+
+
 class RhoSeries(_Record, eq=False):
-    """Two-sided coefficients of rho with their error figure and provenance.
+    """Two-sided coefficients of rho with their error figure and the parts they integrate.
 
     coeffs[k - ks.start] holds rho_k for k in ks, a contiguous range, symmetric
     for the defect matrix and the oracle.  tail_bound is, from
     rho_coefficients, a bound on max |rho_k - coeffs| over ks;
     from the tanh-sinh oracle it is an estimate, the last movement plus the
     inner remainder.  inner_N is the node count of the rule, or of the
-    oracle's last step.  sites (rho_sites), the structured factors and (n, m)
-    are what the oracle integrates rho from again.
+    oracle's last step.  parts (rho_parts) are what the oracle integrates
+    rho from again.
     """
 
     coeffs: np.ndarray
     ks: range
     inner_N: int
     tail_bound: float
-    n: int
-    m: int
-    c_plus: PlusFactor
-    d_plus: PlusFactor
-    b_symbol: CanonicalSymbol
-    sites: dict[Fraction, Exponent]
+    parts: RhoParts
 
     def get(self, k: int) -> complex:
         if k not in self.ks:
@@ -225,8 +237,8 @@ class RhoSeries(_Record, eq=False):
         return float(np.max(np.abs(self.coeffs - self.coeffs[::-1])))
 
 
-def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dict[Fraction, Exponent]:
-    """Turn of every site of rho -> rho's exponent beta_s there.
+def rho_parts(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSymbol) -> RhoParts:
+    """The parts of rho = t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b, from the normalized pair and b.
 
     c_+(1/t) and d_+(1/t) are singular at the conjugates of their eta points,
     (1+t)(1+1/t) adds 2 at -1, and +1 and the jump points of b are sites with
@@ -234,6 +246,7 @@ def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dic
     Re beta_s exceeds -1; raises ValueError, naming the turn, where one does
     not, since rho is then not integrable.
     """
+    c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
     zero = Exponent(Fraction(0))
     sites = {Fraction(0): zero, Fraction(1, 2): Exponent(Fraction(2))}
     for point in b.jump_points:
@@ -245,39 +258,24 @@ def rho_sites(c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol) -> dic
     for turn, e in sites.items():
         if e.re <= -1:
             raise ValueError(f"net exponent {e.re} at turn {turn} makes rho non-integrable")
-    return sites
-
-
-class _RhoTerms(_Record, eq=False):
-    """The parts of rho, read off its factors by _rho_terms."""
-
-    turns: list  # sorted(sites)
-    table: np.ndarray  # table[s, a]: offset from site s to site a, exact in turns before one rounding
-    const: complex
-    laurent: dict  # Laurent log of c_+(1/t) d_+(1/t) / b without its constant
-    power: int  # of t
-    betas: list  # per site: its exponent,
-    etas: list  # the exponent of its log term (beta less the 2 of 4 sin^2(d/2) at -1),
-    phases: list  # the factor of i (sign(d) pi - d) in the exponent,
-    ahead: list  # and the half-width of the arc ahead of it
-
-
-def _rho_terms(c_plus, d_plus, b, nm: int, sites: dict) -> _RhoTerms:
     turns = sorted(sites)
     half = Fraction(1, 2)
     table = 2 * np.pi * np.array([[float((a - s + half) % 1 - half) for a in turns] for s in turns])
     laurent = c_plus.analytic_log.tilde().plus(d_plus.analytic_log.tilde()).plus(b.log_smooth, -1).as_dict()
     const = c_plus.constant * d_plus.constant / b.scale * cmath.exp(laurent.pop(0, 0j))
+    logs = (b.log_smooth, c_plus.analytic_log, d_plus.analytic_log)
+    top = max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
     jumps = {j.point.turns: j.beta.value for j in b.jumps}
     betas = [complex(sites[t].value) for t in turns]
     etas = [beta - (2 if t == half else 0) for t, beta in zip(turns, betas)]
     phases = [eta / 2 + jumps.get(t, 0) for t, eta in zip(turns, etas)]
     ahead = [abs(float(table[i, (i + 1) % len(turns)])) / 2 for i in range(len(turns))]
-    return _RhoTerms(turns, table, const, laurent, -nm - b.kappa, betas, etas, phases, ahead)
+    power = -rep_c.n - rep_d.n - b.kappa
+    return RhoParts(turns, table, const, laurent, power, top, betas, etas, phases, ahead)
 
 
-def _rho_values(terms: _RhoTerms, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """rho at the angles 2 pi turns[index] + offsets, |offsets| <= pi, from its parts (_rho_terms).
+def _rho_values(parts: RhoParts, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """rho at the angles 2 pi turns[index] + offsets, |offsets| <= pi, from its parts (rho_parts).
 
     One exponent holds the Laurent log of c_+(1/t) d_+(1/t) / b, per site its
     eta factor (1 - e^{-id})^eta and the inverse of b's jump factor u =
@@ -288,7 +286,7 @@ def _rho_values(terms: _RhoTerms, index: np.ndarray, offsets: np.ndarray) -> np.
     (1+t)(1+1/t) = 4 sin^2(d/2) at -1 stays a factor, so rho there is 0
     rather than the exponential of log(0).
     """
-    turns, table, laurent, etas, phases = terms.turns, terms.table, terms.laurent, terms.etas, terms.phases
+    turns, table, laurent, etas, phases = parts.turns, parts.table, parts.laurent, parts.etas, parts.phases
     x = 2 * np.pi * np.array([float(t) for t in turns])[index] + offsets
     expo = np.zeros(x.shape, dtype=complex)
     if laurent:
@@ -306,15 +304,15 @@ def _rho_values(terms: _RhoTerms, index: np.ndarray, offsets: np.ndarray) -> np.
             expo += 1j * phase * (np.sign(d) * np.pi - d)
         if turn == Fraction(1, 2):
             factor = 4 * sine**2
-    expo += 1j * terms.power * x
-    return terms.const * np.exp(expo) * factor
+    expo += 1j * parts.power * x
+    return parts.const * np.exp(expo) * factor
 
 
-def _rho_rule(terms: _RhoTerms, freq: int, nodes: int, sliver: float):
+def _rho_rule(parts: RhoParts, freq: int, nodes: int, sliver: float):
     """Anchor indices, offsets and weights of the graded arc rule for rho.
 
-    Each arc between consecutive sites of rho's parts (_rho_terms) is split
-    at its midpoint, and each half, of the width terms.ahead that the bounds
+    Each arc between consecutive sites of rho's parts (rho_parts) is split
+    at its midpoint, and each half, of the width parts.ahead that the bounds
     read, is laid out in offsets from its end site, its anchor.  A half is
     graded geometrically (ratio at most 4) from the midpoint down to
     `sliver`, at exponent 0 too, so a singular site just past the anchor
@@ -322,11 +320,11 @@ def _rho_rule(terms: _RhoTerms, freq: int, nodes: int, sliver: float):
     sliver becomes nodes at +-`sliver` and +-`sliver`/2, with weights sliver
     beta / ((beta + 1)(beta + 2)) and 2^(beta + 1) sliver / ((beta + 1)(beta +
     2)), that integrate C |u|^beta (1 + c u) exactly (Re beta > -1 by
-    rho_sites).  Every panel [l, r] has r <= 4 l and a width of at most
+    rho_parts).  Every panel [l, r] has r <= 4 l and a width of at most
     10/freq, which quadrature._quadrature_term reads.
     """
-    S = len(terms.turns)
-    halves = np.array(terms.ahead)
+    S = len(parts.turns)
+    halves = np.array(parts.ahead)
     levels = np.array([math.ceil(math.log(h / sliver, 4)) for h in halves])
     # level j of arc i runs from halves[i] (sliver/halves[i])^((j+1)/levels[i]) up to the same at j
     arc = np.repeat(np.arange(S), levels)
@@ -335,7 +333,7 @@ def _rho_rule(terms: _RhoTerms, freq: int, nodes: int, sliver: float):
     lo, hi = top * ratio ** ((j + 1) / levels[arc]), top * ratio ** (j / levels[arc])
     d, w, interval = _gauss_panels(lo, hi, freq, nodes, 1)
     caps = []
-    for beta in terms.betas:
+    for beta in parts.betas:
         scale = sliver / ((beta + 1) * (beta + 2))
         caps.append([beta * scale, 2 ** (beta + 1) * scale] * 2)
     own = arc[interval]
@@ -344,33 +342,29 @@ def _rho_rule(terms: _RhoTerms, freq: int, nodes: int, sliver: float):
     return index, offsets, np.concatenate([w, w, np.ravel(caps)])
 
 
-def rho_coefficients(
-    c_plus: PlusFactor, d_plus: PlusFactor, b: CanonicalSymbol, n: int, m: int, keep: int | range
-) -> RhoSeries:
+def rho_coefficients(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSymbol, keep: int | range) -> RhoSeries:
     """Two-sided Fourier coefficients of rho = t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b.
 
-    rho_k = (1/2pi) int rho(e^{ix}) e^{-ikx} dx for k in keep, a contiguous
-    range, or for |k| <= keep when it is an int, by the graded rule of
-    _rho_rule between the sites of rho_sites, sized for the top frequency
-    max |k| + |m + n + kappa_b| + the top log degree of b, c_+, d_+.
-    tail_bound is an a-priori bound on max |rho_k - coeffs| over keep: the
-    quadrature, sliver and rounding terms, computed per panel and site.
+    rho is fixed by the normalized pair (rep_c, rep_d), with n = rep_c.n and
+    m = rep_d.n, and by b.  rho_k = (1/2pi) int rho(e^{ix}) e^{-ikx} dx for k
+    in keep, a contiguous range, or for |k| <= keep when it is an int, by the
+    graded rule of _rho_rule between the sites of rho_parts, sized for the
+    top frequency max |k| + |m + n + kappa_b| + the top log degree of b, c_+,
+    d_+.  tail_bound is an a-priori bound on max |rho_k - coeffs| over keep:
+    the quadrature, sliver and rounding terms, computed per panel and site.
     """
     ks = keep if isinstance(keep, range) else range(-keep, keep + 1)
-    logs = (b.log_smooth, c_plus.analytic_log, d_plus.analytic_log)
-    top = max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
+    parts = rho_parts(rep_c, rep_d, b)
     K = max(-ks.start, ks.stop - 1)
-    freq = K + abs(m + n + b.kappa) + top
-    sites = rho_sites(c_plus, d_plus, b)
-    terms = _rho_terms(c_plus, d_plus, b, m + n, sites)
+    freq = K + abs(parts.power) + parts.top
     nodes, sliver = RHO_RULE
-    index, offsets, weights = _rho_rule(terms, freq, nodes, sliver)
-    vals = _rho_values(terms, index, offsets)
-    xs = 2 * np.pi * np.array([float(t) for t in terms.turns])[index] + offsets
+    index, offsets, weights = _rho_rule(parts, freq, nodes, sliver)
+    vals = _rho_values(parts, index, offsets)
+    xs = 2 * np.pi * np.array([float(t) for t in parts.turns])[index] + offsets
     coeffs = _fourier_integrals(xs, weights, vals, ks)
     bound = (
-        _quadrature_term(terms, K, freq, nodes, sliver)
-        + _sliver_term(terms, K, sliver)
-        + _rounding_term(terms, ks, sliver, xs.size, weights * vals)
+        _quadrature_term(parts, K, freq, nodes, sliver)
+        + _sliver_term(parts, K, sliver)
+        + _rounding_term(parts, ks, sliver, xs.size, weights * vals)
     )
-    return RhoSeries(coeffs, ks, xs.size, bound, n, m, c_plus, d_plus, b, sites)
+    return RhoSeries(coeffs, ks, xs.size, bound, parts)

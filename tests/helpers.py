@@ -47,14 +47,7 @@ from th_fredholm.symbol_core import (
     validate_pair,
 )
 from th_fredholm.verification_oracle import TwoSidedSeries, fourier_coeffs
-from th_fredholm.wiener_hopf import (
-    PlusFactor,
-    RhoSeries,
-    _rho_terms,
-    _rho_values,
-    build_plus_factor,
-    rho_coefficients,
-)
+from th_fredholm.wiener_hopf import PlusFactor, RhoSeries, _rho_values, build_plus_factor, rho_coefficients
 
 UPPER_ANGLES = [(1, 8), (1, 4), (3, 8), (1, 3), (1, 6), (2, 5)]
 
@@ -449,18 +442,16 @@ def factor_reconstruction_defect(rep: NormalizedRep, factor: PlusFactor, angles:
 def rho_at(rho: RhoSeries, angles: np.ndarray) -> np.ndarray:
     """Closed-form rho on a grid of angles off its sites, each read from its nearest site."""
     xs = np.asarray(angles, dtype=float)
-    turns = np.array([float(t) for t in sorted(rho.sites)])
+    turns = np.array([float(t) for t in rho.parts.turns])
     gaps = np.remainder(xs[:, None] - 2 * np.pi * turns + np.pi, 2 * np.pi) - np.pi
     index = np.argmin(np.abs(gaps), axis=1)
-    terms = _rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
-    return _rho_values(terms, index, gaps[np.arange(xs.size), index])
+    return _rho_values(rho.parts, index, gaps[np.arange(xs.size), index])
 
 
 def rho_for_pair(pair, p, N_keep: int) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:
-    """Normalize both sides, build the plus factors, and compute rho."""
+    """Normalize both sides and compute rho."""
     rep_c, rep_d = normalized_pair(pair, p)
-    c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
-    return rep_c, rep_d, rho_coefficients(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep)
+    return rep_c, rep_d, rho_coefficients(rep_c, rep_d, pair.b, N_keep)
 
 
 @dataclass(frozen=True, eq=False)

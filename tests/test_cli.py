@@ -865,7 +865,16 @@ def test_csv_unsupported_for_defects(tmp_path, capsys):
     path = write_doc(tmp_path, {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2})
     code, _, err = run(capsys, ["defects", path, "--format", "csv"])
     assert code == 3
-    assert "not supported" in err
+    assert "error: unrecognized arguments: --format csv" in err
+
+
+@pytest.mark.parametrize("command, fmt", [("verify", "csv"), ("check", "json")])
+def test_format_is_a_usage_error_without_a_csv(tmp_path, capsys, command, fmt):
+    # only curve and sweep take --format; elsewhere it exits 3 before the command runs,
+    # where verify --format csv used to run the oracle pass and print its refusal (exit 4)
+    code, out, err = run(capsys, [command, write_doc(tmp_path, README_DOC), "--format", fmt])
+    assert (code, out) == (3, "")
+    assert f"unrecognized arguments: --format {fmt}" in err
 
 
 def test_usage_error_exits_three(capsys):

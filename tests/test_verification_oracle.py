@@ -8,6 +8,7 @@ import pytest
 
 from th_fredholm import verification_oracle
 from th_fredholm.defect_solver import defect_numbers
+from th_fredholm.fredholm_engine import normalized_pair
 from th_fredholm.symbol_core import (
     MINUS_ONE,
     ONE,
@@ -30,7 +31,7 @@ from th_fredholm.verification_oracle import (
     kernel_residual_check,
     rho_de,
 )
-from th_fredholm.wiener_hopf import _gauss_panels, build_plus_factor, convolve
+from th_fredholm.wiener_hopf import _gauss_panels, build_plus_factor, convolve, rho_parts
 
 from helpers import (
     finite_section,
@@ -406,7 +407,7 @@ def test_convolution_residuals_match_dense_section(N):
 def series_deviation(pair, N_keep: int, N: int) -> tuple[float, float]:
     """Max |quadrature - oracle| of rho's coefficients over |k| <= N, and the oracle's estimate."""
     _, _, rho = rho_for_pair(pair, 2, N_keep=N_keep)
-    de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, N_keep)
+    de = rho_de(rho.parts, N_keep)
     return max(abs(rho.get(k) - de.get(k)) for k in range(-N, N + 1)), de.tail_bound
 
 
@@ -431,12 +432,15 @@ def test_rho_series_deviation_mild_jump():
 
 
 def test_rho_de_refuses_non_integrable_rho():
-    # rho_de reads its sites through rho_sites, which refuses the exponent -3/2 at turn 0
+    # rho_de integrates the parts of rho_parts, which refuses the exponent -3/2 that
+    # gamma_plus = -3/4 gives c_+ at turn 0
     pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
-    _, _, rho = rho_for_pair(pair, 2, N_keep=8)
-    steep = replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
+    rep_c, rep_d = normalized_pair(pair, 2)
+    zero = Exponent(Fraction(0))
+    steep = replace(rep_c, gamma_plus=Exponent(Fraction(-3, 4)), gamma_minus=zero, gammas=())
+    assert build_plus_factor(steep).eta_exponents == ((ONE, Exponent(Fraction(-3, 2))),)
     with pytest.raises(ValueError, match="at turn 0 makes rho non-integrable"):
-        rho_de(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
+        rho_de(rho_parts(steep, rep_d, pair.b), 8)
 
 
 def test_kernel_candidates_match_per_entry_rho_sum():

@@ -15,7 +15,6 @@ from helpers import (
     random_fredholm_pair,
     random_generic_b,
     random_structural_c,
-    replace,
     rho_at,
     rho_for_pair,
 )
@@ -41,7 +40,7 @@ from th_fredholm.wiener_hopf import (
     eta_series,
     fft_length,
     rho_coefficients,
-    rho_sites,
+    rho_parts,
     smooth_plus_factor,
 )
 from th_fredholm.verification_oracle import rho_de
@@ -61,8 +60,7 @@ def example_c():
 def oracle_for_pair(pair, p, N_keep):
     """rho of a pair by the oracle's tanh-sinh route."""
     rep_c, rep_d = normalized_pair(pair, p)
-    c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
-    return rep_c, rep_d, rho_de(c_plus, d_plus, pair.b, rep_c.n, rep_d.n, N_keep)
+    return rep_c, rep_d, rho_de(rho_parts(rep_c, rep_d, pair.b), N_keep)
 
 
 def plain_rep(**overrides) -> NormalizedRep:
@@ -244,26 +242,25 @@ def test_rho_closed_form_matches_coefficients_for_smooth_pair():
         assert abs(rho.get(k) - fft[k % M]) < 1e-9
 
 
-def test_rho_sites_refuses_a_non_integrable_site():
+def test_rho_parts_refuses_a_non_integrable_site():
     # past the gate every site has Re beta > -1 (test_gate_keeps_every_rho_site_integrable);
-    # a hand-built c_+ with exponent -3/2 at 1 leaves rho non-integrable at turn 0, and
-    # rho_coefficients refuses it there (rho_de: test_rho_de_refuses_non_integrable_rho)
-    pair = validate_pair(CanonicalSymbol.one(), jump_unit(0, 1, Fraction(1, 8)))
-    _, _, rho = rho_for_pair(pair, 2, N_keep=8)
-    steep = replace(rho.c_plus, eta_exponents=((ONE, Exponent(Fraction(-3, 2))),))
+    # a hand-built rep with gamma_plus = -3/4 gives c_+ the exponent -3/2 at 1, which leaves
+    # rho non-integrable at turn 0, and rho_parts refuses it there, for rho_coefficients too
+    # (rho_de: test_rho_de_refuses_non_integrable_rho)
+    steep, one = plain_rep(gamma_plus=Exponent(Fraction(-3, 4))), CanonicalSymbol.one()
+    assert build_plus_factor(steep).eta_exponents == ((ONE, Exponent(Fraction(-3, 2))),)
     with pytest.raises(ValueError, match="non-integrable"):
-        rho_sites(steep, rho.d_plus, rho.b_symbol)
+        rho_parts(steep, plain_rep(), one)
     with pytest.raises(ValueError, match="at turn 0 "):
-        rho_coefficients(steep, rho.d_plus, rho.b_symbol, rho.n, rho.m, 8)
+        rho_coefficients(steep, plain_rep(), one, 8)
 
 
 def test_not_in_l1_warning():
     # gamma_- = -1 on both factors puts net exponent -2 at -1: rho is not in L^1 there,
     # and rho_coefficients refuses it instead of returning coefficients
     rep = plain_rep(gamma_minus=Exponent(Fraction(-1)))
-    factor = build_plus_factor(rep)
     with pytest.raises(ValueError, match="net exponent -2 at turn 1/2 makes rho non-integrable"):
-        rho_coefficients(factor, factor, CanonicalSymbol.one(), 0, 0, 4)
+        rho_coefficients(rep, rep, CanonicalSymbol.one(), 4)
 
 
 @functools.lru_cache(maxsize=1)
@@ -281,7 +278,8 @@ def seeded_pairs():
 def steep_pair():
     """The first seeded pair whose rho has Re beta <= -0.65 at a site other than +-1."""
     for pair, p, rho in seeded_pairs():
-        if any(t not in (0, Fraction(1, 2)) and e.re <= Fraction(-65, 100) for t, e in rho.sites.items()):
+        parts = rho.parts
+        if any(t not in (0, Fraction(1, 2)) and beta.real <= -0.65 for t, beta in zip(parts.turns, parts.betas)):
             return pair, p, rho
     raise AssertionError("no steep interior site among the seeded pairs")
 
@@ -294,7 +292,7 @@ def test_gate_keeps_every_rho_site_integrable():
     # rho is integrable and the oracle applies.
     rng = np.random.default_rng(11)
     ps = [Fraction(2), Fraction(3, 2), Fraction(3), Fraction(4, 3), Fraction(101, 100), Fraction(100)]
-    least, passed = Fraction(0), 0
+    least, passed = 0.0, 0
     for _ in range(300):
         pair = pair_from_c_and_b(random_structural_c(rng, denom=16), random_generic_b(rng, denom=16))
         for p in ps:
@@ -302,15 +300,16 @@ def test_gate_keeps_every_rho_site_integrable():
                 rep_c, rep_d = normalized_pair(pair, p)
             except (NotFredholm, BoundaryCase):
                 continue
-            sites = rho_sites(build_plus_factor(rep_c), build_plus_factor(rep_d), pair.b)
-            least, passed = min([least, *(e.re for e in sites.values())]), passed + 1
-    assert passed >= 1000 and -1 < least < Fraction(-3, 4)
+            betas = rho_parts(rep_c, rep_d, pair.b).betas
+            least, passed = min([least, *(beta.real for beta in betas)]), passed + 1
+    assert passed >= 1000 and -1 < least < -0.75
 
 
 def test_quadrature_agrees_with_de_on_seeded_pairs():
     # the steep pair is among them; the tanh-sinh nodes reach its -0.8125 site
     for pair, p, rho in seeded_pairs():
-        de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
+        de = rho_de(rho.parts, 16)
+        assert de.parts is rho.parts
         assert rho.tail_bound < 1e-11 and de.tail_bound < 1e-12
         assert np.max(np.abs(rho.coeffs - de.coeffs)) < 1e-12
 
@@ -319,7 +318,7 @@ def test_one_sided_rho_is_a_slice_of_the_symmetric_one():
     # rho_k for -5 <= k <= 16 is sized for the same top frequency as |k| <= 16, so it
     # runs the same rule; only the summation differs
     for pair, p, rho in seeded_pairs():
-        part = rho_coefficients(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, range(-5, 17))
+        part = rho_coefficients(*normalized_pair(pair, p), pair.b, range(-5, 17))
         assert part.inner_N == rho.inner_N
         assert np.max(np.abs(part.coeffs - rho.coeffs[11:])) < 1e-13
     assert part.get(-5) == part.coeffs[0]
@@ -338,13 +337,12 @@ def test_rho_de_matches_mpmath_quad_on_steep_pair():
     import mpmath
 
     _, _, rho = steep_pair()
-    de = rho_de(rho.c_plus, rho.d_plus, rho.b_symbol, rho.n, rho.m, 16)
-    turns = sorted(rho.sites)
-    terms = wiener_hopf._rho_terms(rho.c_plus, rho.d_plus, rho.b_symbol, rho.m + rho.n, rho.sites)
+    de = rho_de(rho.parts, 16)
+    turns = rho.parts.turns
 
     @functools.lru_cache(maxsize=None)
     def value(anchor, u):
-        return complex(wiener_hopf._rho_values(terms, np.array([anchor]), np.array([u]))[0])
+        return complex(wiener_hopf._rho_values(rho.parts, np.array([anchor]), np.array([u]))[0])
 
     for k in (0, -5, 16):
         total = 0
@@ -352,7 +350,7 @@ def test_rho_de_matches_mpmath_quad_on_steep_pair():
             width = math.pi * float((turns[(i + 1) % len(turns)] - turn) % 1)
             for anchor, sign in ((i, 1), ((i + 1) % len(turns), -1)):
                 x0 = 2 * math.pi * float(turns[anchor])
-                g = 1 / min(1.0, 1 + float(rho.sites[turns[anchor]].re))
+                g = 1 / min(1.0, 1 + rho.parts.betas[anchor].real)
 
                 def f(w):
                     u = sign * w**g
@@ -367,15 +365,17 @@ def test_rho_values_match_factor_products():
     # plus_factor_tilde_at, and b through eval_many, on angles at least
     # 1e-3 rad from every site, where neither route loses the offset
     for pair, p, rho in seeded_pairs():
-        sites = 2 * np.pi * np.array([float(t) for t in rho.sites])
+        rep_c, rep_d = normalized_pair(pair, p)
+        sites = 2 * np.pi * np.array([float(t) for t in rho.parts.turns])
         xs = 2 * np.pi * (np.arange(400) + 0.37) / 400
         gap = np.abs(np.remainder(xs[:, None] - sites[None, :] + np.pi, 2 * np.pi) - np.pi).min(axis=1)
         xs = xs[gap >= 1e-3]
         assert xs.size >= 300
         z = np.exp(1j * xs)
         direct = (
-            z ** (-rho.m - rho.n) * (1 + z) * (1 + 1 / z)
-            * plus_factor_tilde_at(rho.c_plus, z) * plus_factor_tilde_at(rho.d_plus, z) / eval_many(rho.b_symbol, xs)
+            z ** (-rep_d.n - rep_c.n) * (1 + z) * (1 + 1 / z)
+            * plus_factor_tilde_at(build_plus_factor(rep_c), z) * plus_factor_tilde_at(build_plus_factor(rep_d), z)
+            / eval_many(pair.b, xs)
         )
         got = rho_at(rho, xs)
         assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -389,7 +389,7 @@ def test_rho_eval_at_through_minus_one_raises_no_warning():
     assert np.pi in xs
     checked = 0
     for pair, p, rho in seeded_pairs():
-        if rho.sites[Fraction(1, 2)] != Exponent(Fraction(2)):
+        if rho.parts.betas[rho.parts.turns.index(Fraction(1, 2))] != 2:
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -442,20 +442,28 @@ def test_leggauss_rounds_the_exact_rule():
             assert abs(xi - xe) <= abs(np.spacing(xi)) / 2 and abs(wi - we) <= np.spacing(wi) / 2
 
 
-def mp_rho_coefficients(rho, ks, dps=17):
-    """rho_k, k in ks, by mpmath, independently of wiener_hopf._rho_values.
+def mp_rho_coefficients(rep_c, rep_d, b, ks, dps=17):
+    """rho_k, k in ks, of the pair (rep_c, rep_d) and b by mpmath, independently of wiener_hopf.rho_parts.
 
     rho is the product t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b(t) in mpmath
     arithmetic, with (1+t)(1+1/t) = 4 sin^2(d/2), every eta power (1 - e^{-id})^e as
     the principal power of 2 sin(d/2) e^{i(pi - d)/2}, and every jump phase e^{i beta
     (d - pi)}, each from the exact offset d to its site.  Each half-arc is integrated by tanh-sinh in w, where u = w^g is the
     offset from its end site and g = 1/min(1, 1 + Re beta) there, so the
-    integrand stays bounded at w = 0.
+    integrand stays bounded at w = 0.  The sites and their exponents are read
+    off the plus factors and b here too.
     """
     import mpmath
 
-    turns = sorted(rho.sites)
+    factors = (build_plus_factor(rep_c), build_plus_factor(rep_d))
     half = Fraction(1, 2)
+    sites = {Fraction(0): Fraction(0), half: Fraction(2)}
+    for j in b.jumps:
+        sites.setdefault(j.point.turns, Fraction(0))
+    for f in factors:
+        for point, e in f.eta_exponents:
+            sites[point.conjugate().turns] = sites.get(point.conjugate().turns, Fraction(0)) + e.re
+    turns = sorted(sites)
 
     def mpf(q):
         return mpmath.mpf(q.numerator) / q.denominator
@@ -463,21 +471,19 @@ def mp_rho_coefficients(rho, ks, dps=17):
     out = {k: 0 for k in ks}
     with mpmath.workdps(dps):
         two_pi = 2 * mpmath.pi
-        factors = (rho.c_plus, rho.d_plus)
         etas = [(p.conjugate().turns, mpf(e.re) + 1j * mpmath.mpf(e.im)) for f in factors for p, e in f.eta_exponents]
-        b = rho.b_symbol
         jumps = [(j.point.turns, mpf(j.beta.re) + 1j * mpmath.mpf(j.beta.im)) for j in b.jumps]
         logs = [(-k, mpmath.mpc(v)) for f in factors for k, v in f.analytic_log.coeffs]
         logs += [(k, -mpmath.mpc(v)) for k, v in b.log_smooth.coeffs]
-        const = mpmath.mpc(rho.c_plus.constant) * mpmath.mpc(rho.d_plus.constant) / mpmath.mpc(b.scale)
-        power = -(rho.m + rho.n) - b.kappa
+        const = mpmath.mpc(factors[0].constant) * mpmath.mpc(factors[1].constant) / mpmath.mpc(b.scale)
+        power = -(rep_d.n + rep_c.n) - b.kappa
         for i, turn in enumerate(turns):
             nxt = turns[(i + 1) % len(turns)]
             width = mpmath.pi * mpf((nxt - turn) % 1)
             for anchor, sign in ((turn, 1), (nxt, -1)):
                 base = {s: two_pi * mpf((anchor - s + half) % 1 - half) for s in turns}
                 x0 = two_pi * mpf(anchor)
-                g = mpmath.mpf(1) / min(1, 1 + mpf(rho.sites[anchor].re))
+                g = mpmath.mpf(1) / min(1, 1 + mpf(sites[anchor]))
 
                 @functools.lru_cache(maxsize=None)
                 def value(w):
@@ -513,7 +519,7 @@ def bound_cases():
     pair, p, _ = steep_pair()
     cases.append((pair, p, (0, -5, 16)))
     cases += [(pair, p, (16,)) for pair, p, _ in seeded_pairs()[::8]]
-    return tuple((pair, p, mp_rho_coefficients(rho_for_pair(pair, p, N_keep=16)[2], ks)) for pair, p, ks in cases)
+    return tuple((pair, p, mp_rho_coefficients(*normalized_pair(pair, p), pair.b, ks)) for pair, p, ks in cases)
 
 
 def bound_violations() -> list[tuple[int, int, float, float]]:
