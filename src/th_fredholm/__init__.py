@@ -8,11 +8,11 @@ commands never load numpy.
 import importlib
 
 _EXPORTS = {
-    "confidence": "MethodDisagreement RankUndecidable ResidualTooLarge",
+    "confidence": "MethodDisagreement OutsideFloatRange RankUndecidable ResidualTooLarge",
     "defect_solver": "DefectReport InsufficientCoefficients defect_numbers",
     "fredholm_engine": (
-        "BoundaryCase ConditionReport CurveThroughOrigin NormalizedRep NotFredholm NotFredholmOnSide"
-        " build_hash_curve exponent_pair fredholm_conditions normalize normalized_pair p_map"
+        "BoundaryCase ConditionReport CurveThroughOrigin NormalizedRep NotFredholm NotFredholmOnSide PlusFactor"
+        " build_hash_curve build_plus_factor exponent_pair fredholm_conditions normalize normalized_pair p_map"
     ),
     "special_families": "FamilyReport HankelReport classify_family family_b family_fredholm hankel_identity_report",
     "symbol_core": (
@@ -20,7 +20,7 @@ _EXPORTS = {
         " UnitPoint invert jump_unit multiply one_sided_limits tilde validate_pair"
     ),
     "verification_oracle": "KernelBasis fourier_coeffs kernel_residual_check",
-    "wiener_hopf": "PlusFactor RhoSeries build_plus_factor rho_coefficients",
+    "wiener_hopf": "RhoSeries rho_coefficients",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

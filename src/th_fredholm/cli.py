@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .confidence import MethodDisagreement, RankUndecidable, ResidualTooLarge
+from .confidence import MethodDisagreement, OutsideFloatRange, RankUndecidable, ResidualTooLarge
 from .fredholm_engine import (
     EPS_BOUNDARY,
     ConditionReport,
@@ -27,6 +27,7 @@ from .fredholm_engine import (
     NotFredholm,
     PMap,
     build_hash_curve,
+    build_plus_factor,
     exponent_pair,
     fredholm_conditions,
     normalize,
@@ -50,7 +51,7 @@ from .symbol_core import (
     validate_pair,
 )
 
-_CONFIDENCE_ERRORS = (RankUndecidable, MethodDisagreement, ResidualTooLarge)
+_CONFIDENCE_ERRORS = (RankUndecidable, MethodDisagreement, ResidualTooLarge, OutsideFloatRange)
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "boundary": 2}
 
 
@@ -238,8 +239,6 @@ def cmd_defects(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_factor(job: Job, ns) -> tuple[dict, int]:
-    from .wiener_hopf import build_plus_factor
-
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     sides = {}
     for key, rep in (("c", rep_c), ("d", rep_d)):

@@ -32,3 +32,7 @@ class MethodDisagreement(RuntimeError):
 
 class ResidualTooLarge(RuntimeError):
     """A constructed kernel candidate fails its finite-section residual."""
+
+
+class OutsideFloatRange(RuntimeError):
+    """A value the command must print lies outside the range of normal floats."""

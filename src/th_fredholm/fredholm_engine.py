@@ -1,14 +1,17 @@
-"""Fredholm conditions, normalization, index, and arc-augmented symbol curves.
+"""Fredholm conditions, normalization, plus factors, index, and arc-augmented symbol curves.
 
 Exact coset conditions on the jump data of the auxiliary functions c and d
 decide the verdict, and the normalized product representations, and with them
 (n, m) and the index m - n, are read off the same condition sites: each
 exponent is moved into the unit window just below its site's forbidden
-offset.  The curve drawn for one side is the image of the upper half circle
-with the one-sided limits at 1, -1, and every interior jump joined by circular
-arcs whose inscribed-angle parameter depends on p; its winding about the
-origin is the n that normalize gives, which the test suite checks by counting
-the curve's argument.
+offset.  A normalized representation fixes its plus factor c_+, whose series
+follows from a first-order recurrence.  The curve drawn for one side is the
+image of the upper half circle with the one-sided limits at 1, -1, and every
+interior jump joined by circular arcs whose inscribed-angle parameter depends
+on p; its winding about the origin is the n that normalize gives, which the
+test suite checks by counting the curve's argument.  Everything here runs in
+Fraction, float and complex scalars, so the commands built on this module
+alone load no numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import mul
+from typing import Iterable, Sequence, Union
 
+from .confidence import OutsideFloatRange
 from .symbol_core import (
     MINUS_ONE,
     ONE,
@@ -30,7 +36,6 @@ from .symbol_core import (
     SymbolPair,
     UnitPoint,
     _Record,
-    eval_many,
     one_sided_limits,
 )
 
@@ -273,6 +278,90 @@ def normalized_pair(pair: SymbolPair, p: PLike) -> tuple[NormalizedRep, Normaliz
     )
 
 
+class PlusFactor(_Record, eq=False):
+    """Structured analytic factor c_+ of the antisymmetric factorization.
+
+    c_+ = constant * exp(analytic log) * prod eta(point, exponent), with
+    eta(tau, beta)(t) = (1 - t/tau)^beta and the analytic log holding only
+    indices >= 1.  realize(N) returns the coefficients of c_+ (or of 1/c_+
+    when inverted) up to t^N, the order the caller reads.
+    """
+
+    constant: complex
+    analytic_log: FourierLogPoly
+    eta_exponents: tuple[tuple[UnitPoint, Exponent], ...]
+
+    def realize(self, N: int, inverted: bool = False) -> list[complex]:
+        """Coefficients of c_+, or of 1/c_+ when inverted, up to t^N, by their first-order recurrence.
+
+        The log derivative of c_+ is rational, c'/c = L' - sum_j beta_j w_j /
+        (1 - w_j t) with w_j = 1/tau_j, so the coefficients obey J.C.P.
+        Miller's recurrence for powers of a series (Knuth, TAOCP Vol. 2,
+        4.7), Q c' = R c with Q = prod (1 - w_j t).  It runs here with Q in
+        partial fractions: u_j = c / (1 - w_j t), whose coefficients are the
+        running sums u_{j,n} = w_j u_{j,n-1} + c_n, gives (n+1) c_{n+1} =
+        sum_i (i+1) L_{i+1} c_{n-i} - sum_j beta_j w_j u_{j,n} from c_0 =
+        constant.  Each w_j enters as it is, rather than through the
+        expanded coefficients of Q, whose rounding would move the
+        singularities by which the coefficients grow or decay.  1/c_+
+        negates L and every beta_j.  Each coefficient costs 2J + K complex
+        multiply-adds, for J eta factors and a log of degree K.
+        """
+        sign = -1 if inverted else 1
+        dlog = [0j] * max((k for k, _ in self.analytic_log.coeffs), default=0)
+        for k, v in self.analytic_log.coeffs:
+            dlog[k - 1] = sign * k * v
+        ws = [_turn(-point.turns) for point, _ in self.eta_exponents]
+        bws = [sign * e.value * w for (_, e), w in zip(self.eta_exponents, ws)]
+        K, dlog_rev = len(dlog), dlog[::-1]
+        # c[K + n] = c_n, after K zeros that stand for the c_n of n < 0
+        c = [0j] * K + [self.constant if sign == 1 else 1 / self.constant]
+        if not (dlog or ws):
+            return c + [0j] * N
+        u = [0j] * len(ws)
+        for n in range(1, N + 1):
+            x = sum(map(mul, dlog_rev, c[n : K + n]), 0j)
+            if ws:
+                last = c[-1]
+                u = [w * v + last for w, v in zip(ws, u)]
+                x -= sum(map(mul, bws, u), 0j)
+            c.append(x / n)
+        return c[K:]
+
+
+def _turn(t: Fraction) -> complex:
+    """e^{2 pi i t}: exact at the quarter turns, elsewhere from cos and sin of at most pi/4."""
+    quarter = round(4 * t)
+    x = TWO_PI * float(t - Fraction(quarter, 4))
+    return complex(math.cos(x), math.sin(x)) * (1, 1j, -1, -1j)[quarter % 4]
+
+
+def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
+    """The structured plus factor of a normalized representation.
+
+    The eta exponents are 2*gamma at the endpoints and gamma at both members
+    of every conjugate jump pair.  The residual constant smooth_scale *
+    exp(log_0) (within 1e-9 of 1) is threaded through a principal square root
+    so downstream products stay faithful to the input constants.  Nothing is
+    realized here; callers use PlusFactor.realize at the order they need.
+    """
+    exponents = []
+    if not rep.gamma_plus.is_zero:
+        exponents.append((ONE, rep.gamma_plus + rep.gamma_plus))
+    if not rep.gamma_minus.is_zero:
+        exponents.append((MINUS_ONE, rep.gamma_minus + rep.gamma_minus))
+    for pt, g in rep.gammas:
+        exponents.append((pt, g))
+        exponents.append((pt.conjugate(), g))
+    log_dict = rep.smooth_log.as_dict()
+    gamma0 = log_dict.get(0, 0j)
+    return PlusFactor(
+        constant=cmath.sqrt(rep.smooth_scale) * cmath.exp(gamma0 / 2),
+        analytic_log=FourierLogPoly.of({k: v for k, v in log_dict.items() if k >= 1}),
+        eta_exponents=tuple(exponents),
+    )
+
+
 class Breakpoint(_Record):
     """A value u = 1/p at which the listed (side, point) sites vanish.
 
@@ -369,35 +458,69 @@ def p_map(pair: SymbolPair) -> PMap:
 class CurveData(_Record, eq=False):
     """Closed polyline tracing the arc-augmented image of the upper half circle."""
 
-    segments: tuple[tuple[str, np.ndarray], ...]
-
-    @property
-    def points(self) -> np.ndarray:
-        import numpy as np
-
-        return np.concatenate([seg for _, seg in self.segments])
+    segments: tuple[tuple[str, list[complex]], ...]
 
 
-def _arc_points(z1: complex, z2: complex, theta: float, samples: int) -> np.ndarray:
+def _normal(points: Sequence[complex]) -> Sequence[complex]:
+    """points, once each has finite parts and a modulus no smaller than the least normal float.
+
+    A symbol's value scale * exp(...) is never 0, so a point at or near the
+    origin is an underflow, and a point past the largest float an overflow:
+    either raises OutsideFloatRange.
+    """
+    for z in points:
+        if not (cmath.isfinite(z) and max(abs(z.real), abs(z.imag)) >= sys.float_info.min):
+            raise OutsideFloatRange(
+                f"the curve point {z!r} lies outside the normal float range,"
+                f" moduli {sys.float_info.min!r} to {sys.float_info.max!r}"
+            )
+    return points
+
+
+def _image_points(s: CanonicalSymbol, lo: float, hi: float, count: int) -> list[complex]:
+    """s at the count angles strictly inside (lo, hi), spaced as numpy.linspace(lo, hi, count + 2) spaces them.
+
+    Each value is symbol_core.eval_many's one exponent in scalar arithmetic:
+    kappa x, every jump phase and the log polynomial of z = e^{ix}, then
+    scale * exp.  lo and hi are consecutive breaks of the curve, so no angle
+    meets a jump.  cmath.exp raises OverflowError past the float range.
+    """
+    step = (hi - lo) / (count + 1)
+    jumps = [(j.point.angle, 1j * j.beta.value) for j in s.jumps]
+    log = s.log_smooth.coeffs
+    out = []
+    for i in range(1, count + 1):
+        x = (i * step + lo) % TWO_PI
+        expo = 1j * s.kappa * x
+        for angle, beta in jumps:
+            expo += beta * ((x - angle) % TWO_PI - math.pi)
+        if log:
+            z = cmath.exp(1j * x)
+            for k, v in log:
+                expo += v * z**k
+        out.append(s.scale * cmath.exp(expo))
+    return out
+
+
+def _arc_points(z1: complex, z2: complex, theta: float, samples: int) -> list[complex]:
     """Circular arc from z1 to z2 on which arg((z-z1)/(z-z2)) = 2*pi*theta.
 
     The origin lies on the closed arc exactly when arg(z1/z2) falls in the
     same coset, which reproduces the coset condition this arc encodes; that
     degeneracy is checked analytically, not by sampling.
     """
-    import numpy as np
-
     if abs(z1 - z2) < 1e-14:
-        return np.empty(0, dtype=complex)
-    if min(abs(z1), abs(z2)) < 1e-9:
-        raise CurveThroughOrigin("an arc endpoint sits at the origin")
+        return []
     gap = (cmath.phase(z1 / z2) / TWO_PI - theta) % 1.0
     if min(gap, 1.0 - gap) < 1e-9:
         raise CurveThroughOrigin(f"the arc from {z1:.6g} to {z2:.6g} passes through the origin")
-    s = (np.arange(samples) + 1.0) / (samples + 1.0)
-    w = np.tan(math.pi * s / 2.0) * cmath.exp(2j * math.pi * theta)
-    pts = (z1 - z2 * w) / (1.0 - w)
-    return np.concatenate([[z1], pts, [z2]])
+    turn = cmath.exp(2j * math.pi * theta)
+    points = [z1]
+    for i in range(samples):
+        w = math.tan(math.pi * ((i + 1.0) / (samples + 1.0)) / 2.0) * turn
+        points.append((z1 - z2 * w) / (1.0 - w))
+    points.append(z2)
+    return _normal(points)
 
 
 def build_hash_curve(
@@ -408,9 +531,9 @@ def build_hash_curve(
     Starts at the point 1, runs the arc to the plus limit at 1, follows the
     image of the upper half circle with an inserted arc at every interior
     jump, and closes with the arc from the minus limit at -1 back to 1.
+    Every point is checked against the normal float range (_normal), so a
+    symbol that under- or overflows raises OutsideFloatRange.
     """
-    import numpy as np
-
     pf = float(Fraction(p))
     if pf <= 1:
         raise ValueError("exponent parameter must exceed 1")
@@ -421,34 +544,33 @@ def build_hash_curve(
     breaks.append(Fraction(1, 2))
     breaks.sort()
 
-    segments: list[tuple[str, np.ndarray]] = []
+    segments: list[tuple[str, list[complex]]] = []
+
+    def limits(pt: UnitPoint) -> Sequence[complex]:
+        return _normal(one_sided_limits(s, pt))
 
     def add_arc(pt: UnitPoint, z1: complex, z2: complex, theta: float) -> None:
         arc = _arc_points(z1, z2, theta, arc_samples)
-        if arc.size:
+        if arc:
             segments.append((f"arc({pt.num}/{pt.den})", arc))
 
-    _, plus_at_one = one_sided_limits(s, ONE)
-    add_arc(ONE, 1.0 + 0j, plus_at_one, 0.5 + 0.5 / pf)
+    try:
+        _, plus_at_one = limits(ONE)
+        add_arc(ONE, 1.0 + 0j, plus_at_one, 0.5 + 0.5 / pf)
 
-    for t0, t1 in zip(breaks[:-1], breaks[1:]):
-        pt0 = UnitPoint(t0.numerator, t0.denominator)
-        pt1 = UnitPoint(t1.numerator, t1.denominator)
-        _, start = one_sided_limits(s, pt0)
-        end, _ = one_sided_limits(s, pt1)
-        count = max(32, int(round(image_samples * float(t1 - t0) * 2)))
-        xs = np.linspace(TWO_PI * float(t0), TWO_PI * float(t1), count + 2)[1:-1]
-        vals = eval_many(s, xs)
-        segments.append(("image", np.concatenate([[start], vals, [end]])))
-        if pt1 != MINUS_ONE:
-            minus, plus = one_sided_limits(s, pt1)
-            add_arc(pt1, minus, plus, 1.0 / pf)
+        for t0, t1 in zip(breaks[:-1], breaks[1:]):
+            pt0 = UnitPoint(t0.numerator, t0.denominator)
+            pt1 = UnitPoint(t1.numerator, t1.denominator)
+            _, start = limits(pt0)
+            end, plus = limits(pt1)
+            count = max(32, int(round(image_samples * float(t1 - t0) * 2)))
+            vals = _normal(_image_points(s, TWO_PI * float(t0), TWO_PI * float(t1), count))
+            segments.append(("image", [start, *vals, end]))
+            if pt1 != MINUS_ONE:
+                add_arc(pt1, end, plus, 1.0 / pf)
 
-    minus_at_minus_one, _ = one_sided_limits(s, MINUS_ONE)
-    add_arc(MINUS_ONE, minus_at_minus_one, 1.0 + 0j, 0.5 / pf)
-
-    curve = CurveData(segments=tuple(segments))
-    if float(np.min(np.abs(curve.points))) < 1e-9:
-        raise CurveThroughOrigin("a sampled curve point lies at the origin")
-    return curve
-
+        minus_at_minus_one, _ = limits(MINUS_ONE)
+        add_arc(MINUS_ONE, minus_at_minus_one, 1.0 + 0j, 0.5 / pf)
+    except OverflowError as e:
+        raise OutsideFloatRange(f"a curve point exceeds the largest float, {sys.float_info.max!r}") from e
+    return CurveData(segments=tuple(segments))

@@ -30,9 +30,10 @@ import numpy as np
 
 from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
+from .fredholm_engine import build_plus_factor
 from .quadrature import FOURIER_NODES, _fourier_integrals, _leggauss, fourier_bound
 from .symbol_core import CanonicalSymbol, SymbolPair, _Record, eval_many
-from .wiener_hopf import RhoParts, RhoSeries, _rho_values, build_plus_factor, convolve, fft_length, rho_coefficients
+from .wiener_hopf import RhoParts, RhoSeries, _rho_values, convolve, fft_length, rho_coefficients
 
 
 class TwoSidedSeries(_Record, eq=False):
@@ -144,10 +145,10 @@ def kernel_residual_check(
     vectors of the defect matrix, so the basis count always equals the
     reported kernel dimension.  One realization of c_+^{-1} to t^{N-1}
     serves every candidate, since no coefficient read depends on a higher
-    one.  rho comes from wiener_hopf.rho_coefficients, the route the defect
-    matrix is built from, over the k the right sides read.  tol gates the
-    residuals and the error bounds of that rho and of a's and b's
-    coefficients.
+    one, and none is made when there is no candidate (n >= 0, m <= 0).  rho
+    comes from wiener_hopf.rho_coefficients, the route the defect matrix is
+    built from, over the k the right sides read.  tol gates the residuals
+    and the error bounds of that rho and of a's and b's coefficients.
 
     Raises
     ------
@@ -161,7 +162,8 @@ def kernel_residual_check(
     if report is None:
         report = defect_numbers(pair, p)
     n, m = report.n, report.m
-    inv = build_plus_factor(report.rep_c).realize(N - 1, inverted=True)
+    if n < 0 or m > 0:
+        inv = np.asarray(build_plus_factor(report.rep_c).realize(N - 1, inverted=True))
     vectors: list[np.ndarray] = []
     tags: list[str] = []
 

@@ -1,11 +1,11 @@
-"""Antisymmetric factorization c = c_+ t^{2n} c_+(1/t)^{-1} and the coefficients of rho.
+"""The coefficients of rho, from the antisymmetric factorization c = c_+ t^{2n} c_+(1/t)^{-1}.
 
-The plus factor is kept in structured form: a constant, the analytic half of
-the smooth log, and a list of (point, exponent) pairs describing eta factors
-eta(tau, beta)(t) = (1 - t/tau)^beta with eta(0) = 1.  Series realizations at
-any truncation order follow from that structure by convolution.  Partial sums
-of the series converge too slowly near the jump points to be usable for
-pointwise work, so rho takes its values from the structure instead.
+The plus factors are fredholm_engine.build_plus_factor's structured form: a
+constant, the analytic half of the smooth log, and a list of (point,
+exponent) pairs describing eta factors eta(tau, beta)(t) = (1 - t/tau)^beta
+with eta(0) = 1.  Their series, realized by a first-order recurrence, converge
+too slowly near the jump points to be usable for pointwise work, so rho
+takes its values from the structure instead.
 
 rho is analytic between its sites and behaves like |x - x_s|^{beta_s} at a
 site, with beta_s exact from the structure.  rho_parts reads the sites and
@@ -17,7 +17,8 @@ from Gauss-Legendre quadrature of those values, graded geometrically into
 the sites (Schwab, Computing 1994), one 24-node rule per panel.  Their
 error bound is a priori, per half-arc and site: the quadrature, sliver and
 rounding terms of the quadrature module.  The second route, tanh-sinh
-quadrature on the same values, is verification_oracle.rho_de.
+quadrature on the same values, is verification_oracle.rho_de.  convolve
+serves the oracle's kernel candidates.
 """
 
 from __future__ import annotations
@@ -29,30 +30,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fredholm_engine import NormalizedRep
+from .fredholm_engine import NormalizedRep, build_plus_factor
 from .quadrature import _fourier_integrals, _leggauss, _quadrature_term, _rounding_term, _sliver_term
-from .symbol_core import (
-    MINUS_ONE,
-    ONE,
-    CanonicalSymbol,
-    Exponent,
-    FourierLogPoly,
-    UnitPoint,
-    _Record,
-)
+from .symbol_core import CanonicalSymbol, Exponent, _Record
 
 # Gauss-Legendre nodes per panel and sliver width in rad of the rho rule
 RHO_RULE = (24, 1e-12)
-
-
-def binomial_coefficients(beta: complex, N: int) -> np.ndarray:
-    """C(beta, k) for k = 0..N via the ratio recurrence, vectorized."""
-    out = np.empty(N + 1, dtype=complex)
-    out[0] = 1.0
-    if N:
-        k = np.arange(1, N + 1, dtype=float)
-        out[1:] = np.cumprod((beta - k + 1.0) / k)
-    return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -107,90 +90,6 @@ def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray
     x_nodes, w_nodes = _leggauss(nodes)
     xs = (mid[:, None] + (panel / 2)[:, None] * x_nodes).ravel()
     return xs, ((panel / 2)[:, None] * w_nodes).ravel(), np.repeat(np.arange(lo.size), counts * nodes)
-
-
-def eta_series(point: UnitPoint, beta: complex, N: int) -> np.ndarray:
-    """(1 - t/tau)^beta as an analytic series: [eta]_k = C(beta,k)(-1)^k tau^{-k}."""
-    b = complex(beta)
-    k = np.arange(N + 1)
-    tau_pow = np.exp(-1j * point.angle * k)
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
-    return binomial_coefficients(b, N) * signs * tau_pow
-
-
-def _exp_of_monomial(gamma: complex, k: int, N: int) -> np.ndarray:
-    # exp(gamma t^k): sparse terms gamma^m/m! at index k*m
-    m_max = N // k
-    m = np.arange(m_max + 1, dtype=float)
-    terms = np.ones(m_max + 1, dtype=complex)
-    if m_max:
-        terms[1:] = np.cumprod(gamma / m[1:])
-    coeffs = np.zeros(N + 1, dtype=complex)
-    coeffs[:: k][: m_max + 1] = terms
-    return coeffs
-
-
-def smooth_plus_factor(log_smooth: FourierLogPoly, N: int) -> np.ndarray:
-    """exp of the strictly analytic part (indices >= 1) of the log, to order N.
-
-    The index-0 log coefficient is deliberately excluded; callers split it
-    into their constant bookkeeping.
-    """
-    series = np.concatenate([[1.0 + 0j], np.zeros(N, dtype=complex)])
-    for k, v in log_smooth.coeffs:
-        if k >= 1:
-            series = convolve(series, _exp_of_monomial(v, k, N))[: N + 1]
-    return series
-
-
-class PlusFactor(_Record, eq=False):
-    """Structured analytic factor c_+ of the antisymmetric factorization.
-
-    c_+ = constant * exp(analytic log) * prod eta(point, exponent).  realize(N)
-    returns the array of coefficients of c_+ (or of 1/c_+ when inverted) up to
-    t^N, the order the caller reads.
-    """
-
-    constant: complex
-    analytic_log: FourierLogPoly
-    eta_exponents: tuple[tuple[UnitPoint, Exponent], ...]
-
-    def realize(self, N: int, inverted: bool = False) -> np.ndarray:
-        """Coefficients of c_+, or of 1/c_+ when inverted, up to t^N."""
-        sign = -1 if inverted else 1
-        log = FourierLogPoly.of({k: sign * v for k, v in self.analytic_log.coeffs})
-        series = smooth_plus_factor(log, N)
-        for point, e in self.eta_exponents:
-            b = e.value if sign == 1 else -e.value
-            series = convolve(series, eta_series(point, b, N))[: N + 1]
-        const = self.constant if sign == 1 else 1.0 / self.constant
-        return const * series
-
-
-def build_plus_factor(rep: NormalizedRep) -> PlusFactor:
-    """The structured plus factor of a normalized representation.
-
-    The eta exponents are 2*gamma at the endpoints and gamma at both members
-    of every conjugate jump pair.  The residual constant smooth_scale *
-    exp(log_0) (within 1e-9 of 1) is threaded through a principal square root
-    so downstream products stay faithful to the input constants.  Nothing is
-    realized here; callers use PlusFactor.realize at the order they need.
-    """
-    exponents = []
-    if not rep.gamma_plus.is_zero:
-        exponents.append((ONE, rep.gamma_plus + rep.gamma_plus))
-    if not rep.gamma_minus.is_zero:
-        exponents.append((MINUS_ONE, rep.gamma_minus + rep.gamma_minus))
-    for pt, g in rep.gammas:
-        exponents.append((pt, g))
-        exponents.append((pt.conjugate(), g))
-    log_dict = rep.smooth_log.as_dict()
-    gamma0 = log_dict.get(0, 0j)
-    return PlusFactor(
-        constant=cmath.sqrt(rep.smooth_scale) * cmath.exp(gamma0 / 2),
-        analytic_log=FourierLogPoly.of({k: v for k, v in log_dict.items() if k >= 1}),
-        eta_exponents=tuple(exponents),
-    )
 
 
 class RhoParts(_Record, eq=False):

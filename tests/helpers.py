@@ -24,7 +24,9 @@ from th_fredholm.fredholm_engine import (
     CurveData,
     NormalizedRep,
     NotFredholm,
+    PlusFactor,
     PMap,
+    build_plus_factor,
     fredholm_conditions,
     normalized_pair,
 )
@@ -47,7 +49,7 @@ from th_fredholm.symbol_core import (
     validate_pair,
 )
 from th_fredholm.verification_oracle import TwoSidedSeries, fourier_coeffs
-from th_fredholm.wiener_hopf import PlusFactor, RhoSeries, _rho_values, build_plus_factor, rho_coefficients
+from th_fredholm.wiener_hopf import RhoSeries, _rho_values, rho_coefficients
 
 UPPER_ANGLES = [(1, 8), (1, 4), (3, 8), (1, 3), (1, 6), (2, 5)]
 
@@ -377,9 +379,14 @@ def hankel_matrix(series: TwoSidedSeries, N: int) -> np.ndarray:
     return series.coeffs[series.N + 1 + i + j]
 
 
+def curve_points(curve: CurveData) -> np.ndarray:
+    """Every point of the drawn curve, segment after segment."""
+    return np.concatenate([np.asarray(points, dtype=complex) for _, points in curve.segments])
+
+
 def winding_from_curve(curve: CurveData) -> int:
     """Winding about the origin by continuous argument tracking along the polyline."""
-    pts = curve.points
+    pts = curve_points(curve)
     closed = np.concatenate([pts, pts[:1]])
     increments = np.angle(closed[1:] / closed[:-1])
     total = float(np.sum(increments))
@@ -422,6 +429,40 @@ def plus_factor_at(factor: PlusFactor, z: np.ndarray) -> np.ndarray:
     for point, e in factor.eta_exponents:
         out = out * np.exp(e.value * np.log(1.0 - zz / point.value()))
     return out
+
+
+def mp_plus_factor_series(factor: PlusFactor, N: int, inverted: bool = False, dps: int = 30) -> list[complex]:
+    """Coefficients of c_+, or of 1/c_+ when inverted, to t^N as an mpmath series product.
+
+    Each exp(v t^k) enters as its exponential series and each (1 - t/tau)^beta
+    as its binomial series, with tau from mpmath, and the products are
+    truncated at t^N, all at dps digits.  1/c_+ negates every exponent and
+    log coefficient.
+    """
+    import mpmath
+
+    sign = -1 if inverted else 1
+    with mpmath.workdps(dps):
+        out = [mpmath.mpc(1)] + [mpmath.mpc(0)] * N
+
+        def times(series):
+            return [mpmath.fdot(out[: n + 1], series[n::-1]) for n in range(N + 1)]
+
+        for k, v in factor.analytic_log.coeffs:
+            series, term = [mpmath.mpc(0)] * (N + 1), mpmath.mpc(1)
+            for m in range(N // k + 1):
+                series[k * m] = term
+                term = term * sign * mpmath.mpc(v) / (m + 1)
+            out = times(series)
+        for point, e in factor.eta_exponents:
+            beta = sign * (mpmath.mpf(e.re.numerator) / e.re.denominator + 1j * mpmath.mpf(e.im))
+            w = mpmath.expjpi(-2 * mpmath.mpf(point.num) / point.den)
+            series = [mpmath.mpc(1)]
+            for k in range(1, N + 1):
+                series.append(series[-1] * (beta - k + 1) / k * (-w))
+            out = times(series)
+        constant = mpmath.mpc(factor.constant)
+        return [complex((constant if sign == 1 else 1 / constant) * z) for z in out]
 
 
 def plus_factor_tilde_at(factor: PlusFactor, z: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from th_fredholm.fredholm_engine import (
     CurveThroughOrigin,
     NotFredholm,
     build_hash_curve,
+    build_plus_factor,
     fredholm_conditions,
     normalize,
     normalized_pair,
@@ -54,7 +55,6 @@ from th_fredholm.symbol_core import (
     validate_pair,
 )
 from th_fredholm.verification_oracle import kernel_residual_check
-from th_fredholm.wiener_hopf import build_plus_factor
 
 
 def four_jump_symbol():

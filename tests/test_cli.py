@@ -1,5 +1,6 @@
 """Exit codes, document schemas, and determinism of the command line."""
 
+import cmath
 import hashlib
 import importlib
 import inspect
@@ -151,6 +152,35 @@ def test_curve_json_side_d(tmp_path, capsys):
     assert doc["winding"] == m
     code, out, _ = run(capsys, ["curve", path, "--side", "d", "--format", "json", "--samples", "1"])
     assert (code, json.loads(out)["winding"]) == (0, m)
+
+
+# c = exp(v t - v/t) = exp(2i v sin x): v = 40i gives |c| = e^{-80 sin x}, v = -400i overflows, v = 400i underflows
+FLOAT_RANGE_DOCS = {
+    "tiny": {"a": {"log_smooth": [{"k": 1, "im": 40}, {"k": -1, "im": -40}]}, "b": {}, "p": 2},
+    "overflow": {"a": {"log_smooth": [{"k": 1, "im": -400}, {"k": -1, "im": 400}]}, "b": {}, "p": 2},
+    "underflow": {"a": {"log_smooth": [{"k": 1, "im": 400}, {"k": -1, "im": -400}]}, "b": {}, "p": 2},
+}
+
+
+@pytest.mark.parametrize("name", list(FLOAT_RANGE_DOCS))
+def test_curve_at_the_edge_of_the_float_range(tmp_path, capsys, name):
+    # a symbol's value is never 0, so |c| down to e^-80 draws a curve, and one
+    # that leaves the normal floats on either side is refused, never printed
+    path = write_doc(tmp_path, FLOAT_RANGE_DOCS[name])
+    for command in ("check", "index"):
+        assert run(capsys, [command, path])[0] == 0
+    for side in ("c", "d"):
+        code, out, _ = run(capsys, ["curve", path, "--side", side])
+        if name == "tiny":
+            lines = out.splitlines()
+            assert (code, lines[0]) == (0, "# winding=0")
+            points = [complex(float(re_part), float(im_part)) for _, re_part, im_part in (l.split(",") for l in lines[2:])]
+            assert all(cmath.isfinite(z) and z != 0 for z in points)
+            assert min(abs(z) for z in points) < 1e-30 if side == "c" else max(abs(z) for z in points) > 1e30
+        else:
+            doc = json.loads(out)
+            assert (code, doc["errorKind"]) == (4, "numerical-confidence")
+            assert "float" in doc["error"]
 
 
 def test_special_family_and_general(tmp_path, capsys):
@@ -997,11 +1027,12 @@ seen = [["import th_fredholm", *loaded()]]
 from th_fredholm import cli
 
 seen.append(["import th_fredholm.cli", *loaded()])
-family, general, hankel = sys.argv[1:]
+family, general, hankel, failing = sys.argv[1:]
 sweep = ["--p-from", "6/5", "--p-to", "3", "--steps", "25"]
 runs = [["check", family], ["index", family], ["sweep", family] + sweep, ["pmap", family],
         ["special", family], ["special", general], ["defects", general], ["special", hankel],
-        ["factor", general]]
+        ["factor", general], ["factor", failing], ["curve", general], ["curve", general, "--side", "d"],
+        ["verify", general]]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -1012,16 +1043,17 @@ print(json.dumps(seen))
 
 def test_exact_commands_do_not_import_numpy(tmp_path):
     # README_DOC is the a-driven family T(a) + H(a); the four-jump symbol
-    # against b = 1 is General and G-zero; a = 1, b = t^2 u(i,1/4) u(-i,1/4)
-    # is identity-plus-Hankel and G-count
+    # against b = 1 is General and G-zero, and not Fredholm at p = 4/3;
+    # a = 1, b = t^2 u(i,1/4) u(-i,1/4) is identity-plus-Hankel and G-count
     family = write_doc(tmp_path, README_DOC, "family.json")
     general = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2}, "general.json")
     hankel = write_doc(tmp_path, {**TWO_JUMP_DOC, "b": {**TWO_JUMP_DOC["b"], "kappa": 2}}, "hankel.json")
+    failing = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": "4/3"}, "failing.json")
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
-        [sys.executable, "-c", EXACT_TIER_PROBE, family, general, hankel],
+        [sys.executable, "-c", EXACT_TIER_PROBE, family, general, hankel, failing],
         capture_output=True,
         text=True,
         env=env,
@@ -1042,8 +1074,13 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         # counted defects are integer arithmetic
         ["defects", 0, False, False, False],
         ["special", 0, False, False, False],
-        # the probe is live: the numeric tier loads numpy, and inspect with it, but still no dataclasses
-        ["factor", 0, True, False, True],
+        # plus-factor series by their recurrence, curve points in scalar arithmetic
+        ["factor", 0, False, False, False],
+        ["factor", 1, False, False, False],
+        ["curve", 0, False, False, False],
+        ["curve", 0, False, False, False],
+        # the probe is live: the oracle loads numpy, and inspect with it, but still no dataclasses
+        ["verify", 0, True, False, True],
     ]
 
 
@@ -1084,13 +1121,17 @@ def test_public_names_resolve_to_their_defining_modules():
             assert not hasattr(module, name), name
             with pytest.raises(AttributeError):
                 getattr(th_fredholm, name)
+    # the plus factor's series come from its recurrence alone
+    for name in ("binomial_coefficients", "eta_series", "_exp_of_monomial", "smooth_plus_factor"):
+        assert not hasattr(wiener_hopf, name), name
+    assert wiener_hopf.build_plus_factor is fredholm_engine.build_plus_factor
     methods = {
-        wiener_hopf.PlusFactor: ["eval_at", "eval_tilde_at"],
+        fredholm_engine.PlusFactor: ["eval_at", "eval_tilde_at"],
         wiener_hopf.RhoSeries: ["eval_at", "as_array"],
         verification_oracle.TwoSidedSeries: ["as_array"],
         fredholm_engine.NormalizedRep: ["reconstruct", "side"],
         fredholm_engine.ConditionReport: ["fredholm"],
-        fredholm_engine.CurveData: ["tags"],
+        fredholm_engine.CurveData: ["tags", "points"],
         special_families.FamilyReport: ["tag", "p"],
     }
     for cls, names in methods.items():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    curve_points,
+    eval_symbol,
     interval_by_fractions,
     pair_from_c_and_b,
     random_fredholm_pair,
@@ -21,6 +23,7 @@ from th_fredholm.fredholm_engine import (
     CurveThroughOrigin,
     NotFredholm,
     NotFredholmOnSide,
+    _image_points,
     build_hash_curve,
     exponent_pair,
     fredholm_conditions,
@@ -249,7 +252,7 @@ def test_curve_segments_tagged_and_closed():
     assert tags[-1] == "arc(1/2)"
     assert "arc(1/4)" in tags
     assert tags.count("image") == 2  # split at the jump at i
-    pts = curve.points
+    pts = curve_points(curve)
     assert abs(pts[0] - 1.0) < 1e-12 and abs(pts[-1] - 1.0) < 1e-12
 
 
@@ -257,8 +260,24 @@ def test_curve_resolution_controls_point_count():
     c = example_c()
     small = build_hash_curve(c, 2, image_samples=256, arc_samples=16)
     large = build_hash_curve(c, 2)
-    assert small.points.size < large.points.size
+    assert curve_points(small).size < curve_points(large).size
     assert winding_from_curve(small) == winding_from_curve(large)
+
+
+def test_curve_image_points_match_eval_many_and_eval_symbol():
+    # the curve's scalar evaluation against the one-exponent arrays of eval_many
+    # and the factor-by-factor scalar route, between consecutive jumps
+    rng = np.random.default_rng(11)
+    symbols = [example_c(), CanonicalSymbol(kappa=3, scale=-0.5j, log_smooth={1: 0.4 - 0.3j, -2: 0.25j, 5: 0.1})]
+    symbols += [multiply(random_structural_c(rng), CanonicalSymbol(log_smooth={1: 0.3j, 2: -0.2})) for _ in range(20)]
+    for s in symbols:
+        breaks = sorted({0.0, math.pi, *(j.point.angle for j in s.jumps if j.point.in_upper_half)})
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            got = np.array(_image_points(s, lo, hi, 257))
+            xs = np.linspace(lo, hi, 259)[1:-1]
+            scale = np.max(np.abs(got))
+            assert np.max(np.abs(got - eval_many(s, xs))) <= 1e-13 * scale
+            assert np.max(np.abs(got - [eval_symbol(s, x) for x in xs])) <= 1e-13 * scale
 
 
 def test_symbolic_geometric_agreement_randomized():

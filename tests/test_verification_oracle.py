@@ -8,7 +8,7 @@ import pytest
 
 from th_fredholm import verification_oracle
 from th_fredholm.defect_solver import defect_numbers
-from th_fredholm.fredholm_engine import normalized_pair
+from th_fredholm.fredholm_engine import build_plus_factor, normalized_pair
 from th_fredholm.symbol_core import (
     MINUS_ONE,
     ONE,
@@ -31,7 +31,7 @@ from th_fredholm.verification_oracle import (
     kernel_residual_check,
     rho_de,
 )
-from th_fredholm.wiener_hopf import _gauss_panels, build_plus_factor, convolve, rho_parts
+from th_fredholm.wiener_hopf import _gauss_panels, convolve, rho_parts
 
 from helpers import (
     finite_section,
@@ -476,7 +476,7 @@ def test_kernel_candidates_match_per_entry_rho_sum():
             assert (exponents[ONE], exponents[MINUS_ONE]) == (Fraction(7, 4), -1)
         rho = rho_for_pair(pair, p, N_keep=N + abs(n) + m + 4)[2]
         basis = kernel_residual_check(pair, p, report, N=N, tol=tol)
-        col = convolve(np.array([1.0, 1.0], dtype=complex), c_plus.realize(N - 1))[:N]
+        col = convolve(np.array([1.0, 1.0], dtype=complex), np.asarray(c_plus.realize(N - 1)))[:N]
         for k in range(m):
             f = basis.vectors[basis.tags.index(f"particular[{k}]")]
             g = np.array([-(rho.get(l + n - k) + rho.get(l + n + k)) for l in range(N)])

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     factor_reconstruction_defect,
     jacobi_symbol,
+    mp_plus_factor_series,
     pair_from_c_and_b,
     plus_factor_at,
     plus_factor_tilde_at,
@@ -19,7 +20,15 @@ from helpers import (
     rho_for_pair,
 )
 from th_fredholm import wiener_hopf
-from th_fredholm.fredholm_engine import BoundaryCase, NormalizedRep, NotFredholm, normalize, normalized_pair
+from th_fredholm.fredholm_engine import (
+    BoundaryCase,
+    NormalizedRep,
+    NotFredholm,
+    PlusFactor,
+    build_plus_factor,
+    normalize,
+    normalized_pair,
+)
 from th_fredholm.symbol_core import (
     MINUS_ONE,
     ONE,
@@ -33,16 +42,7 @@ from th_fredholm.symbol_core import (
     jump_unit,
     validate_pair,
 )
-from th_fredholm.wiener_hopf import (
-    binomial_coefficients,
-    build_plus_factor,
-    convolve,
-    eta_series,
-    fft_length,
-    rho_coefficients,
-    rho_parts,
-    smooth_plus_factor,
-)
+from th_fredholm.wiener_hopf import convolve, fft_length, rho_coefficients, rho_parts
 from th_fredholm.verification_oracle import rho_de
 
 
@@ -76,22 +76,33 @@ def plain_rep(**overrides) -> NormalizedRep:
     return NormalizedRep(**base)
 
 
+def eta(point: UnitPoint, beta) -> PlusFactor:
+    """The plus factor (1 - t/tau)^beta alone."""
+    return PlusFactor(1.0 + 0j, FourierLogPoly(), ((point, Exponent.of(beta)),))
+
+
+def smooth_factor(log: FourierLogPoly) -> PlusFactor:
+    """exp of the analytic half (indices >= 1) of a log."""
+    return PlusFactor(1.0 + 0j, FourierLogPoly.of({k: v for k, v in log.coeffs if k >= 1}), ())
+
+
 def test_eta_series_integer_exponent():
-    s = eta_series(ONE, 1, 8)
+    s = eta(ONE, 1).realize(8)
     assert s[0] == pytest.approx(1.0)
     assert s[1] == pytest.approx(-1.0)
     assert np.max(np.abs(s[2:])) < 1e-15
 
 
 def test_eta_series_half_exponent():
-    s = eta_series(ONE, 0.5, 8)
+    s = eta(ONE, 0.5).realize(8)
     assert s[1] == pytest.approx(-0.5)
     assert s[2] == pytest.approx(-0.125)
 
 
 def test_eta_times_eta_negated_is_unit():
     point = UnitPoint(1, 3)
-    unit_defect = convolve(eta_series(point, 0.37 + 0.1j, 64), eta_series(point, -0.37 - 0.1j, 64))[:65]
+    series = [np.asarray(eta(point, beta).realize(64)) for beta in (0.37 + 0.1j, -0.37 - 0.1j)]
+    unit_defect = convolve(*series)[:65]
     unit_defect[0] -= 1.0
     assert np.max(np.abs(unit_defect)) < 1e-12
 
@@ -99,29 +110,75 @@ def test_eta_times_eta_negated_is_unit():
 def test_binomial_tail_envelope():
     # |C(beta,k)| ~ k^{-1-beta} for real beta > -1: the scaled sequence stays flat
     for beta in (0.4, -0.3, 0.125):
-        coeffs = np.abs(binomial_coefficients(beta, 4096))
+        coeffs = np.abs(eta(ONE, beta).realize(4096))
         k = np.arange(2048, 4097)
         scaled = coeffs[2048:] * k ** (1.0 + beta)
         assert scaled.max() / scaled.min() < 1.05
 
 
 def test_smooth_plus_factor_exponential():
-    s = smooth_plus_factor(FourierLogPoly.of({1: 1.0}), 12)
+    s = smooth_factor(FourierLogPoly.of({1: 1.0})).realize(12)
     want = 1.0 / np.array([math.factorial(k) for k in range(13)])
-    assert np.max(np.abs(s - want)) < 1e-12
-    assert smooth_plus_factor(FourierLogPoly(), 8)[0] == 1.0
+    assert np.max(np.abs(np.asarray(s) - want)) < 1e-12
+    assert smooth_factor(FourierLogPoly()).realize(8)[0] == 1.0
 
 
 def test_smooth_factor_splits_odd_log():
     # phi = exp(t - 1/t): the analytic half times the analytic half of the
     # reversed log, read at 1/t, reproduces exp(2i sin x)
     log = FourierLogPoly.of({1: 1.0, -1: -1.0})
-    plus = smooth_plus_factor(log, 64)
-    minus = smooth_plus_factor(log.tilde(), 64)
+    plus = smooth_factor(log).realize(64)
+    minus = smooth_factor(log.tilde()).realize(64)
     xs = 2 * math.pi * (np.arange(100) + 0.17) / 100
     z = np.exp(1j * xs)
     vals = np.polyval(plus[::-1], z) * np.polyval(minus[::-1], 1 / z)
     assert np.max(np.abs(vals - np.exp(2j * np.sin(xs)))) < 1e-10
+
+
+# plus factors with sites at +-1, conjugate pairs and log terms: the steep
+# c_+ of the four-jump pair at p = 113/100, and one with six sites and a
+# degree-2 log, the worst of the census documents' factors at t^255
+RECURRENCE_FACTORS = (
+    PlusFactor(
+        1.0 + 0j,
+        FourierLogPoly(),
+        (
+            (ONE, Exponent(Fraction(7, 4))),
+            (MINUS_ONE, Exponent(Fraction(-1))),
+            (UnitPoint(1, 4), Exponent(Fraction(-1, 8))),
+            (UnitPoint(3, 4), Exponent(Fraction(-1, 8))),
+        ),
+    ),
+    PlusFactor(
+        1.0 + 0j,
+        FourierLogPoly.of({1: 0.0078125 + 0.05859375j, 2: -0.2109375 - 0.0625j}),
+        (
+            (ONE, Exponent(Fraction(77, 64), 0.015625)),
+            (MINUS_ONE, Exponent(Fraction(-95, 64))),
+            (UnitPoint(1, 3), Exponent(Fraction(-11, 64))),
+            (UnitPoint(2, 3), Exponent(Fraction(-11, 64))),
+            (UnitPoint(2, 5), Exponent(Fraction(13, 64))),
+            (UnitPoint(3, 5), Exponent(Fraction(13, 64))),
+        ),
+    ),
+    PlusFactor(
+        0.8 - 0.6j,
+        FourierLogPoly.of({1: 0.3 - 0.2j, 3: 0.05j}),
+        ((UnitPoint(1, 8), Exponent(Fraction(2, 5), 0.1)), (UnitPoint(7, 8), Exponent(Fraction(2, 5), 0.1))),
+    ),
+)
+
+
+@pytest.mark.parametrize("inverted", [False, True], ids=["c_plus", "inverse"])
+def test_plus_factor_recurrence_matches_mpmath_product(inverted):
+    # the orders factor prints by default (64) and the oracle realizes 1/c_+ to (255)
+    for factor in RECURRENCE_FACTORS:
+        want = mp_plus_factor_series(factor, 255, inverted)
+        for N in (64, 255):
+            got = factor.realize(N, inverted)
+            scale = max(abs(z) for z in want[: N + 1])
+            assert len(got) == N + 1
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13 * scale
 
 
 def test_plus_factor_structure_for_example():
@@ -169,7 +226,7 @@ def test_reciprocal_identity_random_reps():
             smooth_log=FourierLogPoly.of({1: 0.1 * rng.normal()}),
         )
         factor = build_plus_factor(rep)
-        prod = convolve(factor.realize(256), factor.realize(256, inverted=True))[:257]
+        prod = convolve(np.asarray(factor.realize(256)), np.asarray(factor.realize(256, inverted=True)))[:257]
         prod[0] -= 1.0
         assert np.max(np.abs(prod)) < 1e-11
 
