@@ -36,6 +36,7 @@ from .symbol_core import (
     SymbolPair,
     UnitPoint,
     _Record,
+    eval_each,
     one_sided_limits,
 )
 
@@ -477,41 +478,18 @@ def _normal(points: Sequence[complex]) -> Sequence[complex]:
     return points
 
 
-def _image_points(s: CanonicalSymbol, lo: float, hi: float, count: int) -> list[complex]:
-    """s at the count angles strictly inside (lo, hi), spaced as numpy.linspace(lo, hi, count + 2) spaces them.
-
-    Each value is symbol_core.eval_many's one exponent in scalar arithmetic:
-    kappa x, every jump phase and the log polynomial of z = e^{ix}, then
-    scale * exp.  lo and hi are consecutive breaks of the curve, so no angle
-    meets a jump.  cmath.exp raises OverflowError past the float range.
-    """
-    step = (hi - lo) / (count + 1)
-    jumps = [(j.point.angle, 1j * j.beta.value) for j in s.jumps]
-    log = s.log_smooth.coeffs
-    out = []
-    for i in range(1, count + 1):
-        x = (i * step + lo) % TWO_PI
-        expo = 1j * s.kappa * x
-        for angle, beta in jumps:
-            expo += beta * ((x - angle) % TWO_PI - math.pi)
-        if log:
-            z = cmath.exp(1j * x)
-            for k, v in log:
-                expo += v * z**k
-        out.append(s.scale * cmath.exp(expo))
-    return out
-
-
 def _arc_points(z1: complex, z2: complex, theta: float, samples: int) -> list[complex]:
     """Circular arc from z1 to z2 on which arg((z-z1)/(z-z2)) = 2*pi*theta.
 
     The origin lies on the closed arc exactly when arg(z1/z2) falls in the
     same coset, which reproduces the coset condition this arc encodes; that
-    degeneracy is checked analytically, not by sampling.
+    degeneracy is checked analytically, not by sampling.  arg(z1/z2) is taken
+    as the difference of the two phases, since the quotient itself under- or
+    overflows when |z1| and |z2| lie far apart.
     """
     if abs(z1 - z2) < 1e-14:
         return []
-    gap = (cmath.phase(z1 / z2) / TWO_PI - theta) % 1.0
+    gap = ((cmath.phase(z1) - cmath.phase(z2)) / TWO_PI - theta) % 1.0
     if min(gap, 1.0 - gap) < 1e-9:
         raise CurveThroughOrigin(f"the arc from {z1:.6g} to {z2:.6g} passes through the origin")
     turn = cmath.exp(2j * math.pi * theta)
@@ -564,7 +542,10 @@ def build_hash_curve(
             _, start = limits(pt0)
             end, plus = limits(pt1)
             count = max(32, int(round(image_samples * float(t1 - t0) * 2)))
-            vals = _normal(_image_points(s, TWO_PI * float(t0), TWO_PI * float(t1), count))
+            # the count angles strictly inside the break interval, spaced as numpy.linspace spaces them
+            lo, hi = TWO_PI * float(t0), TWO_PI * float(t1)
+            step = (hi - lo) / (count + 1)
+            vals = _normal(eval_each(s, [i * step + lo for i in range(1, count + 1)]))
             segments.append(("image", [start, *vals, end]))
             if pt1 != MINUS_ONE:
                 add_arc(pt1, end, plus, 1.0 / pf)

@@ -353,6 +353,28 @@ def eval_many(s: CanonicalSymbol, xs: np.ndarray) -> np.ndarray:
     return s.scale * np.exp(expo)
 
 
+def eval_each(s: CanonicalSymbol, xs: Iterable[float]) -> list[complex]:
+    """s at t = e^{ix} for each angle of xs, none on a jump: eval_many in scalar arithmetic, without numpy.
+
+    The same one exponent per point, in the same order; cmath.exp raises
+    OverflowError where a value passes the largest float.
+    """
+    jumps = [(j.point.angle, 1j * j.beta.value) for j in s.jumps]
+    log = s.log_smooth.coeffs
+    out = []
+    for x in xs:
+        x %= TWO_PI
+        expo = 1j * s.kappa * x
+        for angle, beta in jumps:
+            expo += beta * ((x - angle) % TWO_PI - math.pi)
+        if log:
+            z = cmath.exp(1j * x)
+            for k, v in log:
+                expo += v * z**k
+        out.append(s.scale * cmath.exp(expo))
+    return out
+
+
 def one_sided_limits(s: CanonicalSymbol, point: UnitPoint) -> tuple[complex, complex]:
     """One-sided limits (phi_minus(tau), phi_plus(tau)).
 

@@ -24,6 +24,7 @@ from each site, and `verify` compares the two on |k| <= 16.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,7 +34,45 @@ from .defect_solver import DefectReport, defect_numbers
 from .fredholm_engine import build_plus_factor
 from .quadrature import FOURIER_NODES, _fourier_integrals, _leggauss, fourier_bound
 from .symbol_core import CanonicalSymbol, SymbolPair, _Record, eval_many
-from .wiener_hopf import RhoParts, RhoSeries, _rho_values, convolve, fft_length, rho_coefficients
+from .wiener_hopf import RhoParts, RhoSeries, _rho_values, rho_coefficients
+
+
+@functools.lru_cache(maxsize=1024)
+def fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, the padded length of convolve.
+
+    This is the length scipy.fft.next_fast_len(n, real=False) gives.  A power
+    of two is always a candidate, so only the odd 11-smooth numbers below it
+    need doubling up to n.
+    """
+    best = 1 << (n - 1).bit_length()
+    odd = [1]
+    for f in (3, 5, 7, 11):
+        grown = []
+        for x in odd:
+            while x < best:
+                grown.append(x)
+                x *= f
+        odd = grown
+    # x << k with k = bit_length((n-1)//x) is the least x*2^k >= n
+    return min([best] + [x << ((n - 1) // x).bit_length() for x in odd])
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex128 arrays through numpy.fft.
+
+    Padding to fft_length makes the result bit-identical to
+    scipy.signal.fftconvolve, which runs the same pocketfft transforms at
+    that length; the product and inverse are taken in place.  A length-one
+    input is a plain product, as fftconvolve skips the transform there too.
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    L = fft_length(n)
+    spec = np.fft.fft(a, L)
+    spec *= np.fft.fft(b, L)
+    return np.fft.ifft(spec, out=spec)[:n]
 
 
 class TwoSidedSeries(_Record, eq=False):
@@ -84,7 +123,7 @@ def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
     """Coefficients f_k, |k| <= N, by FOURIER_NODES-node Gauss-Legendre quadrature on M equal panels.
 
-    M is the least 11-smooth number (wiener_hopf.fft_length) at or above
+    M is the least 11-smooth number (fft_length) at or above
     max(12, ceil(2 pi freq / 10)) for the highest frequency in the integrand,
     freq = N + |kappa| + the top degree of log_smooth, so its FFT runs passes
     of radix 11 at most.  A jump strictly inside a panel (turns * M not an

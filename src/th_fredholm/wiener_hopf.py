@@ -17,14 +17,12 @@ from Gauss-Legendre quadrature of those values, graded geometrically into
 the sites (Schwab, Computing 1994), one 24-node rule per panel.  Their
 error bound is a priori, per half-arc and site: the quadrature, sliver and
 rounding terms of the quadrature module.  The second route, tanh-sinh
-quadrature on the same values, is verification_oracle.rho_de.  convolve
-serves the oracle's kernel candidates.
+quadrature on the same values, is verification_oracle.rho_de.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from fractions import Fraction
 
@@ -36,44 +34,6 @@ from .symbol_core import CanonicalSymbol, Exponent, _Record
 
 # Gauss-Legendre nodes per panel and sliver width in rad of the rho rule
 RHO_RULE = (24, 1e-12)
-
-
-@functools.lru_cache(maxsize=1024)
-def fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, the padded length of convolve.
-
-    This is the length scipy.fft.next_fast_len(n, real=False) gives.  A power
-    of two is always a candidate, so only the odd 11-smooth numbers below it
-    need doubling up to n.
-    """
-    best = 1 << (n - 1).bit_length()
-    odd = [1]
-    for f in (3, 5, 7, 11):
-        grown = []
-        for x in odd:
-            while x < best:
-                grown.append(x)
-                x *= f
-        odd = grown
-    # x << k with k = bit_length((n-1)//x) is the least x*2^k >= n
-    return min([best] + [x << ((n - 1) // x).bit_length() for x in odd])
-
-
-def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two complex128 arrays through numpy.fft.
-
-    Padding to fft_length makes the result bit-identical to
-    scipy.signal.fftconvolve, which runs the same pocketfft transforms at
-    that length; the product and inverse are taken in place.  A length-one
-    input is a plain product, as fftconvolve skips the transform there too.
-    """
-    if a.size == 1 or b.size == 1:
-        return a * b
-    n = a.size + b.size - 1
-    L = fft_length(n)
-    spec = np.fft.fft(a, L)
-    spec *= np.fft.fft(b, L)
-    return np.fft.ifft(spec, out=spec)[:n]
 
 
 def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

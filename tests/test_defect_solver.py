@@ -16,7 +16,7 @@ from th_fredholm.defect_solver import (
     defect_numbers,
     rank_decision,
 )
-from th_fredholm import wiener_hopf
+from th_fredholm import verification_oracle, wiener_hopf
 from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, normalized_pair
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
@@ -238,11 +238,11 @@ def test_transpose_duality_swaps_defect_numbers():
 
 def test_matrix_case_runs_on_quadrature_alone(monkeypatch):
     # the production rho never convolves a factor series, so it still
-    # answers with the series route's only convolution disabled
+    # answers with the package's only convolution, the oracle's, disabled
     def refuse(a, b):
         raise AssertionError("defect_numbers reached the series route")
 
-    monkeypatch.setattr(wiener_hopf, "convolve", refuse)
+    monkeypatch.setattr(verification_oracle, "convolve", refuse)
     alpha, beta = Fraction(-2, 5), Fraction(7, 10)
     pair = validate_pair(CanonicalSymbol.one(), invert(jacobi_symbol(alpha, beta, 3)))
     report = defect_numbers(pair, 2)

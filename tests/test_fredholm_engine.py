@@ -23,7 +23,6 @@ from th_fredholm.fredholm_engine import (
     CurveThroughOrigin,
     NotFredholm,
     NotFredholmOnSide,
-    _image_points,
     build_hash_curve,
     exponent_pair,
     fredholm_conditions,
@@ -38,7 +37,9 @@ from th_fredholm.symbol_core import (
     Exponent,
     JumpFactor,
     UnitPoint,
+    eval_each,
     eval_many,
+    jump_unit,
     multiply,
     one_sided_limits,
     tilde,
@@ -244,6 +245,19 @@ def test_curve_through_origin_at_exact_boundaries():
         build_hash_curve(c, Fraction(8, 7))
 
 
+@pytest.mark.parametrize("im", [120.0, -120.0], ids=["quotient_underflows", "quotient_overflows"])
+def test_curve_through_origin_when_the_limits_lie_far_apart(im):
+    # at the jump at i with beta = 1/4 +- 120i the limits are about 1e-+164 and
+    # 1e+-164, both normal floats, but their quotient leaves the float range;
+    # Re beta sits on the coset 1/p at p = 4, so the arc there meets the origin
+    s = jump_unit(1, 4, Exponent(Fraction(1, 4), im))
+    z1, z2 = one_sided_limits(s, UnitPoint(1, 4))
+    assert min(abs(z1), abs(z2)) < 1e-160 and max(abs(z1), abs(z2)) > 1e160
+    with pytest.raises(CurveThroughOrigin):
+        build_hash_curve(s, 4)
+    assert "arc(1/4)" in [tag for tag, _ in build_hash_curve(s, 3).segments]
+
+
 def test_curve_segments_tagged_and_closed():
     c = example_c()
     curve = build_hash_curve(c, 2)
@@ -273,8 +287,8 @@ def test_curve_image_points_match_eval_many_and_eval_symbol():
     for s in symbols:
         breaks = sorted({0.0, math.pi, *(j.point.angle for j in s.jumps if j.point.in_upper_half)})
         for lo, hi in zip(breaks[:-1], breaks[1:]):
-            got = np.array(_image_points(s, lo, hi, 257))
             xs = np.linspace(lo, hi, 259)[1:-1]
+            got = np.array(eval_each(s, xs.tolist()))
             scale = np.max(np.abs(got))
             assert np.max(np.abs(got - eval_many(s, xs))) <= 1e-13 * scale
             assert np.max(np.abs(got - [eval_symbol(s, x) for x in xs])) <= 1e-13 * scale

@@ -27,11 +27,12 @@ from th_fredholm.verification_oracle import (
     ResidualTooLarge,
     TwoSidedSeries,
     _fourier_integrals,
+    convolve,
     fourier_coeffs,
     kernel_residual_check,
     rho_de,
 )
-from th_fredholm.wiener_hopf import _gauss_panels, convolve, rho_parts
+from th_fredholm.wiener_hopf import _gauss_panels, rho_parts
 
 from helpers import (
     finite_section,

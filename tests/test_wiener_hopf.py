@@ -42,8 +42,8 @@ from th_fredholm.symbol_core import (
     jump_unit,
     validate_pair,
 )
-from th_fredholm.wiener_hopf import convolve, fft_length, rho_coefficients, rho_parts
-from th_fredholm.verification_oracle import rho_de
+from th_fredholm.verification_oracle import convolve, fft_length, rho_de
+from th_fredholm.wiener_hopf import rho_coefficients, rho_parts
 
 
 def example_c():
