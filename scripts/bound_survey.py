@@ -1,11 +1,13 @@
 """Survey, page faults and benchmark pairs for the a-priori error bound of rho, and the rank rule it certifies.
 
 Run from the root of a checkout; ranks writes BENCH_rank_rule.json there,
-and each other command writes its section of BENCH_rho_bound.json:
+survey and faults write their sections of BENCH_rho_bound.json, replacing
+any earlier run's, and pairs adds its section, pairs:W:S, to the record
+file --out names, refusing before it runs if that file already holds one:
 
     python3 scripts/bound_survey.py survey
     python3 scripts/bound_survey.py faults [--src DIR]
-    python3 scripts/bound_survey.py pairs --parent DIR --workload W --seed S [--pairs 10]
+    python3 scripts/bound_survey.py pairs --parent DIR --workload W --seed S --out FILE [--pairs 10]
     python3 scripts/bound_survey.py ranks
 
 survey compares RhoSeries.tail_bound with the fine-minus-coarse estimate the
@@ -46,8 +48,16 @@ RANK_FMATRIX_DOCS = 30
 RANK_SURVEY_TRIES = 30
 
 
-def save(section: str, data, out: Path = OUT) -> None:
+def load(section: str, out: Path, replace: bool) -> dict:
+    """The record in out, refused when it already holds section and replace is false."""
     doc = json.loads(out.read_text()) if out.exists() else {}
+    if section in doc and not replace:
+        sys.exit(f"{out} already holds the section {section!r}; name a new record file")
+    return doc
+
+
+def save(section: str, data, out: Path = OUT, replace: bool = False) -> None:
+    doc = load(section, out, replace)
     doc[section] = data
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
@@ -196,7 +206,7 @@ def cmd_survey(args) -> None:
             "mpmath_gap_max": max(gaps, default=None),
             "bound_over_mpmath_gap_min": min((r["bound"] / r["mpmath_gap_k16"] for r in part if "mpmath_gap_k16" in r), default=None),
         }
-    save("survey", {"summary": summary, "rows": rows})
+    save("survey", {"summary": summary, "rows": rows}, replace=True)
 
 
 def cmd_faults(args) -> None:
@@ -239,7 +249,8 @@ def cmd_faults(args) -> None:
         if (src / "th_fredholm" / f"{module}.py").exists()
     }
     save(f"faults:{src.parent.name if args.src else 'change'}",
-         {"src": str(src) if args.src else "this checkout", "calls": calls, "compile_peak_kb": compile_kb})
+         {"src": str(src) if args.src else "this checkout", "calls": calls, "compile_peak_kb": compile_kb},
+         replace=True)
 
 
 def run_bench(root: Path, workload: str, seed: int) -> dict:
@@ -254,7 +265,9 @@ def run_bench(root: Path, workload: str, seed: int) -> dict:
 
 
 def cmd_pairs(args) -> None:
-    parent = Path(args.parent).resolve()
+    parent, out = Path(args.parent).resolve(), Path(args.out)
+    section = f"pairs:{args.workload}:{args.seed}"
+    load(section, out, replace=False)  # refuse before the runs, which take minutes
     runs = []
     for i in range(args.pairs):
         order = [("parent", parent), ("change", ROOT)]
@@ -278,7 +291,7 @@ def cmd_pairs(args) -> None:
             "change_wins": sum(better * (c - p) > 0 for p, c in zip(parent_runs, change_runs)),
             "pairs": len(runs),
         }
-    save(f"pairs:{args.workload}:{args.seed}", {"summary": summary, "runs": runs})
+    save(section, {"summary": summary, "runs": runs}, out)
 
 
 def parent_rank(dm, sv) -> int | None:
@@ -373,7 +386,7 @@ def cmd_ranks(args) -> None:
               f"{g['count_differences']} count and {g['exit_code_differences']} exit-code differences "
               f"against the parent rule")
     save("ranks", {"fmatrix_docs": RANK_FMATRIX_DOCS, "survey_tries_per_setting": RANK_SURVEY_TRIES,
-                   "groups": groups}, ROOT / "BENCH_rank_rule.json")
+                   "groups": groups}, ROOT / "BENCH_rank_rule.json", replace=True)
 
 
 def main() -> None:
@@ -386,6 +399,7 @@ def main() -> None:
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seed", type=int, required=True)
+    pairs.add_argument("--out", required=True)
     pairs.add_argument("--pairs", type=int, default=10)
     sub.add_parser("ranks")
     args = parser.parse_args()

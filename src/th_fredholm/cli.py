@@ -316,8 +316,6 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_verify(job: Job, ns) -> tuple[dict, int]:
-    import numpy as np
-
     from .defect_solver import ORACLE_K, defect_numbers
     from .verification_oracle import fourier_coeffs, kernel_residual_check, rho_de
     from .wiener_hopf import rho_coefficients
@@ -338,7 +336,9 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         )
     # the gate's windows put every site of rho above Re beta = -1; rho_parts refuses, naming the site, if one is not
     de = rho_de(rho.parts, ORACLE_K)
-    oracle_dev = float(np.max([abs(rho.get(k) - de.get(k)) for k in range(-ORACLE_K, ORACLE_K + 1)]))
+    # a NaN deviation counts as the largest, as under numpy's max, so the gate fails closed
+    devs = (abs(rho.get(k) - de.get(k)) for k in range(-ORACLE_K, ORACLE_K + 1))
+    oracle_dev = max(devs, key=lambda dev: dev if dev == dev else math.inf)
     oracle_gate = max(1e-8, 10.0 * (de.tail_bound + rho.tail_bound))
     if not oracle_dev <= oracle_gate:
         raise MethodDisagreement(f"rho quadrature and oracle differ by {oracle_dev:.3e} > {oracle_gate:.3e}")

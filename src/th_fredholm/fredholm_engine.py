@@ -487,7 +487,7 @@ def _arc_points(z1: complex, z2: complex, theta: float, samples: int) -> list[co
     as the difference of the two phases, since the quotient itself under- or
     overflows when |z1| and |z2| lie far apart.
     """
-    if abs(z1 - z2) < 1e-14:
+    if abs(z1 - z2) < 1e-14 * max(abs(z1), abs(z2)):
         return []
     gap = ((cmath.phase(z1) - cmath.phase(z2)) / TWO_PI - theta) % 1.0
     if min(gap, 1.0 - gap) < 1e-9:

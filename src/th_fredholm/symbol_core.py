@@ -9,6 +9,11 @@ defined on t = tau*exp(i*x), x in (0, 2*pi), by u = exp(i*beta*(x - pi)).
 Jump locations are exact rational multiples of 2*pi and jump exponents keep
 an exact rational real part, so conjugate pairing of jump points and all
 mod-1 arithmetic downstream are free of floating error.
+
+A symbol's value is exp of one exponent, written once in _exponent: on a
+numpy array of angles (eval_many), angle by angle in cmath (eval_each), and
+at a jump point, where it gives the limit from after and adding 2*pi*i*beta
+gives the limit from before (one_sided_limits).
 """
 
 from __future__ import annotations
@@ -158,9 +163,6 @@ class Exponent(_Record):
     def __neg__(self) -> "Exponent":
         return Exponent(-self.re, -self.im)
 
-    def half(self) -> "Exponent":
-        return Exponent(self.re / 2, self.im / 2.0)
-
 
 @functools.total_ordering
 class UnitPoint(_Record):
@@ -195,9 +197,6 @@ class UnitPoint(_Record):
     @property
     def angle(self) -> float:
         return TWO_PI * self.num / self.den
-
-    def value(self) -> complex:
-        return cmath.exp(2j * math.pi * self.num / self.den)
 
     def conjugate(self) -> "UnitPoint":
         return UnitPoint((self.den - self.num) % self.den, self.den)
@@ -266,9 +265,6 @@ class FourierLogPoly(_Record):
             out[k] = out.get(k, 0j) + sign * v
         return FourierLogPoly.of(out)
 
-    def eval_at(self, z: complex) -> complex:
-        return sum(v * z**k for k, v in self.coeffs)
-
 
 def _canonical_jumps(jumps: Iterable[JumpFactor]) -> tuple[JumpFactor, ...]:
     merged: dict[UnitPoint, Exponent] = {}
@@ -326,76 +322,61 @@ def jump_unit(num: int, den: int, beta: ExponentLike, *, kappa: int = 0, scale: 
     return CanonicalSymbol(kappa=kappa, scale=scale, jumps=(JumpFactor(UnitPoint(num, den), Exponent.of(beta)),))
 
 
-def _jump_value_interior(point: UnitPoint, beta: Exponent, x: float) -> complex:
-    # u(tau, beta) at angle x with exp(i*x) != tau; x' in (0, 2*pi).
-    xp = (x - point.angle) % TWO_PI
-    return cmath.exp(1j * beta.value * (xp - math.pi))
+def _jump_phases(s: CanonicalSymbol) -> list[tuple[float, complex]]:
+    """The (angle, i*beta) pair of each jump of s, for _exponent."""
+    return [(j.point.angle, 1j * j.beta.value) for j in s.jumps]
+
+
+def _exponent(s: CanonicalSymbol, phases: list[tuple[float, complex]], x, exp):
+    """The exponent of s at the angle x in [0, 2*pi): a float with cmath.exp, or an array with numpy.exp.
+
+    i*kappa*x + sum_j i*beta_j*((x - theta_j) mod 2*pi - pi) + sum_k v_k e^{ikx};
+    at x = theta_j the jump's term takes its value just after the jump.
+    """
+    expo = 1j * s.kappa * x
+    for angle, ibeta in phases:
+        expo += ibeta * ((x - angle) % TWO_PI - math.pi)
+    if s.log_smooth.coeffs:
+        z = exp(1j * x)
+        for k, v in s.log_smooth.coeffs:
+            expo += v * z**k
+    return expo
 
 
 def eval_many(s: CanonicalSymbol, xs: np.ndarray) -> np.ndarray:
-    """s at t = e^{ix} on a grid of angles; raises EvalAtJump on a jump angle.
-
-    kappa x, the log polynomial (of z = e^{ix}) and every jump phase add into one exponent.
-    """
+    """s at t = e^{ix} on a grid of angles; raises EvalAtJump on a jump angle."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=float) % TWO_PI
-    expo = 1j * s.kappa * xs
     for j in s.jumps:
-        xp = (xs - j.point.angle) % TWO_PI
-        if np.any((xp < 1e-13) | (xp > TWO_PI - 1e-13)):
+        gap = np.abs(xs - j.point.angle)  # within 1e-13 of the jump, across 0 too, without a second mod
+        if np.any((gap < 1e-13) | (gap > TWO_PI - 1e-13)):
             raise EvalAtJump(f"grid hits the jump at {j.point}")
-        expo += 1j * j.beta.value * (xp - math.pi)
-    if not s.log_smooth.is_empty:
-        z = np.exp(1j * xs)
-        for k, v in s.log_smooth.coeffs:
-            expo += v * z**k
-    return s.scale * np.exp(expo)
+    return s.scale * np.exp(_exponent(s, _jump_phases(s), xs, np.exp))
 
 
 def eval_each(s: CanonicalSymbol, xs: Iterable[float]) -> list[complex]:
-    """s at t = e^{ix} for each angle of xs, none on a jump: eval_many in scalar arithmetic, without numpy.
+    """s at t = e^{ix} for each angle of xs, none on a jump, without numpy.
 
-    The same one exponent per point, in the same order; cmath.exp raises
-    OverflowError where a value passes the largest float.
+    cmath.exp raises OverflowError where a value passes the largest float.
     """
-    jumps = [(j.point.angle, 1j * j.beta.value) for j in s.jumps]
-    log = s.log_smooth.coeffs
-    out = []
-    for x in xs:
-        x %= TWO_PI
-        expo = 1j * s.kappa * x
-        for angle, beta in jumps:
-            expo += beta * ((x - angle) % TWO_PI - math.pi)
-        if log:
-            z = cmath.exp(1j * x)
-            for k, v in log:
-                expo += v * z**k
-        out.append(s.scale * cmath.exp(expo))
-    return out
+    phases = _jump_phases(s)
+    return [s.scale * cmath.exp(_exponent(s, phases, x % TWO_PI, cmath.exp)) for x in xs]
 
 
 def one_sided_limits(s: CanonicalSymbol, point: UnitPoint) -> tuple[complex, complex]:
     """One-sided limits (phi_minus(tau), phi_plus(tau)).
 
     phi_minus is the limit approaching tau counterclockwise from before,
-    phi_plus from after; a jump factor at tau contributes exp(+pi*i*beta)
-    and exp(-pi*i*beta) respectively, every other factor its continuous value.
+    phi_plus from after.  The exponent at tau's own angle gives phi_plus;
+    a jump at tau adds 2*pi*i*beta to it for phi_minus.
     """
-    x = point.angle
-    cont = s.scale * cmath.exp(1j * s.kappa * x)
-    if not s.log_smooth.is_empty:
-        cont *= cmath.exp(s.log_smooth.eval_at(point.value()))
-    beta = None
-    for j in s.jumps:
-        if j.point == point:
-            beta = j.beta
-        else:
-            cont *= _jump_value_interior(j.point, j.beta, x)
-    if beta is None:
-        return cont, cont
-    b = beta.value
-    return cont * cmath.exp(1j * math.pi * b), cont * cmath.exp(-1j * math.pi * b)
+    expo = _exponent(s, _jump_phases(s), point.angle, cmath.exp)
+    plus = s.scale * cmath.exp(expo)
+    beta = s.beta_at(point)
+    if beta.is_zero:
+        return plus, plus
+    return s.scale * cmath.exp(expo + 2j * math.pi * beta.value), plus
 
 
 def tilde(s: CanonicalSymbol) -> CanonicalSymbol:

@@ -98,8 +98,9 @@ class TwoSidedSeries(_Record, eq=False):
 
 
 class KernelBasis(_Record, eq=False):
+    """Kernel candidates, the -n homogeneous ones first, with their section residuals and Gram rank."""
+
     vectors: tuple[np.ndarray, ...]
-    tags: tuple[str, ...]
     residuals: np.ndarray
     gram_rank: int
 
@@ -204,7 +205,6 @@ def kernel_residual_check(
     if n < 0 or m > 0:
         inv = np.asarray(build_plus_factor(report.rep_c).realize(N - 1, inverted=True))
     vectors: list[np.ndarray] = []
-    tags: list[str] = []
 
     if n < 0:
         base = convolve(np.array([1.0, -1.0], dtype=complex), inv)[:N]
@@ -213,7 +213,6 @@ def kernel_residual_check(
             q2[j] += 1.0
             q2[-2 * n - 2 - j] += 1.0
             vectors.append(convolve(base, q2)[:N])
-            tags.append(f"homogeneous[{j}]")
 
     if m > 0:
         ks = range(n - m + 1, N + n + m - 1)  # the k of rho_{l+n-k} and rho_{l+n+k} read below
@@ -225,26 +224,23 @@ def kernel_residual_check(
         alt = (-1.0) ** np.arange(N)
         if n <= 0:
             weights = [np.eye(m, dtype=complex)[k] for k in range(m)]
-            label = "particular"
         else:
             weights = _null_vectors(report.matrix.matrix, report.m - report.dim_ker)
-            label = "null-vector"
         # sym[l, k] = rho_{l+n-k} + rho_{l+n+k}, read from the stored coefficients
         l, k = np.arange(N)[:, None], np.arange(m)[None, :]
         sym = rho.coeffs[l + n - k - ks.start] + rho.coeffs[l + n + k - ks.start]
-        for idx, x in enumerate(weights):
+        for x in weights:
             g = -(sym @ x)
             g[: max(0, 1 - 2 * n)] /= 2
             h = convolve(inv, g)[:N]
             vectors.append(alt * np.cumsum(alt * h))
-            tags.append(f"{label}[{idx}]")
 
     if len(vectors) != report.dim_ker:
         raise ResidualTooLarge(
             f"constructed {len(vectors)} candidates, expected {report.dim_ker}"
         )
     if not vectors:
-        return KernelBasis((), (), np.zeros(0), 0)
+        return KernelBasis((), np.zeros(0), 0)
 
     # the section's T_N f, and H_N f with (H_N f)_i = sum_j b_{i+j+1} f_j, by convolution with b_{2N-1..1}
     a = fourier_coeffs(pair.a, N - 1, tol).coeffs
@@ -260,7 +256,7 @@ def kernel_residual_check(
         raise ResidualTooLarge(
             f"worst finite-section residual {residuals.max():.3e} exceeds {tol:.1e}"
         )
-    return KernelBasis(tuple(vectors), tuple(tags), residuals, gram_rank)
+    return KernelBasis(tuple(vectors), residuals, gram_rank)
 
 
 def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:

@@ -209,13 +209,13 @@ def rho_coefficients(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSym
     in keep, a contiguous range, or for |k| <= keep when it is an int, by the
     graded rule of _rho_rule between the sites of rho_parts, sized for the
     top frequency max |k| + |m + n + kappa_b| + the top log degree of b, c_+,
-    d_+.  tail_bound is an a-priori bound on max |rho_k - coeffs| over keep:
+    d_+, or 1 where that is 0.  tail_bound is an a-priori bound on max |rho_k - coeffs| over keep:
     the quadrature, sliver and rounding terms, computed per panel and site.
     """
     ks = keep if isinstance(keep, range) else range(-keep, keep + 1)
     parts = rho_parts(rep_c, rep_d, b)
     K = max(-ks.start, ks.stop - 1)
-    freq = K + abs(parts.power) + parts.top
+    freq = max(1, K + abs(parts.power) + parts.top)  # at least 1, as the quadrature bound divides by it
     nodes, sliver = RHO_RULE
     index, offsets, weights = _rho_rule(parts, freq, nodes, sliver)
     vals = _rho_values(parts, index, offsets)

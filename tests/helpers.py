@@ -42,7 +42,6 @@ from th_fredholm.symbol_core import (
     ONE,
     SymbolPair,
     UnitPoint,
-    _jump_value_interior,
     eval_many,
     jump_unit,
     multiply,
@@ -302,7 +301,7 @@ def hankel_split_factors(report):
     ]
     deltas = dict(rep_d.gammas)
     for pt, g in rep_c.gammas:
-        half = (g + deltas[pt]).half().value
+        half = (g + deltas[pt]).value / 2
         v_exponents += [(pt, half), (pt.conjugate(), half)]
 
     def rho0(x: np.ndarray) -> np.ndarray:
@@ -346,10 +345,11 @@ def eval_symbol(s: CanonicalSymbol, x: float) -> complex:
         if d < 1e-13:
             raise EvalAtJump(f"angle {x!r} hits the jump at {j.point}")
     val = s.scale * cmath.exp(1j * s.kappa * x)
-    if not s.log_smooth.is_empty:
-        val *= cmath.exp(s.log_smooth.eval_at(cmath.exp(1j * x)))
+    z = cmath.exp(1j * x)
+    val *= cmath.exp(sum(v * z**k for k, v in s.log_smooth.coeffs))
     for j in s.jumps:
-        val *= _jump_value_interior(j.point, j.beta, x)
+        # u(tau, beta) = exp(i*beta*(x' - pi)), x' the angle of t/tau in (0, 2*pi)
+        val *= cmath.exp(1j * j.beta.value * ((x - j.point.angle) % TWO_PI - math.pi))
     return val
 
 
@@ -427,7 +427,7 @@ def plus_factor_at(factor: PlusFactor, z: np.ndarray) -> np.ndarray:
         acc = acc + v * zz**k
     out = out * np.exp(acc)
     for point, e in factor.eta_exponents:
-        out = out * np.exp(e.value * np.log(1.0 - zz / point.value()))
+        out = out * np.exp(e.value * np.log(1.0 - zz / np.exp(1j * point.angle)))
     return out
 
 

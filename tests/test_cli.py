@@ -183,6 +183,15 @@ def test_curve_at_the_edge_of_the_float_range(tmp_path, capsys, name):
             assert "float" in doc["error"]
 
 
+def test_curve_keeps_the_arc_of_a_small_symbol(tmp_path, capsys):
+    # |c(i)| is about e^-80, so the two limits at i differ by far less than 1e-14
+    jumps = [{"theta_num": 1, "theta_den": 4, "beta": [0.25, 0.0]}, {"theta_num": 3, "theta_den": 4, "beta": [0.25, 0.0]}]
+    path = write_doc(tmp_path, {"a": {**FLOAT_RANGE_DOCS["tiny"]["a"], "jumps": jumps}, "b": {}, "p": 2})
+    code, out, _ = run(capsys, ["curve", path])
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()].count("arc(1/4)") == 258
+
+
 def test_special_family_and_general(tmp_path, capsys):
     a = {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.5, 0.0]}]}
     path = write_doc(tmp_path, {"a": a, "b": a, "p": 2})
@@ -502,6 +511,16 @@ def test_verify_confidence_failure_exits_four(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", path])
     assert code == 4
     assert json.loads(out)["errorKind"] == "numerical-confidence"
+
+
+def test_verify_section_size_one_refuses_on_its_residual(tmp_path, capsys):
+    # the kernel check asks rho for k = 0 alone, whose rule has top frequency 0 before its floor of 1
+    path = write_doc(tmp_path, {**README_DOC, "options": {"section_size": 1}})
+    code, out, _ = run(capsys, ["verify", path])
+    doc = json.loads(out)
+    assert code == 4 and doc["errorKind"] == "numerical-confidence"
+    assert doc["error"].startswith("worst finite-section residual 2.04")
+    assert doc["error"].endswith("exceeds 1.0e-06")
 
 
 # A General, G-count pair at p = 2 whose rho has exponent -15/16 at turns 1/4 and 3/4 and 3/8 at -1:
@@ -1125,7 +1144,13 @@ def test_public_names_resolve_to_their_defining_modules():
     for name in ("binomial_coefficients", "eta_series", "_exp_of_monomial", "smooth_plus_factor"):
         assert not hasattr(wiener_hopf, name), name
     assert wiener_hopf.build_plus_factor is fredholm_engine.build_plus_factor
+    # a symbol's value, at an angle or as a one-sided limit, comes from its one exponent
+    assert not hasattr(symbol_core, "_jump_value_interior")
     methods = {
+        symbol_core.FourierLogPoly: ["eval_at"],
+        symbol_core.UnitPoint: ["value"],
+        symbol_core.Exponent: ["half"],
+        verification_oracle.KernelBasis: ["tags"],
         fredholm_engine.PlusFactor: ["eval_at", "eval_tilde_at"],
         wiener_hopf.RhoSeries: ["eval_at", "as_array"],
         verification_oracle.TwoSidedSeries: ["as_array"],

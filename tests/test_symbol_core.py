@@ -54,12 +54,6 @@ def test_unit_point_reduces_and_conjugates():
     assert UnitPoint(2, 4).is_minus_one
 
 
-def test_unit_point_values():
-    assert UnitPoint(1, 4).value() == pytest.approx(1j)
-    assert UnitPoint(1, 2).value() == pytest.approx(-1.0)
-    assert UnitPoint(1, 3).value() == pytest.approx(cmath.exp(2j * math.pi / 3))
-
-
 def test_records_order_hash_and_freeze_by_value():
     points = [UnitPoint(3, 4), UnitPoint(1, 2), UnitPoint(1, 4), UnitPoint(0, 1), UnitPoint(1, 3)]
     # ordered as the tuple (num, den), not by angle
@@ -147,6 +141,23 @@ def test_one_sided_limits_match_nearby_values():
         h = 1e-9
         assert eval_symbol(c, pt.angle - h) == pytest.approx(minus, rel=1e-6)
         assert eval_symbol(c, pt.angle + h) == pytest.approx(plus, rel=1e-6)
+
+
+def test_one_sided_limits_where_one_factor_overflows():
+    # exp(L(i)) = e^750 passes the largest float on its own; the jump at -1
+    # with Im beta = 480 contributes e^(-240*pi) there, and the sum of the
+    # exponents is about -3.98
+    s = CanonicalSymbol(
+        log_smooth={1: -750j},
+        jumps=(
+            JumpFactor(UnitPoint(1, 4), Exponent(Fraction(1, 4))),
+            JumpFactor(UnitPoint(1, 2), Exponent(Fraction(0), 480.0)),
+        ),
+    )
+    minus, plus = one_sided_limits(s, UnitPoint(1, 4))
+    modulus = math.exp(750 - 240 * math.pi)
+    assert plus == pytest.approx(modulus * cmath.exp(-0.25j * math.pi), rel=1e-12)
+    assert minus == pytest.approx(modulus * cmath.exp(0.25j * math.pi), rel=1e-12)
 
 
 def test_one_sided_limits_continuous_point():
@@ -315,6 +326,5 @@ def test_exponent_arithmetic_is_exact():
     assert (e1 + e2).re == Fraction(1, 2)
     assert (e1 - e2).re == Fraction(1, 6)
     assert (-e1).re == Fraction(-1, 3)
-    assert e1.half().re == Fraction(1, 6)
     assert Exponent.of("3/8").re == Fraction(3, 8)
     assert Exponent.of(0.25 + 1.5j) == Exponent(Fraction(1, 4), 1.5)
