@@ -11,7 +11,7 @@ _EXPORTS = {
     "confidence": "MethodDisagreement OutsideFloatRange RankUndecidable ResidualTooLarge",
     "defect_solver": "DefectReport InsufficientCoefficients defect_numbers",
     "fredholm_engine": (
-        "BoundaryCase ConditionReport CurveThroughOrigin NormalizedRep NotFredholm NotFredholmOnSide PlusFactor"
+        "BoundaryCase ConditionReport NormalizedRep NotFredholm PlusFactor"
         " build_hash_curve build_plus_factor exponent_pair fredholm_conditions normalize normalized_pair p_map"
     ),
     "special_families": "FamilyReport HankelReport classify_family family_b family_fredholm hankel_identity_report",

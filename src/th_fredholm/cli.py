@@ -4,8 +4,12 @@ Documents are JSON.  Reports are byte-deterministic: keys sorted, indent 2,
 no timestamps, a fixed version string.  Curves and sweeps can also be
 emitted as CSV.  main writes each JSON document's envelope (command and
 version) and maps each verdict to the exit code.  Exit codes: 0 success,
-1 not Fredholm (or a curve through the origin), 2 boundary case, 3 input
-error or an unwritable --out, 4 a numerical confidence audit failed.
+1 not Fredholm, 2 boundary case, 3 input error or an unwritable --out, 4 a
+numerical confidence audit failed.  Every exit 1 or 2 comes from the exact
+conditions, through fredholm_engine's gate: a command it refuses prints
+check's report instead, in JSON whatever --format says, over both sides or,
+for curve, over the side it draws.  special on a General pair reads no
+(n, m) and is not gated.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .confidence import MethodDisagreement, OutsideFloatRange, RankUndecidable, 
 from .fredholm_engine import (
     EPS_BOUNDARY,
     ConditionReport,
-    CurveThroughOrigin,
     NotFredholm,
     PMap,
     build_hash_curve,
@@ -268,11 +271,13 @@ def cmd_curve(job: Job, ns) -> tuple[dict, int]:
         f"p: curve --side {ns.side} needs a finite float {name} above 1, and this p gives none",
     )
     _require(ns.samples >= 1, "--samples must be at least 1")
+    # the side's gate decides whether the curve meets the origin; only a curve that misses it is drawn
+    winding = normalize(symbol, job.p, ns.side).n
     curve = build_hash_curve(symbol, big_p, ns.samples, max(64, ns.samples // 8))
     doc = {
         "p": _frac(job.p),
         "side": ns.side,
-        "winding": normalize(symbol, job.p, ns.side).n,
+        "winding": winding,
         "segments": [
             {"tag": tag, "points": [_cnum(z) for z in pts]} for tag, pts in curve.segments
         ],
@@ -297,10 +302,10 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
         return doc, 0
     report = family_fredholm(job.pair, tag, job.p)
     doc.update(
-        kappa=report.kappa,
-        index=report.index,
-        dimKer=report.dim_ker,
-        dimCoker=report.dim_coker,
+        kappa=-report.defect.index,
+        index=report.defect.index,
+        dimKer=report.defect.dim_ker,
+        dimCoker=report.defect.dim_coker,
         betaPlus=_exponent_doc(report.beta_plus),
         betaMinus=_exponent_doc(report.beta_minus),
         pairs=[
@@ -339,7 +344,9 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     # a NaN deviation counts as the largest, as under numpy's max, so the gate fails closed
     devs = (abs(rho.get(k) - de.get(k)) for k in range(-ORACLE_K, ORACLE_K + 1))
     oracle_dev = max(devs, key=lambda dev: dev if dev == dev else math.inf)
-    oracle_gate = max(1e-8, 10.0 * (de.tail_bound + rho.tail_bound))
+    oracle_gate = 10.0 * (de.tail_bound + rho.tail_bound)
+    # the builtin max would drop a NaN, so a NaN gate stays NaN and refuses
+    oracle_gate = oracle_gate if math.isnan(oracle_gate) else max(1e-8, oracle_gate)
     if not oracle_dev <= oracle_gate:
         raise MethodDisagreement(f"rho quadrature and oracle differ by {oracle_dev:.3e} > {oracle_gate:.3e}")
     basis = kernel_residual_check(
@@ -517,20 +524,15 @@ def main(argv=None) -> int:
     envelope = {"command": ns.command, "version": __version__}
     try:
         job = Job(_read_document(ns.input), need_p=ns.command not in ("sweep", "pmap"))
-        try:
-            result, code = _COMMANDS[ns.command][0](job, ns)
-        except NotFredholm as e:
-            if e.report is None:
-                raise
-            # the gate in normalized_pair refused: report it as check does
-            result, code = _verdict(e.report)
+        result, code = _COMMANDS[ns.command][0](job, ns)
         text = _render(ns, {**result, **envelope})
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (NotFredholm, CurveThroughOrigin) as e:  # a refusal without a report, such as NotFredholmOnSide
-        # an error document is JSON whatever the format, curve's CSV default included
-        text, code = _json({**envelope, "error": str(e)}), 1
+    except NotFredholm as e:
+        # a gate refused: report it as check does, in JSON whatever the format, curve's CSV default included
+        result, code = _verdict(e.report)
+        text = _json({**result, **envelope})
     except _CONFIDENCE_ERRORS as e:
         text, code = _json({**envelope, "error": str(e), "errorKind": "numerical-confidence"}), 4
     if not ns.out:

@@ -8,8 +8,9 @@ offset.  A normalized representation fixes its plus factor c_+, whose series
 follows from a first-order recurrence.  The curve drawn for one side is the
 image of the upper half circle with the one-sided limits at 1, -1, and every
 interior jump joined by circular arcs whose inscribed-angle parameter depends
-on p; its winding about the origin is the n that normalize gives, which the
-test suite checks by counting the curve's argument.  Everything here runs in
+on p.  It is drawn once normalize has gated its side, so it misses the
+origin, and its winding is the n that normalize gives, which the test suite
+checks by counting the curve's argument.  Everything here runs in
 Fraction, float and complex scalars, so the commands built on this module
 alone load no numpy.
 """
@@ -48,48 +49,17 @@ EPS_BOUNDARY = 1e-9
 class NotFredholm(ValueError):
     """The operator is not Fredholm at the requested p.
 
-    ``report`` is the ConditionReport behind the verdict when the gate in
-    normalized_pair raised, and None otherwise.
+    ``report`` is the ConditionReport behind the verdict: both sides' sites
+    when normalized_pair refused, one side's when normalize did.
     """
 
-    def __init__(self, message: str, report: "ConditionReport | None" = None):
+    def __init__(self, message: str, report: "ConditionReport"):
         super().__init__(message)
         self.report = report
 
 
-class NotFredholmOnSide(NotFredholm):
-    """An exponent to be normalized sits on a window edge on one side.
-
-    Attributes
-    ----------
-    side : str
-        "c" or "d".
-    point : UnitPoint
-        The jump point whose exponent could not be placed.
-    tested : Fraction
-        The site's tested value, which lies on the forbidden set.
-    """
-
-    def __init__(self, side: str, point: UnitPoint, tested: Fraction):
-        super().__init__(f"not Fredholm: side {side}, jump {point}, exponent real part {tested} on a boundary")
-        self.side = side
-        self.point = point
-        self.tested = tested
-
-
 class BoundaryCase(NotFredholm):
-    """A tested quantity lies within EPS_BOUNDARY of the forbidden set.
-
-    Only the gate in normalized_pair raises it, so ``report`` is always the
-    boundary ConditionReport.
-    """
-
-    def __init__(self, message: str, report: "ConditionReport"):
-        super().__init__(message, report)
-
-
-class CurveThroughOrigin(ValueError):
-    """The traced curve meets the origin; the winding number is undefined."""
+    """A tested quantity lies within EPS_BOUNDARY of the forbidden set."""
 
 
 def exponent_pair(p: PLike) -> tuple[Fraction, Fraction]:
@@ -190,18 +160,26 @@ def side_condition_sites(s: CanonicalSymbol, u: Fraction, side: str) -> list[Sit
     return [_site(side, pt, x, offsets[kind]) for pt, x, kind in _site_values(s)]
 
 
+def _report(pf: Fraction, qf: Fraction, sites: list[SiteCondition]) -> ConditionReport:
+    """The report of sites, whose overall verdict is the worst of theirs."""
+    verdicts = {s.verdict for s in sites}
+    overall = "fail" if "fail" in verdicts else "boundary" if "boundary" in verdicts else "pass"
+    return ConditionReport(p=pf, q=qf, sites=tuple(sites), overall=overall)
+
+
+def _gate(report: ConditionReport) -> None:
+    """Raise NotFredholm, or BoundaryCase, carrying report unless it passes."""
+    if report.overall != "pass":
+        bad = report.failures()[0]
+        err = BoundaryCase if report.overall == "boundary" else NotFredholm
+        raise err(f"not Fredholm at p={report.p}: side {bad.side}, site {bad.point}", report)
+
+
 def fredholm_conditions(pair: SymbolPair, p: PLike) -> ConditionReport:
     """Tri-state coset conditions at every site of c (with p) and d (with q)."""
     pf, qf = exponent_pair(p)
     u = 1 / pf
-    sites = side_condition_sites(pair.c, u, "c") + side_condition_sites(pair.d, u, "d")
-    if any(s.verdict == "fail" for s in sites):
-        overall = "fail"
-    elif any(s.verdict == "boundary" for s in sites):
-        overall = "boundary"
-    else:
-        overall = "pass"
-    return ConditionReport(p=pf, q=qf, sites=tuple(sites), overall=overall)
+    return _report(pf, qf, side_condition_sites(pair.c, u, "c") + side_condition_sites(pair.d, u, "d"))
 
 
 class NormalizedRep(_Record):
@@ -221,21 +199,19 @@ class NormalizedRep(_Record):
     smooth_log: FourierLogPoly
 
 
-def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition], side: str) -> NormalizedRep:
+def _from_sites(s: CanonicalSymbol, sites: Iterable[SiteCondition]) -> NormalizedRep:
     """Place each exponent of s in the open window (offset - 1, offset) of its site.
 
     A site's tested value moves down by k = floor(tested - offset) + 1, the
     unique integer that lands it in the window, and every unit moved carries
     t^2 into the t^{2n} front factor: n is the sum of the k less one when the
     constant is -1.  The imaginary parts come from the jump data, halved at 1
-    and -1.  A tested value exactly on an edge raises NotFredholmOnSide.
+    and -1.  The sites have passed the gate, so no tested value is on an edge.
     """
     sign = structural_sign(s)
     n = -sign
     placed = {}
     for site in sites:
-        if site.distance == 0:
-            raise NotFredholmOnSide(side, site.point, site.tested)
         k = math.floor(site.tested - site.forbidden_offset) + 1
         n += k
         placed[site.point] = site.tested - k
@@ -254,11 +230,16 @@ def normalize(s: CanonicalSymbol, p: PLike, side: str = "c") -> NormalizedRep:
 
     The windows are the unit intervals below the forbidden offsets of
     side_condition_sites, so an exponent on a window edge is exactly a failed
-    site; this is the placement alone, and callers that need the verdict go
-    through normalized_pair.  A hand-built symbol whose constant
-    scale * exp(log_0) is not +-1 raises ValueError (structural_sign).
+    site.  The sites of this side alone are gated: a failed or boundary
+    verdict raises NotFredholm or BoundaryCase carrying the ConditionReport
+    of this side, whose verdict is check's on these sites.  A hand-built
+    symbol whose constant scale * exp(log_0) is not +-1 raises ValueError
+    (structural_sign).
     """
-    return _from_sites(s, side_condition_sites(s, 1 / exponent_pair(p)[0], side), side)
+    pf, qf = exponent_pair(p)
+    sites = side_condition_sites(s, 1 / pf, side)
+    _gate(_report(pf, qf, sites))
+    return _from_sites(s, sites)
 
 
 def normalized_pair(pair: SymbolPair, p: PLike) -> tuple[NormalizedRep, NormalizedRep]:
@@ -269,12 +250,9 @@ def normalized_pair(pair: SymbolPair, p: PLike) -> tuple[NormalizedRep, Normaliz
     a passing report's sites place both sides.
     """
     report = fredholm_conditions(pair, p)
-    if report.overall != "pass":
-        bad = report.failures()[0]
-        err = BoundaryCase if report.overall == "boundary" else NotFredholm
-        raise err(f"not Fredholm at p={report.p}: side {bad.side}, site {bad.point}", report)
+    _gate(report)
     return tuple(
-        _from_sites(s, [site for site in report.sites if site.side == side], side)
+        _from_sites(s, [site for site in report.sites if site.side == side])
         for s, side in ((pair.c, "c"), (pair.d, "d"))
     )
 
@@ -482,16 +460,11 @@ def _arc_points(z1: complex, z2: complex, theta: float, samples: int) -> list[co
     """Circular arc from z1 to z2 on which arg((z-z1)/(z-z2)) = 2*pi*theta.
 
     The origin lies on the closed arc exactly when arg(z1/z2) falls in the
-    same coset, which reproduces the coset condition this arc encodes; that
-    degeneracy is checked analytically, not by sampling.  arg(z1/z2) is taken
-    as the difference of the two phases, since the quotient itself under- or
-    overflows when |z1| and |z2| lie far apart.
+    same coset, which is the coset condition of the arc's site; callers gate
+    through normalize first, so no arc drawn here meets the origin.
     """
     if abs(z1 - z2) < 1e-14 * max(abs(z1), abs(z2)):
         return []
-    gap = ((cmath.phase(z1) - cmath.phase(z2)) / TWO_PI - theta) % 1.0
-    if min(gap, 1.0 - gap) < 1e-9:
-        raise CurveThroughOrigin(f"the arc from {z1:.6g} to {z2:.6g} passes through the origin")
     turn = cmath.exp(2j * math.pi * theta)
     points = [z1]
     for i in range(samples):
@@ -510,7 +483,8 @@ def build_hash_curve(
     image of the upper half circle with an inserted arc at every interior
     jump, and closes with the arc from the minus limit at -1 back to 1.
     Every point is checked against the normal float range (_normal), so a
-    symbol that under- or overflows raises OutsideFloatRange.
+    symbol that under- or overflows raises OutsideFloatRange.  Callers gate
+    the side through normalize before drawing; nothing here tests the origin.
     """
     pf = float(Fraction(p))
     if pf <= 1:

@@ -1,15 +1,17 @@
 """Closed-form criteria for the structured operator families.
 
 Four families are driven by a single symbol a: T(a)+H(a), T(a)-H(a),
-T(a)-H(t^{-1}a), and T(a)+H(ta), each b = sign * t^power * a.  Then c is a
-monomial and d carries every jump of a, so the one normalization that
-fredholm_engine.normalized_pair returns after its gate also places a's
-exponents in their family windows and gives the winding kappa = n - m, whose
-sign alone decides both defect numbers.  The fifth family is I+H(phi~),
-handled through the general pipeline with c = d = phi: its report is the
-general DefectReport plus the sign data of the symmetric split rho = rho0 *
-rho1, which c = d makes exact integers.  The Jacobi determinant closed form of
-its example of an invertible operator is a test reference (tests/helpers.py),
+T(a)-H(t^{-1}a), and T(a)+H(ta), each b = sign * t^power * a.  Then c is
++-t^{-power}, whose normalization has n = 0, and d carries every jump of a.
+family_fredholm reads everything off one defect_numbers call, which gates
+through fredholm_engine.normalized_pair: the normalization of d places a's
+exponents in their family windows, and kappa = n - m is minus the index.
+With n = 0 the defect numbers are counted (G-count or F-count), so no
+family report loads numpy.  The fifth family is I+H(phi~), handled through
+the general pipeline with c = d = phi: its report is the general
+DefectReport plus the sign data of the symmetric split rho = rho0 * rho1,
+which c = d makes exact integers.  The Jacobi determinant closed form of its
+example of an invertible operator is a test reference (tests/helpers.py),
 not a route of the program.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .fredholm_engine import normalized_pair
 from .symbol_core import (
     MINUS_ONE,
     ONE,
@@ -59,16 +60,12 @@ class HankelReport(_Record, eq=False):
 
 
 class FamilyReport(_Record, eq=False):
-    kappa: int
+    """A family pair's DefectReport, whose -index is the winding kappa = n - m, and a's placed exponents."""
+
+    defect: DefectReport
     beta_plus: Exponent
     beta_minus: Exponent
     pairs: tuple[tuple[UnitPoint, Exponent, Exponent], ...]
-    dim_ker: int
-    dim_coker: int
-
-    @property
-    def index(self) -> int:
-        return self.dim_ker - self.dim_coker
 
 
 # b = sign * t^power * a for each single-symbol family
@@ -103,15 +100,16 @@ def family_b(a: CanonicalSymbol, tag: str) -> CanonicalSymbol:
 
 
 def family_fredholm(pair: SymbolPair, tag: str, p) -> FamilyReport:
-    """Gate the family pair and read its exponents and winding off the d side.
+    """Gate the family pair and read its exponents off the d side of its defect report.
 
     With b = sign * t^power * a, c is a monomial and d carries every jump of
     a, so the normalization of d places a's exponents: beta+ lands on
     (1 - sign)/4 - Re gamma+, beta- on -(1 - sign)/4 - power/2 - Re gamma-,
     and the upper exponent of each pair on -Re gamma(tau) - Re lower, with
     gamma(tau) = 0 where d has no jump.  Each is a's exponent moved by an
-    integer, with its imaginary part unchanged.  kappa = n - m, and its sign
-    alone decides both defect numbers.
+    integer, with its imaginary part unchanged.  The defect numbers are
+    defect_numbers', which the sign of kappa = n - m alone decides, since
+    n = 0.
 
     Raises
     ------
@@ -120,10 +118,13 @@ def family_fredholm(pair: SymbolPair, tag: str, p) -> FamilyReport:
     NotFredholm
         From the gate in normalized_pair.
     """
+    from .defect_solver import defect_numbers
+
     a = pair.a
     if not symbols_equal(pair.b, family_b(a, tag)):
         raise ValueError(f"b is not the {tag} partner of a")
-    rep_c, rep_d = normalized_pair(pair, p)
+    report = defect_numbers(pair, p)
+    rep_d = report.rep_d
     sign, power = _FAMILY_SHAPES[tag]
     lift = Fraction(1 - sign, 4)
     gammas = dict(rep_d.gammas)
@@ -136,14 +137,11 @@ def family_fredholm(pair: SymbolPair, tag: str, p) -> FamilyReport:
         up, down = a.beta_at(pt), a.beta_at(pt.conjugate())
         gamma = gammas[pt].re if pt in gammas else 0
         pairs.append((pt, Exponent(-gamma - down.re, up.im), down))
-    kappa = rep_c.n - rep_d.n
     return FamilyReport(
-        kappa=kappa,
+        defect=report,
         beta_plus=Exponent(lift - rep_d.gamma_plus.re, a.beta_at(ONE).im),
         beta_minus=Exponent(-lift - Fraction(power, 2) - rep_d.gamma_minus.re, a.beta_at(MINUS_ONE).im),
         pairs=tuple(pairs),
-        dim_ker=max(0, -kappa),
-        dim_coker=max(0, kappa),
     )
 
 

@@ -2,7 +2,8 @@
 
 The second routes are references the suite checks production against, kept
 out of the package because no command reaches them: pointwise symbol values
-(eval_symbol), the winding of a drawn symbol curve, dense finite sections,
+(eval_symbol), the winding of a drawn symbol curve and the coset test of
+its arcs, dense finite sections,
 closed-form values of plus factors and of rho, the reconstruction of a
 normalized representation, and the Jacobi determinant closed form of
 acceptance criterion 4.
@@ -395,6 +396,29 @@ def winding_from_curve(curve: CurveData) -> int:
     if abs(w - nearest) > 0.1:
         raise ValueError(f"winding {w:.4f} is not close to an integer; refine the sampling")
     return int(nearest)
+
+
+def arcs_through_origin(curve: CurveData, big_p) -> list[str]:
+    """Tags of the drawn arcs that meet the origin, by a float coset test of their ends.
+
+    The arc from z1 to z2 at a site is the locus arg((z-z1)/(z-z2)) =
+    2 pi theta, with theta = 1/2 + 1/(2P) at 1, 1/(2P) at -1 and 1/P at an
+    interior jump, so it meets the origin when arg(z1/z2) lies within 1e-9
+    turns of theta + Z.  arg(z1/z2) is the difference of the two phases,
+    since the quotient itself under- or overflows when |z1| and |z2| lie far
+    apart.  P is p on the c side and q on the d side.
+    """
+    pf = float(big_p)
+    thetas = {"arc(0/1)": 0.5 + 0.5 / pf, "arc(1/2)": 0.5 / pf}
+    flagged = []
+    for tag, points in curve.segments:
+        if tag == "image":
+            continue
+        z1, z2 = points[0], points[-1]
+        gap = ((cmath.phase(z1) - cmath.phase(z2)) / TWO_PI - thetas.get(tag, 1.0 / pf)) % 1.0
+        if min(gap, 1.0 - gap) < 1e-9:
+            flagged.append(tag)
+    return flagged
 
 
 def finite_section(pair: SymbolPair, N: int) -> FiniteSection:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    arcs_through_origin,
     factor_reconstruction_defect,
     family_lows,
     golden_kernel_instances,
@@ -29,7 +30,6 @@ from helpers import (
 )
 from th_fredholm.defect_solver import InsufficientCoefficients, RankUndecidable, defect_numbers
 from th_fredholm.fredholm_engine import (
-    CurveThroughOrigin,
     NotFredholm,
     build_hash_curve,
     build_plus_factor,
@@ -86,8 +86,10 @@ def test_criterion_1_winding_table():
         verdict = fredholm_conditions(pair, p_bad)
         assert verdict.overall == "fail"
         assert any(site.distance == 0 for site in verdict.sites)
-        with pytest.raises(CurveThroughOrigin):
-            build_hash_curve(c, p_bad)
+        # the gate refuses the c side, and the drawn curve has an arc through the origin there
+        with pytest.raises(NotFredholm):
+            normalize(c, p_bad)
+        assert arcs_through_origin(build_hash_curve(c, p_bad), p_bad)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(
@@ -132,14 +134,14 @@ def test_criterion_3_family_interval_tables():
                     )
                     want = kappa + math.floor(bp - lo_p) + math.floor(bm - lo_m)
                     pair = validate_pair(a, family_b(a, tag))
-                    report = family_fredholm(pair, tag, p)
-                    assert report.kappa == want
+                    report = family_fredholm(pair, tag, p).defect
+                    assert -report.index == want
                     assert (report.dim_ker, report.dim_coker) == (max(0, -want), max(0, want))
                     rep_c, rep_d = normalized_pair(pair, p)
                     assert rep_c.n - rep_d.n == want
                     checked += 1
     assert checked == 4 * 5 * 25
-    # numerical spot-check: the general rank route reproduces the closed form
+    # spot-check: the general dispatch called directly reproduces the hand-placed windows
     spots = [
         (A_PLUS_HA, 1, grid[2], grid[3]),
         (A_MINUS_HA, -1, grid[1], grid[2]),
@@ -155,9 +157,12 @@ def test_criterion_3_family_interval_tables():
             ),
         )
         pair = validate_pair(a, family_b(a, tag))
-        closed = family_fredholm(pair, tag, p)
+        lo_p, lo_m = family_lows(tag, p)
+        want = kappa + math.floor(bp - lo_p) + math.floor(bm - lo_m)
         general = defect_numbers(pair, p)
-        assert (general.dim_ker, general.dim_coker) == (closed.dim_ker, closed.dim_coker)
+        assert (general.dim_ker, general.dim_coker) == (max(0, -want), max(0, want))
+        closed = family_fredholm(pair, tag, p).defect
+        assert (closed.n, closed.m, closed.case_tag) == (general.n, general.m, general.case_tag)
     print(f"\n[PASS] family interval tables over {checked} grid cases match the general pipeline")
 
 

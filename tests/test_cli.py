@@ -154,6 +154,38 @@ def test_curve_json_side_d(tmp_path, capsys):
     assert (code, json.loads(out)["winding"]) == (0, m)
 
 
+VERDICT_EXIT = {"pass": 0, "fail": 1, "boundary": 2}
+
+
+def side_report(check: dict, side: str) -> dict:
+    """check's report cut to the sites of one side, with their worst verdict as overall."""
+    sites = [s for s in check["sites"] if s["side"] == side]
+    verdicts = {s["verdict"] for s in sites}
+    return {**check, "sites": sites, "overall": next(v for v in ("fail", "boundary", "pass") if v in verdicts)}
+
+
+@pytest.mark.parametrize(
+    "p, code",
+    [(Fraction(4, 3), 1), (Fraction(4, 3) + Fraction(1, 10**11), 2), (Fraction(8, 7), 1)],
+    ids=["exact-failure", "boundary", "interior-jump"],
+)
+def test_curve_gates_its_side_like_check(tmp_path, capsys, p, code):
+    # curve answers for the side it draws, from the exact conditions: check's exit code and
+    # report cut to that side, in JSON though curve prints CSV by default
+    path = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": f"{p.numerator}/{p.denominator}"})
+    check = json.loads(run(capsys, ["check", path])[1])
+    assert VERDICT_EXIT[check["overall"]] == code
+    for side in ("c", "d"):
+        want = side_report(check, side)
+        got, out, _ = run(capsys, ["curve", path, "--side", side])
+        assert got == VERDICT_EXIT[want["overall"]], side
+        if got:
+            assert json.loads(out) == {**want, "command": "curve"}
+        else:
+            assert out.startswith("# winding=")
+    assert side_report(check, "c")["overall"] == check["overall"]
+
+
 # c = exp(v t - v/t) = exp(2i v sin x): v = 40i gives |c| = e^{-80 sin x}, v = -400i overflows, v = 400i underflows
 FLOAT_RANGE_DOCS = {
     "tiny": {"a": {"log_smooth": [{"k": 1, "im": 40}, {"k": -1, "im": -40}]}, "b": {}, "p": 2},
@@ -329,20 +361,24 @@ def gated_like_check(capsys, path, commands) -> int:
     """check's exit code; every command in commands must agree with it.
 
     A document that fails or sits on the boundary must get check's exit
-    code and its overall verdict and sites from each command.  On a passing
-    document every command exits 0, except that verify may refuse with 4.
+    code and its overall verdict and sites from each command.  curve
+    answers for side c alone, so it must get check's report cut to that
+    side (side_report) and its exit code.  On a passing verdict every
+    command exits 0, except that verify may refuse with 4.
     """
     code, out, _ = run(capsys, ["check", path])
     check = json.loads(out)
     for command in commands:
+        want = side_report(check, "c") if command == "curve" else check
+        want_code = VERDICT_EXIT[want["overall"]]
         got, out, _ = run(capsys, [command, path])
-        if code == 0:
+        if want_code == 0:
             assert got in ((0, 4) if command == "verify" else (0,)), (command, got)
             continue
-        assert got == code, (command, got, code)
+        assert got == want_code, (command, got, want_code)
         doc = json.loads(out)
         assert doc["command"] == command
-        assert (doc["overall"], doc["sites"]) == (check["overall"], check["sites"])
+        assert (doc["overall"], doc["sites"]) == (want["overall"], want["sites"])
     return code
 
 
@@ -351,7 +387,7 @@ def test_exit_codes_agree_on_family_documents(tmp_path, capsys):
     seen = set()
     for i in range(48):
         path = write_doc(tmp_path, family_document(rng, boundary=i % 2 == 0))
-        seen.add(gated_like_check(capsys, path, ("index", "defects", "factor", "special", "verify")))
+        seen.add(gated_like_check(capsys, path, ("index", "defects", "factor", "curve", "special", "verify")))
     assert seen == {0, 1, 2}
 
 
@@ -362,8 +398,38 @@ def test_exit_codes_agree_on_general_documents(tmp_path, capsys):
     for i in range(24):
         pair = pair_from_c_and_b(random_structural_c(rng, denom=8), random_generic_b(rng, denom=8))
         doc = {"a": symbol_node(pair.a), "b": symbol_node(pair.b), "p": ("2", "4/3")[i % 2]}
-        seen.append(gated_like_check(capsys, write_doc(tmp_path, doc), ("index", "defects", "factor", "verify")))
+        seen.append(gated_like_check(capsys, write_doc(tmp_path, doc), ("index", "defects", "factor", "curve", "verify")))
     assert {0, 1} <= set(seen)
+
+
+def test_exit_codes_agree_with_the_reference_on_the_census(tmp_path, capsys, monkeypatch):
+    # every gated command against bench/reference.py's exact verdicts, which call no library code,
+    # on the 150 documents of scripts/census.py; special on a General pair reads no (n, m) and is
+    # not gated, so it exits 0 there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gen = importlib.import_module("gen")
+    reference = importlib.import_module("reference")
+    docs = [doc for seed in (11, 12, 13) for _, doc, _ in gen.cli_documents(random.Random(seed), 40)]
+    rng = random.Random(2026)
+    docs += [gen.fmatrix_doc(rng) for _ in range(30)]
+    seen = set()
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(gen.to_json(doc))
+        p = gen.doc_p(doc)
+        ref = reference.expected(doc, p)
+        _, d = reference.auxiliary(doc)
+        sides = {"c": ref.c_verdict, "d": reference.side_verdict(d, p / (p - 1))}
+        for command in ("check", "index", "defects", "factor"):
+            assert run(capsys, [command, str(path)])[0] == ref.code, (i, command)
+        for side, verdict in sides.items():
+            assert run(capsys, ["curve", str(path), "--side", side])[0] == VERDICT_EXIT[verdict], (i, side)
+        code, out, _ = run(capsys, ["special", str(path)])
+        if not (code == 0 and json.loads(out)["family"] == "General"):
+            assert code == ref.code, (i, "special")
+        seen.add((ref.verdict, sides["c"], sides["d"]))
+    # the census holds failures of each side alone
+    assert {("pass", "pass", "pass"), ("fail", "fail", "pass"), ("fail", "pass", "fail")} <= seen, seen
 
 
 # a = e^{-0.3} exp(0.3) is the constant 1: the sign of c and d is read off scale * exp(log_0)
@@ -569,22 +635,27 @@ def test_verify_sizes_the_oracle_per_site(tmp_path, capsys):
     assert json.loads(out)["rho"]["oracleDeviation"] < 1e-13
 
 
+# what the patched rho_de returns, and what the refusal then says
+NAN_ORACLE_CASES = [
+    ({"coeffs": np.full(33, complex(math.nan))}, "oracle differ by nan"),
+    ({"tail_bound": math.nan}, " > nan"),
+]
+
+
 def test_verify_refuses_a_nan_oracle(tmp_path, capsys, monkeypatch):
-    # the gates fail closed: a NaN deviation refuses instead of passing as valid-looking output
+    # the gates fail closed: a NaN deviation or oracle bound refuses instead of passing as valid-looking output
     rho_de = verification_oracle.rho_de
-    monkeypatch.setattr(
-        verification_oracle,
-        "rho_de",
-        lambda *args: helpers.replace(rho_de(*args), coeffs=np.full(33, complex(math.nan))),
-    )
-    code, out, _ = run(capsys, ["verify", write_doc(tmp_path, NAN_ORACLE_DOC)])
+    path = write_doc(tmp_path, NAN_ORACLE_DOC)
 
     def refuse(name):
         raise ValueError(f"stdout holds the non-JSON constant {name}")
 
-    doc = json.loads(out, parse_constant=refuse)
-    assert code == 4 and doc["errorKind"] == "numerical-confidence"
-    assert "oracle differ by nan" in doc["error"]
+    for changes, message in NAN_ORACLE_CASES:
+        monkeypatch.setattr(verification_oracle, "rho_de", lambda *args: helpers.replace(rho_de(*args), **changes))
+        code, out, _ = run(capsys, ["verify", path])
+        doc = json.loads(out, parse_constant=refuse)
+        assert code == 4 and doc["errorKind"] == "numerical-confidence", changes
+        assert message in doc["error"], changes
 
 
 def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
@@ -743,8 +814,8 @@ def test_every_json_document_carries_the_envelope(tmp_path, capsys):
     cases = [
         (["defects", write_doc(tmp_path, README_DOC)], 0, "dimKer"),
         (["index", failing], 1, "overall"),
-        # curve prints CSV by default, but its refusal, which has no report, is JSON
-        (["curve", failing], 1, "error"),
+        # curve prints CSV by default, but its gate's report is JSON
+        (["curve", failing], 1, "overall"),
         (["verify", confidence], 4, "errorKind"),
     ]
     for argv, expected, key in cases:
@@ -1140,6 +1211,13 @@ def test_public_names_resolve_to_their_defining_modules():
             assert not hasattr(module, name), name
             with pytest.raises(AttributeError):
                 getattr(th_fredholm, name)
+    # every refusal comes from the exact conditions and carries their report
+    for name in ("CurveThroughOrigin", "NotFredholmOnSide"):
+        assert not hasattr(fredholm_engine, name), name
+        with pytest.raises(AttributeError):
+            getattr(th_fredholm, name)
+    with pytest.raises(TypeError):
+        fredholm_engine.NotFredholm("not Fredholm")
     # the plus factor's series come from its recurrence alone
     for name in ("binomial_coefficients", "eta_series", "_exp_of_monomial", "smooth_plus_factor"):
         assert not hasattr(wiener_hopf, name), name
@@ -1157,7 +1235,8 @@ def test_public_names_resolve_to_their_defining_modules():
         fredholm_engine.NormalizedRep: ["reconstruct", "side"],
         fredholm_engine.ConditionReport: ["fredholm"],
         fredholm_engine.CurveData: ["tags", "points"],
-        special_families.FamilyReport: ["tag", "p"],
+        # a family's winding and defect numbers are its DefectReport's
+        special_families.FamilyReport: ["tag", "p", "kappa", "dim_ker", "dim_coker", "index"],
     }
     for cls, names in methods.items():
         for name in names:

@@ -249,3 +249,30 @@ def test_matrix_case_runs_on_quadrature_alone(monkeypatch):
     assert (report.n, report.m, report.case_tag) == (3, 3, "F-matrix")
     closed = jacobi_determinant(float(alpha), float(beta), 3).determinant
     assert abs(np.linalg.det(report.matrix.matrix) - closed) <= 1e-12 * abs(closed)
+
+
+def scaled(s: CanonicalSymbol, k: int) -> CanonicalSymbol:
+    """s with its scale multiplied by 10^k."""
+    return CanonicalSymbol(s.kappa, s.scale * 10.0**k, s.log_smooth, s.jumps)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (CanonicalSymbol.one(), CanonicalSymbol.monomial(-2)),
+        (CanonicalSymbol.one(), invert(jacobi_symbol(Fraction(-2, 5), Fraction(7, 10), 3))),
+        (CanonicalSymbol.one(), invert(jacobi_symbol(Fraction(3, 10), Fraction(0), 2))),
+        (CanonicalSymbol.monomial(1), CanonicalSymbol.monomial(-3)),
+        (CanonicalSymbol.monomial(-1), multiply(CanonicalSymbol.monomial(-3), jump_unit(1, 2, Fraction(1, 4)))),
+    ],
+    ids=["shift", "jacobi-3", "jacobi-2", "n2-m1", "n1-m2"],
+)
+def test_rank_rule_is_scale_free(a, b):
+    # scaling a and b alike leaves c and d, and so (n, m), unchanged and scales rho, the
+    # defect matrix and its perturbation bound by one factor: the certificate keeps its margin
+    base = defect_numbers(validate_pair(a, b), 2)
+    assert base.case_tag == "F-matrix"
+    for k in (-200, -20, 20, 200):
+        report = defect_numbers(validate_pair(scaled(a, k), scaled(b, k)), 2)
+        assert (report.n, report.m, report.dim_ker, report.dim_coker) == (base.n, base.m, base.dim_ker, base.dim_coker)
+        assert report.gap_ratio == pytest.approx(base.gap_ratio, rel=1e-6), k

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    arcs_through_origin,
     curve_points,
     eval_symbol,
     interval_by_fractions,
@@ -21,9 +22,7 @@ from th_fredholm.fredholm_engine import (
     EPS_BOUNDARY,
     BoundaryCase,
     ConditionReport,
-    CurveThroughOrigin,
     NotFredholm,
-    NotFredholmOnSide,
     build_hash_curve,
     exponent_pair,
     fredholm_conditions,
@@ -90,13 +89,20 @@ def test_normalize_example_across_p():
 
 
 def test_normalize_boundary_p_values():
-    c = example_c()
-    with pytest.raises(NotFredholmOnSide) as err:
-        normalize(c, Fraction(4, 3))
-    assert err.value.point == ONE
-    with pytest.raises(NotFredholmOnSide) as err:
-        normalize(c, Fraction(8, 7))
-    assert err.value.point == UnitPoint(1, 4)
+    # normalize gates its own side: the report holds check's sites of that side alone
+    pair = example_pair()
+    for p, point in ((Fraction(4, 3), ONE), (Fraction(8, 7), UnitPoint(1, 4))):
+        with pytest.raises(NotFredholm) as err:
+            normalize(pair.c, p)
+        report = err.value.report
+        assert report.overall == "fail" and (report.p, report.q) == exponent_pair(p)
+        assert [s.point for s in report.failures()] == [point]
+        assert report.sites == tuple(s for s in fredholm_conditions(pair, p).sites if s.side == "c")
+    # a boundary site raises BoundaryCase with the side's boundary report
+    with pytest.raises(BoundaryCase) as err:
+        normalize(pair.c, Fraction(4, 3) + Fraction(1, 10**12))
+    assert err.value.report.overall == "boundary"
+    assert [s.point for s in err.value.report.failures()] == [ONE]
 
 
 def test_normalize_trivial_symbol():
@@ -135,7 +141,7 @@ def test_normalize_window_membership_random():
             c = random_structural_c(rng)
             try:
                 rep = normalize(c, p)
-            except NotFredholmOnSide:
+            except NotFredholm:
                 continue
             assert -1 / (2 * qf) < rep.gamma_plus.re < Fraction(1, 2) + 1 / (2 * pf)
             assert Fraction(-1, 2) - 1 / (2 * qf) < rep.gamma_minus.re < 1 / (2 * pf)
@@ -239,11 +245,13 @@ def test_winding_example_table():
 
 
 def test_curve_through_origin_at_exact_boundaries():
+    # the gate refuses exactly where a float coset test of the drawn arcs finds one through the origin
     c = example_c()
-    with pytest.raises(CurveThroughOrigin):
-        build_hash_curve(c, Fraction(4, 3))
-    with pytest.raises(CurveThroughOrigin):
-        build_hash_curve(c, Fraction(8, 7))
+    for p, tag in ((Fraction(4, 3), "arc(0/1)"), (Fraction(8, 7), "arc(1/4)")):
+        with pytest.raises(NotFredholm):
+            normalize(c, p)
+        assert arcs_through_origin(build_hash_curve(c, p), p) == [tag]
+    assert arcs_through_origin(build_hash_curve(c, 2), 2) == []
 
 
 @pytest.mark.parametrize("im", [120.0, -120.0], ids=["quotient_underflows", "quotient_overflows"])
@@ -254,9 +262,14 @@ def test_curve_through_origin_when_the_limits_lie_far_apart(im):
     s = jump_unit(1, 4, Exponent(Fraction(1, 4), im))
     z1, z2 = one_sided_limits(s, UnitPoint(1, 4))
     assert min(abs(z1), abs(z2)) < 1e-160 and max(abs(z1), abs(z2)) > 1e160
-    with pytest.raises(CurveThroughOrigin):
-        build_hash_curve(s, 4)
-    assert "arc(1/4)" in [tag for tag, _ in build_hash_curve(s, 3).segments]
+    with pytest.raises(NotFredholm) as err:
+        normalize(s, 4)
+    assert [site.point for site in err.value.report.failures()] == [UnitPoint(1, 4)]
+    assert arcs_through_origin(build_hash_curve(s, 4), 4) == ["arc(1/4)"]
+    assert normalize(s, 3).n == 0
+    curve = build_hash_curve(s, 3)
+    assert "arc(1/4)" in [tag for tag, _ in curve.segments]
+    assert arcs_through_origin(curve, 3) == []
 
 
 def test_curve_segments_tagged_and_closed():
@@ -325,7 +338,7 @@ def test_normalize_idempotent_and_reconstruction_pointwise():
         c = random_structural_c(rng)
         try:
             rep = normalize(c, Fraction(7, 5))
-        except NotFredholmOnSide:
+        except NotFredholm:
             continue
         recon = reconstruct(rep)
         rep2 = normalize(recon, Fraction(7, 5))
@@ -378,7 +391,7 @@ def test_conditions_equivalent_to_normalization():
             normalize(pair.c, p, side="c")
             normalize(pair.d, p, side="d")
             ok = True
-        except NotFredholmOnSide:
+        except NotFredholm:
             ok = False
         assert by_hand == (report.overall == "fail") == (not ok)
         agree += 1

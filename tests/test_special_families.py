@@ -90,9 +90,9 @@ def test_family_b_rejects_hankel_tag():
 def test_monomial_kernel_dimension():
     a = CanonicalSymbol.monomial(-1)
     report = family_fredholm(validate_pair(a, a), A_PLUS_HA, 2)
-    assert report.kappa == -1
-    assert (report.dim_ker, report.dim_coker) == (1, 0)
-    assert report.index == 1
+    # kappa = n - m is minus the index
+    assert report.defect.index == 1
+    assert (report.defect.dim_ker, report.defect.dim_coker) == (1, 0)
 
 
 def test_interval_contrast_between_families():
@@ -100,13 +100,13 @@ def test_interval_contrast_between_families():
     # land in different translates, so the winding differs by one
     a = jump_unit(0, 1, Fraction(1, 2))
     plus = family_fredholm(family_pair(a, A_PLUS_HA), A_PLUS_HA, 2)
-    assert plus.kappa == 1
+    assert -plus.defect.index == 1
     assert plus.beta_plus == Exponent(Fraction(-1, 2))
-    assert (plus.dim_ker, plus.dim_coker) == (0, 1)
+    assert (plus.defect.dim_ker, plus.defect.dim_coker) == (0, 1)
     mixed = family_fredholm(family_pair(a, A_MINUS_HTINV_A), A_MINUS_HTINV_A, 2)
-    assert mixed.kappa == 0
+    assert -mixed.defect.index == 0
     assert mixed.beta_plus == Exponent(Fraction(1, 2))
-    assert (mixed.dim_ker, mixed.dim_coker) == (0, 0)
+    assert (mixed.defect.dim_ker, mixed.defect.dim_coker) == (0, 0)
 
 
 def test_boundary_tie_is_an_error():
@@ -127,7 +127,7 @@ def test_boundary_tie_is_an_error():
 def test_pair_sum_drives_placement():
     a = multiply(jump_unit(1, 6, Fraction(2, 5)), jump_unit(5, 6, Fraction(3, 10)))
     report = family_fredholm(family_pair(a, A_PLUS_HA), A_PLUS_HA, 2)
-    assert report.kappa == 1
+    assert -report.defect.index == 1
     pt, up, down = report.pairs[0]
     assert pt == UnitPoint(1, 6)
     assert up == Exponent(Fraction(2, 5) - 1)
@@ -139,8 +139,8 @@ def test_minus_family_matches_rotated_plus_family():
     minus = family_fredholm(family_pair(a, A_MINUS_HA), A_MINUS_HA, Fraction(3, 2))
     rotated = rotate_half(a)
     plus = family_fredholm(family_pair(rotated, A_PLUS_HA), A_PLUS_HA, Fraction(3, 2))
-    assert minus.kappa == plus.kappa
-    assert (minus.dim_ker, minus.dim_coker) == (plus.dim_ker, plus.dim_coker)
+    assert minus.defect.index == plus.defect.index
+    assert (minus.defect.dim_ker, minus.defect.dim_coker) == (plus.defect.dim_ker, plus.defect.dim_coker)
 
 
 def test_family_tables_agree_with_general_pipeline():
@@ -166,7 +166,10 @@ def test_family_tables_agree_with_general_pipeline():
         pair = family_pair(a, tag)
         report = family_fredholm(pair, tag, p)
         rep_c, rep_d = normalized_pair(pair, p)
-        assert report.kappa == rep_c.n - rep_d.n
+        kappa = -report.defect.index
+        assert kappa == rep_c.n - rep_d.n
+        # c is a monomial whose normalization has n = 0, so the defect numbers are counted
+        assert report.defect.n == 0 and report.defect.case_tag in ("G-count", "F-count")
         lo_plus, lo_minus = family_lows(tag, Fraction(p))
         pair_sum = a.beta_at(UnitPoint(1, 7)).re + a.beta_at(UnitPoint(6, 7)).re
         moved = (
@@ -174,9 +177,9 @@ def test_family_tables_agree_with_general_pipeline():
             + math.floor(a.beta_at(MINUS_ONE).re - lo_minus)
             + math.floor(pair_sum - (1 / Fraction(p) - 1))
         )
-        assert report.kappa == a.kappa + moved
-        assert report.dim_ker == max(0, -report.kappa)
-        assert report.dim_coker == max(0, report.kappa)
+        assert kappa == a.kappa + moved
+        assert report.defect.dim_ker == max(0, -kappa)
+        assert report.defect.dim_coker == max(0, kappa)
 
 
 def test_hankel_identity_trivial_symbol():
