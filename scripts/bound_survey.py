@@ -3,15 +3,17 @@
 Run from the root of a checkout; ranks writes BENCH_rank_rule.json there,
 survey and faults write their sections of BENCH_rho_bound.json, replacing
 any earlier run's, and pairs adds its section, pairs:W:S, to the record
-file --out names, refusing before it runs if that file already holds one:
+file --out names (pairs:W:S:trace with --trace 1, which runs bench/run.py
+with its per-layer trace), refusing before it runs if that file already
+holds one:
 
     python3 scripts/bound_survey.py survey
     python3 scripts/bound_survey.py faults [--src DIR]
-    python3 scripts/bound_survey.py pairs --parent DIR --workload W --seed S --out FILE [--pairs 10]
+    python3 scripts/bound_survey.py pairs --parent DIR --workload W --seed S --out FILE [--pairs 10] [--trace 1]
     python3 scripts/bound_survey.py ranks
 
 survey compares RhoSeries.tail_bound with the fine-minus-coarse estimate the
-code used before (a 16-node rule with a 1e-10 rad sliver beside the 24-node
+code used before (a 16-node rule with a 1e-10 rad sliver beside the production
 one), with the tanh-sinh oracle and, on a subset, with the mpmath reference
 of tests/test_wiener_hopf.py.  faults counts minor page faults per
 rho_coefficients call with resource.getrusage, and the peak memory of
@@ -123,13 +125,13 @@ def survey_cases():
 
 
 def old_estimate(rho) -> float:
-    """max |24-node - 16-node| with slivers of 1e-12 and 1e-10 rad: the estimate before the bound."""
+    """max |rho - a 16-node rule with a 1e-10 rad sliver at every site|: the estimate before the bound."""
     import numpy as np
     from th_fredholm import wiener_hopf as wh
 
     ks, parts = rho.ks, rho.parts
     freq = max(-ks.start, ks.stop - 1) + abs(parts.power) + parts.top
-    index, offsets, weights = wh._rho_rule(parts, freq, 16, 1e-10)
+    index, offsets, weights = wh._rho_rule(parts, freq, 16, [1e-10] * len(parts.turns))
     xs = 2 * np.pi * np.array([float(t) for t in parts.turns])[index] + offsets
     coarse = wh._fourier_integrals(xs, weights, wh._rho_values(parts, index, offsets), ks)
     return float(np.max(np.abs(rho.coeffs - coarse)))
@@ -154,7 +156,9 @@ def cmd_survey(args) -> None:
         parts = rho.parts
         K = max(-rho.ks.start, rho.ks.stop - 1)
         freq = K + abs(parts.power) + parts.top
-        index, offsets, weights = wh._rho_rule(parts, freq, *wh.RHO_RULE)
+        nodes, bits = wh.RHO_RULE
+        radii, slivers = wh._slivers(parts, K, bits)
+        index, offsets, weights = wh._rho_rule(parts, freq, nodes, slivers)
         summands = weights * wh._rho_values(parts, index, offsets)
         mass = float(np.sum(np.abs(summands))) / (2 * math.pi)
         de = rho_de(parts, K)
@@ -163,9 +167,9 @@ def cmd_survey(args) -> None:
             "sites": len(parts.turns),
             "nodes": rho.inner_N,
             "bound": rho.tail_bound,
-            "quadrature": wh._quadrature_term(parts, K, freq, *wh.RHO_RULE),
-            "sliver": wh._sliver_term(parts, K, wh.RHO_RULE[1]),
-            "rounding": wh._rounding_term(parts, rho.ks, wh.RHO_RULE[1], index.size, summands),
+            "quadrature": wh._quadrature_term(parts, K, freq, nodes, slivers),
+            "sliver": wh._sliver_term(parts, K, radii, slivers),
+            "rounding": wh._rounding_term(parts, rho.ks, slivers, index.size, summands),
             "l1": mass,
             "old_estimate": old_estimate(rho),
             "oracle_gap": max(abs(rho.get(k) - de.get(k)) for k in range(-K, K + 1)),
@@ -253,11 +257,12 @@ def cmd_faults(args) -> None:
          replace=True)
 
 
-def run_bench(root: Path, workload: str, seed: int) -> dict:
+def run_bench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     for cache in root.rglob("__pycache__"):
         shutil.rmtree(cache)
     out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "11"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "11",
+         "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -266,7 +271,7 @@ def run_bench(root: Path, workload: str, seed: int) -> dict:
 
 def cmd_pairs(args) -> None:
     parent, out = Path(args.parent).resolve(), Path(args.out)
-    section = f"pairs:{args.workload}:{args.seed}"
+    section = f"pairs:{args.workload}:{args.seed}" + (":trace" if args.trace else "")
     load(section, out, replace=False)  # refuse before the runs, which take minutes
     runs = []
     for i in range(args.pairs):
@@ -275,8 +280,9 @@ def cmd_pairs(args) -> None:
             order.reverse()
         pair = {"first": order[0][0]}
         for side, root in order:
-            pair[side] = run_bench(root, args.workload, args.seed)
-            print(args.workload, args.seed, i, side, pair[side]["op_p50_s"], file=sys.stderr)
+            pair[side] = run_bench(root, args.workload, args.seed, args.trace)
+            p50 = pair[side].get("op_p50_s", pair[side].get("trace.untraced_op_p50_s"))
+            print(args.workload, args.seed, i, side, p50, file=sys.stderr)
         runs.append(pair)
     summary = {}
     for metric in runs[0]["parent"]:
@@ -401,6 +407,7 @@ def main() -> None:
     pairs.add_argument("--seed", type=int, required=True)
     pairs.add_argument("--out", required=True)
     pairs.add_argument("--pairs", type=int, default=10)
+    pairs.add_argument("--trace", type=int, choices=(0, 1), default=0)
     sub.add_parser("ranks")
     args = parser.parse_args()
     {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs, "ranks": cmd_ranks}[args.command](args)

@@ -56,6 +56,7 @@ from .symbol_core import (
 
 _CONFIDENCE_ERRORS = (RankUndecidable, MethodDisagreement, ResidualTooLarge, OutsideFloatRange)
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "boundary": 2}
+ORACLE_K = 16  # verify's evenness and oracle gates read rho_k for |k| <= ORACLE_K
 
 
 class InputError(ValueError):
@@ -321,16 +322,14 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_verify(job: Job, ns) -> tuple[dict, int]:
-    from .defect_solver import ORACLE_K, defect_numbers
+    from .defect_solver import defect_numbers
     from .verification_oracle import fourier_coeffs, kernel_residual_check, rho_de
     from .wiener_hopf import rho_coefficients
 
     report = defect_numbers(job.pair, job.p)
     series_a = fourier_coeffs(job.pair.a, job.truncation, tol=job.tolerance)
     series_b = fourier_coeffs(job.pair.b, job.truncation, tol=job.tolerance)
-    rho = report.rho
-    if rho is None:
-        rho = rho_coefficients(report.rep_c, report.rep_d, job.pair.b, ORACLE_K)
+    rho = rho_coefficients(report.rep_c, report.rep_d, job.pair.b, ORACLE_K)
     evenness = rho.evenness_defect()
     # rho is even and each rho_k lies within tail_bound, so the defect is at most twice it;
     # the gates fail closed: a NaN figure refuses

@@ -23,9 +23,6 @@ from .confidence import RankUndecidable
 from .fredholm_engine import normalized_pair
 from .symbol_core import SymbolPair, _Record
 
-# verify compares rho with its oracle on |k| <= ORACLE_K, so defect_numbers keeps rho_k for |k| <= max(n + m, ORACLE_K)
-ORACLE_K = 16
-
 if TYPE_CHECKING:  # numpy and rho load only on the F-matrix path
     import numpy as np
 
@@ -54,7 +51,6 @@ class DefectReport(_Record, eq=False):
     matrix: DefectMatrix | None = None
     sigma_min: float | None = None
     perturbation_bound: float | None = None
-    rho: RhoSeries | None = None
     rep_c: object = None
     rep_d: object = None
 
@@ -153,13 +149,7 @@ def defect_numbers(pair: SymbolPair, p) -> DefectReport:
     rep_c, rep_d = normalized_pair(pair, p)
     n, m = rep_c.n, rep_d.n
     tag = case_tag(n, m)
-    common = dict(
-        n=n,
-        m=m,
-        case_tag=tag,
-        rep_c=rep_c,
-        rep_d=rep_d,
-    )
+    common = dict(n=n, m=m, case_tag=tag, rep_c=rep_c, rep_d=rep_d)
     if tag == "G-zero":
         return DefectReport(dim_ker=0, dim_coker=n - m, **common)
     if tag == "G-count":
@@ -169,8 +159,7 @@ def defect_numbers(pair: SymbolPair, p) -> DefectReport:
 
     from .wiener_hopf import rho_coefficients
 
-    rho = rho_coefficients(rep_c, rep_d, pair.b, max(n + m, ORACLE_K))
-    dm = defect_matrix(rho, n, m)
+    dm = defect_matrix(rho_coefficients(rep_c, rep_d, pair.b, range(1 - m, n + m - 1)), n, m)
     sigma_min, delta = rank_decision(dm)
     r = min(n, m)
     return DefectReport(
@@ -179,7 +168,6 @@ def defect_numbers(pair: SymbolPair, p) -> DefectReport:
         matrix=dm,
         sigma_min=sigma_min,
         perturbation_bound=delta,
-        rho=rho,
         **common,
     )
 

@@ -173,7 +173,7 @@ def _log_common_cap(parts, K: int, height: float) -> float:
     return math.log(abs(parts.const)) + (abs(parts.power) + K) * height + _log_exp_cap(parts.laurent.items(), height)
 
 
-def _quadrature_term(parts, K: int, freq: int, nodes: int, sliver: float) -> float:
+def _quadrature_term(parts, K: int, freq: int, nodes: int, slivers: list) -> float:
     """Gauss-Legendre error of the panels of wiener_hopf._rho_rule, over 2 pi.
 
     parts are rho's (wiener_hopf.rho_parts).  A panel of half-width h
@@ -184,7 +184,7 @@ def _quadrature_term(parts, K: int, freq: int, nodes: int, sliver: float) -> flo
     1.05 h, h <= min(3/8 of the half-arc, 5/freq).  M is bounded factor by
     factor over the anchor's half-arcs.  The anchor's own |2 sin(x/2)|^beta,
     with |2 sin(x/2)| >= 0.2 l where beta < 0, is summed over the panels as
-    (1/2) int (0.2 u/4)^beta du from sliver to the half-arc.
+    (1/2) int (0.2 u/4)^beta du from the anchor's sliver to the half-arc.
     """
     ahead = parts.ahead
     back = ahead[-1:] + ahead[:-1]
@@ -192,42 +192,52 @@ def _quadrature_term(parts, K: int, freq: int, nodes: int, sliver: float) -> flo
     reach = 1 + 0.45 * 3 / 8
     far = _log_far_caps(parts, [reach * b for b in back], [reach * f for f in ahead], heights)
     total = 0.0
-    for beta, phase, f, b, h, rest in zip(parts.betas, parts.phases, ahead, back, heights, far):
+    for beta, phase, f, b, h, rest, s in zip(parts.betas, parts.phases, ahead, back, heights, far, slivers):
         lean = min(beta.real, 0.0)
         rise = max(beta.real, 0.0) * math.log(2 * math.cosh(h / 2))  # beta >= 0: (2 cosh(h/2))^beta, times the sum of h
         spin = math.pi * (abs(beta.imag) / 2 + abs(phase.imag)) + abs(phase.real) * h
-        span = (f ** (lean + 1) + b ** (lean + 1) - 2 * sliver ** (lean + 1)) / (lean + 1)
+        span = (f ** (lean + 1) + b ** (lean + 1) - 2 * s ** (lean + 1)) / (lean + 1)
         total += _exp(_log_common_cap(parts, K, h) + rest + rise + spin) * (0.2 / 4) ** lean * span / 2
     return 64 / 15 * ELLIPSE ** (-2 * nodes) / (ELLIPSE**2 - 1) * total / (2 * math.pi)
 
 
-def _sliver_term(parts, K: int, sliver: float) -> float:
-    """What the sliver rule leaves out, at both sides of every site, over 2 pi.
+def _slivers(parts, K: int, bits: int) -> tuple[list, list]:
+    """Per site, the radius R of its disk in _sliver_term and the width s of its sliver.
 
-    Beside site s the integrand is u^beta g(u), g analytic on the disk |u| <=
-    R, R at most half the gap to the next site.  The two nodes integrate
-    u^beta (g(0) + g'(0) u) exactly; the rest of g is at most C u^2 with C =
-    M / (R^2 - sliver R) (Cauchy, M bounding |g| on the disk).  Integrated
-    against |u^beta| and summed at the nodes, that leaves C sliver^(Re beta + 3)
-    (1/(Re beta + 3) + (|beta| + 1/2) / |(beta + 1)(beta + 2)|).
+    R = min(ahead, behind, 2 / (|power| + K + 1)) and s = R 2^(-bits / (Re
+    beta + 3)), so that what _sliver_term leaves out, about M s^(Re beta +
+    3) / R^2 with M bounding the site's analytic factor on the disk, is
+    2^-bits of the site's local mass, about M R^(Re beta + 1).
     """
     ahead = parts.ahead
     radii = [min(f, b, 2 / (abs(parts.power) + K + 1)) for f, b in zip(ahead, ahead[-1:] + ahead[:-1])]
-    total = 0.0
-    for beta, phase, R, rest in zip(parts.betas, parts.phases, radii, _log_far_caps(parts, radii, radii, radii)):
-        if R <= sliver:
-            return math.inf
+    return radii, [R * 2.0 ** (-bits / (beta.real + 3)) for R, beta in zip(radii, parts.betas)]
+
+
+def _sliver_term(parts, K: int, radii: list, slivers: list) -> float:
+    """What the sliver rule leaves out, at both sides of every site, over 2 pi.
+
+    Beside a site the integrand is u^beta g(u), g analytic on the disk |u|
+    <= R, R from _slivers, at most half the gap to the next site.  The two
+    nodes integrate u^beta (g(0) + g'(0) u) exactly; the rest of g is at
+    most C u^2 with C = M / (R^2 - s R) (Cauchy, M bounding |g| on the
+    disk), s the site's sliver.  Integrated against |u^beta| and summed at
+    the nodes, that leaves C s^(Re beta + 3) (1/(Re beta + 3) + (|beta| +
+    1/2) / |(beta + 1)(beta + 2)|).
+    """
+    total, far = 0.0, _log_far_caps(parts, radii, radii, radii)
+    for beta, phase, R, rest, s in zip(parts.betas, parts.phases, radii, far, slivers):
         # the site's own factor in g: (2 sin(u/2) / u)^beta, within delta of 1, and its phase
         delta = math.sinh(R / 2) / (R / 2) - 1
         own = beta.real * math.log1p(-delta if beta.real < 0 else delta) + abs(beta.imag) * math.asin(delta)
         own += abs(phase.imag) * (math.pi + R) + abs(phase.real) * R
-        cap = _exp(_log_common_cap(parts, K, R) + own + rest) / (R * R - sliver * R)
+        cap = _exp(_log_common_cap(parts, K, R) + own + rest) / (R * R - s * R)
         weight = 1 / (beta.real + 3) + (abs(beta) + 0.5) / abs((beta + 1) * (beta + 2))
-        total += 2 * cap * sliver ** (beta.real + 3) * weight
+        total += 2 * cap * s ** (beta.real + 3) * weight
     return total / (2 * math.pi)
 
 
-def _rounding_term(parts, ks: range, sliver: float, nodes: int, summands: np.ndarray) -> float:
+def _rounding_term(parts, ks: range, slivers: list, nodes: int, summands: np.ndarray) -> float:
     """Rounding of rho's values, the Fourier factors and the sums, over 2 pi.
 
     Each summand w rho e^{-ikx} carries a relative error of at most UNIT
@@ -236,10 +246,10 @@ def _rounding_term(parts, ks: range, sliver: float, nodes: int, summands: np.nda
     ks.start x; the position error of x (fl(2 pi t) + d, d within 8 UNIT
     |d| of the Gauss node) times |k| and times the value's slope; and the
     rounding inside wiener_hopf._rho_values, taken per anchor site a from
-    the offsets of a's nodes to every site s: each exp, log, sin and product
-    a few units, and each addition into the exponent one unit of the partial
-    sum, which holds one large site log at most (a's own) before the power
-    of t.  Times sum |summands| / 2 pi, with n units taken as n UNIT / (1 -
+    the offsets of a's nodes to every site s, none nearer a than half a's
+    sliver: each exp, log, sin and product a few units, and each addition
+    into the exponent one unit of the partial sum, which holds one large
+    site log at most (a's own) before the power of t.  Times sum |summands| / 2 pi, with n units taken as n UNIT / (1 -
     n UNIT) (Higham, Lemma 3.1).
     """
     ahead, laurent, table, S = parts.ahead, parts.laurent, parts.table.tolist(), len(parts.turns)
@@ -254,7 +264,6 @@ def _rounding_term(parts, ks: range, sliver: float, nodes: int, summands: np.nda
         + _log_term_units(laurent.items()) + len(laurent) * v_abs
         + abs(parts.power) * X + 32  # the exp, the constant and products, and the weights (8 UNIT)
     )
-    own_log = abs(math.log(2 * math.sin(sliver / 4)))
     worst = 0.0
     for a in range(S):  # a's nodes lie at offsets table[s, a] + [-back_a, ahead_a] from site s
         value, partial = common, v_abs
@@ -262,7 +271,7 @@ def _rounding_term(parts, ks: range, sliver: float, nodes: int, summands: np.nda
             eta, turn = abs(parts.etas[s]), abs(parts.phases[s])
             tie = eta + abs(parts.betas[s] - parts.etas[s])  # with 4 sin^2(d/2) at -1
             if s == a:  # d within 8 UNIT |d| of the node
-                sens, spread = 8 * (tie + math.pi * turn), eta * own_log
+                sens, spread = 8 * (tie + math.pi * turn), eta * abs(math.log(2 * math.sin(slivers[a] / 4)))
             else:
                 lo, hi = _span(table[s][a], back[a], ahead[a])
                 if lo <= 0:

@@ -14,10 +14,11 @@ its bounds and the oracle all read that one record.  Its values come from one
 exponent per point, every factor's site term taken from the exact offset of
 the point to that site.  The few coefficients the defect matrix reads come
 from Gauss-Legendre quadrature of those values, graded geometrically into
-the sites (Schwab, Computing 1994), one 24-node rule per panel.  Their
-error bound is a priori, per half-arc and site: the quadrature, sliver and
-rounding terms of the quadrature module.  The second route, tanh-sinh
-quadrature on the same values, is verification_oracle.rho_de.
+the sites (Schwab, Computing 1994), each down to a sliver of its own width,
+one 24-node rule per panel.  Their error bound is a priori, per half-arc
+and site: the quadrature, sliver and rounding terms of the quadrature
+module.  The second route, tanh-sinh quadrature on the same values, is
+verification_oracle.rho_de.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from .fredholm_engine import NormalizedRep, build_plus_factor
-from .quadrature import _fourier_integrals, _leggauss, _quadrature_term, _rounding_term, _sliver_term
+from .quadrature import _fourier_integrals, _leggauss, _quadrature_term, _rounding_term, _sliver_term, _slivers
 from .symbol_core import CanonicalSymbol, Exponent, _Record
 
-# Gauss-Legendre nodes per panel and sliver width in rad of the rho rule
-RHO_RULE = (24, 1e-12)
+# Gauss-Legendre nodes per panel of the rho rule, and the bits of its slivers (quadrature._slivers)
+RHO_RULE = (24, 53)
 
 
 def _gauss_panels(lo, hi, freq: int, nodes: int, least: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -70,8 +71,9 @@ class RhoParts(_Record, eq=False):
 class RhoSeries(_Record, eq=False):
     """Two-sided coefficients of rho with their error figure and the parts they integrate.
 
-    coeffs[k - ks.start] holds rho_k for k in ks, a contiguous range, symmetric
-    for the defect matrix and the oracle.  tail_bound is, from
+    coeffs[k - ks.start] holds rho_k for k in ks, a contiguous range: the k
+    the defect matrix or the kernel check reads, or a symmetric range for
+    verify's evenness and oracle gates.  tail_bound is, from
     rho_coefficients, a bound on max |rho_k - coeffs| over ks;
     from the tanh-sinh oracle it is an estimate, the last movement plus the
     inner remainder.  inner_N is the node count of the rule, or of the
@@ -167,38 +169,38 @@ def _rho_values(parts: RhoParts, index: np.ndarray, offsets: np.ndarray) -> np.n
     return parts.const * np.exp(expo) * factor
 
 
-def _rho_rule(parts: RhoParts, freq: int, nodes: int, sliver: float):
+def _rho_rule(parts: RhoParts, freq: int, nodes: int, slivers: list):
     """Anchor indices, offsets and weights of the graded arc rule for rho.
 
     Each arc between consecutive sites of rho's parts (rho_parts) is split
-    at its midpoint, and each half, of the width parts.ahead that the bounds
-    read, is laid out in offsets from its end site, its anchor.  A half is
-    graded geometrically (ratio at most 4) from the midpoint down to
-    `sliver`, at exponent 0 too, so a singular site just past the anchor
-    meets small panels; graded panels are cut to at most 10/freq rad.  The
-    sliver becomes nodes at +-`sliver` and +-`sliver`/2, with weights sliver
-    beta / ((beta + 1)(beta + 2)) and 2^(beta + 1) sliver / ((beta + 1)(beta +
-    2)), that integrate C |u|^beta (1 + c u) exactly (Re beta > -1 by
-    rho_parts).  Every panel [l, r] has r <= 4 l and a width of at most
-    10/freq, which quadrature._quadrature_term reads.
+    at its midpoint into two halves of the width parts.ahead that the bounds
+    read, each laid out in offsets from its end site, its anchor.  A half is
+    graded geometrically (ratio at most 4) from the midpoint down to its
+    anchor's sliver s (quadrature._slivers), at exponent 0 too, so a
+    singular site just past the anchor meets small panels; graded panels are
+    cut to at most 10/freq rad.  Each sliver becomes nodes at +-s and +-s/2,
+    with weights s beta / ((beta + 1)(beta + 2)) and 2^(beta + 1) s /
+    ((beta + 1)(beta + 2)), that integrate C |u|^beta (1 + c u) exactly
+    (Re beta > -1 by rho_parts).  Every panel [l, r] has r <= 4 l and a
+    width of at most 10/freq, which quadrature._quadrature_term reads.
     """
     S = len(parts.turns)
-    halves = np.array(parts.ahead)
-    levels = np.array([math.ceil(math.log(h / sliver, 4)) for h in halves])
-    # level j of arc i runs from halves[i] (sliver/halves[i])^((j+1)/levels[i]) up to the same at j
-    arc = np.repeat(np.arange(S), levels)
-    j = np.arange(arc.size) - np.repeat(np.cumsum(levels) - levels, levels)
-    top, ratio = halves[arc], sliver / halves[arc]
-    lo, hi = top * ratio ** ((j + 1) / levels[arc]), top * ratio ** (j / levels[arc])
+    anchors = np.concatenate([np.arange(S), (np.arange(S) + 1) % S])  # half h < S lies ahead of its anchor
+    halves, floors = np.tile(parts.ahead, 2), np.array(slivers)[anchors]
+    levels = np.array([math.ceil(math.log(h / s, 4)) for h, s in zip(halves, floors)])
+    # level j of half i runs from halves[i] (floors[i]/halves[i])^((j+1)/levels[i]) up to the same at j
+    half = np.repeat(np.arange(2 * S), levels)
+    j = np.arange(half.size) - np.repeat(np.cumsum(levels) - levels, levels)
+    top, ratio = halves[half], floors[half] / halves[half]
+    lo, hi = top * ratio ** ((j + 1) / levels[half]), top * ratio ** (j / levels[half])
     d, w, interval = _gauss_panels(lo, hi, freq, nodes, 1)
-    caps = []
-    for beta in parts.betas:
-        scale = sliver / ((beta + 1) * (beta + 2))
-        caps.append([beta * scale, 2 ** (beta + 1) * scale] * 2)
-    own = arc[interval]
-    index = np.concatenate([own, (own + 1) % S, np.repeat(np.arange(S), 4)])
-    offsets = np.concatenate([d, -d, np.tile([sliver, sliver / 2, -sliver, -sliver / 2], S)])
-    return index, offsets, np.concatenate([w, w, np.ravel(caps)])
+    s, beta = np.array(slivers), np.array(parts.betas)
+    scale = s / ((beta + 1) * (beta + 2))
+    caps = np.column_stack([beta * scale, 2 ** (beta + 1) * scale] * 2)
+    own = half[interval]
+    index = np.concatenate([anchors[own], np.repeat(np.arange(S), 4)])
+    offsets = np.concatenate([np.where(own < S, d, -d), np.column_stack([s, s / 2, -s, -s / 2]).ravel()])
+    return index, offsets, np.concatenate([w, caps.ravel()])
 
 
 def rho_coefficients(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSymbol, keep: int | range) -> RhoSeries:
@@ -209,21 +211,23 @@ def rho_coefficients(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSym
     in keep, a contiguous range, or for |k| <= keep when it is an int, by the
     graded rule of _rho_rule between the sites of rho_parts, sized for the
     top frequency max |k| + |m + n + kappa_b| + the top log degree of b, c_+,
-    d_+, or 1 where that is 0.  tail_bound is an a-priori bound on max |rho_k - coeffs| over keep:
-    the quadrature, sliver and rounding terms, computed per panel and site.
+    d_+, or 1 where that is 0, with slivers from max |k| (quadrature._slivers).
+    tail_bound is an a-priori bound on max |rho_k - coeffs| over keep: the
+    quadrature, sliver and rounding terms, computed per panel and site.
     """
     ks = keep if isinstance(keep, range) else range(-keep, keep + 1)
     parts = rho_parts(rep_c, rep_d, b)
     K = max(-ks.start, ks.stop - 1)
     freq = max(1, K + abs(parts.power) + parts.top)  # at least 1, as the quadrature bound divides by it
-    nodes, sliver = RHO_RULE
-    index, offsets, weights = _rho_rule(parts, freq, nodes, sliver)
+    nodes, bits = RHO_RULE
+    radii, slivers = _slivers(parts, K, bits)
+    index, offsets, weights = _rho_rule(parts, freq, nodes, slivers)
     vals = _rho_values(parts, index, offsets)
     xs = 2 * np.pi * np.array([float(t) for t in parts.turns])[index] + offsets
     coeffs = _fourier_integrals(xs, weights, vals, ks)
     bound = (
-        _quadrature_term(parts, K, freq, nodes, sliver)
-        + _sliver_term(parts, K, sliver)
-        + _rounding_term(parts, ks, sliver, xs.size, weights * vals)
+        _quadrature_term(parts, K, freq, nodes, slivers)
+        + _sliver_term(parts, K, radii, slivers)
+        + _rounding_term(parts, ks, slivers, xs.size, weights * vals)
     )
     return RhoSeries(coeffs, ks, xs.size, bound, parts)

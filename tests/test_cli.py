@@ -566,6 +566,17 @@ def test_verify_reports_oracles(tmp_path, capsys):
     assert report["rho"]["oracleDeviation"] < 1e-12
 
 
+def test_verify_on_fmatrix_documents(tmp_path, capsys):
+    # defects keeps only the rho_k its matrix reads, rho_0 alone at n = m = 1; verify computes its
+    # own |k| <= 16 for the evenness and oracle gates
+    for doc in (JACOBI_FMATRIX, TWO_JUMP_DOC):
+        code, out, _ = run(capsys, ["verify", write_doc(tmp_path, doc)])
+        assert code == 0, out
+        report = json.loads(out)
+        assert report["defects"] == {"dimKer": 0, "dimCoker": 0}
+        assert report["rho"]["bound"] < 1e-12 and report["rho"]["oracleDeviation"] < 1e-12
+
+
 def test_verify_confidence_failure_exits_four(tmp_path, capsys):
     doc = {
         "a": {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]},

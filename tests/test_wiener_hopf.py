@@ -458,12 +458,14 @@ def test_rho_eval_at_through_minus_one_raises_no_warning():
 
 def test_steep_site_insensitive_to_sliver_width(monkeypatch):
     # every site factor is evaluated from the node's exact offset to its site
-    # and the sliver is integrated from its leading terms, so widening the
-    # sliver 10^4-fold moves nothing beyond rounding
+    # and each sliver is integrated from its leading terms, so cutting every
+    # sliver 40 bits further down, 2^(40 / (Re beta + 3))-fold narrower and
+    # 3e5-fold at the steep site, moves nothing beyond the bound
     pair, p, rho = steep_pair()
-    monkeypatch.setattr(wiener_hopf, "RHO_RULE", (24, 1e-8))
-    _, _, wide = rho_for_pair(pair, p, N_keep=16)
-    assert np.max(np.abs(wide.coeffs - rho.coeffs)) < 1e-10
+    monkeypatch.setattr(wiener_hopf, "RHO_RULE", (24, 93))
+    _, _, narrow = rho_for_pair(pair, p, N_keep=16)
+    assert narrow.inner_N > rho.inner_N
+    assert np.max(np.abs(narrow.coeffs - rho.coeffs)) < min(1e-14, rho.tail_bound)
 
 
 @pytest.mark.parametrize(
@@ -596,11 +598,12 @@ def test_rho_bound_holds_against_mpmath():
 
 @pytest.mark.parametrize(
     "term, rule",
-    [("_quadrature_term", (4, 1e-12)), ("_sliver_term", (24, 1e-3)), ("_rounding_term", (24, 1e-12))],
+    [("_quadrature_term", (4, 53)), ("_sliver_term", (24, 20)), ("_rounding_term", (24, 53))],
 )
 def test_rho_bound_fails_without_each_term(monkeypatch, term, rule):
-    # a rule whose error that term carries: 4 nodes per panel, a sliver of 1e-3 rad, or the
-    # production rule, whose error is rounding; the full bound still holds there
+    # a rule whose error that term carries: 4 nodes per panel, slivers cut at 2^-20 of each
+    # site's local mass, or the production rule, whose error is rounding; the full bound
+    # still holds there
     monkeypatch.setattr(wiener_hopf, "RHO_RULE", rule)
     assert bound_violations() == []
     monkeypatch.setattr(wiener_hopf, term, lambda *args: 0.0)
