@@ -10,6 +10,7 @@ holds one:
     python3 scripts/bound_survey.py survey
     python3 scripts/bound_survey.py faults [--src DIR]
     python3 scripts/bound_survey.py pairs --parent DIR --workload W --seed S --out FILE [--pairs 10] [--trace 1]
+    python3 scripts/bound_survey.py verify --parent DIR --out FILE [--pairs 10]
     python3 scripts/bound_survey.py ranks
 
 survey compares RhoSeries.tail_bound with the fine-minus-coarse estimate the
@@ -20,7 +21,11 @@ rho_coefficients call with resource.getrusage, and the peak memory of
 compiling the numeric modules; --src points it at another checkout's
 src, whose rho_coefficients takes (rep_c, rep_d, b, keep) as this one's
 does.  pairs runs bench/run.py alternately in the parent checkout
-and in this one, each with a fresh bytecode cache.  ranks applies
+and in this one, each with a fresh bytecode cache.  verify times
+cli.main(["verify", doc]) in process over the 150 documents of
+scripts/census.py, as the least of 3 passes, in one child process per
+checkout, alternately in the parent and in this one, each with a fresh
+bytecode cache, and adds the section verify:census to --out.  ranks applies
 defect_solver.rank_decision, and the rule it replaced (a cut at 1e-8 sigma_max
 with a refusal only when rho's bound could move a singular value across the
 cut), to the F-matrix defect matrices of criterion 4's Jacobi grid,
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import resource
 import shutil
 import statistics
@@ -205,7 +211,7 @@ def cmd_survey(args) -> None:
             "rounding_ulps_per_l1_max": max(r["rounding_ulps_per_l1"] for r in part),
             "rounding_ulps_per_l1_min": min(r["rounding_ulps_per_l1"] for r in part),
             "l1_max": max(r["l1"] for r in part),
-            "oracle_gap_max": max(r["oracle_gap"] for r in part),
+            "oracle_gap_max": max((r["oracle_gap"] for r in part), key=lambda gap: math.inf if gap != gap else gap),
             "mpmath_cases": len(gaps),
             "mpmath_gap_max": max(gaps, default=None),
             "bound_over_mpmath_gap_min": min((r["bound"] / r["mpmath_gap_k16"] for r in part if "mpmath_gap_k16" in r), default=None),
@@ -225,12 +231,12 @@ def cmd_faults(args) -> None:
     name, golden, p = next(i for i in golden_kernel_instances() if defect_numbers(i[1], i[2]).m > 0)
     calls = {}
     for label, pair, p, keep in (
-        ("defects: Jacobi (-2/5, 7/10, 3), |k| <= 16", jacobi, 2, None),
+        ("defects: Jacobi (-2/5, 7/10, 3), 1 - m <= k <= n + m - 2", jacobi, 2, None),
         (f"verify kernel check: golden {name}, section 256", golden, p, 256),
     ):
         report = defect_numbers(pair, p)
         n, m = report.n, report.m
-        ks = max(n + m, 16) if keep is None else range(n - m + 1, keep + n + m - 1)
+        ks = range(1 - m, n + m - 1) if keep is None else range(n - m + 1, keep + n + m - 1)
         args_ = (report.rep_c, report.rep_d, pair.b, ks)
         for _ in range(10):
             rho_coefficients(*args_)
@@ -257,9 +263,13 @@ def cmd_faults(args) -> None:
          replace=True)
 
 
-def run_bench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+def clear_bytecode(root: Path) -> None:
     for cache in root.rglob("__pycache__"):
         shutil.rmtree(cache)
+
+
+def run_bench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    clear_bytecode(root)
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "11",
          "--trace", str(trace)],
@@ -269,21 +279,32 @@ def run_bench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
-def cmd_pairs(args) -> None:
-    parent, out = Path(args.parent).resolve(), Path(args.out)
-    section = f"pairs:{args.workload}:{args.seed}" + (":trace" if args.trace else "")
-    load(section, out, replace=False)  # refuse before the runs, which take minutes
+def alternate(parent: Path, pairs: int, run) -> list[dict]:
+    """pairs runs of run(i, side, root) in the parent checkout and in this one, alternating which goes first."""
     runs = []
-    for i in range(args.pairs):
+    for i in range(pairs):
         order = [("parent", parent), ("change", ROOT)]
         if i % 2:
             order.reverse()
         pair = {"first": order[0][0]}
         for side, root in order:
-            pair[side] = run_bench(root, args.workload, args.seed, args.trace)
-            p50 = pair[side].get("op_p50_s", pair[side].get("trace.untraced_op_p50_s"))
-            print(args.workload, args.seed, i, side, p50, file=sys.stderr)
+            pair[side] = run(i, side, root)
         runs.append(pair)
+    return runs
+
+
+def cmd_pairs(args) -> None:
+    parent, out = Path(args.parent).resolve(), Path(args.out)
+    section = f"pairs:{args.workload}:{args.seed}" + (":trace" if args.trace else "")
+    load(section, out, replace=False)  # refuse before the runs, which take minutes
+
+    def run(i: int, side: str, root: Path) -> dict:
+        metrics = run_bench(root, args.workload, args.seed, args.trace)
+        print(args.workload, args.seed, i, side, metrics.get("op_p50_s", metrics.get("trace.untraced_op_p50_s")),
+              file=sys.stderr)
+        return metrics
+
+    runs = alternate(parent, args.pairs, run)
     summary = {}
     for metric in runs[0]["parent"]:
         parent_runs = [r["parent"][metric] for r in runs]
@@ -297,6 +318,61 @@ def cmd_pairs(args) -> None:
             "change_wins": sum(better * (c - p) > 0 for p, c in zip(parent_runs, change_runs)),
             "pairs": len(runs),
         }
+    save(section, {"summary": summary, "runs": runs}, out)
+
+
+# run in the root of a checkout, with this checkout's scripts directory as argv[1]: the least of 3
+# in-process passes of verify over the census documents, in seconds
+VERIFY_CHILD = """
+import contextlib, io, json, sys, tempfile, time, warnings
+from pathlib import Path
+sys.path[:0] = ["src", "bench", sys.argv[1]]
+import census, gen
+from th_fredholm import cli
+docs, fmatrix = census.documents(gen)
+with tempfile.TemporaryDirectory() as tmp:
+    paths = [Path(tmp) / f"doc{i}.json" for i in range(len(docs + fmatrix))]
+    for path, doc in zip(paths, docs + fmatrix):
+        path.write_text(gen.to_json(doc))
+    passes = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for path in paths:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    cli.main(["verify", str(path)])
+        passes.append(time.perf_counter() - start)
+print(json.dumps(min(passes)))
+"""
+
+
+def cmd_verify(args) -> None:
+    parent, out, section = Path(args.parent).resolve(), Path(args.out), "verify:census"
+    load(section, out, replace=False)  # refuse before the runs
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+
+    def run(i: int, side: str, root: Path) -> float:
+        clear_bytecode(root)
+        seconds = json.loads(subprocess.run(
+            [sys.executable, "-c", VERIFY_CHILD, str(ROOT / "scripts")],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+        print("verify", i, side, f"{seconds:.3f} s", file=sys.stderr)
+        return seconds
+
+    runs = alternate(parent, args.pairs, run)
+    parent_runs, change_runs = [r["parent"] for r in runs], [r["change"] for r in runs]
+    q = statistics.quantiles(parent_runs, n=4) if len(runs) > 1 else [parent_runs[0]] * 3
+    summary = {
+        "parent_median_s": statistics.median(parent_runs),
+        "change_median_s": statistics.median(change_runs),
+        "parent_iqr_s": q[2] - q[0],
+        "change_wins": sum(c < p for p, c in zip(parent_runs, change_runs)),
+        "pairs": len(runs),
+        "median_change_share": statistics.median(c / p for p, c in zip(parent_runs, change_runs)),
+    }
+    print(json.dumps(summary), file=sys.stderr)
     save(section, {"summary": summary, "runs": runs}, out)
 
 
@@ -408,9 +484,14 @@ def main() -> None:
     pairs.add_argument("--out", required=True)
     pairs.add_argument("--pairs", type=int, default=10)
     pairs.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    verify = sub.add_parser("verify")
+    verify.add_argument("--parent", required=True)
+    verify.add_argument("--out", required=True)
+    verify.add_argument("--pairs", type=int, default=10)
     sub.add_parser("ranks")
     args = parser.parse_args()
-    {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs, "ranks": cmd_ranks}[args.command](args)
+    commands = {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs, "verify": cmd_verify, "ranks": cmd_ranks}
+    commands[args.command](args)
 
 
 if __name__ == "__main__":

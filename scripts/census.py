@@ -68,16 +68,22 @@ def census(docs: list[dict]) -> None:
         print(f"{label:8} {counts:40} sha256 {digests[label].hexdigest()}")
 
 
+def documents(gen) -> tuple[list[dict], list[dict]]:
+    """The two blocks of documents, from bench/gen: the CLI documents and the F-matrix documents."""
+    docs = [doc for seed in SEEDS for _, doc, _ in gen.cli_documents(random.Random(seed), PER_SEED)]
+    rng = random.Random(FMATRIX_SEED)
+    return docs, [gen.fmatrix_doc(rng) for _ in range(FMATRIX_DOCS)]
+
+
 def main() -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import gen
 
-    docs = [doc for seed in SEEDS for _, doc, _ in gen.cli_documents(random.Random(seed), PER_SEED)]
+    docs, fmatrix = documents(gen)
     print(f"{len(docs)} documents, seeds {', '.join(map(str, SEEDS))}")
     census(docs)
-    rng = random.Random(FMATRIX_SEED)
     print(f"{FMATRIX_DOCS} F-matrix documents, seed {FMATRIX_SEED}")
-    census([gen.fmatrix_doc(rng) for _ in range(FMATRIX_DOCS)])
+    census(fmatrix)
 
 
 if __name__ == "__main__":

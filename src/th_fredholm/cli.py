@@ -322,13 +322,13 @@ def cmd_special(job: Job, ns) -> tuple[dict, int]:
 
 
 def cmd_verify(job: Job, ns) -> tuple[dict, int]:
+    """rho on |k| <= ORACLE_K against its evenness and the tanh-sinh oracle, then the kernel check;
+    fourierBound prints the bounds of the coefficients its section reads, null with no candidate."""
     from .defect_solver import defect_numbers
-    from .verification_oracle import fourier_coeffs, kernel_residual_check, rho_de
+    from .verification_oracle import kernel_residual_check, rho_de
     from .wiener_hopf import rho_coefficients
 
     report = defect_numbers(job.pair, job.p)
-    series_a = fourier_coeffs(job.pair.a, job.truncation, tol=job.tolerance)
-    series_b = fourier_coeffs(job.pair.b, job.truncation, tol=job.tolerance)
     rho = rho_coefficients(report.rep_c, report.rep_d, job.pair.b, ORACLE_K)
     evenness = rho.evenness_defect()
     # rho is even and each rho_k lies within tail_bound, so the defect is at most twice it;
@@ -352,12 +352,10 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
         job.pair, job.p, report, N=job.section_size, tol=job.tolerance
     )
     worst = float(max(basis.residuals)) if basis.residuals.size else 0.0
+    bound_a, bound_b = basis.fourier_bounds or (None, None)
     doc = {
         "p": _frac(job.p),
-        "fourierBound": {
-            "a": _finite(series_a.bound),
-            "b": _finite(series_b.bound),
-        },
+        "fourierBound": {"a": _finite(bound_a), "b": _finite(bound_b)},
         "rho": {
             "bound": _finite(rho.tail_bound),
             "evenness": evenness,

@@ -98,11 +98,13 @@ class TwoSidedSeries(_Record, eq=False):
 
 
 class KernelBasis(_Record, eq=False):
-    """Kernel candidates, the -n homogeneous ones first, with their section residuals and Gram rank."""
+    """Kernel candidates, the -n homogeneous ones first, their section residuals and Gram rank, and the
+    bounds of the section's coefficients of a and b, None when no candidate leaves a section to run."""
 
     vectors: tuple[np.ndarray, ...]
     residuals: np.ndarray
     gram_rank: int
+    fourier_bounds: tuple[float, float] | None
 
 
 def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
@@ -162,11 +164,6 @@ def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSer
     return TwoSidedSeries(coeffs, bound)
 
 
-def _null_vectors(matrix: np.ndarray, rank: int) -> list[np.ndarray]:
-    _, _, vh = np.linalg.svd(matrix)
-    return [vh[i].conj() for i in range(rank, vh.shape[0])]
-
-
 def kernel_residual_check(
     pair: SymbolPair,
     p,
@@ -187,8 +184,10 @@ def kernel_residual_check(
     serves every candidate, since no coefficient read depends on a higher
     one, and none is made when there is no candidate (n >= 0, m <= 0).  rho
     comes from wiener_hopf.rho_coefficients, the route the defect matrix is
-    built from, over the k the right sides read.  tol gates the residuals
-    and the error bounds of that rho and of a's and b's coefficients.
+    built from, over the k the right sides read.  a's coefficients to N - 1
+    and b's to 2N - 1, which the section reads, are computed here alone, and
+    the basis carries their bounds.  tol gates the residuals and the error
+    bounds of that rho and of a's and b's coefficients.
 
     Raises
     ------
@@ -222,10 +221,8 @@ def kernel_residual_check(
                 f"rho bound {rho.tail_bound:.3e} exceeds {tol:.1e} on {ks.start} <= k <= {ks.stop - 1}"
             )
         alt = (-1.0) ** np.arange(N)
-        if n <= 0:
-            weights = [np.eye(m, dtype=complex)[k] for k in range(m)]
-        else:
-            weights = _null_vectors(report.matrix.matrix, report.m - report.dim_ker)
+        # every unit vector, or for n > 0 the null vectors of the defect matrix: its right singular vectors past the rank
+        weights = np.eye(m, dtype=complex) if n <= 0 else np.linalg.svd(report.matrix.matrix)[2][m - report.dim_ker :].conj()
         # sym[l, k] = rho_{l+n-k} + rho_{l+n+k}, read from the stored coefficients
         l, k = np.arange(N)[:, None], np.arange(m)[None, :]
         sym = rho.coeffs[l + n - k - ks.start] + rho.coeffs[l + n + k - ks.start]
@@ -240,11 +237,11 @@ def kernel_residual_check(
             f"constructed {len(vectors)} candidates, expected {report.dim_ker}"
         )
     if not vectors:
-        return KernelBasis((), np.zeros(0), 0)
+        return KernelBasis((), np.zeros(0), 0, None)
 
     # the section's T_N f, and H_N f with (H_N f)_i = sum_j b_{i+j+1} f_j, by convolution with b_{2N-1..1}
-    a = fourier_coeffs(pair.a, N - 1, tol).coeffs
-    b_rev = fourier_coeffs(pair.b, 2 * N - 1, tol).coeffs[: 2 * N - 1 : -1]
+    series_a, series_b = fourier_coeffs(pair.a, N - 1, tol), fourier_coeffs(pair.b, 2 * N - 1, tol)
+    a, b_rev = series_a.coeffs, series_b.coeffs[: 2 * N - 1 : -1]
     images = [convolve(a, f)[N - 1 : 2 * N - 1] + convolve(b_rev, f)[N - 1 : 2 * N - 1][::-1] for f in vectors]
     residuals = np.array([np.linalg.norm(g) / np.linalg.norm(f) for g, f in zip(images, vectors)])
     gram_rank = int(np.linalg.matrix_rank(np.vstack(vectors)))
@@ -256,7 +253,7 @@ def kernel_residual_check(
         raise ResidualTooLarge(
             f"worst finite-section residual {residuals.max():.3e} exceeds {tol:.1e}"
         )
-    return KernelBasis(tuple(vectors), residuals, gram_rank)
+    return KernelBasis(tuple(vectors), residuals, gram_rank, (series_a.bound, series_b.bound))
 
 
 def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
@@ -268,14 +265,17 @@ def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
     Each half of an arc between sites of rho, of width L, is integrated in the
     offset u from its end site, its anchor, u = L / (1 + e^{-pi sinh s}), so
     the nodes crowd the site without cancellation (Takahasi & Mori, Publ.
-    RIMS 9, 1974).  On each half-arc s runs down until u^{1 + Re beta} is
-    e^{-40} at its own anchor (u is e^{-600} at most): sized for a steeper
-    site instead, a shallow site's factors of rho would leave the float range
-    and meet as 0 * inf.  Toward the midpoint every half-arc runs as far as
-    the steepest one.  The step in s starts at 1/8 and halves until the
-    coefficients move by less than 1e-13, or down to 2^-10.  tail_bound, an
-    estimate and not a bound, is the last movement plus the integral of
-    |rho| ~ u^beta below the innermost nodes.
+    RIMS 9, 1974).  On each half-arc s runs down to the node u0 where u^{1 + Re beta}
+    is e^{-40} at its own anchor, or |u^eta| is e^{600} for its log exponent eta
+    (beta - 2 at -1): sized for a steeper site instead, a shallow site's factors
+    of rho would leave the float range and meet as 0 * inf.  Toward the midpoint
+    every half-arc runs as far as the steepest one.  u0 takes half its trapezoid
+    weight, and the integral below it its leading term rho(u0) |u0| / (beta + 1),
+    as rho ~ C |u|^beta at the anchor.  The step in s starts at 1/8 and halves
+    until the coefficients move by less than 1e-13, or down to 2^-10.
+    tail_bound, an estimate and not a bound, is the last movement plus, per
+    half-arc, |rho(u0) u0| / (1 + Re beta) times |u0| / L: the next term below
+    u0 if the rest of rho varies on the half-arc's scale.
     """
     ks = range(-N_keep, N_keep + 1)
     turns = parts.turns
@@ -286,31 +286,33 @@ def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
     L = np.tile(parts.ahead, 2)[:, None]
     sign = np.repeat([1.0, -1.0], S)[:, None]
     # half-arc i keeps the nodes s >= -reach[i] / 8 of the common grid |s| <= span / 8
-    reach = np.ceil(8 * np.arcsinh(np.minimum(600.0, 40.0 / np.minimum(1.0, room[anchor])) / np.pi))[:, None]
+    depth = np.minimum(600.0 / np.maximum(1.0, [-eta.real for eta in parts.etas]), 40.0 / np.minimum(1.0, room))
+    reach = np.ceil(8 * np.arcsinh(depth[anchor] / np.pi))[:, None]
     span = int(reach.max())
-    rows = np.arange(2 * S)
+    x0 = 2 * np.pi * np.array(turns, dtype=float)[anchor]
 
-    def total(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum of rho e^{-ikx} du/ds over the nodes s of every half-arc, and rho u at each innermost node."""
+    def total(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sum of rho e^{-ikx} du/ds over the nodes s of every half-arc, and rho and u at each innermost node."""
         q = np.pi * np.sinh(s)
         e = np.exp(-np.abs(q))
         u = sign * L * np.where(q >= 0, 1.0, e) / (1 + e)
         keep = s >= -reach / 8
         vals = np.zeros(u.shape, dtype=complex)
         vals[keep] = _rho_values(parts, np.broadcast_to(anchor[:, None], u.shape)[keep], u[keep])
-        xs = 2 * np.pi * np.array(turns, dtype=float)[anchor][:, None] + u
         du = L * (np.pi * np.cosh(s) * e / (1 + e) ** 2)
-        first = keep.argmax(axis=1)
-        return _fourier_integrals(xs.ravel(), du.ravel(), vals.ravel(), ks), vals[rows, first] * u[rows, first]
+        inner = s == -reach / 8  # one node u0 per half-arc on the first grid, none on the later ones
+        du[inner] /= 2
+        return _fourier_integrals((x0[:, None] + u).ravel(), du.ravel(), vals.ravel(), ks), vals[inner], u[inner]
 
     h, steps = 1 / 8, span
-    acc, inner = total(h * np.arange(-steps, steps + 1))
-    coeffs, move = h * acc, math.inf
+    acc, v0, u0 = total(h * np.arange(-steps, steps + 1))
+    tail = np.exp(-1j * np.outer(ks, x0)) @ (v0 * np.abs(u0) / (np.array(parts.betas)[anchor] + 1)) / (2 * np.pi)
+    coeffs, move = h * acc + tail, math.inf
     while move >= 1e-13 and h > 2**-10:
         h, steps = h / 2, 2 * steps
         acc = acc + total(h * (2 * np.arange(-steps // 2, steps // 2) + 1))[0]
-        coeffs, prev = h * acc, coeffs
+        coeffs, prev = h * acc + tail, coeffs
         move = float(np.max(np.abs(coeffs - prev)))
-    estimate = move + float(np.sum(np.abs(inner) / room[anchor])) / (2 * np.pi)
+    estimate = move + float(np.sum(np.abs(v0 * u0) / room[anchor] * np.abs(u0) / L[:, 0])) / (2 * np.pi)
     nodes = int(np.sum((reach + span) * (steps // span) + 1))
     return RhoSeries(coeffs, ks, nodes, estimate, parts)

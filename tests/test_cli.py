@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from th_fredholm import __version__, cli, defect_solver, fredholm_engine, verification_oracle
+from th_fredholm import __version__, cli, defect_solver, fredholm_engine, verification_oracle, wiener_hopf
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 from th_fredholm.symbol_core import CanonicalSymbol
@@ -402,34 +402,96 @@ def test_exit_codes_agree_on_general_documents(tmp_path, capsys):
     assert {0, 1} <= set(seen)
 
 
-def test_exit_codes_agree_with_the_reference_on_the_census(tmp_path, capsys, monkeypatch):
-    # every gated command against bench/reference.py's exact verdicts, which call no library code,
-    # on the 150 documents of scripts/census.py; special on a General pair reads no (n, m) and is
-    # not gated, so it exits 0 there
+def census_documents(tmp_path, monkeypatch):
+    """bench/gen and bench/reference, and (document, path) for the 150 documents of scripts/census.py."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     gen = importlib.import_module("gen")
-    reference = importlib.import_module("reference")
     docs = [doc for seed in (11, 12, 13) for _, doc, _ in gen.cli_documents(random.Random(seed), 40)]
     rng = random.Random(2026)
     docs += [gen.fmatrix_doc(rng) for _ in range(30)]
-    seen = set()
     for i, doc in enumerate(docs):
-        path = tmp_path / f"doc{i}.json"
-        path.write_text(gen.to_json(doc))
+        (tmp_path / f"doc{i}.json").write_text(gen.to_json(doc))
+    return gen, importlib.import_module("reference"), [(doc, str(tmp_path / f"doc{i}.json")) for i, doc in enumerate(docs)]
+
+
+def test_exit_codes_agree_with_the_reference_on_the_census(tmp_path, capsys, monkeypatch):
+    # every gated command against bench/reference.py's exact verdicts, which call no library code,
+    # on the 150 documents of scripts/census.py; special on a General pair reads no (n, m) and is
+    # not gated, so it exits 0 there; verify may refuse (exit 4) only where the gate passes
+    gen, reference, docs = census_documents(tmp_path, monkeypatch)
+    seen, refusals = set(), 0
+    for i, (doc, path) in enumerate(docs):
         p = gen.doc_p(doc)
         ref = reference.expected(doc, p)
         _, d = reference.auxiliary(doc)
         sides = {"c": ref.c_verdict, "d": reference.side_verdict(d, p / (p - 1))}
-        for command in ("check", "index", "defects", "factor"):
-            assert run(capsys, [command, str(path)])[0] == ref.code, (i, command)
+        for command in ("check", "factor"):
+            assert run(capsys, [command, path])[0] == ref.code, (i, command)
+        code, out, _ = run(capsys, ["index", path])
+        assert code == ref.code, (i, "index")
+        if code == 0:
+            assert (json.loads(out)["n"], json.loads(out)["m"]) == (ref.n, ref.m), (i, "index")
+        code, out, _ = run(capsys, ["defects", path])
+        assert code == ref.code, (i, "defects")
+        if code == 0 and reference.counted_defects(ref.n, ref.m) is not None:
+            counted = (json.loads(out)["dimKer"], json.loads(out)["dimCoker"])
+            assert counted == reference.counted_defects(ref.n, ref.m), (i, "defects")
         for side, verdict in sides.items():
-            assert run(capsys, ["curve", str(path), "--side", side])[0] == VERDICT_EXIT[verdict], (i, side)
-        code, out, _ = run(capsys, ["special", str(path)])
+            assert run(capsys, ["curve", path, "--side", side])[0] == VERDICT_EXIT[verdict], (i, side)
+        code, out, _ = run(capsys, ["special", path])
         if not (code == 0 and json.loads(out)["family"] == "General"):
             assert code == ref.code, (i, "special")
+        code = run(capsys, ["verify", path])[0]
+        assert code == ref.code or (code == 4 and ref.verdict == "pass"), (i, "verify", code)
+        refusals += code == 4
+        # a one-row sweep at the document's own p
+        at_p = gen.p_text(p)
+        code, out, _ = run(capsys, ["sweep", path, "--p-from", at_p, "--p-to", at_p, "--steps", "1"])
+        (row,) = json.loads(out)["rows"]
+        assert code == 0 and row["overall"] == ref.verdict, (i, "sweep")
+        assert (row["n"], row["m"]) == ((ref.n, ref.m) if ref.verdict == "pass" else (None, None)), (i, "sweep")
         seen.add((ref.verdict, sides["c"], sides["d"]))
-    # the census holds failures of each side alone
+    # the census holds failures of each side alone, and verify's refusals on its kernel residual
     assert {("pass", "pass", "pass"), ("fail", "fail", "pass"), ("fail", "pass", "fail")} <= seen, seen
+    assert refusals == 72
+
+
+def test_verify_computes_each_series_once(tmp_path, capsys, monkeypatch):
+    # per verify: fourier_coeffs for a and b where a kernel candidate runs the section, and never
+    # otherwise; rho_coefficients for |k| <= ORACLE_K, again for the F-matrix defect matrix, and
+    # again for the kernel check where m > 0
+    calls = {"fourier": 0, "rho": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    rho = counted("rho", wiener_hopf.rho_coefficients)
+    monkeypatch.setattr(wiener_hopf, "rho_coefficients", rho)
+    monkeypatch.setattr(verification_oracle, "rho_coefficients", rho)
+    monkeypatch.setattr(verification_oracle, "fourier_coeffs", counted("fourier", verification_oracle.fourier_coeffs))
+    _, _, docs = census_documents(tmp_path, monkeypatch)
+    totals = {"fourier": 0, "rho": 0}
+    for i, (_, path) in enumerate(docs):
+        code, out, _ = run(capsys, ["defects", path])
+        report = json.loads(out)
+        calls.update(fourier=0, rho=0)
+        verified = run(capsys, ["verify", path])[0]
+        if code:
+            assert (verified, calls) == (code, {"fourier": 0, "rho": 0}), i
+            continue
+        assert verified in (0, 4), i
+        want = {
+            "fourier": 2 * (report["dimKer"] > 0),
+            "rho": 1 + (report["caseTag"] == "F-matrix") + (report["m"] > 0),
+        }
+        assert calls == want, (i, calls, want)
+        for name in totals:
+            totals[name] += calls[name]
+    assert totals == {"fourier": 144, "rho": 250}
 
 
 # a = e^{-0.3} exp(0.3) is the constant 1: the sign of c and d is read off scale * exp(log_0)
@@ -577,17 +639,23 @@ def test_verify_on_fmatrix_documents(tmp_path, capsys):
         assert report["rho"]["bound"] < 1e-12 and report["rho"]["oracleDeviation"] < 1e-12
 
 
+# a = t^-1 exp(t^6 - t^-6), b = 1: F-count with one kernel candidate, which verify certifies
+DEGREE_SIX_DOC = {"a": {"kappa": -1, "log_smooth": [{"k": 6, "re": 1.0}, {"k": -6, "re": -1.0}]}, "b": {}, "p": 2}
+
+
 def test_verify_confidence_failure_exits_four(tmp_path, capsys):
-    doc = {
-        "a": {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]},
-        "b": {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]},
-        "p": 2,
-        "options": {"tolerance": 1e-18},
-    }
-    path = write_doc(tmp_path, doc)
+    # tolerance gates the kernel check's rho and section coefficients, so 1e-18 refuses where a candidate runs
+    path = write_doc(tmp_path, {**DEGREE_SIX_DOC, "options": {"tolerance": 1e-18}})
     code, out, _ = run(capsys, ["verify", path])
     assert code == 4
     assert json.loads(out)["errorKind"] == "numerical-confidence"
+    # a = b = u_{1,1/8}: G-count with dim ker 0, so no section runs, tolerance gates nothing and
+    # fourierBound is null
+    jump = {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]}
+    path = write_doc(tmp_path, {"a": jump, "b": jump, "p": 2, "options": {"tolerance": 1e-18}})
+    code, out, _ = run(capsys, ["verify", path])
+    assert code == 0
+    assert json.loads(out)["fourierBound"] == {"a": None, "b": None}
 
 
 def test_verify_section_size_one_refuses_on_its_residual(tmp_path, capsys):
@@ -670,18 +738,22 @@ def test_verify_refuses_a_nan_oracle(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
-    path = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2})
-    code, out, _ = run(capsys, ["verify", path])
+    # G-zero at p = 2, so verify runs no section; the four-jump symbol's coefficients at the
+    # section's orders for the default size 256 are within 1e-12
+    doc = {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2}
+    code, out, _ = run(capsys, ["verify", write_doc(tmp_path, doc)])
     assert code == 0
-    bound = json.loads(out)["fourierBound"]
-    assert bound["a"] < 1e-12 and bound["b"] < 1e-12
+    assert json.loads(out)["fourierBound"] == {"a": None, "b": None}
+    symbol = cli.Job(doc).pair.a
+    for order in (255, 511):
+        assert verification_oracle.fourier_coeffs(symbol, order).bound < 1e-12, order
 
 
 
 @pytest.mark.parametrize(
     "a, b",
     [
-        ({"kappa": -1, "log_smooth": [{"k": 6, "re": 1.0}, {"k": -6, "re": -1.0}]}, {}),
+        (DEGREE_SIX_DOC["a"], DEGREE_SIX_DOC["b"]),
         (
             {"kappa": -1, "log_smooth": [{"k": 0, "re": 0.3}, {"k": 1, "re": 0.2}, {"k": -1, "re": -0.2}]},
             {"log_smooth": [{"k": 0, "re": 0.3}]},
@@ -820,8 +892,8 @@ def test_byte_determinism(tmp_path, capsys):
 
 def test_every_json_document_carries_the_envelope(tmp_path, capsys):
     failing = write_doc(tmp_path, {"a": EX_CURVE_SYMBOL, "b": {}, "p": "4/3"}, "failing.json")
-    shaky = {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [0.125, 0.0]}]}
-    confidence = write_doc(tmp_path, {"a": shaky, "b": shaky, "p": 2, "options": {"tolerance": 1e-18}}, "shaky.json")
+    # a kernel candidate, so the kernel check runs and tolerance 1e-18 refuses its bounds
+    confidence = write_doc(tmp_path, {**DEGREE_SIX_DOC, "options": {"tolerance": 1e-18}}, "shaky.json")
     cases = [
         (["defects", write_doc(tmp_path, README_DOC)], 0, "dimKer"),
         (["index", failing], 1, "overall"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from th_fredholm import verification_oracle
+from th_fredholm.cli import Job
 from th_fredholm.defect_solver import defect_numbers
 from th_fredholm.fredholm_engine import build_plus_factor, normalized_pair
 from th_fredholm.symbol_core import (
@@ -32,7 +33,7 @@ from th_fredholm.verification_oracle import (
     kernel_residual_check,
     rho_de,
 )
-from th_fredholm.wiener_hopf import _gauss_panels, rho_parts
+from th_fredholm.wiener_hopf import _gauss_panels, rho_coefficients, rho_parts
 
 from helpers import (
     finite_section,
@@ -431,6 +432,94 @@ def test_rho_series_deviation_mild_jump():
     deviation, estimate = series_deviation(pair, 32, 16)
     assert estimate < 1e-12
     assert deviation < 1e-12
+
+
+# Rows 168 and 153 of `scripts/bound_survey.py survey`, F-matrix pairs: rho has two sites at
+# Re beta = -63/64 on the first, and on the second one at -1 with Re beta = -27/32, whose log
+# exponent beta - 2 overflowed before its factor 4 sin^2(d/2) took it back
+STEEP_ORACLE_DOCS = {
+    "two-steep-sites": {
+        "a": {
+            "kappa": -4,
+            "scale": [0.48473837161320527, 0.9343477340034129],
+            "log_smooth": [
+                {"k": -2, "re": -0.275136983675476, "im": 0.2678978125443735},
+                {"k": -1, "re": 0.0693496354096797, "im": 0.007675392168886009},
+                {"k": 1, "re": -0.0693496354096797, "im": -0.007675392168886009},
+                {"k": 2, "re": 0.13485758351819221, "im": -0.30018521800315356},
+            ],
+            "jumps": [
+                {"theta_num": 0, "theta_den": 1, "beta": [0.34375, 0.0]},
+                {"theta_num": 1, "theta_den": 4, "beta": [-0.328125, 0.0]},
+                {"theta_num": 1, "theta_den": 3, "beta": [0.078125, 0.17931128327282927]},
+                {"theta_num": 1, "theta_den": 2, "beta": [0.171875, 0.1518318121319916]},
+                {"theta_num": 2, "theta_den": 3, "beta": [0.078125, 0.17931128327282927]},
+                {"theta_num": 3, "theta_den": 4, "beta": [-0.34375, 0.0]},
+            ],
+        },
+        "b": {
+            "kappa": -8,
+            "scale": [-0.48473837161320527, -0.9343477340034129],
+            "log_smooth": [
+                {"k": -2, "re": -0.10309399642766554, "im": 0.07412609691910424},
+                {"k": 2, "re": -0.03718540372961822, "im": -0.10641350237788424},
+            ],
+            "jumps": [
+                {"theta_num": 0, "theta_den": 1, "beta": [0.34375, 0.0]},
+                {"theta_num": 3, "theta_den": 4, "beta": [-0.015625, 0.0]},
+            ],
+        },
+        "p": "3/2",
+    },
+    "steep-at-minus-one": {
+        "a": {
+            "kappa": -2,
+            "scale": [-0.28211758885197336, 0.4972455191352457],
+            "log_smooth": [
+                {"k": -2, "re": 0.055376863725187714, "im": 0.1289338166116004},
+                {"k": -1, "re": 0.4056364016166474, "im": 0.1870155104807366},
+                {"k": 1, "re": -0.16896744314317852, "im": -0.10484338350823322},
+                {"k": 2, "re": -0.035555669824885006, "im": -0.041308147299063826},
+            ],
+            "jumps": [
+                {"theta_num": 0, "theta_den": 1, "beta": [-0.03125, 0.009942269056475599]},
+                {"theta_num": 1, "theta_den": 3, "beta": [-0.1875, -0.10060816652143074]},
+                {"theta_num": 2, "theta_den": 5, "beta": [0.359375, 0.0]},
+                {"theta_num": 1, "theta_den": 2, "beta": [-0.03125, -0.0496116903911822]},
+                {"theta_num": 3, "theta_den": 5, "beta": [0.359375, 0.0]},
+                {"theta_num": 2, "theta_den": 3, "beta": [-0.1875, -0.10060816652143074]},
+            ],
+        },
+        "b": {
+            "kappa": -6,
+            "scale": [0.28211758885197336, -0.4972455191352457],
+            "log_smooth": [
+                {"k": -2, "re": -0.13809047469748922, "im": 0.06747184681447163},
+                {"k": -1, "re": 0.1857508890873343, "im": -0.07272073129344948},
+                {"k": 1, "re": 0.05091806938613454, "im": 0.15489285826595287},
+                {"k": 2, "re": 0.15791166859779193, "im": 0.02015382249806494},
+            ],
+            "jumps": [{"theta_num": 1, "theta_den": 2, "beta": [0.421875, 0.016473370131349793]}],
+        },
+        "p": "2",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEEP_ORACLE_DOCS))
+def test_rho_de_at_steep_sites(name):
+    # each half-arc's innermost node at half weight, plus the leading term of the integral below it,
+    # takes the oracle within 1e-8 of the production rho; verify's oracle gate, at least
+    # 10 (estimate + bound), reads a figure below 1e-7 that still covers the gap
+    job = Job(STEEP_ORACLE_DOCS[name])
+    rep_c, rep_d = normalized_pair(job.pair, job.p)
+    assert rep_c.n > 0 and rep_d.n > 0
+    rho = rho_coefficients(rep_c, rep_d, job.pair.b, 16)
+    with np.errstate(over="raise", invalid="raise"):
+        de = rho_de(rho.parts, 16)
+    gap = max(abs(rho.get(k) - de.get(k)) for k in range(-16, 17))
+    assert gap < 1e-8 and de.tail_bound < 1e-8, (gap, de.tail_bound)
+    assert gap <= 10 * (de.tail_bound + rho.tail_bound), (gap, de.tail_bound, rho.tail_bound)
 
 
 def test_rho_de_refuses_non_integrable_rho():
