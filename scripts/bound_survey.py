@@ -11,6 +11,7 @@ holds one:
     python3 scripts/bound_survey.py faults [--src DIR]
     python3 scripts/bound_survey.py pairs --parent DIR --workload W --seed S --out FILE [--pairs 10] [--trace 1]
     python3 scripts/bound_survey.py verify --parent DIR --out FILE [--pairs 10]
+    python3 scripts/bound_survey.py fourier --out FILE [--src DIR]
     python3 scripts/bound_survey.py ranks
 
 survey compares RhoSeries.tail_bound with the fine-minus-coarse estimate the
@@ -25,7 +26,16 @@ and in this one, each with a fresh bytecode cache.  verify times
 cli.main(["verify", doc]) in process over the 150 documents of
 scripts/census.py, as the least of 3 passes, in one child process per
 checkout, alternately in the parent and in this one, each with a fresh
-bytecode cache, and adds the section verify:census to --out.  ranks applies
+bytecode cache, and adds the section verify:census to --out.  fourier runs
+verification_oracle.fourier_coeffs on a and b of every census document at
+orders 64, 255, 511 and 1023 and records per case the panel count, the node
+count, the Gauss-Legendre part of the bound (quadrature.fourier_bound with no
+rounding mass), the bound and any refusal, and the least of 3 timed passes,
+as the section fourier:NAME of --out (NAME the parent of --src, "change"
+without it); once both the change's section and another are there it adds
+fourier:compare, the bound ratio change/other and the cases either refuses.
+--src reads another checkout's src, whose fourier_coeffs takes (s, N) and
+calls fourier_bound(s, N, M, uncut, cut, cut_nodes) as this one's does.  ranks applies
 defect_solver.rank_decision, and the rule it replaced (a cut at 1e-8 sigma_max
 with a refusal only when rho's bound could move a singular value across the
 cut), to the F-matrix defect matrices of criterion 4's Jacobi grid,
@@ -376,6 +386,80 @@ def cmd_verify(args) -> None:
     save(section, {"summary": summary, "runs": runs}, out)
 
 
+FOURIER_ORDERS = (64, 255, 511, 1023)
+
+
+def cmd_fourier(args) -> None:
+    src = Path(args.src).resolve() if args.src else ROOT / "src"
+    sys.path[:0] = [str(src), str(ROOT / "bench"), str(ROOT / "scripts")]
+    import census
+    import gen
+    from th_fredholm import verification_oracle as vo
+    from th_fredholm.cli import Job
+    from th_fredholm.confidence import MethodDisagreement
+
+    docs, fmatrix = census.documents(gen)
+    pairs = [Job(json.loads(gen.to_json(doc))).pair for doc in docs + fmatrix]
+    cases = [(i, side, s, N) for i, pair in enumerate(pairs) for side, s in (("a", pair.a), ("b", pair.b))
+             for N in FOURIER_ORDERS]
+    bound, eval_many = vo.fourier_bound, vo.eval_many
+    seen = {}
+
+    def record_bound(s, N, M, uncut, cut, cut_nodes):
+        seen.update(panels=M, quadrature=bound(s, N, M, 0.0, 0.0, cut_nodes))
+        return bound(s, N, M, uncut, cut, cut_nodes)
+
+    def record_nodes(s, xs):
+        seen["nodes"] = len(xs)
+        return eval_many(s, xs)
+
+    vo.fourier_bound, vo.eval_many = record_bound, record_nodes
+    rows, refusals = [], {}
+    for i, side, s, N in cases:
+        seen.clear()
+        try:
+            result = vo.fourier_coeffs(s, N).bound
+        except MethodDisagreement as exc:
+            result, refusals[len(rows)] = None, str(exc)
+        rows.append({**seen, "bound": result, "order": N})
+    vo.fourier_bound, vo.eval_many = bound, eval_many
+    passes = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for _, _, s, N in cases:
+            try:
+                vo.fourier_coeffs(s, N)
+            except MethodDisagreement:
+                pass
+        passes.append(time.perf_counter() - start)
+    name = f"fourier:{src.parent.name if args.src else 'change'}"
+    by_order = {
+        str(N): {key: [min(r[key] for r in rows if r["order"] == N), max(r[key] for r in rows if r["order"] == N)]
+                 for key in ("panels", "nodes")}
+        for N in FOURIER_ORDERS
+    }
+    out = Path(args.out)
+    # one column per figure, case i of each the i-th of (document, a then b, order), refusals by case
+    columns = {key: [r.get(key) for r in rows] for key in ("panels", "nodes", "quadrature", "bound")}
+    save(name, {"src": str(src) if args.src else "this checkout", "cases": len(rows), "seconds": min(passes),
+                "range_by_order": by_order, "refusals": refusals, **columns}, out, replace=True)
+    record = json.loads(out.read_text())
+    others = [key for key in record if key.startswith("fourier:") and key not in ("fourier:change", "fourier:compare")]
+    if "fourier:change" in record and others:
+        change, other = record["fourier:change"], record[others[0]]
+        ratios = [c / o for c, o in zip(change["bound"], other["bound"]) if c and o]
+        summary = {
+            "against": others[0],
+            "bound_ratio_median": statistics.median(ratios),
+            "bound_ratio_max": max(ratios),
+            "refused_by_change_only": len(set(change["refusals"]) - set(other["refusals"])),
+            "refused_by_other_only": len(set(other["refusals"]) - set(change["refusals"])),
+            "seconds": {"change": change["seconds"], "other": other["seconds"]},
+        }
+        print(json.dumps(summary), file=sys.stderr)
+        save("fourier:compare", summary, out, replace=True)
+
+
 def parent_rank(dm, sv) -> int | None:
     """The rank of dm by the rule rank_decision replaced, from its singular
     values sv, or None where that rule refused.
@@ -488,9 +572,13 @@ def main() -> None:
     verify.add_argument("--parent", required=True)
     verify.add_argument("--out", required=True)
     verify.add_argument("--pairs", type=int, default=10)
+    fourier = sub.add_parser("fourier")
+    fourier.add_argument("--out", required=True)
+    fourier.add_argument("--src", default=None)
     sub.add_parser("ranks")
     args = parser.parse_args()
-    commands = {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs, "verify": cmd_verify, "ranks": cmd_ranks}
+    commands = {"survey": cmd_survey, "faults": cmd_faults, "pairs": cmd_pairs, "verify": cmd_verify,
+                "fourier": cmd_fourier, "ranks": cmd_ranks}
     commands[args.command](args)
 
 

@@ -31,6 +31,10 @@ ELLIPSE = 2.5
 SUM_CHUNK = 256
 # Gauss-Legendre nodes per panel of verification_oracle.fourier_coeffs
 FOURIER_NODES = 24
+# the Bernstein ellipses fourier_quadrature tries: each parameter r with log((32/15) r^{-2 FOURIER_NODES} / (r^2 - 1))
+FOURIER_ELLIPSES = tuple(
+    (r, math.log(32 / 15 / (r * r - 1)) - 2 * FOURIER_NODES * math.log(r)) for r in (2.0, 4.0, 8.0, 16.0, 32.0)
+)
 
 
 def _exp(x: float) -> float:
@@ -287,14 +291,30 @@ def _rounding_term(parts, ks: range, slivers: list, nodes: int, summands: np.nda
     return float(np.sum(np.abs(summands))) / (2 * np.pi) * t / (1 - t)
 
 
+def fourier_quadrature(s, N: int, M: int) -> float:
+    """log of the Gauss-Legendre part of fourier_bound over |k| <= N, with M panels.
+
+    s is the symbol.  Every piece, of half-width at most pi/M, sees an
+    entire integrand.  With |s(w) e^{-ikw}| bounded by C on the ellipse of
+    parameter r, factor by factor as in _quadrature_term, the pieces, whose
+    half-widths add up to pi, err by (32/15) C r^{-2 n} / (r^2 - 1) over
+    2 pi, n = FOURIER_NODES; the best r of FOURIER_ELLIPSES is taken.
+    """
+    logs = s.log_smooth.coeffs
+    jumps = [j.beta.value for j in s.jumps]
+    best = math.inf
+    for r, rule in FOURIER_ELLIPSES:
+        lift, grow = math.pi / M * (r - 1 / r) / 2, math.pi / M * ((r + 1 / r) / 2 - 1)
+        log_cap = math.log(abs(s.scale)) + (abs(s.kappa) + N) * lift + _log_exp_cap(logs, lift)
+        log_cap += sum(abs(b.imag) * (math.pi + grow) + abs(b.real) * lift for b in jumps)
+        best = min(best, log_cap + rule)
+    return best
+
+
 def fourier_bound(s, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -> float:
     """A-priori bound on the error of verification_oracle.fourier_coeffs over |k| <= N, with M panels.
 
-    s is the symbol.  Quadrature: every piece, of half-width at most pi/M,
-    sees an entire integrand.  With |s(w) e^{-ikw}| bounded by C on the
-    ellipse of parameter r, factor by factor as in _quadrature_term, the
-    pieces, whose half-widths add up to pi, err by (32/15) C r^{-2 n} / (r^2
-    - 1) over 2 pi, n = FOURIER_NODES; the best of a few r is taken, compared in logs.
+    s is the symbol.  Quadrature: fourier_quadrature.
 
     Rounding: uncut and cut are sum |w s(x)| / 2 pi over the nodes of the
     uncut panels and of the cut pieces.  Each summand carries a relative
@@ -308,13 +328,6 @@ def fourier_bound(s, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -
     """
     logs = s.log_smooth.coeffs
     jumps = [j.beta.value for j in s.jumps]
-    log_caps = []
-    for r in (2.0, 4.0, 8.0, 16.0, 32.0):
-        lift, grow = math.pi / M * (r - 1 / r) / 2, math.pi / M * ((r + 1 / r) / 2 - 1)
-        log_cap = math.log(abs(s.scale)) + (abs(s.kappa) + N) * lift
-        log_cap += _log_exp_cap(logs, lift)
-        log_cap += sum(abs(b.imag) * (math.pi + grow) + abs(b.real) * lift for b in jumps)
-        log_caps.append(log_cap + math.log(32 / 15 / (r**2 - 1)) - 2 * FOURIER_NODES * math.log(r))
     slope = abs(s.kappa) + sum(abs(b) for b in jumps) + sum(abs(k * v) for k, v in logs)
     partial = 2 * math.pi * abs(s.kappa) + math.pi * sum(abs(b) for b in jumps) + sum(abs(v) for _, v in logs)
     value = (
@@ -328,4 +341,4 @@ def fourier_bound(s, N: int, M: int, uncut: float, cut: float, cut_nodes: int) -
     phases = 6 * math.pi + 18 * math.pi * N / M  # both tables' arguments, and |k| times x0's error
     t_uncut = UNIT * (value + passes + phases + FOURIER_NODES + 22)
     t_cut = UNIT * (value + _integral_units(cut_nodes, 2 * N + 1) + 12 * math.pi * N + 9)
-    return _exp(min(log_caps)) + uncut * t_uncut / (1 - t_uncut) + cut * t_cut / (1 - t_cut)
+    return _exp(fourier_quadrature(s, N, M)) + uncut * t_uncut / (1 - t_uncut) + cut * t_cut / (1 - t_cut)

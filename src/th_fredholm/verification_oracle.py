@@ -2,7 +2,9 @@
 
 Fourier coefficients of a symbol come from one route, composite 24-node
 Gauss-Legendre quadrature of the defining integral on equal panels over the
-circle, with an a-priori error bound (quadrature.fourier_bound).  Kernel
+circle, with an a-priori error bound (quadrature.fourier_bound); the panels
+are the fewest whose Gauss-Legendre term that bound puts below one unit
+roundoff of |s| (panel_count).  Kernel
 candidates are built explicitly from the factorization and the production
 rho, and their finite-section residuals T_N f + H_N f come from two FFT
 convolutions with those coefficients; the tests hold the dense N x N section
@@ -32,7 +34,17 @@ import numpy as np
 from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
 from .fredholm_engine import build_plus_factor
-from .quadrature import FOURIER_NODES, _fourier_integrals, _leggauss, fourier_bound
+from .quadrature import (
+    FOURIER_ELLIPSES,
+    FOURIER_NODES,
+    UNIT,
+    _fourier_integrals,
+    _integral_units,
+    _leggauss,
+    _log_exp_cap,
+    fourier_bound,
+    fourier_quadrature,
+)
 from .symbol_core import CanonicalSymbol, SymbolPair, _Record, eval_many
 from .wiener_hopf import RhoParts, RhoSeries, _rho_values, rho_coefficients
 
@@ -123,23 +135,52 @@ def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
     return out[start : start + 2 * N + 1] / (2 * np.pi)
 
 
+# log 2^-53, the quadrature part's share of a cap on |s|: a constant, so a patched quadrature.UNIT moves no panel count
+LOG_SHARE = -53 * math.log(2)
+
+
+def panel_count(s: CanonicalSymbol, N: int) -> int:
+    """The least 11-smooth M >= 12 whose fourier_quadrature(s, N, M) is at most 2^-53 times a cap on |s|.
+
+    The cap is |scale| e^{_log_exp_cap(logs, 0)} e^{pi sum |Im beta|}, a
+    bound on |s| on the circle.  On the ellipse of parameter r the log of
+    fourier_quadrature's cap exceeds its log by at least (pi / M) (drift (r -
+    1/r) / 2 + spin ((r + 1/r) / 2 - 1)), as e^x - 1 >= x, so no M below the
+    least over r of the M where that excess fills the room r's rule leaves
+    meets the criterion; the scan over 11-smooth numbers starts there, and
+    mostly ends there.  It ends always: at r = 32 the log of the quadrature
+    part tends to log cap - 172 as M grows.
+    """
+    logs, betas = s.log_smooth.coeffs, [j.beta.value for j in s.jumps]
+    spin = sum(abs(b.imag) for b in betas)
+    target = math.log(abs(s.scale)) + _log_exp_cap(logs, 0.0) + math.pi * spin + LOG_SHARE
+    drift = abs(s.kappa) + N + sum(abs(b.real) for b in betas) + sum(abs(k * v) for k, v in logs)
+    start = min(
+        math.pi * (drift * (r - 1 / r) / 2 + spin * ((r + 1 / r) / 2 - 1)) / (LOG_SHARE - rule)
+        for r, rule in FOURIER_ELLIPSES
+        if rule < LOG_SHARE
+    )
+    M = fft_length(max(12, math.ceil(start)))
+    while fourier_quadrature(s, N, M) > target:
+        M = fft_length(M + 1)
+    return M
+
+
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
     """Coefficients f_k, |k| <= N, by FOURIER_NODES-node Gauss-Legendre quadrature on M equal panels.
 
-    M is the least 11-smooth number (fft_length) at or above
-    max(12, ceil(2 pi freq / 10)) for the highest frequency in the integrand,
-    freq = N + |kappa| + the top degree of log_smooth, so its FFT runs passes
-    of radix 11 at most.  A jump strictly inside a panel (turns * M not an
-    integer, so never a jump at 1) cuts it; the pieces are summed directly,
-    the uncut panels by one FFT.  bound is quadrature.fourier_bound.
+    M is panel_count's, the fewest panels whose Gauss-Legendre term stays
+    below one unit roundoff of |s|, and 11-smooth (fft_length), so its FFT
+    runs passes of radix 11 at most.  A jump strictly inside a panel (turns *
+    M not an integer, so never a jump at 1) cuts it; the pieces are summed
+    directly, the uncut panels by one FFT.  bound is quadrature.fourier_bound.
 
     Raises
     ------
     MethodDisagreement
         When the bound exceeds tol or is NaN.
     """
-    freq = N + abs(s.kappa) + max((abs(k) for k, _ in s.log_smooth.coeffs), default=0)
-    M = fft_length(max(12, math.ceil(2 * math.pi * freq / 10)))
+    M = panel_count(s, N)
     h = 2 * math.pi / M
     cuts: dict[int, list[float]] = {}
     for pt in s.jump_points:  # in turn order, so each panel's cuts come sorted
@@ -182,9 +223,10 @@ def kernel_residual_check(
     vectors of the defect matrix, so the basis count always equals the
     reported kernel dimension.  One realization of c_+^{-1} to t^{N-1}
     serves every candidate, since no coefficient read depends on a higher
-    one, and none is made when there is no candidate (n >= 0, m <= 0).  rho
-    comes from wiener_hopf.rho_coefficients, the route the defect matrix is
-    built from, over the k the right sides read.  a's coefficients to N - 1
+    one, and neither it nor rho is made when there is no candidate (n >= 0,
+    m <= 0, or the F-matrix case with dim ker 0).  rho comes from
+    wiener_hopf.rho_coefficients, the route the defect matrix is built from,
+    over the k the right sides read.  a's coefficients to N - 1
     and b's to 2N - 1, which the section reads, are computed here alone, and
     the basis carries their bounds.  tol gates the residuals and the error
     bounds of that rho and of a's and b's coefficients.
@@ -201,7 +243,8 @@ def kernel_residual_check(
     if report is None:
         report = defect_numbers(pair, p)
     n, m = report.n, report.m
-    if n < 0 or m > 0:
+    particular = m > 0 and (n <= 0 or report.dim_ker > 0)  # F-matrix with dim ker 0: no null vector to weigh
+    if n < 0 or particular:
         inv = np.asarray(build_plus_factor(report.rep_c).realize(N - 1, inverted=True))
     vectors: list[np.ndarray] = []
 
@@ -213,7 +256,7 @@ def kernel_residual_check(
             q2[-2 * n - 2 - j] += 1.0
             vectors.append(convolve(base, q2)[:N])
 
-    if m > 0:
+    if particular:
         ks = range(n - m + 1, N + n + m - 1)  # the k of rho_{l+n-k} and rho_{l+n+k} read below
         rho = rho_coefficients(report.rep_c, report.rep_d, pair.b, ks)
         if not rho.tail_bound <= tol:
@@ -275,7 +318,9 @@ def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
     until the coefficients move by less than 1e-13, or down to 2^-10.
     tail_bound, an estimate and not a bound, is the last movement plus, per
     half-arc, |rho(u0) u0| / (1 + Re beta) times |u0| / L: the next term below
-    u0 if the rest of rho varies on the half-arc's scale.
+    u0 if the rest of rho varies on the half-arc's scale; plus a rounding floor,
+    UNIT sum |w rho| _integral_units / 2 pi over the nodes, as the movement
+    alone can fall below the rounding of the sums.
     """
     ks = range(-N_keep, N_keep + 1)
     turns = parts.turns
@@ -291,8 +336,9 @@ def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
     span = int(reach.max())
     x0 = 2 * np.pi * np.array(turns, dtype=float)[anchor]
 
-    def total(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """sum of rho e^{-ikx} du/ds over the nodes s of every half-arc, and rho and u at each innermost node."""
+    def total(s: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """sum of rho e^{-ikx} du/ds and of |rho du/ds| over the nodes s of every half-arc, and rho and u at
+        each innermost node."""
         q = np.pi * np.sinh(s)
         e = np.exp(-np.abs(q))
         u = sign * L * np.where(q >= 0, 1.0, e) / (1 + e)
@@ -302,17 +348,20 @@ def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
         du = L * (np.pi * np.cosh(s) * e / (1 + e) ** 2)
         inner = s == -reach / 8  # one node u0 per half-arc on the first grid, none on the later ones
         du[inner] /= 2
-        return _fourier_integrals((x0[:, None] + u).ravel(), du.ravel(), vals.ravel(), ks), vals[inner], u[inner]
+        sums = _fourier_integrals((x0[:, None] + u).ravel(), du.ravel(), vals.ravel(), ks)
+        return sums, float(np.sum(np.abs(du * vals))), vals[inner], u[inner]
 
     h, steps = 1 / 8, span
-    acc, v0, u0 = total(h * np.arange(-steps, steps + 1))
+    acc, mass, v0, u0 = total(h * np.arange(-steps, steps + 1))
     tail = np.exp(-1j * np.outer(ks, x0)) @ (v0 * np.abs(u0) / (np.array(parts.betas)[anchor] + 1)) / (2 * np.pi)
     coeffs, move = h * acc + tail, math.inf
     while move >= 1e-13 and h > 2**-10:
         h, steps = h / 2, 2 * steps
-        acc = acc + total(h * (2 * np.arange(-steps // 2, steps // 2) + 1))[0]
+        sums, more = total(h * (2 * np.arange(-steps // 2, steps // 2) + 1))[:2]
+        acc, mass = acc + sums, mass + more
         coeffs, prev = h * acc + tail, coeffs
         move = float(np.max(np.abs(coeffs - prev)))
-    estimate = move + float(np.sum(np.abs(v0 * u0) / room[anchor] * np.abs(u0) / L[:, 0])) / (2 * np.pi)
     nodes = int(np.sum((reach + span) * (steps // span) + 1))
+    below = float(np.sum(np.abs(v0 * u0) / room[anchor] * np.abs(u0) / L[:, 0]))
+    estimate = move + (below + UNIT * h * mass * _integral_units(nodes, len(ks))) / (2 * np.pi)
     return RhoSeries(coeffs, ks, nodes, estimate, parts)

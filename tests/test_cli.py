@@ -20,7 +20,7 @@ import pytest
 from th_fredholm import __version__, cli, defect_solver, fredholm_engine, verification_oracle, wiener_hopf
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
-from th_fredholm.symbol_core import CanonicalSymbol
+from th_fredholm.symbol_core import CanonicalSymbol, eval_many
 
 import helpers
 from helpers import family_lows, pair_from_c_and_b, random_generic_b, random_structural_c
@@ -459,7 +459,7 @@ def test_exit_codes_agree_with_the_reference_on_the_census(tmp_path, capsys, mon
 def test_verify_computes_each_series_once(tmp_path, capsys, monkeypatch):
     # per verify: fourier_coeffs for a and b where a kernel candidate runs the section, and never
     # otherwise; rho_coefficients for |k| <= ORACLE_K, again for the F-matrix defect matrix, and
-    # again for the kernel check where m > 0
+    # again for the kernel check where m > 0 and some candidate reads it (not at F-matrix dim ker 0)
     calls = {"fourier": 0, "rho": 0}
 
     def counted(name, real):
@@ -486,12 +486,12 @@ def test_verify_computes_each_series_once(tmp_path, capsys, monkeypatch):
         assert verified in (0, 4), i
         want = {
             "fourier": 2 * (report["dimKer"] > 0),
-            "rho": 1 + (report["caseTag"] == "F-matrix") + (report["m"] > 0),
+            "rho": 1 + (report["caseTag"] == "F-matrix") + (report["m"] > 0 and report["dimKer"] > 0),
         }
         assert calls == want, (i, calls, want)
         for name in totals:
             totals[name] += calls[name]
-    assert totals == {"fourier": 144, "rho": 250}
+    assert totals == {"fourier": 144, "rho": 232}
 
 
 # a = e^{-0.3} exp(0.3) is the constant 1: the sign of c and d is read off scale * exp(log_0)
@@ -748,6 +748,35 @@ def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
     for order in (255, 511):
         assert verification_oracle.fourier_coeffs(symbol, order).bound < 1e-12, order
 
+
+
+def doubled_rule_reference(s, N: int, M: int) -> np.ndarray:
+    """(1/2pi) sum w s(x) e^{-ikx}, |k| <= N, by 24-node Gauss-Legendre on 2M equal panels, every
+    jump on a panel edge, summed directly: e^{-ikx} is the exact root of unity of x's panel start
+    times e^{-ikd} for its offset d within the panel."""
+    from numpy.polynomial.legendre import leggauss
+
+    P = 2 * M
+    assert all((pt.turns * P).denominator == 1 for pt in s.jump_points)
+    x, w = leggauss(24)
+    h = 2 * np.pi / P
+    d = h / 2 * (1 + x)
+    vals = eval_many(s, (np.arange(P)[:, None] * h + d).ravel()).reshape(P, 24)
+    ks = np.arange(-N, N + 1)
+    roots = np.exp(-2j * np.pi * np.arange(P) / P)[np.outer(ks, np.arange(P)) % P]
+    return np.sum((roots @ vals) * (h / 2 * w) * np.exp(-1j * np.outer(ks, d)), axis=1) / (2 * np.pi)
+
+
+@pytest.mark.parametrize(
+    "doc", [DEGREE_SIX_DOC, {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2}], ids=["degree-six", "four-jump"]
+)
+def test_fourier_coeffs_within_bound_of_a_doubled_rule(doc):
+    # at order 511 the fewest panels panel_count allows leave the coefficients within their
+    # bound of the same rule on twice as many panels, summed without an FFT
+    s = cli.Job(doc).pair.a
+    series = verification_oracle.fourier_coeffs(s, 511)
+    reference = doubled_rule_reference(s, 511, verification_oracle.panel_count(s, 511))
+    assert np.max(np.abs(series.coeffs - reference)) <= series.bound < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,12 @@
 """Quadrature coefficients, finite sections, and explicit kernel elements."""
 
+import importlib
+import itertools
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from th_fredholm import verification_oracle
 from th_fredholm.cli import Job
 from th_fredholm.defect_solver import defect_numbers
 from th_fredholm.fredholm_engine import build_plus_factor, normalized_pair
+from th_fredholm.quadrature import _log_exp_cap, fourier_quadrature
 from th_fredholm.symbol_core import (
     MINUS_ONE,
     ONE,
@@ -213,7 +219,7 @@ def closed_form_bound_cases(N: int):
 
 @pytest.mark.parametrize("N", [64, 512])
 def test_fourier_bound_holds_against_mpmath(N, monkeypatch):
-    # the bound is mostly rounding (the quadrature term is below 1e-30 here): it holds, and
+    # the bound is mostly rounding (the quadrature term is below 1e-16 here): it holds, and
     # with UNIT = 0, which drops the rounding term, it fails
     from th_fredholm import quadrature
 
@@ -237,6 +243,43 @@ def test_fourier_bound_on_steep_and_constant_log_terms(log):
         want[64:] = np.exp(v) * want[64:] if k == 0 else convolve(want[64:], factor[64:])[:65]
     series = fourier_coeffs(CanonicalSymbol(log_smooth=FourierLogPoly.of(log)), 64)
     assert np.max(np.abs(series.coeffs - want)) <= series.bound < 1e-12
+
+
+def test_panel_count_is_the_least_that_meets_its_criterion(monkeypatch):
+    # on census symbols at the section's orders: the quadrature part at the chosen 11-smooth M is at
+    # most 2^-53 times the cap |scale| e^{Re log} e^{pi sum |Im beta|} on |s|, and at the 11-smooth
+    # number below M (where M > 12) it is not
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gen = importlib.import_module("gen")
+    docs = [doc for _, doc, _ in gen.cli_documents(random.Random(11), 6)]
+    rng = random.Random(2026)
+    docs += [gen.fmatrix_doc(rng) for _ in range(3)]
+    below = 0
+    for doc in docs:
+        pair = Job(json.loads(gen.to_json(doc))).pair
+        for s, N in itertools.product((pair.a, pair.b), (64, 255, 511)):
+            target = (
+                math.log(abs(s.scale)) + _log_exp_cap(s.log_smooth.coeffs, 0.0)
+                + math.pi * sum(abs(j.beta.value.imag) for j in s.jumps) - 53 * math.log(2)
+            )
+            M = verification_oracle.panel_count(s, N)
+            assert M >= 12 and verification_oracle.fft_length(M) == M
+            assert fourier_quadrature(s, N, M) <= target, (N, M)
+            if M > 12:
+                prev = max(m for m in range(12, M) if verification_oracle.fft_length(m) == m)
+                assert fourier_quadrature(s, N, prev) > target, (N, M, prev)
+                below += 1
+    assert below >= 2 * len(docs) * 2
+
+
+def test_fourier_coeffs_at_an_extreme_order():
+    # order 4095 on a degree-6 log of size 1 sizes its panels, ends its search and passes its bound
+    s = smooth(log={6: 1.0})
+    series = fourier_coeffs(s, 4095)
+    assert series.N == 4095 and series.bound < 1e-12
+    assert np.all(np.isfinite(series.coeffs))
+    assert abs(series.get(6) - 1.0) < 1e-12 and abs(series.get(4)) < 1e-12
+
 
 def test_finite_section_identity_cases():
     one = CanonicalSymbol.one()
@@ -510,7 +553,8 @@ STEEP_ORACLE_DOCS = {
 def test_rho_de_at_steep_sites(name):
     # each half-arc's innermost node at half weight, plus the leading term of the integral below it,
     # takes the oracle within 1e-8 of the production rho; verify's oracle gate, at least
-    # 10 (estimate + bound), reads a figure below 1e-7 that still covers the gap
+    # 10 (estimate + bound), reads a figure below 1e-7 that still covers the gap, and the
+    # estimate alone covers it too, at rounding level by its rounding floor
     job = Job(STEEP_ORACLE_DOCS[name])
     rep_c, rep_d = normalized_pair(job.pair, job.p)
     assert rep_c.n > 0 and rep_d.n > 0
@@ -520,6 +564,7 @@ def test_rho_de_at_steep_sites(name):
     gap = max(abs(rho.get(k) - de.get(k)) for k in range(-16, 17))
     assert gap < 1e-8 and de.tail_bound < 1e-8, (gap, de.tail_bound)
     assert gap <= 10 * (de.tail_bound + rho.tail_bound), (gap, de.tail_bound, rho.tail_bound)
+    assert gap <= de.tail_bound, (gap, de.tail_bound)
 
 
 def test_rho_de_refuses_non_integrable_rho():
