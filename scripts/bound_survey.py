@@ -1,7 +1,7 @@
 """Survey, page faults and benchmark pairs for the a-priori error bound of rho, and the rank rule it certifies.
 
 Run from the root of a checkout; ranks writes BENCH_rank_rule.json there,
-survey and faults write their sections of BENCH_rho_bound.json, replacing
+survey and faults write their sections of BENCH_one_integrator.json, replacing
 any earlier run's, and pairs adds its section, pairs:W:S, to the record
 file --out names (pairs:W:S:trace with --trace 1, which runs bench/run.py
 with its per-layer trace), refusing before it runs if that file already
@@ -14,10 +14,13 @@ holds one:
     python3 scripts/bound_survey.py fourier --out FILE [--src DIR]
     python3 scripts/bound_survey.py ranks
 
-survey compares RhoSeries.tail_bound with the fine-minus-coarse estimate the
-code used before (a 16-node rule with a 1e-10 rad sliver beside the production
-one), with the tanh-sinh oracle and, on a subset, with the mpmath reference
-of tests/test_wiener_hopf.py.  faults counts minor page faults per
+survey lists, per rho, each term of the one bound family of
+quadrature.integrate (graded quadrature, grid quadrature, sliver, rounding)
+and the node count of each layout (graded, cut, whole), and compares
+RhoSeries.tail_bound with the fine-minus-coarse estimate the code used before
+(a 16-node rule with a 1e-10 rad sliver, every half-arc graded, beside the
+production one), with the tanh-sinh oracle and, on a subset, with the mpmath
+reference of tests/test_wiener_hopf.py.  faults counts minor page faults per
 rho_coefficients call with resource.getrusage, and the peak memory of
 compiling the numeric modules; --src points it at another checkout's
 src, whose rho_coefficients takes (rep_c, rep_d, b, keep) as this one's
@@ -28,14 +31,14 @@ scripts/census.py, as the least of 3 passes, in one child process per
 checkout, alternately in the parent and in this one, each with a fresh
 bytecode cache, and adds the section verify:census to --out.  fourier runs
 verification_oracle.fourier_coeffs on a and b of every census document at
-orders 64, 255, 511 and 1023 and records per case the panel count, the node
-count, the Gauss-Legendre part of the bound (quadrature.fourier_bound with no
-rounding mass), the bound and any refusal, and the least of 3 timed passes,
-as the section fourier:NAME of --out (NAME the parent of --src, "change"
-without it); once both the change's section and another are there it adds
-fourier:compare, the bound ratio change/other and the cases either refuses.
---src reads another checkout's src, whose fourier_coeffs takes (s, N) and
-calls fourier_bound(s, N, M, uncut, cut, cut_nodes) as this one's does.  ranks applies
+orders 64, 255, 511 and 1023 and records per case the bound and any refusal,
+and, where the checkout has quadrature.integrate, the panel count
+(quadrature.panel_count), the node count and the grid's Gauss-Legendre term,
+with the least of 3 timed passes, as the section fourier:NAME of --out (NAME
+the parent of --src, "change" without it); once both the change's section
+and another are there it adds fourier:compare, the bound ratio change/other
+and the cases either refuses.  --src reads another checkout's src, whose
+fourier_coeffs takes (s, N) as this one's does.  ranks applies
 defect_solver.rank_decision, and the rule it replaced (a cut at 1e-8 sigma_max
 with a refusal only when rho's bound could move a singular value across the
 cut), to the F-matrix defect matrices of criterion 4's Jacobi grid,
@@ -60,7 +63,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_rho_bound.json"
+OUT = ROOT / "BENCH_one_integrator.json"
 # ranks reads this many bench/gen.fmatrix_doc documents, and fmatrix_survey at this many tries per setting
 RANK_FMATRIX_DOCS = 30
 RANK_SURVEY_TRIES = 30
@@ -141,25 +144,40 @@ def survey_cases():
 
 
 def old_estimate(rho) -> float:
-    """max |rho - a 16-node rule with a 1e-10 rad sliver at every site|: the estimate before the bound."""
+    """max |rho - a 16-node rule grading every half-arc to a 1e-10 rad sliver|: the estimate before the bound."""
     import numpy as np
-    from th_fredholm import wiener_hopf as wh
+    from th_fredholm import quadrature as q
 
-    ks, parts = rho.ks, rho.parts
+    ks, parts, S = rho.ks, rho.parts, len(rho.parts.turns)
     freq = max(-ks.start, ks.stop - 1) + abs(parts.power) + parts.top
-    index, offsets, weights = wh._rho_rule(parts, freq, 16, [1e-10] * len(parts.turns))
+    index, offsets, weights = q._rho_rule(parts, [True] * S, freq, 16, [1e-10] * S)
     xs = 2 * np.pi * np.array([float(t) for t in parts.turns])[index] + offsets
-    coarse = wh._fourier_integrals(xs, weights, wh._rho_values(parts, index, offsets), ks)
+    coarse = q._fourier_integrals(xs, weights, q._rho_values(parts, index, offsets), ks)
     return float(np.max(np.abs(rho.coeffs - coarse)))
+
+
+def l1_mass(parts, ks) -> float:
+    """sum |w rho| / 2 pi over the nodes of quadrature.integrate's layouts, the mass its rounding term scales."""
+    import numpy as np
+    from th_fredholm import quadrature as q
+
+    K = max(-ks.start, ks.stop - 1)
+    nodes, bits, grid_nodes, _ = q.RULE
+    graded = q._graded(parts)
+    slivers = q._slivers(parts, K, bits)[1]
+    M = 0 if all(graded) else q.panel_count(parts, K)[0]
+    _, *grid = q._grid_rule(tuple(parts.turns), tuple(graded), M, grid_nodes)
+    rule = q._rho_rule(parts, graded, max(1, K + abs(parts.power) + parts.top), nodes, slivers)
+    index, offsets, weights = map(np.concatenate, zip(rule, grid))
+    return float(np.sum(np.abs(weights * q._rho_values(parts, index, offsets)))) / (2 * math.pi)
 
 
 def cmd_survey(args) -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    import numpy as np
     from helpers import rho_for_pair
     from test_wiener_hopf import mp_rho_coefficients
+    from th_fredholm import quadrature as q
     from th_fredholm import wiener_hopf as wh
-    from th_fredholm.quadrature import UNIT
     from th_fredholm.verification_oracle import rho_de
 
     rows, mp_count = [], {"jacobi": 0, "steep": 0, "seeded": 0, "fmatrix": 0}
@@ -171,26 +189,22 @@ def cmd_survey(args) -> None:
             rho = wh.rho_coefficients(rep_c, rep_d, pair.b, rep_c.n + rep_d.n)
         parts = rho.parts
         K = max(-rho.ks.start, rho.ks.stop - 1)
-        freq = K + abs(parts.power) + parts.top
-        nodes, bits = wh.RHO_RULE
-        radii, slivers = wh._slivers(parts, K, bits)
-        index, offsets, weights = wh._rho_rule(parts, freq, nodes, slivers)
-        summands = weights * wh._rho_values(parts, index, offsets)
-        mass = float(np.sum(np.abs(summands))) / (2 * math.pi)
+        _, layout, terms = q.integrate(parts, rho.ks)
+        mass = l1_mass(parts, rho.ks)
         de = rho_de(parts, K)
         row = {
             "group": group,
             "sites": len(parts.turns),
+            "graded_sites": sum(q._graded(parts)),
             "nodes": rho.inner_N,
+            **{f"nodes_{name}": count for name, count in layout.items()},
             "bound": rho.tail_bound,
-            "quadrature": wh._quadrature_term(parts, K, freq, nodes, slivers),
-            "sliver": wh._sliver_term(parts, K, radii, slivers),
-            "rounding": wh._rounding_term(parts, rho.ks, slivers, index.size, summands),
+            **terms,
             "l1": mass,
             "old_estimate": old_estimate(rho),
             "oracle_gap": max(abs(rho.get(k) - de.get(k)) for k in range(-K, K + 1)),
         }
-        row["rounding_ulps_per_l1"] = row["rounding"] / mass / UNIT
+        row["rounding_ulps_per_l1"] = row["rounding"] / mass / q.UNIT
         # mpmath on a subset, about 1 s per pair: a Latin-square quarter of the Jacobi grid, the steep
         # pair, every eighth seeded pair and the first ten F-matrix pairs, at k = 16
         i = seen[group] = seen.get(group, -1) + 1
@@ -217,7 +231,10 @@ def cmd_survey(args) -> None:
             "old_estimate_max": max(r["old_estimate"] for r in part),
             "bound_over_old_estimate_median": statistics.median(r["bound"] / r["old_estimate"] for r in part),
             "quadrature_max": max(r["quadrature"] for r in part),
+            "grid_max": max(r["grid"] for r in part),
             "sliver_max": max(r["sliver"] for r in part),
+            "nodes_median": {name: statistics.median(r[f"nodes_{name}"] for r in part) for name in ("graded", "cut", "whole")},
+            "nodes_total_median": statistics.median(r["nodes"] for r in part),
             "rounding_ulps_per_l1_max": max(r["rounding_ulps_per_l1"] for r in part),
             "rounding_ulps_per_l1_min": min(r["rounding_ulps_per_l1"] for r in part),
             "l1_max": max(r["l1"] for r in part),
@@ -402,27 +419,20 @@ def cmd_fourier(args) -> None:
     pairs = [Job(json.loads(gen.to_json(doc))).pair for doc in docs + fmatrix]
     cases = [(i, side, s, N) for i, pair in enumerate(pairs) for side, s in (("a", pair.a), ("b", pair.b))
              for N in FOURIER_ORDERS]
-    bound, eval_many = vo.fourier_bound, vo.eval_many
-    seen = {}
-
-    def record_bound(s, N, M, uncut, cut, cut_nodes):
-        seen.update(panels=M, quadrature=bound(s, N, M, 0.0, 0.0, cut_nodes))
-        return bound(s, N, M, uncut, cut, cut_nodes)
-
-    def record_nodes(s, xs):
-        seen["nodes"] = len(xs)
-        return eval_many(s, xs)
-
-    vo.fourier_bound, vo.eval_many = record_bound, record_nodes
     rows, refusals = [], {}
     for i, side, s, N in cases:
-        seen.clear()
+        row = {"order": N}
+        if hasattr(vo, "symbol_parts"):  # this checkout's layout; another's records only its bounds
+            from th_fredholm import quadrature as q
+
+            parts = vo.symbol_parts(s)
+            _, layout, terms = q.integrate(parts, range(-N, N + 1))
+            row.update(panels=q.panel_count(parts, N)[0], nodes=sum(layout.values()), quadrature=terms["grid"])
         try:
-            result = vo.fourier_coeffs(s, N).bound
+            row["bound"] = vo.fourier_coeffs(s, N).bound
         except MethodDisagreement as exc:
-            result, refusals[len(rows)] = None, str(exc)
-        rows.append({**seen, "bound": result, "order": N})
-    vo.fourier_bound, vo.eval_many = bound, eval_many
+            row["bound"], refusals[len(rows)] = None, str(exc)
+        rows.append(row)
     passes = []
     for _ in range(3):
         start = time.perf_counter()
@@ -435,7 +445,7 @@ def cmd_fourier(args) -> None:
     name = f"fourier:{src.parent.name if args.src else 'change'}"
     by_order = {
         str(N): {key: [min(r[key] for r in rows if r["order"] == N), max(r[key] for r in rows if r["order"] == N)]
-                 for key in ("panels", "nodes")}
+                 for key in ("panels", "nodes") if key in rows[0]}
         for N in FOURIER_ORDERS
     }
     out = Path(args.out)

@@ -48,6 +48,7 @@ from .symbol_core import (
     CanonicalSymbol,
     ConditionViolated,
     Exponent,
+    FourierLogPoly,
     JumpFactor,
     SymbolPair,
     UnitPoint,
@@ -328,8 +329,15 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     from .verification_oracle import kernel_residual_check, rho_de
     from .wiener_hopf import rho_coefficients
 
-    report = defect_numbers(job.pair, job.p)
-    rho = rho_coefficients(report.rep_c, report.rep_d, job.pair.b, ORACLE_K)
+    # with a and b divided by b's constant lam = scale e^{log_0}, c, d, the kernel and every exact verdict stay, and
+    # every figure below is O(1) in a scale common to a and b, as T(a/lam) + H(b/lam) = (T(a) + H(b)) / lam; log_0
+    # leaves through the logs, so a lam past the float range divides too
+    b = job.pair.b
+    scale, log_0 = b.scale, FourierLogPoly.of({0: b.log_smooth.as_dict().get(0, 0j)})
+    a, b = (CanonicalSymbol(s.kappa, s.scale / scale, s.log_smooth.plus(log_0, -1), s.jumps) for s in (job.pair.a, b))
+    pair = SymbolPair(a=a, b=b, c=job.pair.c, d=job.pair.d)
+    report = defect_numbers(pair, job.p)
+    rho = rho_coefficients(report.rep_c, report.rep_d, b, ORACLE_K)
     evenness = rho.evenness_defect()
     # rho is even and each rho_k lies within tail_bound, so the defect is at most twice it;
     # the gates fail closed: a NaN figure refuses
@@ -348,9 +356,7 @@ def cmd_verify(job: Job, ns) -> tuple[dict, int]:
     oracle_gate = oracle_gate if math.isnan(oracle_gate) else max(1e-8, oracle_gate)
     if not oracle_dev <= oracle_gate:
         raise MethodDisagreement(f"rho quadrature and oracle differ by {oracle_dev:.3e} > {oracle_gate:.3e}")
-    basis = kernel_residual_check(
-        job.pair, job.p, report, N=job.section_size, tol=job.tolerance
-    )
+    basis = kernel_residual_check(pair, job.p, report, N=job.section_size, tol=job.tolerance)
     worst = float(max(basis.residuals)) if basis.residuals.size else 0.0
     bound_a, bound_b = basis.fourier_bounds or (None, None)
     doc = {

@@ -1,33 +1,19 @@
 """Independent cross-checks for the symbolic pipeline.
 
-Fourier coefficients of a symbol come from one route, composite 24-node
-Gauss-Legendre quadrature of the defining integral on equal panels over the
-circle, with an a-priori error bound (quadrature.fourier_bound); the panels
-are the fewest whose Gauss-Legendre term that bound puts below one unit
-roundoff of |s| (panel_count).  Kernel
-candidates are built explicitly from the factorization and the production
-rho, and their finite-section residuals T_N f + H_N f come from two FFT
-convolutions with those coefficients; the tests hold the dense N x N section
-(tests/helpers.py) that these residuals are checked against.
-
-Quadrature notes: a piecewise-continuous symbol is analytic in the angle on
-every open arc between its jump points, so composite Gauss-Legendre on
-panels cut at the jumps converges spectrally and needs no grading; the
-uncut panels, one panel shifted around the circle, are summed by one FFT
-(Cooley & Tukey, Math. Comp. 19, 1965).  A symbol is entire in the angle
-between its jumps, so the Gauss-Legendre bound on a Bernstein ellipse
-(Trefethen, SIAM Review 50, 2008, Thm 4.5) holds for any ellipse parameter
-and needs no sliver.  rho, which can blow up at its
-sites, is computed in production by graded Gauss-Legendre quadrature
-(wiener_hopf.rho_coefficients); the second route kept here, rho_de,
-integrates the same pointwise values by tanh-sinh quadrature in the offsets
-from each site, and `verify` compares the two on |k| <= 16.
+A symbol's Fourier coefficients come from rho's rule, quadrature.integrate, with its a-priori bound:
+symbol_parts writes the symbol as a site product whose sites, turn 0 and its jumps, are all analytic, so
+the whole circle lies on the FFT-summed grid.  Kernel candidates are built from the factorization and the
+production rho, and their finite-section residuals T_N f + H_N f come from two FFT convolutions with those
+coefficients; the tests hold the dense N x N section (tests/helpers.py) these are checked against.  The
+second route to rho kept here, rho_de, integrates rho's values by tanh-sinh quadrature in the offsets
+from each site, and `verify` compares it with wiener_hopf.rho_coefficients on |k| <= 16.
 """
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,39 +21,10 @@ from .confidence import MethodDisagreement, ResidualTooLarge
 from .defect_solver import DefectReport, defect_numbers
 from .fredholm_engine import build_plus_factor
 from .quadrature import (
-    FOURIER_ELLIPSES,
-    FOURIER_NODES,
-    UNIT,
-    _fourier_integrals,
-    _integral_units,
-    _leggauss,
-    _log_exp_cap,
-    fourier_bound,
-    fourier_quadrature,
+    UNIT, SiteProduct, _fourier_integrals, _integral_units, _rho_values, fft_length, integrate, site_product
 )
-from .symbol_core import CanonicalSymbol, SymbolPair, _Record, eval_many
-from .wiener_hopf import RhoParts, RhoSeries, _rho_values, rho_coefficients
-
-
-@functools.lru_cache(maxsize=1024)
-def fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, the padded length of convolve.
-
-    This is the length scipy.fft.next_fast_len(n, real=False) gives.  A power
-    of two is always a candidate, so only the odd 11-smooth numbers below it
-    need doubling up to n.
-    """
-    best = 1 << (n - 1).bit_length()
-    odd = [1]
-    for f in (3, 5, 7, 11):
-        grown = []
-        for x in odd:
-            while x < best:
-                grown.append(x)
-                x *= f
-        odd = grown
-    # x << k with k = bit_length((n-1)//x) is the least x*2^k >= n
-    return min([best] + [x << ((n - 1) // x).bit_length() for x in odd])
+from .symbol_core import CanonicalSymbol, SymbolPair, _Record
+from .wiener_hopf import RhoSeries, rho_coefficients
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,87 +76,27 @@ class KernelBasis(_Record, eq=False):
     fourier_bounds: tuple[float, float] | None
 
 
-def _panel_sums(x0, w0, vals, whole, M: int, N: int) -> np.ndarray:
-    """(1/2pi) sum of w f e^{-ikx} over the uncut panels, |k| <= N, by one DFT.
-
-    Panel p holds panel 0's nodes x0 shifted by 2 pi p / M.  With k = qM + r
-    the sum over p is the DFT F[r] of each node's column, periodic in k, and
-    e^{-ik x0} = e^{-iqM x0} e^{-ir x0}, so row q of E_q @ (E_r F).T holds k.
-    """
-    grid = np.zeros((M, x0.size), dtype=complex)
-    grid[whole] = vals.reshape(whole.size, x0.size) * w0
-    spectrum = np.fft.fft(grid, axis=0) * np.exp(-1j * np.outer(np.arange(M), x0))
-    qs = np.arange(-N // M, N // M + 1)
-    out = (np.exp(-1j * M * np.outer(qs, x0)) @ spectrum.T).ravel()
-    start = -N - qs[0] * M
-    return out[start : start + 2 * N + 1] / (2 * np.pi)
-
-
-# log 2^-53, the quadrature part's share of a cap on |s|: a constant, so a patched quadrature.UNIT moves no panel count
-LOG_SHARE = -53 * math.log(2)
-
-
-def panel_count(s: CanonicalSymbol, N: int) -> int:
-    """The least 11-smooth M >= 12 whose fourier_quadrature(s, N, M) is at most 2^-53 times a cap on |s|.
-
-    The cap is |scale| e^{_log_exp_cap(logs, 0)} e^{pi sum |Im beta|}, a
-    bound on |s| on the circle.  On the ellipse of parameter r the log of
-    fourier_quadrature's cap exceeds its log by at least (pi / M) (drift (r -
-    1/r) / 2 + spin ((r + 1/r) / 2 - 1)), as e^x - 1 >= x, so no M below the
-    least over r of the M where that excess fills the room r's rule leaves
-    meets the criterion; the scan over 11-smooth numbers starts there, and
-    mostly ends there.  It ends always: at r = 32 the log of the quadrature
-    part tends to log cap - 172 as M grows.
-    """
-    logs, betas = s.log_smooth.coeffs, [j.beta.value for j in s.jumps]
-    spin = sum(abs(b.imag) for b in betas)
-    target = math.log(abs(s.scale)) + _log_exp_cap(logs, 0.0) + math.pi * spin + LOG_SHARE
-    drift = abs(s.kappa) + N + sum(abs(b.real) for b in betas) + sum(abs(k * v) for k, v in logs)
-    start = min(
-        math.pi * (drift * (r - 1 / r) / 2 + spin * ((r + 1 / r) / 2 - 1)) / (LOG_SHARE - rule)
-        for r, rule in FOURIER_ELLIPSES
-        if rule < LOG_SHARE
-    )
-    M = fft_length(max(12, math.ceil(start)))
-    while fourier_quadrature(s, N, M) > target:
-        M = fft_length(M + 1)
-    return M
+def symbol_parts(s: CanonicalSymbol) -> SiteProduct:
+    """s as a site product (quadrature.SiteProduct): its jumps and turn 0 are sites with eta = 0 and phase -beta."""
+    jumps = {j.point.turns: j.beta.value for j in s.jumps}
+    turns = sorted({Fraction(0), *jumps})
+    laurent = s.log_smooth.as_dict()
+    const = s.scale * cmath.exp(laurent.pop(0, 0j))
+    zero = [0j] * len(turns)
+    top = max(map(abs, laurent), default=0)
+    return site_product(turns, const, laurent, s.kappa, top, zero, zero, [-complex(jumps.get(t, 0)) for t in turns])
 
 
 def fourier_coeffs(s: CanonicalSymbol, N: int, tol: float = 1e-6) -> TwoSidedSeries:
-    """Coefficients f_k, |k| <= N, by FOURIER_NODES-node Gauss-Legendre quadrature on M equal panels.
-
-    M is panel_count's, the fewest panels whose Gauss-Legendre term stays
-    below one unit roundoff of |s|, and 11-smooth (fft_length), so its FFT
-    runs passes of radix 11 at most.  A jump strictly inside a panel (turns *
-    M not an integer, so never a jump at 1) cuts it; the pieces are summed
-    directly, the uncut panels by one FFT.  bound is quadrature.fourier_bound.
+    """Coefficients f_k, |k| <= N, by quadrature.integrate over symbol_parts(s), with its bound.
 
     Raises
     ------
     MethodDisagreement
         When the bound exceeds tol or is NaN.
     """
-    M = panel_count(s, N)
-    h = 2 * math.pi / M
-    cuts: dict[int, list[float]] = {}
-    for pt in s.jump_points:  # in turn order, so each panel's cuts come sorted
-        if (pt.turns * M).denominator != 1:
-            cuts.setdefault(math.floor(pt.turns * M), []).append(pt.angle)
-    # piece 0 is panel 0, the template of the uncut panels; the rest are the pieces of cut panels
-    edges = [[p * h, *angles, (p + 1) * h] for p, angles in cuts.items()]
-    lo = np.array([0.0, *(x for e in edges for x in e[:-1])])
-    half = (np.array([h, *(x for e in edges for x in e[1:])]) - lo)[:, None] / 2
-    whole = np.array([p for p in range(M) if p not in cuts], dtype=int)
-    x, w = _leggauss(FOURIER_NODES)  # one Gauss panel per piece: none is wider than h
-    xs, ws = lo[:, None] + half * (1 + x), half * w
-    grid, pieces = (whole[:, None] * h + xs[0]).ravel(), xs[1:].ravel()
-    vals = eval_many(s, np.concatenate([grid, pieces]))
-    v, c = vals[: grid.size], vals[grid.size :]
-    coeffs = _panel_sums(xs[0], ws[0], v, whole, M, N) + _fourier_integrals(pieces, ws[1:].ravel(), c, range(-N, N + 1))
-    uncut = float(np.sum(np.abs(v.reshape(whole.size, FOURIER_NODES)) @ ws[0])) / (2 * np.pi)
-    cut = float(np.abs(c) @ ws[1:].ravel()) / (2 * np.pi)
-    bound = fourier_bound(s, N, M, uncut, cut, pieces.size)
+    coeffs, _, terms = integrate(symbol_parts(s), range(-N, N + 1))
+    bound = sum(terms.values())
     if not bound <= tol:
         raise MethodDisagreement(f"Fourier quadrature bound {bound:.3e} exceeds {tol:.1e} on |k| <= {N}")
     return TwoSidedSeries(coeffs, bound)
@@ -299,7 +196,7 @@ def kernel_residual_check(
     return KernelBasis(tuple(vectors), residuals, gram_rank, (series_a.bound, series_b.bound))
 
 
-def rho_de(parts: RhoParts, N_keep: int) -> RhoSeries:
+def rho_de(parts: SiteProduct, N_keep: int) -> RhoSeries:
     """rho_k, |k| <= N_keep, by tanh-sinh quadrature over the half-arcs: the second route.
 
     It integrates the production parts of rho (wiener_hopf.rho_parts), and

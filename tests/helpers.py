@@ -48,8 +48,9 @@ from th_fredholm.symbol_core import (
     multiply,
     validate_pair,
 )
+from th_fredholm.quadrature import _rho_values
 from th_fredholm.verification_oracle import TwoSidedSeries, fourier_coeffs
-from th_fredholm.wiener_hopf import RhoSeries, _rho_values, rho_coefficients
+from th_fredholm.wiener_hopf import RhoSeries, rho_coefficients
 
 UPPER_ANGLES = [(1, 8), (1, 4), (3, 8), (1, 3), (1, 6), (2, 5)]
 

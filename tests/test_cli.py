@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from th_fredholm import __version__, cli, defect_solver, fredholm_engine, verification_oracle, wiener_hopf
+from th_fredholm import __version__, cli, defect_solver, fredholm_engine, quadrature, verification_oracle, wiener_hopf
 from th_fredholm.cli import main
 from th_fredholm.fredholm_engine import BoundaryCase
 from th_fredholm.symbol_core import CanonicalSymbol, eval_many
@@ -775,7 +775,7 @@ def test_fourier_coeffs_within_bound_of_a_doubled_rule(doc):
     # bound of the same rule on twice as many panels, summed without an FFT
     s = cli.Job(doc).pair.a
     series = verification_oracle.fourier_coeffs(s, 511)
-    reference = doubled_rule_reference(s, 511, verification_oracle.panel_count(s, 511))
+    reference = doubled_rule_reference(s, 511, quadrature.panel_count(verification_oracle.symbol_parts(s), 511)[0])
     assert np.max(np.abs(series.coeffs - reference)) <= series.bound < 1e-12
 
 
@@ -986,6 +986,28 @@ TWO_JUMP_DOC = {
     },
     "p": 2,
 }
+# a = t^-1 exp(0.2 t - 0.2/t), b = 1: verify's rho bound grew like 1/scale and its Fourier bound like the scale
+SCALED_DOC = {
+    "a": {"kappa": -1, "log_smooth": [{"k": 1, "re": 0.2}, {"k": -1, "re": -0.2}]},
+    "b": {},
+    "p": 2,
+    "options": {"section_size": 128},
+}
+
+
+@pytest.mark.parametrize("doc", [SCALED_DOC, README_DOC, DEGREE_SIX_DOC], ids=["exp", "readme", "degree-six"])
+def test_verify_is_scale_free(tmp_path, capsys, doc):
+    # T(l a) + H(l b) = l (T(a) + H(b)) for a common scale l: one exit code and one dimKer/dimCoker per document,
+    # at l = 10^k, k in {-200, -20, 0, 20, 200}, and at l = e^800, past the float range, as the logs' constant
+    scaled = [{**doc, **{s: {**doc[s], "scale": [10.0**k, 0.0]} for s in "ab"}} for k in (-200, -20, 0, 20, 200)]
+    e800 = {"k": 0, "re": 800.0}
+    scaled.append({**doc, **{s: {**doc[s], "log_smooth": [*doc[s].get("log_smooth", []), e800]} for s in "ab"}})
+    seen = set()
+    for scaled_doc in scaled:
+        code, out, _ = run(capsys, ["verify", write_doc(tmp_path, scaled_doc)])
+        seen.add((code, json.dumps(json.loads(out).get("defects"))))
+    assert len(seen) == 1, seen
+    assert seen != {(0, None)} and (doc is not SCALED_DOC or seen == {(0, '{"dimCoker": 0, "dimKer": 1}')})
 
 
 INPUT_ERRORS = [
@@ -1323,6 +1345,16 @@ def test_public_names_resolve_to_their_defining_modules():
             assert not hasattr(module, name), name
             with pytest.raises(AttributeError):
                 getattr(th_fredholm, name)
+    # rho and a symbol's coefficients come from one rule and one bound in quadrature: the symbol-only
+    # rule, bound and evaluator, and rho's own record and rule are gone
+    gone = {
+        quadrature: ["fourier_quadrature", "fourier_bound", "FOURIER_ELLIPSES", "FOURIER_NODES"],
+        verification_oracle: ["panel_count", "LOG_SHARE", "_panel_sums", "eval_many"],
+        wiener_hopf: ["RhoParts", "RHO_RULE", "_rho_rule", "_gauss_panels", "_rho_values"],
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name), name
     # every refusal comes from the exact conditions and carries their report
     for name in ("CurveThroughOrigin", "NotFredholmOnSide"):
         assert not hasattr(fredholm_engine, name), name

@@ -15,7 +15,7 @@ from th_fredholm import verification_oracle
 from th_fredholm.cli import Job
 from th_fredholm.defect_solver import defect_numbers
 from th_fredholm.fredholm_engine import build_plus_factor, normalized_pair
-from th_fredholm.quadrature import _log_exp_cap, fourier_quadrature
+from th_fredholm.quadrature import _gauss_panels, _grid_cap, _log_exp_cap, _log_grid_term, panel_count
 from th_fredholm.symbol_core import (
     MINUS_ONE,
     ONE,
@@ -38,8 +38,9 @@ from th_fredholm.verification_oracle import (
     fourier_coeffs,
     kernel_residual_check,
     rho_de,
+    symbol_parts,
 )
-from th_fredholm.wiener_hopf import _gauss_panels, rho_coefficients, rho_parts
+from th_fredholm.wiener_hopf import rho_coefficients, rho_parts
 
 from helpers import (
     finite_section,
@@ -142,7 +143,7 @@ def arc_rule_coeffs(s: CanonicalSymbol, N: int) -> TwoSidedSeries:
     """f_k by 24-node Gauss-Legendre panels over the arcs between the jumps, summed densely."""
     angles = sorted(pt.angle for pt in s.jump_points)
     freq = N + abs(s.kappa) + max((abs(k) for k, _ in s.log_smooth.coeffs), default=0)
-    xs, ws, _ = _gauss_panels(np.array(angles), np.array(angles[1:] + [angles[0] + 2 * np.pi]), freq, 24, 12)
+    xs, ws, _ = _gauss_panels(np.array(angles), np.array(angles[1:] + [angles[0] + 2 * np.pi]), freq, 24)
     ks = np.arange(-N, N + 1)
     return TwoSidedSeries((ws * eval_many(s, xs)) @ np.exp(-1j * np.outer(xs, ks)) / (2 * np.pi))
 
@@ -165,7 +166,7 @@ def test_power_recurrence_matches_dense_kernel():
     cases = [(512, [range(0, 1), range(-16, 17), range(-512, 513), range(-5, 301)]), (4096, [range(-16, 17)])]
     for freq, ranges in cases:
         # 16-node Gauss-Legendre panels once around the circle from turn 1/3
-        xs, ws, _ = _gauss_panels(np.array([2 * np.pi / 3]), np.array([8 * np.pi / 3]), freq, 16, 12)
+        xs, ws, _ = _gauss_panels(np.array([2 * np.pi / 3]), np.array([8 * np.pi / 3]), freq, 16)
         vals = np.exp(1j * np.sin(3 * xs)) * (1 + 0.5 * np.cos(xs))
         for ks in ranges:
             dense = (ws * vals) @ np.exp(-1j * np.outer(xs, np.array(ks))) / (2 * np.pi)
@@ -262,12 +263,13 @@ def test_panel_count_is_the_least_that_meets_its_criterion(monkeypatch):
                 math.log(abs(s.scale)) + _log_exp_cap(s.log_smooth.coeffs, 0.0)
                 + math.pi * sum(abs(j.beta.value.imag) for j in s.jumps) - 53 * math.log(2)
             )
-            M = verification_oracle.panel_count(s, N)
+            parts = symbol_parts(s)
+            M, term = panel_count(parts, N)
             assert M >= 12 and verification_oracle.fft_length(M) == M
-            assert fourier_quadrature(s, N, M) <= target, (N, M)
+            assert term == _log_grid_term(_grid_cap(parts, N), M) <= target, (N, M)
             if M > 12:
                 prev = max(m for m in range(12, M) if verification_oracle.fft_length(m) == m)
-                assert fourier_quadrature(s, N, prev) > target, (N, M, prev)
+                assert _log_grid_term(_grid_cap(parts, N), prev) > target, (N, M, prev)
                 below += 1
     assert below >= 2 * len(docs) * 2
 
@@ -279,6 +281,102 @@ def test_fourier_coeffs_at_an_extreme_order():
     assert series.N == 4095 and series.bound < 1e-12
     assert np.all(np.isfinite(series.coeffs))
     assert abs(series.get(6) - 1.0) < 1e-12 and abs(series.get(4)) < 1e-12
+
+
+def test_a_times_a_candidate_through_the_integrator(monkeypatch):
+    # a f for the homogeneous candidate f = (1-t) c_+^{-1} t^j of a G-count census document (seed 12,
+    # document 39: n = -1, three jumps and a log of a, c_+ singular at 1 and -1) is one more site
+    # product: a's jumps are sites with eta 0 and phase -beta, each (1 - t/tau)^{-beta} of c_+^{-1} one with eta -beta and
+    # phase beta/2, and 1 - t one at turn 0 with eta 1 and phase -1/2.  Its coefficients lie within
+    # their bound of mpmath's, which evaluates every factor from its own definition
+    import mpmath
+
+    from th_fredholm.quadrature import integrate, site_product
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gen = importlib.import_module("gen")
+    doc = [doc for _, doc, _ in gen.cli_documents(random.Random(12), 40)][39]
+    job = Job(json.loads(gen.to_json(doc)))
+    report = defect_numbers(job.pair, job.p)
+    assert (report.case_tag, report.n) == ("G-count", -1)
+    a, c_plus, j = job.pair.a, build_plus_factor(report.rep_c), 0
+    sites = {Fraction(0): [1, -0.5]}  # turn: [eta, phase]
+    for jump in a.jumps:
+        sites.setdefault(jump.point.turns, [0, 0])[1] -= jump.beta.value
+    for point, e in c_plus.eta_exponents:
+        site = sites.setdefault(point.turns, [0, 0])
+        site[0] -= e.value
+        site[1] += e.value / 2
+    turns = sorted(sites)
+    laurent = FourierLogPoly.of(a.log_smooth).plus(c_plus.analytic_log, -1).as_dict()
+    const = a.scale / c_plus.constant * complex(mpmath.exp(laurent.pop(0, 0)))
+    etas = [complex(sites[t][0]) for t in turns]
+    parts = site_product(
+        turns, const, laurent, a.kappa + j, max(map(abs, laurent)), etas, etas, [complex(sites[t][1]) for t in turns]
+    )
+    ks = range(-8, 17)
+    coeffs, layout, terms = integrate(parts, ks)
+    bound = sum(terms.values())
+    assert layout["graded"] and layout["whole"] and bound < 1e-11
+    with mpmath.workdps(20):
+        two_pi = 2 * mpmath.pi
+
+        def f(x):  # a(t) (1 - t) c_+^{-1}(t) t^j at t = e^{ix}
+            t = mpmath.expj(x)
+            val = a.scale * mpmath.exp(sum(v * t**k for k, v in a.log_smooth.coeffs)) * t ** (a.kappa + j) * (1 - t)
+            for jump in a.jumps:
+                theta = two_pi * mpmath.mpf(jump.point.turns.numerator) / jump.point.turns.denominator
+                val *= mpmath.expj(jump.beta.value * (mpmath.fmod(x - theta + 2 * two_pi, two_pi) - mpmath.pi))
+            val /= c_plus.constant * mpmath.exp(sum(v * t**k for k, v in c_plus.analytic_log.coeffs))
+            for point, e in c_plus.eta_exponents:
+                val *= mpmath.power(1 - t * mpmath.expj(-two_pi * mpmath.mpf(point.turns.numerator) / point.turns.denominator), -e.value)
+            return val
+
+        cuts = [two_pi * mpmath.mpf(t.numerator) / t.denominator for t in turns] + [two_pi]
+        for k in (-8, 0, 3, 16):
+            want = mpmath.quad(lambda x: f(x) * mpmath.expj(-k * x), cuts) / two_pi
+            assert abs(coeffs[k - ks.start] - complex(want)) <= bound, k
+
+
+def grading_cases():
+    """(label, site product, ks) of a Jacobi rho with alpha = 0, the kernel-range rho of a golden document
+    at section 256, and a jump symbol to order 255."""
+    from helpers import jacobi_symbol
+    from th_fredholm.symbol_core import invert
+
+    pair = validate_pair(CanonicalSymbol.one(), invert(jacobi_symbol(Fraction(0), Fraction(3, 10), 2)))
+    jacobi = defect_numbers(pair, 2)
+    yield "jacobi", rho_parts(jacobi.rep_c, jacobi.rep_d, pair.b), jacobi.matrix.rho.ks
+    name, pair, p = next(i for i in golden_kernel_instances() if defect_numbers(i[1], i[2]).m > 0)
+    golden = defect_numbers(pair, p)
+    yield name, rho_parts(golden.rep_c, golden.rep_d, pair.b), range(golden.n - golden.m + 1, 256 + golden.n + golden.m - 1)
+    yield "jump", symbol_parts(jump_unit(1, 13, 0.3)), range(-255, 256)
+
+
+def test_only_singular_sites_are_graded():
+    # a half-arc is graded exactly where its anchor's eta is not a non-negative integer; every other half
+    # lies on the grid.  alpha = 0 leaves eta = 1 at turn 0 of the Jacobi rho and beta = 3/10 leaves -2/5
+    # at -1; the golden rho has eta = 0 at both its sites, and a symbol at all of them
+    from th_fredholm import quadrature
+
+    counts = {}
+    for label, parts, ks in grading_cases():
+        K = max(-ks.start, ks.stop - 1)
+        nodes, bits, grid_nodes, _ = quadrature.RULE
+        graded = quadrature._graded(parts)
+        assert graded == [not (eta.imag == 0 and eta.real in (0, 1, 2, 3)) for eta in parts.etas], label
+        slivers = quadrature._slivers(parts, K, bits)[1]
+        freq = max(1, K + abs(parts.power) + parts.top)
+        index, offsets, _ = quadrature._rho_rule(parts, graded, freq, nodes, slivers)
+        M = panel_count(parts, K)[0] if not all(graded) else 0
+        whole, grid_index, grid_offsets, _ = quadrature._grid_rule(tuple(parts.turns), tuple(graded), M, grid_nodes)
+        # each layout covers the half-arcs, (anchor, ahead of it), of its own kind of anchor
+        halves = [(a, side) for a in range(len(graded)) for side in (False, True)]
+        assert {(a, o > 0) for a, o in zip(index.tolist(), offsets.real.tolist())} == {h for h in halves if graded[h[0]]}
+        assert {(a, o > 0) for a, o in zip(grid_index.tolist(), grid_offsets.tolist())} == {h for h in halves if not graded[h[0]]}
+        # graded panels past the four sliver nodes of each graded site; the grid's whole panels and pieces
+        counts[label] = ((index.size - 4 * sum(graded)) // nodes, whole.size, grid_index.size // grid_nodes - whole.size)
+    assert counts == {"jacobi": (14, 6, 0), "smooth-0": (0, 48, 0), "jump": (0, 45, 6)}
 
 
 def test_finite_section_identity_cases():

@@ -19,7 +19,7 @@ from helpers import (
     rho_at,
     rho_for_pair,
 )
-from th_fredholm import wiener_hopf
+from th_fredholm import quadrature
 from th_fredholm.fredholm_engine import (
     BoundaryCase,
     NormalizedRep,
@@ -399,7 +399,7 @@ def test_rho_de_matches_mpmath_quad_on_steep_pair():
 
     @functools.lru_cache(maxsize=None)
     def value(anchor, u):
-        return complex(wiener_hopf._rho_values(rho.parts, np.array([anchor]), np.array([u]))[0])
+        return complex(quadrature._rho_values(rho.parts, np.array([anchor]), np.array([u]))[0])
 
     for k in (0, -5, 16):
         total = 0
@@ -462,7 +462,7 @@ def test_steep_site_insensitive_to_sliver_width(monkeypatch):
     # sliver 40 bits further down, 2^(40 / (Re beta + 3))-fold narrower and
     # 3e5-fold at the steep site, moves nothing beyond the bound
     pair, p, rho = steep_pair()
-    monkeypatch.setattr(wiener_hopf, "RHO_RULE", (24, 93))
+    monkeypatch.setattr(quadrature, "RULE", (24, 93, 24, 53))
     _, _, narrow = rho_for_pair(pair, p, N_keep=16)
     assert narrow.inner_N > rho.inner_N
     assert np.max(np.abs(narrow.coeffs - rho.coeffs)) < min(1e-14, rho.tail_bound)
@@ -495,7 +495,7 @@ def test_leggauss_rounds_the_exact_rule():
 
     with mpmath.workdps(40):
         exact = sorted(mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec))
-        x, w = wiener_hopf._leggauss(24)
+        x, w = quadrature._leggauss(24)
         assert len(exact) == x.size == 24
         for xi, wi, (xe, we) in zip(x, w, exact):
             assert abs(xi - xe) <= abs(np.spacing(xi)) / 2 and abs(wi - we) <= np.spacing(wi) / 2
@@ -598,13 +598,19 @@ def test_rho_bound_holds_against_mpmath():
 
 @pytest.mark.parametrize(
     "term, rule",
-    [("_quadrature_term", (4, 53)), ("_sliver_term", (24, 20)), ("_rounding_term", (24, 53))],
+    [
+        ("_quadrature_term", (4, 53, 24, 53)),
+        ("_sliver_term", (24, 20, 24, 53)),
+        ("_rounding_term", (24, 53, 24, 53)),
+        ("_grid_term", (24, 53, 8, 0)),
+    ],
 )
 def test_rho_bound_fails_without_each_term(monkeypatch, term, rule):
-    # a rule whose error that term carries: 4 nodes per panel, slivers cut at 2^-20 of each
-    # site's local mass, or the production rule, whose error is rounding; the full bound
+    # a rule whose error that term carries: 4 nodes per graded panel, slivers cut at 2^-20 of
+    # each site's local mass, the production rule, whose error is rounding, or 8 nodes per grid
+    # panel on the fewest panels whose Gauss-Legendre term stays below the cap; the full bound
     # still holds there
-    monkeypatch.setattr(wiener_hopf, "RHO_RULE", rule)
+    monkeypatch.setattr(quadrature, "RULE", rule)
     assert bound_violations() == []
-    monkeypatch.setattr(wiener_hopf, term, lambda *args: 0.0)
+    monkeypatch.setattr(quadrature, term, lambda *args: 0.0)
     assert bound_violations()
