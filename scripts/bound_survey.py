@@ -191,7 +191,7 @@ def cmd_survey(args) -> None:
         K = max(-rho.ks.start, rho.ks.stop - 1)
         _, layout, terms = q.integrate(parts, rho.ks)
         mass = l1_mass(parts, rho.ks)
-        de = rho_de(parts, K)
+        de, _ = rho_de(parts, K)
         row = {
             "group": group,
             "sites": len(parts.turns),

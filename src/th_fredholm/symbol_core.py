@@ -252,10 +252,6 @@ class FourierLogPoly(_Record):
     def as_dict(self) -> dict[int, complex]:
         return dict(self.coeffs)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.coeffs
-
     def tilde(self) -> "FourierLogPoly":
         return FourierLogPoly.of({-k: v for k, v in self.coeffs})
 
@@ -408,8 +404,8 @@ def invert(s: CanonicalSymbol) -> CanonicalSymbol:
 
 
 def symbols_equal(s1: CanonicalSymbol, s2: CanonicalSymbol) -> bool:
-    """Representation equality: exact on integers and rational data, EQUAL_TOL on floats."""
-    if s1.kappa != s2.kappa or abs(s1.scale - s2.scale) > EQUAL_TOL * max(1.0, abs(s1.scale)):
+    """Representation equality: exact on integers and rational data, EQUAL_TOL on floats, relative on the scale."""
+    if s1.kappa != s2.kappa or abs(s1.scale - s2.scale) > EQUAL_TOL * abs(s1.scale):
         return False
     d1, d2 = s1.log_smooth.as_dict(), s2.log_smooth.as_dict()
     for k in set(d1) | set(d2):

@@ -23,8 +23,8 @@ from .fredholm_engine import build_plus_factor
 from .quadrature import (
     UNIT, SiteProduct, _fourier_integrals, _integral_units, _rho_values, fft_length, integrate, site_product
 )
-from .symbol_core import CanonicalSymbol, SymbolPair, _Record
-from .wiener_hopf import RhoSeries, rho_coefficients
+from .symbol_core import CanonicalSymbol, FourierLogPoly, SymbolPair, _Record
+from .wiener_hopf import rho_coefficients
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,10 +123,11 @@ def kernel_residual_check(
     one, and neither it nor rho is made when there is no candidate (n >= 0,
     m <= 0, or the F-matrix case with dim ker 0).  rho comes from
     wiener_hopf.rho_coefficients, the route the defect matrix is built from,
-    over the k the right sides read.  a's coefficients to N - 1
-    and b's to 2N - 1, which the section reads, are computed here alone, and
-    the basis carries their bounds.  tol gates the residuals and the error
-    bounds of that rho and of a's and b's coefficients.
+    over the k the right sides read.  That rho is the pair's divided by b's
+    constant lam, so the section runs on a/lam's coefficients to N - 1 and
+    b/lam's to 2N - 1, whose absolute bounds stay of order 1 at any lam; they
+    are computed here alone, and the basis carries their bounds.  tol gates
+    the residuals and the error bounds of that rho and of those coefficients.
 
     Raises
     ------
@@ -179,8 +180,11 @@ def kernel_residual_check(
     if not vectors:
         return KernelBasis((), np.zeros(0), 0, None)
 
-    # the section's T_N f, and H_N f with (H_N f)_i = sum_j b_{i+j+1} f_j, by convolution with b_{2N-1..1}
-    series_a, series_b = fourier_coeffs(pair.a, N - 1, tol), fourier_coeffs(pair.b, 2 * N - 1, tol)
+    # the section's T_N f, and H_N f with (H_N f)_i = sum_j b_{i+j+1} f_j, by convolution with b_{2N-1..1}, of a
+    # and b divided by b's constant lam = scale e^{log_0} as rho is; log_0 leaves through the logs
+    scale, log_0 = pair.b.scale, FourierLogPoly.of({0: pair.b.log_smooth.as_dict().get(0, 0j)})
+    a, b = (CanonicalSymbol(s.kappa, s.scale / scale, s.log_smooth.plus(log_0, -1), s.jumps) for s in (pair.a, pair.b))
+    series_a, series_b = fourier_coeffs(a, N - 1, tol), fourier_coeffs(b, 2 * N - 1, tol)
     a, b_rev = series_a.coeffs, series_b.coeffs[: 2 * N - 1 : -1]
     images = [convolve(a, f)[N - 1 : 2 * N - 1] + convolve(b_rev, f)[N - 1 : 2 * N - 1][::-1] for f in vectors]
     residuals = np.array([np.linalg.norm(g) / np.linalg.norm(f) for g, f in zip(images, vectors)])
@@ -196,11 +200,11 @@ def kernel_residual_check(
     return KernelBasis(tuple(vectors), residuals, gram_rank, (series_a.bound, series_b.bound))
 
 
-def rho_de(parts: SiteProduct, N_keep: int) -> RhoSeries:
+def rho_de(parts: SiteProduct, N_keep: int) -> tuple[TwoSidedSeries, float]:
     """rho_k, |k| <= N_keep, by tanh-sinh quadrature over the half-arcs: the second route.
 
     It integrates the production parts of rho (wiener_hopf.rho_parts), and
-    the series it returns carries those same parts.
+    returns the coefficients, with no bound, and an estimate of their error.
 
     Each half of an arc between sites of rho, of width L, is integrated in the
     offset u from its end site, its anchor, u = L / (1 + e^{-pi sinh s}), so
@@ -213,7 +217,7 @@ def rho_de(parts: SiteProduct, N_keep: int) -> RhoSeries:
     weight, and the integral below it its leading term rho(u0) |u0| / (beta + 1),
     as rho ~ C |u|^beta at the anchor.  The step in s starts at 1/8 and halves
     until the coefficients move by less than 1e-13, or down to 2^-10.
-    tail_bound, an estimate and not a bound, is the last movement plus, per
+    The estimate, which is not a bound, is the last movement plus, per
     half-arc, |rho(u0) u0| / (1 + Re beta) times |u0| / L: the next term below
     u0 if the rest of rho varies on the half-arc's scale; plus a rounding floor,
     UNIT sum |w rho| _integral_units / 2 pi over the nodes, as the movement
@@ -261,4 +265,4 @@ def rho_de(parts: SiteProduct, N_keep: int) -> RhoSeries:
     nodes = int(np.sum((reach + span) * (steps // span) + 1))
     below = float(np.sum(np.abs(v0 * u0) / room[anchor] * np.abs(u0) / L[:, 0]))
     estimate = move + (below + UNIT * h * mass * _integral_units(nodes, len(ks))) / (2 * np.pi)
-    return RhoSeries(coeffs, ks, nodes, estimate, parts)
+    return TwoSidedSeries(coeffs), estimate

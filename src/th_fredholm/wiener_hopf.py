@@ -14,7 +14,6 @@ tanh-sinh quadrature on the same values, is verification_oracle.rho_de.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +28,9 @@ class RhoSeries(_Record, eq=False):
 
     coeffs[k - ks.start] holds rho_k for k in ks, a contiguous range: the k
     the defect matrix or the kernel check reads, or a symmetric range for
-    verify's evenness and oracle gates.  tail_bound is, from
-    rho_coefficients, a bound on max |rho_k - coeffs| over ks;
-    from the tanh-sinh oracle it is an estimate, the last movement plus the
-    inner remainder.  inner_N is the node count of the rule, or of the
-    oracle's last step.  parts (rho_parts) are what the oracle integrates
-    rho from again.
+    verify's evenness and oracle gates.  tail_bound is a bound on
+    max |rho_k - coeffs| over ks, and inner_N the node count of the rule.
+    parts (rho_parts) are what the oracle integrates rho from again.
     """
 
     coeffs: np.ndarray
@@ -57,11 +53,12 @@ class RhoSeries(_Record, eq=False):
 def rho_parts(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSymbol) -> SiteProduct:
     """The parts of rho = t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b, from the normalized pair and b.
 
-    c_+(1/t) and d_+(1/t) are singular at the conjugates of their eta points,
-    (1+t)(1+1/t) adds 2 at -1, and +1 and the jump points of b are sites with
-    whatever exponent the factors leave there.  Past the Fredholm gate every
-    Re beta_s exceeds -1; raises ValueError, naming the turn, where one does
-    not, since rho is then not integrable.
+    c_+(1/t) and d_+(1/t) are singular at the conjugates of their eta points, (1+t)(1+1/t) adds 2 at -1, and
+    +1 and the jump points of b are sites with whatever exponent the factors leave there.  Past the Fredholm
+    gate every Re beta_s exceeds -1; raises ValueError, naming the turn, where one does not, since rho is then
+    not integrable.  b enters over its constant lam = scale e^{log_0}: this is the rho of (a/lam, b/lam),
+    whose c, d and defect numbers are those of (a, b), and whose constant c_+ d_+ stays of order 1 however
+    far lam lies past the float range.
     """
     c_plus, d_plus = build_plus_factor(rep_c), build_plus_factor(rep_d)
     zero = Exponent(Fraction(0))
@@ -77,7 +74,8 @@ def rho_parts(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSymbol) ->
             raise ValueError(f"net exponent {e.re} at turn {turn} makes rho non-integrable")
     turns = sorted(sites)
     laurent = c_plus.analytic_log.tilde().plus(d_plus.analytic_log.tilde()).plus(b.log_smooth, -1).as_dict()
-    const = c_plus.constant * d_plus.constant / b.scale * cmath.exp(laurent.pop(0, 0j))
+    laurent.pop(0, None)  # -log_0 of b, as the plus factors' logs hold only k >= 1: rho reads no constant of b
+    const = c_plus.constant * d_plus.constant
     logs = (b.log_smooth, c_plus.analytic_log, d_plus.analytic_log)
     top = max((abs(k) for f in logs for k, _ in f.coeffs), default=0)
     jumps = {j.point.turns: j.beta.value for j in b.jumps}
@@ -91,7 +89,8 @@ def rho_parts(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSymbol) ->
 def rho_coefficients(rep_c: NormalizedRep, rep_d: NormalizedRep, b: CanonicalSymbol, keep: int | range) -> RhoSeries:
     """Two-sided Fourier coefficients of rho = t^{-m-n}(1+t)(1+1/t) c_+(1/t) d_+(1/t) / b.
 
-    rho is fixed by the normalized pair (rep_c, rep_d), n = rep_c.n and m = rep_d.n, and by b.  rho_k =
+    rho is fixed by the normalized pair (rep_c, rep_d), n = rep_c.n and m = rep_d.n, and by b divided by its
+    constant (rho_parts), so the coefficients are those of the pair divided by b's constant.  rho_k =
     (1/2pi) int rho(e^{ix}) e^{-ikx} dx for k in keep, a contiguous range, or |k| <= keep when it is an
     int, by quadrature.integrate over rho_parts; inner_N is its node count and tail_bound its bound.
     """

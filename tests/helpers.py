@@ -48,7 +48,7 @@ from th_fredholm.symbol_core import (
     multiply,
     validate_pair,
 )
-from th_fredholm.quadrature import _rho_values
+from th_fredholm.quadrature import SiteProduct, _rho_values
 from th_fredholm.verification_oracle import TwoSidedSeries, fourier_coeffs
 from th_fredholm.wiener_hopf import RhoSeries, rho_coefficients
 
@@ -505,13 +505,13 @@ def factor_reconstruction_defect(rep: NormalizedRep, factor: PlusFactor, angles:
     return float(np.max(np.abs(recon - target))) / max(scale, 1.0)
 
 
-def rho_at(rho: RhoSeries, angles: np.ndarray) -> np.ndarray:
-    """Closed-form rho on a grid of angles off its sites, each read from its nearest site."""
+def rho_at(parts: SiteProduct, angles: np.ndarray) -> np.ndarray:
+    """Closed-form rho, from its parts, on a grid of angles off its sites, each read from its nearest site."""
     xs = np.asarray(angles, dtype=float)
-    turns = np.array([float(t) for t in rho.parts.turns])
+    turns = np.array([float(t) for t in parts.turns])
     gaps = np.remainder(xs[:, None] - 2 * np.pi * turns + np.pi, 2 * np.pi) - np.pi
     index = np.argmin(np.abs(gaps), axis=1)
-    return _rho_values(rho.parts, index, gaps[np.arange(xs.size), index])
+    return _rho_values(parts, index, gaps[np.arange(xs.size), index])
 
 
 def rho_for_pair(pair, p, N_keep: int) -> tuple[NormalizedRep, NormalizedRep, RhoSeries]:

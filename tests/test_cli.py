@@ -284,6 +284,23 @@ def test_special_gated_on_boundary(tmp_path, capsys, doc):
         assert report["command"] == command and report["overall"] == "boundary"
 
 
+def test_unmapped_exception_exits_five(tmp_path, capsys, monkeypatch):
+    # an exception no verdict or refusal names leaves with its own code, never a verdict's: its traceback
+    # goes to stderr, and nothing to stdout or to --out
+    path = write_doc(tmp_path, {"a": {"kappa": -1}, "b": {"kappa": -1}, "p": 2})
+    target = tmp_path / "report.json"
+
+    def raises(job, ns):
+        raise RuntimeError("an unexpected failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "index", (raises, "raises an unexpected error"))
+    for argv in (["index", path], ["index", path, "--out", str(target)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (5, "")
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: an unexpected failure\n")
+    assert not target.exists()
+
+
 def test_boundary_raised_inside_command_exits_two(tmp_path, capsys, monkeypatch):
     nudged = {"jumps": [{"theta_num": 0, "theta_den": 1, "beta": [-0.25 + 2e-10, 0.0]}]}
     path = write_doc(tmp_path, {"a": nudged, "b": {}, "p": "4/3"})
@@ -714,27 +731,30 @@ def test_verify_sizes_the_oracle_per_site(tmp_path, capsys):
     assert json.loads(out)["rho"]["oracleDeviation"] < 1e-13
 
 
-# what the patched rho_de returns, and what the refusal then says
-NAN_ORACLE_CASES = [
-    ({"coeffs": np.full(33, complex(math.nan))}, "oracle differ by nan"),
-    ({"tail_bound": math.nan}, " > nan"),
-]
+# how the patched rho_de changes its (coefficients, estimate), and what the refusal then says
+NAN_ORACLE_CASES = {
+    "coeffs": (
+        lambda de, estimate: (verification_oracle.TwoSidedSeries(np.full(33, complex(math.nan))), estimate),
+        "oracle differ by nan",
+    ),
+    "estimate": (lambda de, estimate: (de, math.nan), " > nan"),
+}
 
 
 def test_verify_refuses_a_nan_oracle(tmp_path, capsys, monkeypatch):
-    # the gates fail closed: a NaN deviation or oracle bound refuses instead of passing as valid-looking output
+    # the gates fail closed: a NaN deviation or oracle estimate refuses instead of passing as valid-looking output
     rho_de = verification_oracle.rho_de
     path = write_doc(tmp_path, NAN_ORACLE_DOC)
 
     def refuse(name):
         raise ValueError(f"stdout holds the non-JSON constant {name}")
 
-    for changes, message in NAN_ORACLE_CASES:
-        monkeypatch.setattr(verification_oracle, "rho_de", lambda *args: helpers.replace(rho_de(*args), **changes))
+    for name, (change, message) in NAN_ORACLE_CASES.items():
+        monkeypatch.setattr(verification_oracle, "rho_de", lambda *args: change(*rho_de(*args)))
         code, out, _ = run(capsys, ["verify", path])
         doc = json.loads(out, parse_constant=refuse)
-        assert code == 4 and doc["errorKind"] == "numerical-confidence", changes
-        assert message in doc["error"], changes
+        assert code == 4 and doc["errorKind"] == "numerical-confidence", name
+        assert message in doc["error"], name
 
 
 def test_verify_four_jump_example_passes_fourier_step(tmp_path, capsys):
@@ -995,19 +1015,89 @@ SCALED_DOC = {
 }
 
 
-@pytest.mark.parametrize("doc", [SCALED_DOC, README_DOC, DEGREE_SIX_DOC], ids=["exp", "readme", "degree-six"])
-def test_verify_is_scale_free(tmp_path, capsys, doc):
-    # T(l a) + H(l b) = l (T(a) + H(b)) for a common scale l: one exit code and one dimKer/dimCoker per document,
-    # at l = 10^k, k in {-200, -20, 0, 20, 200}, and at l = e^800, past the float range, as the logs' constant
-    scaled = [{**doc, **{s: {**doc[s], "scale": [10.0**k, 0.0]} for s in "ab"}} for k in (-200, -20, 0, 20, 200)]
-    e800 = {"k": 0, "re": 800.0}
-    scaled.append({**doc, **{s: {**doc[s], "log_smooth": [*doc[s].get("log_smooth", []), e800]} for s in "ab"}})
-    seen = set()
-    for scaled_doc in scaled:
-        code, out, _ = run(capsys, ["verify", write_doc(tmp_path, scaled_doc)])
-        seen.add((code, json.dumps(json.loads(out).get("defects"))))
-    assert len(seen) == 1, seen
-    assert seen != {(0, None)} and (doc is not SCALED_DOC or seen == {(0, '{"dimCoker": 0, "dimKer": 1}')})
+# The Jacobi case alpha = beta = 0, kappa = 1 of acceptance criterion 4: n = m = 1.
+JACOBI_FMATRIX = {
+    "a": {},
+    "b": {
+        "kappa": -2,
+        "jumps": [
+            {"theta_num": 0, "theta_den": 1, "beta": [-0.5, 0.0]},
+            {"theta_num": 1, "theta_den": 2, "beta": [0.5, 0.0]},
+        ],
+    },
+    "p": 2,
+}
+
+# the scale-free documents: the README's two examples, F-count and F-matrix pairs, and census documents by their
+# index in census_documents, among them an identity-plus-Hankel pair, a family pair, a p = 4/3 pair and an F-matrix one
+SCALE_DOCS = {
+    "exp": SCALED_DOC,
+    "readme": README_DOC,
+    "degree-six": DEGREE_SIX_DOC,
+    "four-jump": {"a": EX_CURVE_SYMBOL, "b": {}, "p": 2},
+    "two-jump": TWO_JUMP_DOC,
+    "jacobi": JACOBI_FMATRIX,
+    "census-8": 8,
+    "census-16": 16,
+    "census-32": 32,
+    "fmatrix-0": 120,
+}
+# every command, curve on both sides at few samples, and a three-row sweep
+SCALE_RUNS = {
+    "check": [],
+    "index": [],
+    "defects": [],
+    "factor": [],
+    "curve": ["--samples", "64"],
+    "curve-d": ["--side", "d", "--samples", "64"],
+    "special": [],
+    "verify": [],
+    "sweep": ["--p-from", "6/5", "--p-to", "3", "--steps", "3"],
+    "pmap": [],
+}
+
+
+def common_constants(doc: dict) -> list[dict]:
+    """doc with a and b times one constant l: l = 10^k in the scales, k in {-200, -20, 0, 20, 200}, and l = e^800
+    and 10^(+-340), past the float range, as a log_0 term."""
+
+    def scaled(node, k):
+        z = complex(*node.get("scale", [1.0, 0.0])) * 10.0**k
+        return {**node, "scale": [z.real, z.imag]}
+
+    def logged(node, log_0):
+        return {**node, "log_smooth": [*node.get("log_smooth", []), {"k": 0, "re": log_0}]}
+
+    out = [{**doc, "a": scaled(doc["a"], k), "b": scaled(doc["b"], k)} for k in (-200, -20, 0, 20, 200)]
+    logs = (800.0, 340 * math.log(10), -340 * math.log(10))
+    return out + [{**doc, "a": logged(doc["a"], v), "b": logged(doc["b"], v)} for v in logs]
+
+
+@pytest.mark.parametrize("name", list(SCALE_DOCS))
+def test_verify_is_scale_free(tmp_path, capsys, monkeypatch, name):
+    # T(l a) + H(l b) = l (T(a) + H(b)) for a common constant l: every command, verify among them, gives one exit
+    # code per document and, where it prints them, one dimKer/dimCoker across l, and no exception escapes main;
+    # special is held where its family tag stays, as the identity-plus-Hankel tag needs a = 1 exactly
+    doc = SCALE_DOCS[name]
+    if isinstance(doc, int):
+        doc = json.loads(Path(census_documents(tmp_path, monkeypatch)[2][doc][1]).read_text())
+    seen = {label: set() for label in SCALE_RUNS}
+    families = set()
+    for scaled_doc in common_constants(doc):
+        path = write_doc(tmp_path, scaled_doc)
+        for label, extra in SCALE_RUNS.items():
+            code, out, _ = run(capsys, [label.split("-")[0], path, *extra])
+            assert code != 5, (label, scaled_doc)
+            report = json.loads(out) if out.startswith("{") else {}
+            if label == "special":
+                families.add(report.get("family"))
+            dims = report.get("defects", {key: report[key] for key in ("dimKer", "dimCoker") if key in report})
+            seen[label].add((code, json.dumps(dims, sort_keys=True)))
+    if len(families) > 1:
+        del seen["special"]
+    assert all(len(runs) == 1 for runs in seen.values()), seen
+    assert seen["verify"] != {(0, "{}")}
+    assert doc is not SCALED_DOC or seen["verify"] == {(0, '{"dimCoker": 0, "dimKer": 1}')}
 
 
 INPUT_ERRORS = [
@@ -1149,19 +1239,6 @@ def test_one_parser_serves_repeated_calls(tmp_path, capsys):
         assert run(capsys, ["bogus"])[0] == 3
     assert run(capsys, ["index", path]) == first and first[0] == 0
 
-
-# The Jacobi case alpha = beta = 0, kappa = 1 of acceptance criterion 4: n = m = 1.
-JACOBI_FMATRIX = {
-    "a": {},
-    "b": {
-        "kappa": -2,
-        "jumps": [
-            {"theta_num": 0, "theta_den": 1, "beta": [-0.5, 0.0]},
-            {"theta_num": 1, "theta_den": 2, "beta": [0.5, 0.0]},
-        ],
-    },
-    "p": 2,
-}
 
 COLD_START_PROBE = """
 import contextlib, hashlib, io, json, sys
@@ -1369,7 +1446,7 @@ def test_public_names_resolve_to_their_defining_modules():
     # a symbol's value, at an angle or as a one-sided limit, comes from its one exponent
     assert not hasattr(symbol_core, "_jump_value_interior")
     methods = {
-        symbol_core.FourierLogPoly: ["eval_at"],
+        symbol_core.FourierLogPoly: ["eval_at", "is_empty"],
         symbol_core.UnitPoint: ["value"],
         symbol_core.Exponent: ["half"],
         verification_oracle.KernelBasis: ["tags"],

@@ -1,5 +1,6 @@
 """Defect-number dispatch, the matrix case, and the certified rank rule."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -20,6 +21,7 @@ from th_fredholm import verification_oracle, wiener_hopf
 from th_fredholm.fredholm_engine import BoundaryCase, NotFredholm, normalized_pair
 from th_fredholm.symbol_core import (
     CanonicalSymbol,
+    FourierLogPoly,
     invert,
     jump_unit,
     multiply,
@@ -251,9 +253,9 @@ def test_matrix_case_runs_on_quadrature_alone(monkeypatch):
     assert abs(np.linalg.det(report.matrix.matrix) - closed) <= 1e-12 * abs(closed)
 
 
-def scaled(s: CanonicalSymbol, k: int) -> CanonicalSymbol:
-    """s with its scale multiplied by 10^k."""
-    return CanonicalSymbol(s.kappa, s.scale * 10.0**k, s.log_smooth, s.jumps)
+def scaled(s: CanonicalSymbol, k: int, log_0: float = 0.0) -> CanonicalSymbol:
+    """s with its scale multiplied by 10^k and log_0 added to its log's constant."""
+    return CanonicalSymbol(s.kappa, s.scale * 10.0**k, s.log_smooth.plus(FourierLogPoly.of({0: log_0})), s.jumps)
 
 
 @pytest.mark.parametrize(
@@ -268,14 +270,15 @@ def scaled(s: CanonicalSymbol, k: int) -> CanonicalSymbol:
     ids=["shift", "jacobi-3", "jacobi-2", "n2-m1", "n1-m2"],
 )
 def test_rank_rule_is_scale_free(a, b):
-    # scaling a and b alike leaves c and d, and so (n, m), unchanged and scales rho, the
-    # defect matrix and its perturbation bound by one factor: the certificate keeps its margin
+    # scaling a and b alike leaves c and d, and so (n, m), unchanged, and rho reads no constant of b:
+    # the certificate keeps its margin, at 10^(+-340) too, past the float range, as a log_0 term
     base = defect_numbers(validate_pair(a, b), 2)
     assert base.case_tag == "F-matrix"
-    for k in (-200, -20, 20, 200):
-        report = defect_numbers(validate_pair(scaled(a, k), scaled(b, k)), 2)
+    constants = [(k, 0.0) for k in (-200, -20, 20, 200)] + [(0, 340 * math.log(10)), (0, -340 * math.log(10))]
+    for k, log_0 in constants:
+        report = defect_numbers(validate_pair(scaled(a, k, log_0), scaled(b, k, log_0)), 2)
         assert (report.n, report.m, report.dim_ker, report.dim_coker) == (base.n, base.m, base.dim_ker, base.dim_coker)
-        assert report.gap_ratio == pytest.approx(base.gap_ratio, rel=1e-6), k
+        assert report.gap_ratio == pytest.approx(base.gap_ratio, rel=1e-6), (k, log_0)
 
 
 def jacobi_grid_reports():
